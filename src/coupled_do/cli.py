@@ -138,19 +138,20 @@ def cmd_sweep(args) -> int:
                            delta=typed["ridge_delta"],
                            normalize=typed["normalize"],
                            seed=seed)
-        todo_p = [p for p in typed["p_values"]]
-        cells = sweep(base, todo_p, typed["noise_variances"], seed=seed,
-                      max_workers=max_workers_from_env())
-        for cell in cells:
-            key = (function, cell.p, float(cell.noise_variance))
-            if key in done:
-                continue
-            if cell.report is not None:
+        # group the orders by the noise levels still missing at each, so
+        # done cells are never computed and a fresh grid is one sweep call
+        missing: dict[tuple, list] = {}
+        for p in typed["p_values"]:
+            todo = tuple(s2 for s2 in typed["noise_variances"]
+                         if (function, p, float(s2)) not in done)
+            if todo:
+                missing.setdefault(todo, []).append(p)
+        for noise, ps in missing.items():
+            for cell in sweep(base, ps, noise, seed=seed, max_workers=max_workers_from_env()):
+                ok = cell.report is not None
                 rows.append([function, cell.p, fileio.fmt(cell.noise_variance), seed,
-                             fileio.fmt(cell.report.test_mae), "ok"])
-            else:
-                rows.append([function, cell.p, fileio.fmt(cell.noise_variance), seed,
-                             "", f"error: {cell.error}"])
+                             fileio.fmt(cell.report.test_mae) if ok else "",
+                             "ok" if ok else f"error: {cell.error}"])
     rows.sort(key=lambda r: (r[0], int(r[1]), float(r[2])))
     for row in rows:
         fileio.append_csv_row(grid_path, fileio.SWEEP_CSV_COLUMNS, row)
@@ -187,7 +188,7 @@ def cmd_simulate(args) -> int:
             mass=typed["mass"], eta0=typed["eta0"], v0=typed["v0"],
             sigma_v2=typed["sigma_v2"], dt=typed["dt"], duration=typed["duration"],
             poles=typed["poles"], ndo_gain=typed["ndo_gain"],
-            cond_limit=typed["cond_limit"], seed=seed, log_sigma=typed["log_sigma"])
+            seed=seed, log_sigma=typed["log_sigma"])
         result = run_scenario(scenario)
         series_path = out / f"scenario_{mode}.csv"
         fileio.save_scenario(series_path, result)

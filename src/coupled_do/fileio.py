@@ -244,7 +244,7 @@ _DEFAULTS = {
     "learning": {"function": "quad_drag_drift", "delta": "0.01", "n_samples": "10000",
                  "train_fraction": "0.5", "window": "9", "fit_order": "3",
                  "seed": "0", "noise_variance": "0.1"},
-    "observer": {"poles": "-0.4, -0.4, -0.4", "cond_limit": "1e8", "ndo_gain": "0.4"},
+    "observer": {"poles": "-0.4, -0.4, -0.4", "ndo_gain": "0.4"},
     "scenario": {"plant": "newton", "k_eta": "10", "k_v": "25", "mass": "1",
                  "eta0": "0", "v0": "0", "sigma_v2": "0.1", "dt": "0.001",
                  "duration": "20", "modes": "none, ndo, hodo", "seed": "0",
@@ -357,7 +357,6 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     typed["poles"] = tuple(_float_list("observer", "poles", o["poles"]))
     if any(p >= 0 for p in typed["poles"]):
         raise ConfigError("observer.poles: all poles must be strictly negative")
-    typed["cond_limit"] = _positive("observer", "cond_limit", _typed("observer", "cond_limit", o["cond_limit"], float))
     typed["ndo_gain"] = _positive("observer", "ndo_gain", _typed("observer", "ndo_gain", o["ndo_gain"], float))
 
     typed["plant"] = s["plant"]

@@ -30,15 +30,12 @@ from .errors import ConfigError, DataError, NumericalError
 def rng_stream(seed: int, *key) -> np.random.Generator:
     """Derive an independent generator from a top-level seed and a key.
 
-    Key parts may be ints or short strings; strings are folded in as
-    their byte content, so streams are stable across runs and platforms.
+    Key parts may be non-negative ints or strings of any length; a string
+    enters whole as the integer of its UTF-8 bytes, so streams are stable
+    across platforms and distinct strings (trailing NULs aside) differ.
     """
-    words = [int(seed)]
-    for part in key:
-        if isinstance(part, str):
-            words.append(int.from_bytes(part.encode(), "little") % (2**63))
-        else:
-            words.append(int(part))
+    words = [int(seed)] + [int.from_bytes(k.encode(), "little") if isinstance(k, str)
+                           else int(k) for k in key]
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
@@ -135,12 +132,6 @@ class SeparatedModel:
     @property
     def n(self) -> int:
         return self.theta.shape[0]
-
-    def predict(self, x, t) -> np.ndarray:
-        """Evaluate Theta B(x) xi(t) at a single sample."""
-        cfg = self.config
-        row = cfg.design_rows(np.atleast_1d(x)[None, :], np.atleast_1d(t)[None, :])
-        return (row @ self.theta.T)[0]
 
     def predict_batch(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Vectorized prediction, shape (N, n)."""

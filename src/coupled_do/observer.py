@@ -17,6 +17,13 @@ with the gain Gamma resynthesized every step at the current state
 eigenvalues.  The estimation error then obeys
 d/dt e = (A - Gamma C(x)) e and decays exponentially.
 
+A is a weighted shift (d/dt t^k = k t^(k-1)), so the observability
+matrix of an output row c, columns reversed, is upper triangular with
+the pivot c_(s2-1) times factorials on its diagonal: c is observable
+iff c_(s2-1) != 0, and the gain is an O(s2^2) back-substitution.  A row
+with a non-finite entry or |c_(s2-1)| <= _MARGIN * max|c_i| counts as
+unobservable.  :func:`ackermann_gain` keeps the generic route as reference.
+
 The first-order baseline treats the disturbance as a signal with
 bounded derivative; it converges on constant disturbances and lags
 behind time-varying ones.
@@ -32,8 +39,12 @@ from .errors import NumericalError
 from .learner import SeparatedModel
 
 
+_MARGIN = 1e-4     # |c_(s2-1)| / max|c_i| at or below which a row is unobservable
+
+
 class UnobservableError(NumericalError):
-    """The observability matrix is too ill-conditioned to invert."""
+    """The output row fails :class:`Hodo`'s pivot margin, or the observability
+    matrix in :func:`ackermann_gain` exceeds its condition limit."""
 
 
 def _pole_polynomial_of_a(A: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -46,27 +57,6 @@ def _pole_polynomial_of_a(A: np.ndarray, poles: np.ndarray) -> np.ndarray:
     for coef in q_coef.real:
         q_of_a = q_of_a @ A + coef * eye
     return q_of_a
-
-
-def _observability(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    s = A.shape[0]
-    obs = np.empty((s, s))
-    row = c
-    for i in range(s):
-        obs[i] = row
-        row = row @ A
-    return obs
-
-
-def _gain_from_observability(q_of_a: np.ndarray, obs: np.ndarray,
-                             cond_limit: float) -> np.ndarray:
-    cond = np.linalg.cond(obs)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise UnobservableError(
-            f"observability matrix condition {cond:.2e} exceeds {cond_limit:.2e}")
-    e_last = np.zeros(obs.shape[0])
-    e_last[-1] = 1.0
-    return q_of_a @ np.linalg.solve(obs, e_last)
 
 
 def placement_residual(A: np.ndarray, c: np.ndarray, gamma: np.ndarray, poles) -> float:
@@ -94,7 +84,7 @@ def ackermann_gain(A: np.ndarray, c: np.ndarray, poles,
     and returns Gamma = q(A) O^{-1} e_s, where q is the monic
     polynomial with the requested roots and e_s the last standard basis
     vector.  The spectrum of A - Gamma c then equals ``poles`` exactly
-    (up to conditioning of O).
+    (up to conditioning of O).  Independent reference for :class:`Hodo`.
 
     Raises
     ------
@@ -111,7 +101,16 @@ def ackermann_gain(A: np.ndarray, c: np.ndarray, poles,
         raise ValueError("all poles must have strictly negative real part")
     if not np.all(np.isfinite(c)):
         raise NumericalError("output row contains non-finite entries")
-    return _gain_from_observability(_pole_polynomial_of_a(A, poles), _observability(A, c), cond_limit)
+    obs = np.empty((s, s))
+    row = c
+    for i in range(s):
+        obs[i] = row
+        row = row @ A
+    cond = np.linalg.cond(obs)
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise UnobservableError(
+            f"observability matrix condition {cond:.2e} exceeds {cond_limit:.2e}")
+    return _pole_polynomial_of_a(A, poles) @ np.linalg.solve(obs, np.eye(s)[-1])
 
 
 def _rk4(rhs: Callable, y: np.ndarray, dt: float) -> np.ndarray:
@@ -143,17 +142,20 @@ class Hodo:
     output_weights : array_like, shape (n,), optional
         Unit-norm aggregation weights turning the n-row output map into
         the single synthesis output w @ C(x); uniform by default.
-    cond_limit : float
-        Observability condition threshold; beyond it the previous valid
-        gain is kept and ``gain_failures`` is incremented.
     verify_placement : bool
-        Recompute the spectrum of A - Gamma c after each design and
-        raise if it strayed from the request by more than 1e-8.
+        After each design, raise if the :func:`placement_residual` of
+        A - Gamma c exceeds 1e-8 * (1 + ||A - Gamma c||)^s2.
+
+    The gain for c = w @ C(x) is a back-substitution: O(c) with its
+    columns reversed is triangular, so c is observable iff c_(s2-1) != 0.
+    On a non-finite row or |c_(s2-1)| <= ``_MARGIN`` * max|c_i| the
+    constructor raises :class:`UnobservableError` and ``step`` keeps the
+    previous gain, incrementing ``gain_failures``.
     """
 
     def __init__(self, model: SeparatedModel, f_x: Callable, f_u: Callable,
                  poles, x0, sigma0=None, output_weights=None,
-                 cond_limit: float = 1e8, verify_placement: bool = False):
+                 verify_placement: bool = False):
         self.model = model
         self.f_x = f_x
         self.f_u = f_u
@@ -163,34 +165,41 @@ class Hodo:
             raise ValueError(f"need {s2} poles, got {self.poles.shape}")
         if np.any(self.poles.real >= 0):
             raise ValueError("all poles must have strictly negative real part")
-        self.cond_limit = cond_limit
         self.verify_placement = verify_placement
         self.gain_failures = 0
 
-        n = model.n
-        if output_weights is None:
-            w = np.ones(n) / np.sqrt(n)
-        else:
-            w = np.asarray(output_weights, dtype=float)
-            w = w / np.linalg.norm(w)
-        self.w = w
+        w = np.ones(model.n) if output_weights is None else np.asarray(output_weights, float)
+        self.w = w / np.linalg.norm(w)
 
         self._A = model.A
-        self._q_of_a = _pole_polynomial_of_a(self._A, self.poles)
+        # (c A^k)_j = g_(j+k) / j! with g_i = c_i i!; q(A) absorbs the j!
+        self._fact = np.cumprod(np.r_[1.0, np.arange(1.0, s2)])
+        self._q_fact = _pole_polynomial_of_a(self._A, self.poles) * self._fact
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         sigma0 = np.zeros(s2) if sigma0 is None else np.asarray(sigma0, dtype=float)
-        self.gamma = self._design(x0)           # (s2, n)
+        self.gamma = self._design(model.output_map(x0))     # (s2, n)
         self.z = sigma0 - self.gamma @ x0
         self.sigma_hat = sigma0
 
-    def _design(self, x) -> np.ndarray:
-        c = self.w @ self.model.output_map(x)
-        col = _gain_from_observability(self._q_of_a, _observability(self._A, c),
-                                       self.cond_limit)
+    def _design(self, cmap: np.ndarray) -> np.ndarray:
+        """Gain (s2, n) for the output map C(x) of shape (n, s2)."""
+        c = self.w @ cmap
+        # false for a zero pivot and for any non-finite entry
+        if not abs(c[-1]) > _MARGIN * np.abs(c).max():
+            raise UnobservableError(f"output row pivot {c[-1]:.2e} is within "
+                                    f"{_MARGIN:.0e} * max|c_i| of zero")
+        # O(c) v = e_s2 with v = diag(j!) y is sum_j g_(j+k) y_j = [k = s2 - 1]:
+        # y is the reciprocal power series of r = g reversed, term by term
+        r = (c * self._fact)[::-1]
+        y = np.empty_like(r)
+        y[0] = 1.0 / r[0]
+        for m in range(1, len(r)):
+            y[m] = -(r[m:0:-1] @ y[:m]) / r[0]
+        col = self._q_fact @ y
         if self.verify_placement:
-            lam = self._A - np.outer(col, c)
-            resid = np.linalg.norm(_pole_polynomial_of_a(lam, self.poles))
-            if resid > 1e-8 * (1.0 + np.linalg.norm(lam)) ** len(self.poles):
+            resid = placement_residual(self._A, c, col, self.poles)
+            lam_norm = np.linalg.norm(self._A - np.outer(col, c))
+            if resid > 1e-8 * (1.0 + lam_norm) ** len(self.poles):
                 raise NumericalError(
                     f"pole placement residual ||q(A - Gamma c)|| = {resid:.2e} too large")
         return np.outer(col, self.w)
@@ -201,8 +210,8 @@ class Hodo:
         The measured state and control are held constant over the step
         (zero-order hold); the auxiliary state is integrated with a
         classical fourth-order Runge-Kutta update.  The gain is
-        redesigned at the current state; on an ill-conditioned
-        observability matrix the previous gain is kept.
+        redesigned at the current state; on an unobservable output row
+        the previous gain is kept.
         """
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
@@ -211,8 +220,9 @@ class Hodo:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
             raise NumericalError("non-finite observer inputs")
 
+        cmap = self.model.output_map(x)         # (n, s2), frozen over the step
         try:
-            gamma_new = self._design(x)
+            gamma_new = self._design(cmap)
         except UnobservableError:
             gamma_new = self.gamma
             self.gain_failures += 1
@@ -222,7 +232,6 @@ class Hodo:
         self.gamma = gamma_new
         self.z = sigma_here - self.gamma @ x
 
-        cmap = self.model.output_map(x)         # (n, s2), frozen over the step
         drive = np.asarray(self.f_x(x)) + np.asarray(self.f_u(x)) @ u
         gamma, A, z_frozen = self.gamma, self._A, self.gamma @ x
 

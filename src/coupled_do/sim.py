@@ -155,7 +155,6 @@ class ScenarioConfig:
     duration: float = 20.0
     poles: tuple = (-0.4, -0.4, -0.4)
     ndo_gain: float = 0.4
-    cond_limit: float = 1e8
     seed: int = 0
     log_sigma: bool = False
     reference: Callable = field(default=_sin_half_reference, repr=False)
@@ -228,7 +227,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     observer = None
     if cfg.mode == "hodo":
         observer = Hodo(cfg.model, channel.f_x, channel.f_u, cfg.poles,
-                        x0=[cfg.v0], cond_limit=cfg.cond_limit)
+                        x0=[cfg.v0])
     elif cfg.mode == "ndo":
         observer = FirstOrderDo(channel.f_x, channel.f_u, cfg.ndo_gain, n=1)
 

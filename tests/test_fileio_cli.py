@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coupled_do import cli, fileio
+from coupled_do import cli, fileio, learner
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError
 from coupled_do.learner import SeparatedModel, TrajectoryDataset
@@ -253,6 +253,23 @@ class TestCliPipelines:
         assert len(first.splitlines()) == 5      # header + 2 p * 2 sigma
         # rerun: complete grid must be a no-op
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+        assert grid.read_text() == first
+
+    def test_sweep_resume_computes_no_done_cell(self, config_file, tmp_path, capsys,
+                                                monkeypatch):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+        grid = out / "sweep.csv"
+        first = grid.read_text()
+        computed = []
+        run_cell = learner._run_cell
+
+        def counting(base, p, sigma2, seed):
+            computed.append((p, sigma2))
+            return run_cell(base, p, sigma2, seed)
+        monkeypatch.setattr(learner, "_run_cell", counting)
+        assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+        assert computed == []
         assert grid.read_text() == first
 
     def test_sweep_resume_after_grid_grows(self, tmp_path, capsys):

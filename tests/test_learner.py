@@ -200,6 +200,19 @@ class TestFitRls:
         assert report.test_mae == pytest.approx(mean_norm, rel=1e-3)
 
 
+class TestRngStream:
+    def test_long_string_keys_give_distinct_streams(self):
+        # keys that share their first 8 bytes must not share a stream
+        a = rng_stream(0, "dataset-a1").standard_normal(4)
+        b = rng_stream(0, "dataset-a2").standard_normal(4)
+        assert not np.array_equal(a, b)
+
+    def test_scenario_stream_is_pinned(self):
+        draws = rng_stream(0, "scenario", "hodo").standard_normal(3)
+        assert draws.tolist() == [1.0165594014695067, 0.33050298908673825,
+                                  0.48209123792122055]
+
+
 class TestEvaluate:
     def test_self_consistency(self):
         rng = np.random.default_rng(9)

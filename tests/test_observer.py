@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 
 from coupled_do.basis import BasisConfig, structure_matrices
 from coupled_do.errors import NumericalError
 from coupled_do.learner import SeparatedModel
-from coupled_do.observer import (FirstOrderDo, Hodo, UnobservableError,
+from coupled_do.observer import (_MARGIN, FirstOrderDo, Hodo, UnobservableError,
                                  ackermann_gain, placement_residual)
 from coupled_do.oracles import projection_oracle
 from coupled_do.sim import disturbance, rk4_step
@@ -65,6 +66,94 @@ class TestAckermannGain:
         _, A = structure_matrices(3)
         with pytest.raises(ValueError):
             ackermann_gain(A, np.ones(3), [-1.0])
+
+
+def order_observer(s2, poles) -> Hodo:
+    """Scalar-output observer of time order s2 whose _design takes any row."""
+    cfg = BasisConfig(p=s2 - 1, n=1, normalize=False)
+    model = SeparatedModel(theta=np.ones((1, cfg.s1)), config=cfg)
+    return Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
+                poles=poles, x0=[0.3])
+
+
+class TestStructuredGain:
+    # the triangular back-substitution in Hodo._design against the
+    # generic observability-matrix route and against scipy's placement
+
+    @pytest.mark.parametrize("s2", range(1, 8))
+    def test_matches_ackermann(self, s2):
+        poles = -np.linspace(0.5, 2.0, s2)
+        obs = order_observer(s2, poles)
+        rng = np.random.default_rng(s2)
+        compared = 0
+        for _ in range(50):
+            c = rng.standard_normal(s2)
+            try:
+                ref = ackermann_gain(obs.model.A, c, poles)
+            except UnobservableError:
+                continue
+            gamma = obs._design(c[None, :])[:, 0]
+            assert np.linalg.norm(gamma - ref) <= 1e-10 * np.linalg.norm(ref)
+            compared += 1
+        assert compared >= 40
+
+    @pytest.mark.parametrize("s2", range(2, 8))
+    def test_matches_scipy_place_poles(self, s2):
+        # place_poles goes through the closed-loop eigenvectors X, so its
+        # own error grows like eps * cond(X)
+        poles = -np.linspace(0.5, 2.0, s2)
+        obs = order_observer(s2, poles)
+        rng = np.random.default_rng(10 + s2)
+        for _ in range(20):
+            c = rng.standard_normal(s2)
+            if abs(c[-1]) < 1e-2 * np.abs(c).max():
+                continue
+            placed = scipy.signal.place_poles(obs.model.A.T, c[:, None], poles)
+            ref = placed.gain_matrix.ravel()
+            gamma = obs._design(c[None, :])[:, 0]
+            tol = 100 * np.finfo(float).eps * np.linalg.cond(placed.X)
+            assert np.linalg.norm(gamma - ref) <= tol * np.linalg.norm(ref)
+
+    def test_hold_decision_invariant_under_power_of_two_scaling(self):
+        obs = order_observer(3, (-0.4,) * 3)
+        for ratio in (0.5 * _MARGIN, _MARGIN, 2.0 * _MARGIN, 1e-2, 0.0):
+            c = np.array([1.0, -0.3, ratio])
+            try:
+                base = obs._design(c[None, :])
+            except UnobservableError:
+                base = None
+            for k in (-60, -7, 1, 9, 60):
+                try:
+                    scaled = obs._design(2.0 ** k * c[None, :])
+                except UnobservableError:
+                    scaled = None
+                assert (base is None) == (scaled is None)
+                if base is not None:
+                    assert np.array_equal(scaled, 2.0 ** -k * base)
+
+    def test_margin_boundary_in_step(self):
+        # C(x) = [1 - x, 0, 2x]: the pivot ratio crosses _MARGIN at
+        # x = _MARGIN / (2 + _MARGIN)
+        theta = np.zeros((1, 9))
+        theta[0, 0] = 1.0
+        theta[0, 7] = 1.0
+        model = SeparatedModel(theta=theta, config=BasisConfig(**RAW_CFG))
+        x_edge = _MARGIN / (2.0 + _MARGIN)
+        for x, held in ((x_edge * (1 - 1e-6), True), (x_edge * (1 + 1e-6), False)):
+            c = model.output_map([x])[0]
+            assert (abs(c[-1]) / np.abs(c).max() < _MARGIN) == held
+            obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
+                       poles=(-0.4,) * 3, x0=[1.0])
+            gamma_before = obs.gamma.copy()
+            obs.step([x], [0.0], 1e-3)
+            assert obs.gain_failures == int(held)
+            assert np.array_equal(obs.gamma, gamma_before) == held
+
+    def test_non_finite_row_holds_the_gain(self):
+        obs = order_observer(3, (-0.4,) * 3)
+        for bad in ([np.nan, 0.0, 1.0], [1.0, np.inf, 1.0], [0.0, 0.0, np.inf]):
+            with pytest.raises(UnobservableError):
+                obs._design(np.array([bad]))
 
 
 class TestHodoInit:
@@ -152,7 +241,7 @@ class TestHodoDynamics:
         theta[0, 7] = 1.0      # T_1(x) in the highest time block
         model = SeparatedModel(theta=theta, config=BasisConfig(**RAW_CFG))
         obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[1.0], cond_limit=1e6)
+                   poles=(-0.4,) * 3, x0=[1.0])
         gamma_before = obs.gamma.copy()
         obs.step([0.0], [0.0], 1e-3)
         assert obs.gain_failures == 1
@@ -165,7 +254,7 @@ class TestHodoDynamics:
         model = SeparatedModel(theta=theta, config=BasisConfig(**RAW_CFG))
         with pytest.raises(UnobservableError):
             Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                 poles=(-0.4,) * 3, x0=[0.0], cond_limit=1e6)
+                 poles=(-0.4,) * 3, x0=[0.0])
 
     def test_placement_verified_each_step(self):
         obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
@@ -210,7 +299,7 @@ class TestZeroErrorManifold:
             eta, v, z = y[0], y[1], y[2:]
             # frozen-time redesign between steps, preserving the estimate
             sig = z + gamma * v
-            gamma = obs._design(np.array([v]))[:, 0]
+            gamma = obs._design(model.output_map([v]))[:, 0]
             z = sig - gamma * v
         assert worst < 1e-8
 
