@@ -216,7 +216,11 @@ class BasisConfig:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.n,):
             raise ValueError(f"state must have shape ({self.n},), got {x.shape}")
-        return self._tensor_rows(self.normalize_state(x)[None, :])[0]
+        tables = cheb_series(self.p, self.normalize_state(x))     # (p+1, n)
+        acc = tables[:, 0]
+        for i in range(1, self.n):      # little-endian: dim 1 varies fastest
+            acc = (tables[:, i, None] * acc).ravel()
+        return acc
 
     def xi_vector(self, d) -> np.ndarray:
         """Feature basis xi(d); for feature_dim == 1 this is [T_0..T_p](d)."""

@@ -143,7 +143,7 @@ def cmd_sweep(args) -> int:
         missing: dict[tuple, list] = {}
         for p in typed["p_values"]:
             todo = tuple(s2 for s2 in typed["noise_variances"]
-                         if (function, p, float(s2)) not in done)
+                         if (function, p, float(s2), seed) not in done)
             if todo:
                 missing.setdefault(todo, []).append(p)
         for noise, ps in missing.items():
@@ -155,7 +155,7 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (r[0], int(r[1]), float(r[2])))
     for row in rows:
         fileio.append_csv_row(grid_path, fileio.SWEEP_CSV_COLUMNS, row)
-    skipped = " (resume: existing cells skipped)" if done else ""
+    skipped = " (resume: existing cells skipped)" if any(k[3] == seed for k in done) else ""
     print(f"sweep grid written to {grid_path}: {len(rows)} new rows{skipped}")
     failed = [r for r in rows if r[5] != "ok"]
     if failed:
@@ -193,13 +193,7 @@ def cmd_simulate(args) -> int:
         series_path = out / f"scenario_{mode}.csv"
         fileio.save_scenario(series_path, result)
         if result.sigma_hat is not None:
-            sig_path = out / f"scenario_{mode}_sigma.csv"
-            with open(sig_path, "w") as fh:
-                cols = ["t"] + [f"sigma_{i+1}" for i in range(result.sigma_hat.shape[1])]
-                fh.write(",".join(cols) + "\n")
-                for i in range(len(result.t)):
-                    fh.write(",".join([fileio.fmt(result.t[i])]
-                                      + [fileio.fmt(v) for v in result.sigma_hat[i]]) + "\n")
+            fileio.save_sigma_series(out / f"scenario_{mode}_sigma.csv", result)
         fileio.append_csv_row(metrics_path, fileio.METRICS_CSV_COLUMNS,
                               [mode, seed, fileio.fmt(result.tracking_mae()),
                                fileio.fmt(result.estimation_mae()),

@@ -188,6 +188,16 @@ def save_scenario(path, result: ScenarioResult) -> None:
                              fmt(result.delta_hat[i]), result.mode])
 
 
+def save_sigma_series(path, result: ScenarioResult) -> None:
+    """Write the logged HODO feature estimates: columns t, sigma_1..sigma_s2."""
+    with open(path, "w") as fh:
+        cols = ["t"] + [f"sigma_{i+1}" for i in range(result.sigma_hat.shape[1])]
+        fh.write(",".join(cols) + "\n")
+        for i in range(len(result.t)):
+            fh.write(",".join([fmt(result.t[i])]
+                              + [fmt(v) for v in result.sigma_hat[i]]) + "\n")
+
+
 def load_scenario_series(path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -225,7 +235,7 @@ def report_row(function: str, p: int, sigma2: float, delta: float, seed: int,
 
 
 def existing_sweep_keys(path) -> set[tuple]:
-    """Keys (function, p, noise_variance) already present in a sweep CSV."""
+    """Keys (function, p, noise_variance, seed) already present in a sweep CSV."""
     path = Path(path)
     if not path.exists():
         return set()
@@ -234,7 +244,8 @@ def existing_sweep_keys(path) -> set[tuple]:
         if reader.fieldnames != SWEEP_CSV_COLUMNS:
             raise DataError(f"sweep columns {reader.fieldnames} do not match "
                             f"schema {SWEEP_CSV_COLUMNS}")
-        return {(r["function"], int(r["p"]), float(r["noise_variance"])) for r in reader}
+        return {(r["function"], int(r["p"]), float(r["noise_variance"]), int(r["seed"]))
+                for r in reader}
 
 
 # --- INI configuration ----------------------------------------------------------

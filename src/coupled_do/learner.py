@@ -114,13 +114,16 @@ class SeparatedModel:
 
     Caches the structure matrices D (Chebyshev coefficients over
     monomials) and A (exosystem companion), which downstream observers
-    need at every step.
+    need at every step, and the coefficients with D folded in,
+    K[i, j, b] = sum_k Theta[i, k, b] D[k, j] with Theta viewed as
+    (n, s2, (p+1)^n), so that C(x) = K Pi(x).
     """
 
     theta: np.ndarray
     config: BasisConfig
     D: np.ndarray = field(init=False, repr=False)
     A: np.ndarray = field(init=False, repr=False)
+    _K: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.theta = np.atleast_2d(np.asarray(self.theta, dtype=float))
@@ -128,6 +131,8 @@ class SeparatedModel:
             raise ConfigError(
                 f"theta has {self.theta.shape[1]} columns, basis requires s1={self.config.s1}")
         self.D, self.A = structure_matrices(self.config.s2)
+        theta = self.theta.reshape(self.n, self.config.s2, self.config.state_block)
+        self._K = np.einsum("ikb,kj->ijb", theta, self.D)
 
     @property
     def n(self) -> int:
@@ -139,10 +144,7 @@ class SeparatedModel:
 
     def output_map(self, x) -> np.ndarray:
         """C(x) = Theta B(x) D, the observer output matrix, shape (n, s2)."""
-        cfg = self.config
-        pi = cfg.pi_vector(np.atleast_1d(x))
-        theta_b = self.theta.reshape(self.n, cfg.s2, cfg.state_block) @ pi
-        return theta_b @ self.D
+        return self._K @ self.config.pi_vector(x)
 
 
 @dataclass

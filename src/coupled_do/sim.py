@@ -30,7 +30,7 @@ def rk4_step(f: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarray:
     k3 = f(t + 0.5 * dt, state + 0.5 * dt * k2)
     k4 = f(t + dt, state + dt * k3)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalError(f"integration produced non-finite state at t={t}")
     return out
 

@@ -244,6 +244,29 @@ class TestCliPipelines:
         assert metrics[0] == ",".join(fileio.METRICS_CSV_COLUMNS)
         assert len(metrics) == 4
 
+    def test_simulate_logs_sigma_series(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["learn", "--config", str(config_file), "--out", str(out)]) == 0
+        ini = tmp_path / "sim.ini"
+        ini.write_text(BASE_CONFIG.replace("duration = 0.5", "duration = 0.05\nlog_sigma = true")
+                       + f"\n[io]\nmodel_file = {out / 'model.txt'}\n")
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                         "--modes", "hodo"]) == 0
+        lines = (out / "scenario_hodo_sigma.csv").read_text().splitlines()
+        assert lines[0] == "t,sigma_1,sigma_2,sigma_3"
+
+        typed = fileio.validate_config(fileio.load_config(ini))
+        result = run_scenario(ScenarioConfig(
+            mode="hodo", model=fileio.load_model(out / "model.txt"),
+            k_eta=typed["k_eta"], k_v=typed["k_v"], mass=typed["mass"],
+            eta0=typed["eta0"], v0=typed["v0"], sigma_v2=typed["sigma_v2"],
+            dt=typed["dt"], duration=typed["duration"], poles=typed["poles"],
+            ndo_gain=typed["ndo_gain"], seed=typed["scenario_seed"], log_sigma=True))
+        values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert len(values) == len(result.t) == 50
+        assert np.array_equal(values[:, 0], result.t)
+        assert np.array_equal(values[:, 1:], result.sigma_hat)
+
     def test_sweep_writes_and_resumes(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
@@ -271,6 +294,22 @@ class TestCliPipelines:
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
         assert computed == []
         assert grid.read_text() == first
+
+    def test_sweep_resume_keys_include_the_seed(self, tmp_path, capsys):
+        # another seed into the same sweep.csv computes its own cells
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[learning]\nn_samples = 1000\n"
+                       "[sweep]\nfunctions = cubic_drift\np_values = 2\n"
+                       "noise_variances = 0.01\n")
+        out = tmp_path / "out"
+        for seed in ("1", "2", "2"):
+            assert cli.main(["sweep", "--config", str(ini), "--out", str(out),
+                             "--seed", seed]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 3                     # header + one cell per seed
+        assert [r.split(",")[3] for r in rows[1:]] == ["1", "2"]
+        assert fileio.existing_sweep_keys(out / "sweep.csv") == {
+            ("cubic_drift", 2, 0.01, 1), ("cubic_drift", 2, 0.01, 2)}
 
     def test_sweep_resume_after_grid_grows(self, tmp_path, capsys):
         # a resumed run appends only the new cells; its rows must be those

@@ -5,8 +5,8 @@ import pytest
 
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError
-from coupled_do.learner import (SweepConfig, TrajectoryDataset, evaluate, fit_rls,
-                                rng_stream, split_dataset, sweep, synthesize_dataset,
+from coupled_do.learner import (SeparatedModel, SweepConfig, TrajectoryDataset,
+                                evaluate, fit_rls, rng_stream, split_dataset, sweep, synthesize_dataset,
                                 targets_from_trajectory)
 from coupled_do.oracles import gradient_descent_fit, projection_oracle
 from coupled_do.sim import disturbance, rk4_step
@@ -198,6 +198,26 @@ class TestFitRls:
         model, report = fit_rls(data, cfg, 1e9)
         mean_norm = np.mean(np.linalg.norm(data.delta, axis=1))
         assert report.test_mae == pytest.approx(mean_norm, rel=1e-3)
+
+
+class TestOutputMap:
+    # C(x) from the coefficients with D folded in, against the defining
+    # product Theta B(x) D; Pi(x) for one state against the batch path
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    @pytest.mark.parametrize("p", range(5))
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_equals_theta_b_d(self, n, p, normalize):
+        rng = np.random.default_rng(10 * n + p)
+        cfg = BasisConfig(p=p, n=n, x_box=[(-2.0, 3.0), (-1.0, 0.5)][:n],
+                          t_box=(0.0, 10.0), normalize=normalize)
+        model = SeparatedModel(theta=rng.standard_normal((n, cfg.s1)), config=cfg)
+        for x in rng.uniform(-2.5, 3.5, (10, n)):
+            ref = model.theta @ cfg.b_matrix(x) @ model.D
+            got = model.output_map(x)
+            assert got.shape == (n, cfg.s2)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.array_equal(cfg.pi_vector(x), cfg.pi_rows(x[None])[0])
 
 
 class TestRngStream:

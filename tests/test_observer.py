@@ -358,6 +358,81 @@ class TestStepSizeConvergence:
         assert 12.0 < errs[1] / errs[2] < 20.0
 
 
+def closure_rk4_hodo_step(obs, x, u, dt):
+    """Reference for Hodo.step: the rebase, then one generic RK4 step of the
+    auxiliary ODE written as a closure over the frozen (x, u, Gamma, C(x))."""
+    cmap = obs.model.output_map(x)
+    gamma = obs._design(cmap)
+    z_frozen = gamma @ x
+    z0 = obs.z + obs.gamma @ x - z_frozen
+    drive = obs.f_x(x) + obs.f_u(x) @ u
+
+    def rhs(t, z):
+        sig = z + z_frozen
+        return obs.model.A @ sig - gamma @ (drive + cmap @ sig)
+
+    z = rk4_step(rhs, z0, 0.0, dt)
+    # magnitude of the terms the step adds up, for the n > 1 roundoff scale
+    M = obs.model.A - gamma @ cmap
+    sigma0 = z0 + z_frozen
+    scale = (np.linalg.norm(sigma0) + np.linalg.norm(z_frozen)
+             + np.linalg.norm(obs.gamma @ x)
+             + dt * (np.linalg.norm(M, 2) * np.linalg.norm(sigma0)
+                     + np.linalg.norm(gamma @ drive)) * (1.0 + dt * np.linalg.norm(M, 2)) ** 3)
+    return z, z + z_frozen, scale
+
+
+class TestAffineRk4Step:
+    # the closed-form step against a generic RK4 of the stage closures
+
+    @pytest.mark.parametrize("dt", (1e-3, 0.04))
+    @pytest.mark.parametrize("s2", range(1, 7))
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_hodo_step_equals_closure_rk4(self, n, s2, dt):
+        rng = np.random.default_rng(100 * n + s2)
+        cfg = BasisConfig(p=s2 - 1, n=n, normalize=False)
+        poles = -np.linspace(0.5, 2.0, s2)
+        compared = 0
+        while compared < 20:
+            model = SeparatedModel(theta=rng.standard_normal((n, cfg.s1)), config=cfg)
+            x_prev, x = rng.uniform(-1.0, 1.0, (2, n))
+            u = rng.uniform(-1.0, 1.0, 1)
+            try:
+                obs = Hodo(model, lambda x: 0.3 * x - 0.1, lambda x: np.full((n, 1), 1.5),
+                           poles=poles, x0=x_prev)
+                obs._design(model.output_map(x))
+            except UnobservableError:
+                continue
+            obs.z = rng.standard_normal(s2)
+            z_ref, sigma_ref, scale = closure_rk4_hodo_step(obs, x, u, dt)
+            out = obs.step(x, u, dt)
+            # one output row: plain relative error; with two rows the
+            # gain can be large, so roundoff is relative to the terms' size
+            tol = 1e-12 * (np.linalg.norm(sigma_ref) if n == 1 else scale)
+            assert np.linalg.norm(obs.sigma_hat - sigma_ref) <= tol
+            assert np.linalg.norm(obs.z - z_ref) <= tol + 1e-12 * np.linalg.norm(z_ref)
+            assert np.array_equal(out, model.output_map(x) @ obs.sigma_hat)
+            compared += 1
+
+    @pytest.mark.parametrize("dt", (1e-3, 0.04))
+    @pytest.mark.parametrize("gain", (0.1, 0.4, 2.0, 25.0))
+    def test_first_order_step_equals_closure_rk4(self, gain, dt):
+        rng = np.random.default_rng(int(gain * 10))
+        f_x = lambda x: 0.3 * x - 0.1
+        f_u = lambda x: np.full((2, 1), 1.5)
+        for _ in range(20):
+            obs = FirstOrderDo(f_x, f_u, gain=gain, n=2)
+            obs.z = rng.standard_normal(2)
+            x, u = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 1)
+            drive = f_x(x) + f_u(x) @ u
+            z_ref = rk4_step(lambda t, z: -gain * z - gain * (gain * x + drive),
+                             obs.z, 0.0, dt)
+            out = obs.step(x, u, dt)
+            assert np.linalg.norm(obs.z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
+            ref_out = z_ref + gain * x
+            assert np.linalg.norm(out - ref_out) <= 1e-12 * np.linalg.norm(ref_out)
+
+
 class TestConstantOutputConvergence:
     def test_log_error_slope_bounded_by_poles(self):
         # distinct poles give a clean dominant rate; a mildly scaled
