@@ -25,8 +25,8 @@ import numpy as np
 from . import fileio, oracles
 from .basis import BasisConfig
 from .errors import ConfigError, DataError, NumericalError
-from .learner import (SweepConfig, fit_rls, max_workers_from_env, rng_stream,
-                      split_dataset, sweep, targets_from_trajectory)
+from .learner import (SweepConfig, fit_rls, rng_stream, split_dataset, sweep,
+                      targets_from_trajectory)
 from .sim import (ScenarioConfig, disturbance, disturbance_box,
                   generate_training_run, newton_velocity_channel, run_scenario)
 
@@ -63,14 +63,13 @@ def _out_dir(typed, override) -> Path:
     return out
 
 
-def _basis_for(typed, function: str, normalize=None) -> BasisConfig:
+def _basis_for(typed, function: str) -> BasisConfig:
     x_box, t_box = disturbance_box(function)
     if typed["x_box"] is not None:
         x_box = typed["x_box"]
     if typed["t_box"] is not None:
         t_box = typed["t_box"]
-    return BasisConfig(p=typed["p"], n=1, x_box=x_box, t_box=t_box,
-                       normalize=typed["normalize"] if normalize is None else normalize)
+    return BasisConfig(p=typed["p"], n=1, x_box=x_box, t_box=t_box, normalize=typed["normalize"])
 
 
 def cmd_learn(args) -> int:
@@ -79,6 +78,7 @@ def cmd_learn(args) -> int:
     seed = args.seed if args.seed is not None else typed["seed"]
     out = _out_dir(typed, args.out)
     function = typed["function"]
+    sigma2 = typed["noise_variance"] if args.noisy and not typed["dataset_file"] else 0.0
 
     if typed["dataset_file"]:
         data = fileio.load_dataset(typed["dataset_file"])
@@ -88,9 +88,8 @@ def cmd_learn(args) -> int:
                                            window=typed["window"],
                                            fit_order=typed["fit_order"])
     else:
-        noise_std = float(np.sqrt(typed["noise_variance"])) if args.noisy else 0.0
         data = generate_training_run(function, n_samples=typed["n_samples"],
-                                     seed=seed, noise_std=noise_std)
+                                     seed=seed, noise_std=float(np.sqrt(sigma2)))
 
     train, test = split_dataset(data, typed["train_fraction"], rng_stream(seed, "split"))
     basis = _basis_for(typed, function)
@@ -108,7 +107,7 @@ def cmd_learn(args) -> int:
                       digest=fileio.dataset_digest(data))
     results_path = Path(typed["results_file"]) if typed["results_file"] else out / "fit_reports.csv"
     fileio.append_csv_row(results_path, fileio.REPORT_CSV_COLUMNS,
-                          fileio.report_row(function, typed["p"], 0.0, typed["ridge_delta"],
+                          fileio.report_row(function, typed["p"], sigma2, typed["ridge_delta"],
                                             seed, len(train), len(test), report))
 
     print(f"model written to {model_path}")
@@ -147,7 +146,7 @@ def cmd_sweep(args) -> int:
             if todo:
                 missing.setdefault(todo, []).append(p)
         for noise, ps in missing.items():
-            for cell in sweep(base, ps, noise, seed=seed, max_workers=max_workers_from_env()):
+            for cell in sweep(base, ps, noise, seed=seed):
                 ok = cell.report is not None
                 rows.append([function, cell.p, fileio.fmt(cell.noise_variance), seed,
                              fileio.fmt(cell.report.test_mae) if ok else "",
@@ -180,6 +179,8 @@ def cmd_simulate(args) -> int:
         if not typed["model_file"]:
             raise ConfigError("io.model_file: required when simulating mode 'hodo'")
         model = fileio.load_model(typed["model_file"])
+        if len(typed["poles"]) != model.config.s2:
+            raise ConfigError(f"observer.poles: {len(typed['poles'])} given, model has s2 = {model.config.s2}")
 
     metrics_path = out / "metrics.csv"
     for mode in modes:

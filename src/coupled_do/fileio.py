@@ -161,13 +161,20 @@ def load_dataset(path) -> TrajectoryDataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"dataset file is empty: {path}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    n = sum(1 for c in header if c.startswith("x_"))
-    o = sum(1 for c in header if c.startswith("u_"))
-    with_delta = any(c.startswith("delta_") for c in header)
-    expected = dataset_columns(n, o, with_delta)
-    if header != expected:
-        raise DataError(f"dataset columns {header} do not match schema {expected}")
+        n = sum(1 for c in header if c.startswith("x_"))
+        o = sum(1 for c in header if c.startswith("u_"))
+        with_delta = any(c.startswith("delta_") for c in header)
+        expected = dataset_columns(n, o, with_delta)
+        if header != expected:
+            raise DataError(f"dataset columns {header} do not match schema {expected}")
+        rows = []
+        for row in filter(None, reader):          # blank lines carry no record
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"dataset has a header but no records: {path}")
     arr = np.asarray(rows)
@@ -389,7 +396,10 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     typed["log_sigma"] = _typed("scenario", "log_sigma", s["log_sigma"], bool)
 
     typed["sweep_functions"] = [f.strip() for f in w["functions"].split(",") if f.strip()]
-    typed["p_values"] = [int(v) for v in _float_list("sweep", "p_values", w["p_values"])]
+    p_values = _float_list("sweep", "p_values", w["p_values"])
+    if not all(v.is_integer() and v >= 0 for v in p_values):
+        raise ConfigError(f"sweep.p_values: orders must be integers >= 0, got {w['p_values']!r}")
+    typed["p_values"] = [int(v) for v in p_values]
     typed["noise_variances"] = _float_list("sweep", "noise_variances", w["noise_variances"])
 
     typed["out_dir"] = cfg.io["out_dir"]

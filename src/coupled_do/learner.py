@@ -15,13 +15,12 @@ regularized Gram matrix, never an explicit inverse.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import BasisConfig, structure_matrices
 from .errors import ConfigError, DataError, NumericalError
@@ -172,6 +171,15 @@ def _poly_derivative_window(tw: np.ndarray, xw: np.ndarray, center: int, order: 
     return coef[1]
 
 
+def _plant_map(fn: Callable, x: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """Evaluate a batched plant map on rows x and broadcast it to ``shape``."""
+    out = np.asarray(fn(x), dtype=float)
+    try:
+        return np.broadcast_to(out, shape)
+    except ValueError:
+        raise ConfigError(f"{name} returned shape {out.shape}, not broadcastable to {shape}") from None
+
+
 def targets_from_trajectory(traj: TrajectoryDataset, f_x: Callable, f_u: Callable,
                             window: int = 9, fit_order: int = 3) -> TrajectoryDataset:
     """Recover disturbance targets from a sampled trajectory.
@@ -179,14 +187,17 @@ def targets_from_trajectory(traj: TrajectoryDataset, f_x: Callable, f_u: Callabl
     For each interior sample, the state derivative is taken at the
     center of a sliding least-squares polynomial fit over ``window``
     samples, and the target is  delta = dx/dt - f_x(x) - f_u(x) u.
-    Samples without a full window are dropped.
+    On a uniform grid this is one Savitzky-Golay filter; a nonuniform
+    grid is refitted window by window.  Edge samples are dropped.
 
     Parameters
     ----------
     traj : TrajectoryDataset
         Strictly time-ordered records.
     f_x, f_u : callable
-        Plant mappings; f_x(x) -> (n,), f_u(x) -> (n, o).
+        Batched plant mappings (see :class:`coupled_do.sim.Plant`),
+        called once on the kept states of shape (N, n); a result that
+        does not broadcast to (N, n), resp. (N, n, o), raises ConfigError.
     window : int
         Sliding window length, odd and larger than ``fit_order``.
     fit_order : int
@@ -196,31 +207,24 @@ def targets_from_trajectory(traj: TrajectoryDataset, f_x: Callable, f_u: Callabl
         raise ConfigError(f"need odd window > fit_order >= 1, got window={window}, fit_order={fit_order}")
     if len(traj) < window:
         raise DataError(f"trajectory has {len(traj)} samples, window needs {window}")
-    if np.any(np.diff(traj.t) <= 0):
+    dt = np.diff(traj.t)
+    if np.any(dt <= 0):
         raise DataError("trajectory timestamps must be strictly increasing")
 
     half = window // 2
-    keep = np.arange(half, len(traj) - half)
-    deriv = np.empty((len(keep), traj.n))
-
-    # uniform grids share one fit operator; nonuniform grids refit per window
-    dt = np.diff(traj.t)
-    uniform = np.allclose(dt, dt[0], rtol=1e-9, atol=0.0)
-    if uniform:
-        tau = (np.arange(window) - half) * dt[0]
-        vand = np.vander(tau, fit_order + 1, increasing=True)
-        op = np.linalg.pinv(vand)[1]          # row extracting the slope at the center
-        for j, i in enumerate(keep):
-            deriv[j] = op @ traj.x[i - half:i + half + 1]
+    keep = slice(half, len(traj) - half)
+    if np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
+        # Savitzky-Golay: the fit is linear in x, so fitting I gives every window's weights
+        weights = _poly_derivative_window(traj.t[:window], np.eye(window), half, fit_order)
+        deriv = sliding_window_view(traj.x, window, axis=0) @ weights
     else:
-        for j, i in enumerate(keep):
-            sl = slice(i - half, i + half + 1)
-            deriv[j] = _poly_derivative_window(traj.t[sl], traj.x[sl], half, fit_order)
+        wins = [slice(i - half, i + half + 1) for i in range(half, len(traj) - half)]
+        deriv = np.array([_poly_derivative_window(traj.t[w], traj.x[w], half, fit_order) for w in wins])
 
-    delta = np.empty_like(deriv)
-    for j, i in enumerate(keep):
-        delta[j] = deriv[j] - np.asarray(f_x(traj.x[i])) - np.asarray(f_u(traj.x[i])) @ traj.u[i]
-    return TrajectoryDataset(t=traj.t[keep], x=traj.x[keep], u=traj.u[keep], delta=delta)
+    x, u = traj.x[keep], traj.u[keep]
+    fu = _plant_map(f_u, x, x.shape + (traj.o,), "f_u")
+    delta = deriv - _plant_map(f_x, x, x.shape, "f_x") - (fu @ u[..., None])[..., 0]
+    return TrajectoryDataset(t=traj.t[keep], x=x, u=u, delta=delta)
 
 
 def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
@@ -316,8 +320,6 @@ def synthesize_dataset(disturbance: Callable, x_box, t_box, n_samples: int,
     x = rng.uniform(x_box[:, 0], x_box[:, 1], size=(n_samples, x_box.shape[0]))
     t = rng.uniform(t_box[0], t_box[1], size=n_samples)
     delta = np.asarray(disturbance(x[:, 0] if x.shape[1] == 1 else x, t), dtype=float)
-    if delta.ndim == 1:
-        delta = delta[:, None]
     if noise_std > 0:
         delta = delta + rng.normal(0.0, noise_std, size=delta.shape)
     return TrajectoryDataset(t=t, x=x, u=np.zeros((n_samples, 1)), delta=delta)
@@ -356,10 +358,8 @@ def _run_cell(base: SweepConfig, p: int, sigma2: float, seed: int) -> SweepCell:
                                   base.n_samples, rng, noise_std=float(np.sqrt(sigma2)))
         train, test = split_dataset(data, base.train_fraction, rng)
         # test error is measured against the clean disturbance values
-        clean = np.asarray(base.disturbance(
-            test.x[:, 0] if test.x.shape[1] == 1 else test.x, test.t), dtype=float)
-        test = TrajectoryDataset(t=test.t, x=test.x, u=test.u,
-                                 delta=clean[:, None] if clean.ndim == 1 else clean)
+        clean = base.disturbance(test.x[:, 0] if test.x.shape[1] == 1 else test.x, test.t)
+        test = TrajectoryDataset(t=test.t, x=test.x, u=test.u, delta=clean)
         cfg = BasisConfig(p=p, n=train.n, x_box=base.x_box, t_box=base.t_box,
                           normalize=base.normalize)
         _, report = fit_rls(train, cfg, base.delta, test=test)
@@ -368,36 +368,18 @@ def _run_cell(base: SweepConfig, p: int, sigma2: float, seed: int) -> SweepCell:
         return SweepCell(p=p, noise_variance=sigma2, error=f"{type(exc).__name__}: {exc}")
 
 
-def max_workers_from_env(default: Optional[int] = None) -> int:
-    """Parallelism cap from COUPLED_DO_THREADS (0 or unset means auto)."""
-    raw = os.environ.get("COUPLED_DO_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"COUPLED_DO_THREADS must be an integer, got {raw!r}")
-    if cap > 0:
-        return cap
-    return default if default is not None else min(8, os.cpu_count() or 1)
-
-
 def sweep(base: SweepConfig, p_values: Sequence[int], noise_variances: Sequence[float],
-          seed: Optional[int] = None, max_workers: Optional[int] = None) -> list[SweepCell]:
+          seed: Optional[int] = None) -> list[SweepCell]:
     """Grid of identification runs over polynomial order and noise level.
 
     Each cell regenerates its dataset from a generator stream keyed by
     (seed, noise variance), so every order at one noise level is fitted
     and scored on the same samples, noise and train/test split, and the
     orders are compared on common data.  A cell depends only on
-    (seed, p, noise variance): not on the grid around it, the execution
-    order or the parallelism degree.
+    (seed, p, noise variance), not on the grid around it or the order
+    in which the cells run.
     """
     if not p_values or not len(noise_variances):
         raise ConfigError("p_values and noise_variances must be non-empty")
     seed = base.seed if seed is None else seed
-    cells = [(p, s2) for p in p_values for s2 in noise_variances]
-    workers = max_workers if max_workers is not None else max_workers_from_env()
-    if workers > 1 and len(cells) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_run_cell, base, p, s2, seed) for p, s2 in cells]
-            return [f.result() for f in futs]
-    return [_run_cell(base, p, s2, seed) for p, s2 in cells]
+    return [_run_cell(base, p, s2, seed) for p in p_values for s2 in noise_variances]

@@ -94,7 +94,12 @@ def registered_disturbances() -> list[str]:
 
 @dataclass
 class Plant:
-    """Observer-facing channel description: dx/dt = f_x(x) + f_u(x) u + delta."""
+    """Observer-facing channel description: dx/dt = f_x(x) + f_u(x) u + delta.
+
+    The maps are batched: f_x maps states (..., n) to (..., n) and f_u
+    to (..., n, o).  A state-independent map may return the unbatched
+    (n,) or (n, o), which batch callers ``np.broadcast_to`` full shape.
+    """
 
     n: int
     o: int

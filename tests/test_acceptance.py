@@ -218,7 +218,7 @@ def test_criterion_7_sweep_shape(acceptance):
     for name in functions:
         base = SweepConfig(disturbance=disturbance(name), n_samples=10000,
                            delta=0.01, normalize=True, seed=7)
-        cells = sweep(base, p_values, noise, max_workers=4)
+        cells = sweep(base, p_values, noise)
         for sigma2 in noise:
             maes = [c.report.test_mae for c in cells if c.noise_variance == sigma2]
             arg = p_values[int(np.argmin(maes))]
@@ -227,10 +227,10 @@ def test_criterion_7_sweep_shape(acceptance):
 
     base = SweepConfig(disturbance=disturbance("cubic_drift"), n_samples=10000,
                        delta=1e-9, normalize=True, seed=7)
-    inspan = [c.report.test_mae for c in sweep(base, [3, 4, 5, 6], [0.0], max_workers=4)]
+    inspan = [c.report.test_mae for c in sweep(base, [3, 4, 5, 6], [0.0])]
     base_ridge = SweepConfig(disturbance=disturbance("cubic_drift"), n_samples=10000,
                              delta=0.01, normalize=True, seed=7)
-    ridge_floor = sweep(base_ridge, [3], [0.0], max_workers=1)[0].report.test_mae
+    ridge_floor = sweep(base_ridge, [3], [0.0])[0].report.test_mae
     inspan_ok = max(inspan) < 1e-6
 
     elapsed = time.perf_counter() - start

@@ -1,5 +1,7 @@
 """File formats, configuration handling, and the command-line surface."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,17 @@ class TestDatasetCsv:
         with pytest.raises(DataError):
             fileio.load_dataset(path)
 
+    @pytest.mark.parametrize("bad_row", ["0.1,oops,0", "0.1,2", "0.1,2,0,5"])
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, bad_row):
+        path = tmp_path / "data.csv"
+        path.write_text("t,x_1,u_1\n0,1,0\n\n" + bad_row + "\n0.2,3,0\n")
+        with pytest.raises(DataError, match=r"data\.csv, line 4"):
+            fileio.load_dataset(path)
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[io]\ndataset_file = {path}\n")
+        assert cli.main(["learn", "--config", str(ini), "--out", str(tmp_path / "o")]) == 3
+        assert "data.csv, line 4" in capsys.readouterr().err
+
 
 class TestScenarioCsv:
     def test_golden_header(self, tmp_path):
@@ -188,6 +201,13 @@ class TestConfig:
         for sec in ("basis", "learning", "observer", "scenario", "sweep", "io"):
             assert cfg.section(sec) == again.section(sec)
 
+    @pytest.mark.parametrize("orders", ["1, 1.7", "-1, 2"])
+    def test_bad_sweep_orders_rejected(self, tmp_path, orders):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[sweep]\np_values = {orders}\n")
+        with pytest.raises(ConfigError, match="sweep.p_values"):
+            fileio.load_config(path)
+
     def test_bad_poles_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[observer]\npoles = 0.4, -0.4, -0.4\n")
@@ -223,6 +243,16 @@ class TestCliExitCodes:
     def test_simulate_requires_model_for_hodo(self, config_file, tmp_path):
         assert cli.main(["simulate", "--config", str(config_file),
                          "--out", str(tmp_path / "o"), "--modes", "hodo"]) == 2
+
+    def test_simulate_pole_count_must_match_model(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["learn", "--config", str(config_file), "--out", str(out)]) == 0
+        ini = tmp_path / "sim.ini"
+        ini.write_text(BASE_CONFIG + "\n[observer]\npoles = -0.4, -0.5\n"
+                       f"\n[io]\nmodel_file = {out / 'model.txt'}\n")
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                         "--modes", "hodo"]) == 2
+        assert "observer.poles" in capsys.readouterr().err
 
     def test_verify_fast(self, capsys):
         assert cli.main(["verify", "--level", "fast"]) == 0
@@ -350,6 +380,16 @@ class TestCliPipelines:
                          "--noisy"]) == 0
         report = (out / "fit_reports.csv").read_text().splitlines()
         assert report[0] == ",".join(fileio.REPORT_CSV_COLUMNS)
+
+    def test_fit_report_records_applied_noise_variance(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BASE_CONFIG.replace("seed = 11", "seed = 11\nnoise_variance = 0.25", 1))
+        out = tmp_path / "out"
+        for flags in (["--noisy"], []):
+            assert cli.main(["learn", "--config", str(ini), "--out", str(out)] + flags) == 0
+        with open(out / "fit_reports.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["noise_variance"] for r in rows] == ["0.25", "0"]
 
     def test_seed_override_changes_output(self, config_file, tmp_path):
         out1, out2, out3 = (tmp_path / n for n in ("s1", "s2", "s3"))

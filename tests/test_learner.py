@@ -6,8 +6,8 @@ import pytest
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError
 from coupled_do.learner import (SeparatedModel, SweepConfig, TrajectoryDataset,
-                                evaluate, fit_rls, rng_stream, split_dataset, sweep, synthesize_dataset,
-                                targets_from_trajectory)
+                                _poly_derivative_window, evaluate, fit_rls, rng_stream,
+                                split_dataset, sweep, synthesize_dataset, targets_from_trajectory)
 from coupled_do.oracles import gradient_descent_fit, projection_oracle
 from coupled_do.sim import disturbance, rk4_step
 
@@ -97,6 +97,47 @@ class TestTargetsFromTrajectory:
                                  x=np.zeros((12, 1)), u=np.zeros((12, 1)))
         with pytest.raises(DataError):
             targets_from_trajectory(traj, self.f_x, self.f_u)
+
+    @pytest.mark.parametrize("window, fit_order", [(5, 2), (9, 3), (11, 4)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_uniform_filter_matches_window_fits(self, window, fit_order, n):
+        rng = np.random.default_rng(window + n)
+        t = 0.3 + 0.01 * np.arange(200)
+        x = np.sin(t[:, None] * rng.uniform(1, 5, n)) + rng.normal(0, 0.1, (200, n))
+        traj = TrajectoryDataset(t=t, x=x, u=np.zeros((200, 1)))
+        out = targets_from_trajectory(traj, lambda x: np.zeros(n), lambda x: np.zeros((n, 1)),
+                                      window=window, fit_order=fit_order)
+        half = window // 2
+        ref = np.array([_poly_derivative_window(t[i - half:i + half + 1],
+                                                x[i - half:i + half + 1], half, fit_order)
+                        for i in range(half, 200 - half)])
+        assert out.delta.shape == ref.shape
+        assert np.abs(out.delta - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_batched_plant_maps_match_per_row_formula(self):
+        rng = np.random.default_rng(8)
+        t = np.linspace(0, 1, 60)
+        traj = TrajectoryDataset(t=t, x=rng.standard_normal((60, 2)),
+                                 u=rng.standard_normal((60, 2)))
+
+        def f_x(x):
+            return np.sin(x)
+
+        def f_u(x):      # state-dependent (..., 2) -> (..., 2, 2)
+            return (1 + x[..., :, None] ** 2) * np.array([1.0, -0.5])
+
+        deriv = targets_from_trajectory(traj, lambda x: np.zeros(2),
+                                        lambda x: np.zeros((2, 2))).delta
+        out = targets_from_trajectory(traj, f_x, f_u)
+        ref = np.array([d - f_x(x) - f_u(x) @ u for d, x, u in zip(deriv, out.x, out.u)])
+        assert np.abs(out.delta - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_unbroadcastable_plant_map_rejected(self):
+        traj = TrajectoryDataset(t=np.arange(20.0), x=np.zeros((20, 1)), u=np.zeros((20, 1)))
+        with pytest.raises(ConfigError, match="f_u"):
+            targets_from_trajectory(traj, self.f_x, lambda x: np.ones(3))
+        with pytest.raises(ConfigError, match="f_x"):
+            targets_from_trajectory(traj, lambda x: np.zeros((len(x), 2)), self.f_u)
 
 
 class TestFitRls:
@@ -264,7 +305,7 @@ class TestSweep:
     def test_inspan_cell_exact(self):
         base = SweepConfig(disturbance=disturbance("cubic_drift"),
                            n_samples=4000, delta=1e-9, seed=1)
-        cells = sweep(base, [3], [0.0], max_workers=1)
+        cells = sweep(base, [3], [0.0])
         assert cells[0].report.test_mae < 1e-6
 
     def test_noise_trend(self):
@@ -275,16 +316,9 @@ class TestSweep:
             maes = []
             for seed in range(5):
                 base = SweepConfig(disturbance=fn, n_samples=2000, seed=seed)
-                maes.append(sweep(base, [3], [sigma2], max_workers=1)[0].report.test_mae)
+                maes.append(sweep(base, [3], [sigma2])[0].report.test_mae)
             means.append(np.mean(maes))
         assert means[0] < means[1]
-
-    def test_deterministic_and_order_independent(self):
-        base = SweepConfig(disturbance=disturbance("sine_product"), n_samples=1000, seed=3)
-        serial = sweep(base, [1, 2], [0.0, 0.05], max_workers=1)
-        threaded = sweep(base, [1, 2], [0.0, 0.05], max_workers=4)
-        for a, b in zip(serial, threaded):
-            assert a.report.test_mae == b.report.test_mae
 
     def test_interior_minimum_on_several_seeds(self):
         # every order at one noise level is scored on the same data, so the
@@ -296,7 +330,7 @@ class TestSweep:
         for seed in range(5):
             base = SweepConfig(disturbance=disturbance("sine_cubic"), n_samples=10000,
                                seed=seed)
-            cells = sweep(base, p_values, noise, max_workers=1)
+            cells = sweep(base, p_values, noise)
             for sigma2 in noise:
                 maes = [c.report.test_mae for c in cells if c.noise_variance == sigma2]
                 arg = p_values[int(np.argmin(maes))]
@@ -306,8 +340,8 @@ class TestSweep:
 
     def test_cell_independent_of_grid(self):
         base = SweepConfig(disturbance=disturbance("sine_cubic"), n_samples=2000, seed=2)
-        grid = sweep(base, [1, 2, 3, 4], [0.01, 0.05], max_workers=1)
-        alone = sweep(base, [3], [0.05], max_workers=1)[0]
+        grid = sweep(base, [1, 2, 3, 4], [0.01, 0.05])
+        alone = sweep(base, [3], [0.05])[0]
         cell = next(c for c in grid if c.p == 3 and c.noise_variance == 0.05)
         assert cell.report.test_mae == alone.report.test_mae
 
@@ -315,7 +349,7 @@ class TestSweep:
         def bad(x, t):
             return np.full_like(np.asarray(x, dtype=float), np.nan)
         base = SweepConfig(disturbance=bad, n_samples=100, seed=0)
-        cells = sweep(base, [1], [0.0], max_workers=1)
+        cells = sweep(base, [1], [0.0])
         assert cells[0].report is None
         assert "DataError" in cells[0].error
 
