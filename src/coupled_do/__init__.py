@@ -15,10 +15,11 @@ from .learner import (FitReport, SeparatedModel, SweepCell, SweepConfig,
                       split_dataset, sweep, synthesize_dataset,
                       targets_from_trajectory)
 from .observer import FirstOrderDo, Hodo, UnobservableError, ackermann_gain
+from .oracles import rk4_step
 from .sim import (Plant, ScenarioConfig, ScenarioResult, disturbance,
                   disturbance_box, generate_training_run,
                   newton_velocity_channel, pd_control, registered_disturbances,
-                  rk4_step, run_scenario)
+                  run_scenario)
 
 __version__ = "0.1.0"
 

@@ -125,6 +125,9 @@ def cmd_sweep(args) -> int:
     out = _out_dir(typed, args.out)
     grid_path = Path(typed["results_file"]) if typed["results_file"] else out / "sweep.csv"
     done = fileio.existing_sweep_keys(grid_path)
+    # a value repeated in the config is one cell of the grid
+    p_values = list(dict.fromkeys(typed["p_values"]))
+    noise_variances = list(dict.fromkeys(typed["noise_variances"]))
 
     rows = []
     for function in typed["sweep_functions"]:
@@ -140,8 +143,8 @@ def cmd_sweep(args) -> int:
         # group the orders by the noise levels still missing at each, so
         # done cells are never computed and a fresh grid is one sweep call
         missing: dict[tuple, list] = {}
-        for p in typed["p_values"]:
-            todo = tuple(s2 for s2 in typed["noise_variances"]
+        for p in p_values:
+            todo = tuple(s2 for s2 in noise_variances
                          if (function, p, float(s2), seed) not in done)
             if todo:
                 missing.setdefault(todo, []).append(p)

@@ -4,6 +4,15 @@ All numeric fields are serialized with 17 significant digits so that a
 load of a save reproduces every value bit-exactly.  CSV files are plain
 RFC-4180 with a header row; the column sets below are versioned and
 covered by golden-file tests.
+
+The series writers (dataset, scenario, sigma) format one ``%.17g`` row
+template over blocks of ``_BLOCK_ROWS`` rows at a time, which gives the
+bytes of ``csv.writer`` with :func:`fmt` per value at a bounded memory
+cost.  :func:`load_dataset` parses with :func:`numpy.loadtxt` and falls
+back to a per-line ``csv`` parser when ``loadtxt`` rejects the file or
+reads a width other than the header's.  The fallback also accepts the
+quoted and underscored numbers that ``loadtxt`` rejects, and it names
+the file line of a bad record.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import io
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,9 +46,29 @@ METRICS_CSV_COLUMNS = ["mode", "seed", "tracking_mae", "estimation_mae",
                        "estimation_tail_mae", "decay_slope", "gain_failures"]
 
 
+# rows per formatted string in the series writers
+_BLOCK_ROWS = 1024
+
+
 def fmt(value: float) -> str:
     """Decimal form that round-trips float64 exactly."""
     return format(float(value), ".17g")
+
+
+def _write_float_rows(fh, columns, tail: str) -> None:
+    """Write the rows of side-by-side float columns, each cell as
+    :func:`fmt` gives it, comma-separated and followed by ``tail``.
+
+    ``columns`` holds arrays of shape (N,) or (N, k).  Each block of
+    ``_BLOCK_ROWS`` rows is formatted by one ``%`` over its values.
+    """
+    cols = [c[:, None] if c.ndim == 1 else c
+            for c in (np.asarray(c, dtype=float) for c in columns)]
+    width = sum(c.shape[1] for c in cols)
+    line = ",".join(["%.17g"] * width) + tail.replace("%", "%%")
+    for lo in range(0, len(cols[0]), _BLOCK_ROWS):
+        block = np.hstack([c[lo:lo + _BLOCK_ROWS] for c in cols])
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def dataset_digest(data: TrajectoryDataset) -> str:
@@ -142,13 +172,11 @@ def dataset_columns(n: int, o: int, with_delta: bool) -> list[str]:
 
 def save_dataset(path, data: TrajectoryDataset) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset_columns(data.n, data.o, data.delta is not None))
-        for i in range(len(data)):
-            row = [fmt(data.t[i])] + [fmt(v) for v in data.x[i]] + [fmt(v) for v in data.u[i]]
-            if data.delta is not None:
-                row += [fmt(v) for v in data.delta[i]]
-            writer.writerow(row)
+        csv.writer(fh).writerow(dataset_columns(data.n, data.o, data.delta is not None))
+        columns = [data.t, data.x, data.u]
+        if data.delta is not None:
+            columns.append(data.delta)
+        _write_float_rows(fh, columns, "\r\n")
 
 
 def load_dataset(path) -> TrajectoryDataset:
@@ -156,9 +184,8 @@ def load_dataset(path) -> TrajectoryDataset:
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"dataset file is empty: {path}")
         n = sum(1 for c in header if c.startswith("x_"))
@@ -167,20 +194,36 @@ def load_dataset(path) -> TrajectoryDataset:
         expected = dataset_columns(n, o, with_delta)
         if header != expected:
             raise DataError(f"dataset columns {header} do not match schema {expected}")
-        rows = []
-        for row in filter(None, reader):          # blank lines carry no record
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise DataError(f"dataset has a header but no records: {path}")
-    arr = np.asarray(rows)
+        # blank lines carry no record; loadtxt would warn on such a file
+        if not any(line.rstrip("\r\n") for line in fh):
+            raise DataError(f"dataset has a header but no records: {path}")
+    try:
+        # no comment character: a '#' is a bad cell, as in the fallback
+        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape[1] != len(header):
+        arr = _parse_dataset_rows(path, len(header))
     return TrajectoryDataset(
         t=arr[:, 0], x=arr[:, 1:1 + n], u=arr[:, 1 + n:1 + n + o],
         delta=arr[:, 1 + n + o:] if with_delta else None)
+
+
+def _parse_dataset_rows(path: Path, width: int) -> np.ndarray:
+    """Per-line parse of the records after the header, as Python floats;
+    a malformed record raises DataError naming its file line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = []
+        for row in filter(None, reader):          # blank lines carry no record
+            try:
+                if len(row) != width:
+                    raise ValueError(f"{len(row)} fields, header has {width}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    return np.asarray(rows)
 
 
 # --- scenario CSV -------------------------------------------------------------
@@ -189,10 +232,11 @@ def save_scenario(path, result: ScenarioResult) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCENARIO_CSV_COLUMNS)
-        for i in range(len(result.t)):
-            writer.writerow([fmt(result.t[i]), fmt(result.eta[i]), fmt(result.eta_d[i]),
-                             fmt(result.v[i]), fmt(result.u[i]), fmt(result.delta_true[i]),
-                             fmt(result.delta_hat[i]), result.mode])
+        # every row ends in the same mode cell: let csv quote it once
+        tail = io.StringIO()
+        csv.writer(tail).writerow(["", result.mode])
+        _write_float_rows(fh, [result.t, result.eta, result.eta_d, result.v, result.u,
+                               result.delta_true, result.delta_hat], tail.getvalue())
 
 
 def save_sigma_series(path, result: ScenarioResult) -> None:
@@ -200,9 +244,7 @@ def save_sigma_series(path, result: ScenarioResult) -> None:
     with open(path, "w") as fh:
         cols = ["t"] + [f"sigma_{i+1}" for i in range(result.sigma_hat.shape[1])]
         fh.write(",".join(cols) + "\n")
-        for i in range(len(result.t)):
-            fh.write(",".join([fmt(result.t[i])]
-                              + [fmt(v) for v in result.sigma_hat[i]]) + "\n")
+        _write_float_rows(fh, [result.t, result.sigma_hat], "\n")
 
 
 def load_scenario_series(path) -> dict:
@@ -401,6 +443,8 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"sweep.p_values: orders must be integers >= 0, got {w['p_values']!r}")
     typed["p_values"] = [int(v) for v in p_values]
     typed["noise_variances"] = _float_list("sweep", "noise_variances", w["noise_variances"])
+    if any(not v >= 0 for v in typed["noise_variances"]):
+        raise ConfigError(f"sweep.noise_variances: must be >= 0, got {w['noise_variances']!r}")
 
     typed["out_dir"] = cfg.io["out_dir"]
     typed["model_file"] = cfg.io["model_file"]

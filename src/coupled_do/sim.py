@@ -11,6 +11,7 @@ f_u = 1/m), which is where the coupled disturbance enters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -21,18 +22,31 @@ from .learner import SeparatedModel, TrajectoryDataset, rng_stream, synthesize_d
 from .observer import FirstOrderDo, Hodo
 
 
-def rk4_step(f: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta update of dstate/dt = f(t, state)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    k1 = f(t, state)
-    k2 = f(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, state + 0.5 * dt * k2)
-    k4 = f(t + dt, state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
+def point_mass_step(fn: Callable, u: float, mass: float, eta: float, v: float,
+                    t: float, dt: float, delta: float) -> tuple[float, float]:
+    """One classical RK4 step of the point mass on Python floats.
+
+    Integrates d(eta)/dt = v, dv/dt = (u + fn(v, tau)) / mass over
+    [t, t + dt] with u held, where ``delta`` is fn(v, t), the first
+    stage's disturbance, which the caller has already evaluated.  The
+    operations run in the order of :func:`coupled_do.oracles.rk4_step`
+    applied to the state array (eta, v), so the result is bit-identical
+    to it.  The position stages are not needed: no stage reads them.
+    """
+    h = 0.5 * dt
+    a1 = (u + delta) / mass
+    v2 = v + h * a1
+    a2 = (u + fn(v2, t + h)) / mass
+    v3 = v + h * a2
+    a3 = (u + fn(v3, t + h)) / mass
+    v4 = v + dt * a3
+    a4 = (u + fn(v4, t + dt)) / mass
+    w = dt / 6.0
+    eta = eta + w * (v + 2.0 * v2 + 2.0 * v3 + v4)
+    v = v + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    if not (math.isfinite(eta) and math.isfinite(v)):
         raise NumericalError(f"integration produced non-finite state at t={t}")
-    return out
+    return eta, v
 
 
 def pd_control(eta: float, v: float, eta_d: float, eta_d_dot: float,
@@ -222,8 +236,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     Per step: measure v (noisy), form the control from the current
     disturbance estimate, log, advance the true plant with the held
-    control (RK4), then advance the observer with the held measurement
-    and control.  Deterministic for a fixed config including seed.
+    control, then advance the observer with the held measurement and
+    control.  The plant advances by :func:`point_mass_step` on Python
+    floats, which reuses the logged disturbance as its first RK4 stage;
+    a non-finite plant state ends the run and returns the series up to
+    that step.  Deterministic for a fixed config including seed.
     """
     n_steps = int(round(cfg.duration / cfg.dt))
     fn = disturbance(cfg.disturbance_name)
@@ -245,41 +262,38 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     sig_log = (np.empty((n_steps, cfg.model.config.s2))
                if cfg.log_sigma and cfg.mode == "hodo" else None)
 
-    eta, v = cfg.eta0, cfg.v0
+    eta, v = float(cfg.eta0), float(cfg.v0)
     delta_hat = 0.0
-    mass = cfg.mass
+    mass, dt = cfg.mass, cfg.dt
+    n_done = n_steps
     for k in range(n_steps):
-        t = t_grid[k]
-        v_meas = v + noise[k]
+        t = t_grid.item(k)          # Python floats, not NumPy scalars
+        v_meas = v + noise.item(k)
         eta_d, eta_d_dot = cfg.reference(t)
         u = pd_control(eta, v_meas, eta_d, eta_d_dot, cfg.k_eta, cfg.k_v, delta_hat)
+        delta = fn(v, t)
 
         log["eta"][k] = eta
         log["eta_d"][k] = eta_d
         log["v"][k] = v
         log["u"][k] = u
-        log["delta_true"][k] = fn(v, t)
+        log["delta_true"][k] = delta
         log["delta_hat"][k] = delta_hat
         if sig_log is not None:
             sig_log[k] = observer.sigma_hat
 
-        def plant_rhs(tau, s):
-            return np.array([s[1], (u + fn(s[1], tau)) / mass])
-
         try:
-            eta, v = rk4_step(plant_rhs, np.array([eta, v]), t, cfg.dt)
+            eta, v = point_mass_step(fn, u, mass, eta, v, t, dt, delta)
         except NumericalError:
             # hard integration failure: return the partial series
-            cut = slice(0, k + 1)
-            return ScenarioResult(
-                mode=cfg.mode, t=t_grid[cut],
-                **{key: arr[cut] for key, arr in log.items()},
-                sigma_hat=None if sig_log is None else sig_log[cut],
-                gain_failures=getattr(observer, "gain_failures", 0))
+            n_done = k + 1
+            break
 
         if observer is not None:
-            delta_hat = mass * float(observer.step([v_meas], [u], cfg.dt)[0])
+            delta_hat = mass * float(observer.step([v_meas], [u], dt)[0])
 
     return ScenarioResult(
-        mode=cfg.mode, t=t_grid, **log, sigma_hat=sig_log,
+        mode=cfg.mode, t=t_grid[:n_done],
+        **{key: arr[:n_done] for key, arr in log.items()},
+        sigma_hat=None if sig_log is None else sig_log[:n_done],
         gain_failures=getattr(observer, "gain_failures", 0))

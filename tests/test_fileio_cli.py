@@ -1,6 +1,7 @@
 """File formats, configuration handling, and the command-line surface."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from coupled_do import cli, fileio, learner
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError
 from coupled_do.learner import SeparatedModel, TrajectoryDataset
-from coupled_do.sim import ScenarioConfig, run_scenario
+from coupled_do.sim import ScenarioConfig, ScenarioResult, run_scenario
 
 BASE_CONFIG = """
 [basis]
@@ -124,6 +125,38 @@ class TestDatasetCsv:
         with pytest.raises(DataError):
             fileio.load_dataset(path)
 
+    def test_header_only_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "data.csv"
+        for text in ("t,x_1,u_1\n", "t,x_1,u_1\n\n\r\n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match="no records"):
+                    fileio.load_dataset(path)
+
+    def test_uniformly_short_rows_name_the_first(self, tmp_path):
+        # every row has the same, wrong width: still a bad record on line 2
+        path = tmp_path / "data.csv"
+        path.write_text("t,x_1,u_1\n0,1\n0.1,2\n0.2,3\n")
+        with pytest.raises(DataError, match=r"data\.csv, line 2: 2 fields, header has 3"):
+            fileio.load_dataset(path)
+
+    @pytest.mark.parametrize("text, rows", [
+        ("t,x_1,u_1\n0,1_000,0\n0.5,2,-1\n", [[0.0, 1000.0, 0.0], [0.5, 2.0, -1.0]]),
+        ('t,x_1,u_1\n0,"1.5",0\n0.5,2,-1\n', [[0.0, 1.5, 0.0], [0.5, 2.0, -1.0]]),
+        ("t,x_1,u_1\n\n0,1,0\n\n\n0.5,2,-1\n\n", [[0.0, 1.0, 0.0], [0.5, 2.0, -1.0]]),
+        ("t,x_1,u_1\r\n0,1,0\r\n\r\n0.5,2,-1\r\n", [[0.0, 1.0, 0.0], [0.5, 2.0, -1.0]]),
+    ], ids=["underscore", "quoted", "blank-lines", "crlf"])
+    def test_accepted_cells_and_line_ends(self, tmp_path, text, rows):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        data = fileio.load_dataset(path)
+        rows = np.array(rows)
+        assert np.array_equal(data.t, rows[:, 0])
+        assert np.array_equal(data.x, rows[:, 1:2])
+        assert np.array_equal(data.u, rows[:, 2:3])
+        assert data.delta is None
+
     @pytest.mark.parametrize("bad_row", ["0.1,oops,0", "0.1,2", "0.1,2,0,5"])
     def test_bad_row_names_file_and_line(self, tmp_path, capsys, bad_row):
         path = tmp_path / "data.csv"
@@ -153,6 +186,102 @@ class TestScenarioCsv:
                    - res.tracking_mae()) < 1e-12
         assert abs(np.mean(np.abs(series["delta_true"] - series["delta_hat"]))
                    - res.estimation_mae()) < 1e-12
+
+
+def _fmt_rows_reference(columns):
+    """Rows of fileio.fmt cells, one per value: the per-value writer path."""
+    cols = [np.asarray(c)[:, None] if np.ndim(c) == 1 else np.asarray(c) for c in columns]
+    return [[fileio.fmt(v) for v in np.hstack([c[i] for c in cols])]
+            for i in range(len(cols[0]))]
+
+
+def _special_values(rng, shape):
+    """Random values of every magnitude, with the awkward floats planted in."""
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+               2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1, 1 / 3]
+    flat = vals.reshape(-1)
+    flat[:min(len(special), flat.size)] = special[:flat.size]
+    rng.shuffle(flat)
+    return vals
+
+
+BLOCK = fileio._BLOCK_ROWS
+
+
+class TestSeriesWriters:
+    """The block writers give the bytes of csv.writer with fmt per value."""
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("with_delta", [False, True])
+    def test_dataset_bytes(self, tmp_path, rows, with_delta):
+        rng = np.random.default_rng(rows)
+        data = TrajectoryDataset(t=np.zeros(rows), x=np.zeros((rows, 2)),
+                                 u=np.zeros((rows, 1)),
+                                 delta=np.zeros((rows, 2)) if with_delta else None)
+        # the container rejects non-finite values; the writer must not care
+        data.t[:] = _special_values(rng, rows)
+        data.x[:] = _special_values(rng, (rows, 2))
+        data.u[:] = _special_values(rng, (rows, 1))
+        columns = [data.t, data.x, data.u]
+        if with_delta:
+            data.delta[:] = _special_values(rng, (rows, 2))
+            columns.append(data.delta)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(fileio.dataset_columns(2, 1, with_delta))
+            writer.writerows(_fmt_rows_reference(columns))
+        path = tmp_path / "data.csv"
+        fileio.save_dataset(path, data)
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes().count(b"\r\n") == rows + 1
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("mode", ["hodo", "a,b%s"])
+    def test_scenario_bytes(self, tmp_path, rows, mode):
+        rng = np.random.default_rng(rows)
+        series = [_special_values(rng, rows) for _ in range(7)]
+        result = ScenarioResult(mode, *series)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(fileio.SCENARIO_CSV_COLUMNS)
+            writer.writerows(row + [mode] for row in _fmt_rows_reference(series))
+        path = tmp_path / "scenario.csv"
+        fileio.save_scenario(path, result)
+        assert path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK, BLOCK + 1])
+    def test_sigma_bytes(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        t = _special_values(rng, rows)
+        sigma = _special_values(rng, (rows, 3))
+        result = ScenarioResult("hodo", t, *[t] * 6, sigma_hat=sigma)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w") as fh:
+            fh.write("t,sigma_1,sigma_2,sigma_3\n")
+            for row in _fmt_rows_reference([t, sigma]):
+                fh.write(",".join(row) + "\n")
+        path = tmp_path / "sigma.csv"
+        fileio.save_sigma_series(path, result)
+        assert path.read_bytes() == ref.read_bytes()
+        assert b"\r" not in path.read_bytes()
+
+    def test_written_dataset_loads_bit_exactly(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n = BLOCK + 1
+
+        def finite(shape):
+            vals = _special_values(rng, shape)
+            return np.where(np.isfinite(vals), vals, 1.0)
+        data = TrajectoryDataset(t=finite(n), x=finite((n, 2)), u=finite((n, 1)),
+                                 delta=finite((n, 2)))
+        path = tmp_path / "data.csv"
+        fileio.save_dataset(path, data)
+        loaded = fileio.load_dataset(path)
+        for name in ("t", "x", "u", "delta"):
+            assert np.array_equal(getattr(loaded, name), getattr(data, name))
 
 
 class TestDigest:
@@ -207,6 +336,15 @@ class TestConfig:
         path.write_text(f"[sweep]\np_values = {orders}\n")
         with pytest.raises(ConfigError, match="sweep.p_values"):
             fileio.load_config(path)
+
+    @pytest.mark.parametrize("noise", ["-0.1", "0, -1e-9", "nan"])
+    def test_bad_sweep_noise_rejected(self, tmp_path, capsys, noise):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[sweep]\nnoise_variances = {noise}\n")
+        with pytest.raises(ConfigError, match="sweep.noise_variances"):
+            fileio.load_config(path)
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "sweep.csv").exists()
 
     def test_bad_poles_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -361,6 +499,17 @@ class TestCliPipelines:
         fresh_rows = (fresh / "sweep.csv").read_text().splitlines()
         assert len(fresh_rows) == 5               # header + 2 p * 2 sigma
         assert sorted(resumed_rows) == sorted(fresh_rows)
+
+    def test_sweep_repeated_grid_values_are_one_cell(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[learning]\nn_samples = 1000\nseed = 5\n"
+                       "[sweep]\nfunctions = cubic_drift\np_values = 2, 2, 1\n"
+                       "noise_variances = 0.01, 0, 0.01\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(ini), "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            cells = [(r["p"], r["noise_variance"]) for r in csv.DictReader(fh)]
+        assert cells == [("1", "0"), ("1", "0.01"), ("2", "0"), ("2", "0.01")]
 
     def test_single_cell_sweep_matches_learn_protocol(self, tmp_path, capsys):
         # same seed and same cell-stream derivation: the sweep's first

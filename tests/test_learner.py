@@ -8,8 +8,8 @@ from coupled_do.errors import ConfigError, DataError
 from coupled_do.learner import (SeparatedModel, SweepConfig, TrajectoryDataset,
                                 _poly_derivative_window, evaluate, fit_rls, rng_stream,
                                 split_dataset, sweep, synthesize_dataset, targets_from_trajectory)
-from coupled_do.oracles import gradient_descent_fit, projection_oracle
-from coupled_do.sim import disturbance, rk4_step
+from coupled_do.oracles import gradient_descent_fit, projection_oracle, rk4_step
+from coupled_do.sim import disturbance
 
 
 def make_inspan_data(rng, cfg, theta, n=500, t_lo=-1.0, t_hi=1.0):

@@ -10,8 +10,8 @@ from coupled_do.errors import NumericalError
 from coupled_do.learner import SeparatedModel
 from coupled_do.observer import (_MARGIN, FirstOrderDo, Hodo, UnobservableError,
                                  ackermann_gain, placement_residual)
-from coupled_do.oracles import projection_oracle
-from coupled_do.sim import disturbance, rk4_step
+from coupled_do.oracles import projection_oracle, rk4_step
+from coupled_do.sim import disturbance
 
 EXACT_THETA = np.array([[49.25, 0.0, -0.5, -10.0, 0.0, 0.0, -0.25, 0.0, 0.0]])
 RAW_CFG = dict(p=2, n=1, x_box=(-10, 10), t_box=(0, 100), normalize=False)

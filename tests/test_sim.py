@@ -6,9 +6,11 @@ import pytest
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError, NumericalError
 from coupled_do.learner import fit_rls, rng_stream
+from coupled_do.oracles import rk4_step
+from coupled_do import sim
 from coupled_do.sim import (ScenarioConfig, disturbance, disturbance_box,
-                            generate_training_run, pd_control,
-                            registered_disturbances, rk4_step, run_scenario)
+                            generate_training_run, pd_control, point_mass_step,
+                            registered_disturbances, run_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,32 @@ class TestRk4:
     def test_nonfinite_reported(self):
         with pytest.raises(NumericalError):
             rk4_step(lambda t, s: np.array([np.inf]), np.array([1.0]), 0.0, 0.1)
+
+
+class TestPointMassStep:
+    @pytest.mark.parametrize("name", registered_disturbances())
+    @pytest.mark.parametrize("dt", [1e-3, 0.04])
+    def test_bitwise_equal_to_reference_rk4(self, name, dt):
+        # the float step against the generic integrator on the array closure
+        fn = disturbance(name)
+        x_box, t_box = disturbance_box(name)
+        rng = np.random.default_rng(17)
+        for mass in (0.3, 1.0, 2.5):
+            for _ in range(300):
+                eta = float(rng.uniform(-5.0, 5.0))
+                v = float(rng.uniform(*x_box))
+                t = float(rng.uniform(*t_box))
+                u = float(rng.normal(0.0, 20.0))
+
+                def rhs(tau, s):
+                    return np.array([s[1], (u + fn(s[1], tau)) / mass])
+                ref = rk4_step(rhs, np.array([eta, v]), t, dt)
+                got = point_mass_step(fn, u, mass, eta, v, t, dt, fn(v, t))
+                assert got[0] == ref[0] and got[1] == ref[1]
+
+    def test_nonfinite_reported(self):
+        with pytest.raises(NumericalError):
+            point_mass_step(lambda v, t: np.inf, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-3, 0.0)
 
 
 class TestPdControl:
@@ -187,6 +215,29 @@ class TestScenario:
                 < results["ndo"].tracking_mae()
                 < results["none"].tracking_mae())
         assert results["hodo"].estimation_mae() < results["ndo"].estimation_mae()
+
+    @pytest.mark.parametrize("mode", ["none", "ndo", "hodo"])
+    def test_nonfinite_plant_returns_partial_series(self, newton_model, monkeypatch, mode):
+        # a disturbance that is infinite from t = 0.0105 on: the step from
+        # t = 0.010 reaches it in its last stage, so that step is the last logged
+        base = disturbance("quad_drag_drift")
+        entry = dict(sim._REGISTRY["quad_drag_drift"],
+                     fn=lambda v, t: base(v, t) + (np.inf if t > 0.0105 else 0.0))
+        monkeypatch.setitem(sim._REGISTRY, "blows_up", entry)
+        cfg = dict(mode=mode, model=newton_model if mode == "hodo" else None,
+                   sigma_v2=0.1, seed=4, log_sigma=True)
+        cut = run_scenario(ScenarioConfig(disturbance_name="blows_up", duration=1.0, **cfg))
+        full = run_scenario(ScenarioConfig(duration=0.011, **cfg))
+        held = run_scenario(ScenarioConfig(duration=0.010, **cfg))
+        assert len(cut.t) == 11
+        for name in ("t", "eta", "eta_d", "v", "u", "delta_true", "delta_hat"):
+            assert np.array_equal(getattr(cut, name), getattr(full, name))
+        if mode == "hodo":
+            assert np.array_equal(cut.sigma_hat, full.sigma_hat)
+        else:
+            assert cut.sigma_hat is None
+        # the observer did not step after the failed plant step
+        assert cut.gain_failures == held.gain_failures
 
     def test_sigma_logging(self, newton_model):
         cfg = ScenarioConfig(mode="hodo", model=newton_model, duration=0.1,
