@@ -8,7 +8,9 @@ sweep     grid of fits over polynomial order and noise variance, one
           CSV row per cell, resumable
 simulate  closed-loop tracking runs for the requested compensation
           modes, per-step CSV plus a metrics summary
-verify    run the independent oracle suites and report pass/fail
+verify    run the independent oracle suites, which are also acceptance
+          criteria 1, 2 and 4 at the same seeds, and report pass/fail;
+          ``--level full`` places 1000 observer gains instead of 100
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure.  Partial successes never exit 0.
@@ -73,8 +75,7 @@ def _basis_for(typed, function: str) -> BasisConfig:
 
 
 def cmd_learn(args) -> int:
-    cfg = fileio.load_config(args.config)
-    typed = fileio.validate_config(cfg)
+    typed = fileio.load_config(args.config)
     seed = args.seed if args.seed is not None else typed["seed"]
     out = _out_dir(typed, args.out)
     function = typed["function"]
@@ -119,8 +120,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = fileio.load_config(args.config)
-    typed = fileio.validate_config(cfg)
+    typed = fileio.load_config(args.config)
     seed = args.seed if args.seed is not None else typed["seed"]
     out = _out_dir(typed, args.out)
     grid_path = Path(typed["results_file"]) if typed["results_file"] else out / "sweep.csv"
@@ -167,21 +167,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = fileio.load_config(args.config)
-    typed = fileio.validate_config(cfg)
+    typed = fileio.load_config(args.config)
     seed = args.seed if args.seed is not None else typed["scenario_seed"]
     out = _out_dir(typed, args.out)
-    modes = ([m.strip() for m in args.modes.split(",") if m.strip()]
-             if args.modes else typed["modes"])
-    for m in modes:
-        if m not in ("none", "ndo", "hodo"):
-            raise ConfigError(f"--modes: must be none|ndo|hodo, got {m!r}")
+    modes = fileio.parse_modes(args.modes, "--modes") if args.modes else typed["modes"]
 
     model = None
     if "hodo" in modes:
         if not typed["model_file"]:
             raise ConfigError("io.model_file: required when simulating mode 'hodo'")
         model = fileio.load_model(typed["model_file"])
+        if model.config.n != 1:
+            raise ConfigError(f"io.model_file: model has n = {model.config.n}, "
+                              "the point-mass velocity channel has n = 1")
         if len(typed["poles"]) != model.config.s2:
             raise ConfigError(f"observer.poles: {len(typed['poles'])} given, model has s2 = {model.config.s2}")
 

@@ -1,5 +1,9 @@
 """File formats: model files, dataset and result CSVs, and INI configs.
 
+:func:`load_config` reads an INI experiment file, applies the defaults
+and validates every field once; it returns the typed dict that the
+commands use, and each violation names its ``section.field``.
+
 All numeric fields are serialized with 17 significant digits so that a
 load of a save reproduces every value bit-exactly.  CSV files are plain
 RFC-4180 with a header row; the column sets below are versioned and
@@ -21,7 +25,7 @@ import configparser
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, field
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -150,7 +154,10 @@ def load_model(path) -> SeparatedModel:
         raise DataError(f"model file malformed: {exc}") from exc
     if theta.shape != (rows, cols):
         raise DataError(f"theta block is {theta.shape}, header says ({rows}, {cols})")
-    return SeparatedModel(theta=theta, config=cfg)
+    try:
+        return SeparatedModel(theta=theta, config=cfg)
+    except ConfigError as exc:
+        raise DataError(f"model file {path}: {exc}") from exc
 
 
 def _parse_box(text: str) -> list[list[float]]:
@@ -247,21 +254,6 @@ def save_sigma_series(path, result: ScenarioResult) -> None:
         _write_float_rows(fh, [result.t, result.sigma_hat], "\n")
 
 
-def load_scenario_series(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"scenario file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SCENARIO_CSV_COLUMNS:
-            raise DataError(f"scenario columns {reader.fieldnames} do not match "
-                            f"schema {SCENARIO_CSV_COLUMNS}")
-        rows = list(reader)
-    out = {c: np.array([float(r[c]) for r in rows]) for c in SCENARIO_CSV_COLUMNS[:-1]}
-    out["mode"] = rows[0]["mode"] if rows else ""
-    return out
-
-
 # --- append-style result CSVs --------------------------------------------------
 
 def append_csv_row(path, columns: list[str], row: list) -> None:
@@ -316,34 +308,18 @@ _DEFAULTS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Parsed and validated experiment configuration.
-
-    Sections mirror the INI file; every downstream invariant is checked
-    at load time and violations name the offending ``section.field``.
-    """
-
-    basis: dict = field(default_factory=dict)
-    learning: dict = field(default_factory=dict)
-    observer: dict = field(default_factory=dict)
-    scenario: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
-    io: dict = field(default_factory=dict)
-
-    def section(self, name: str) -> dict:
-        return getattr(self, name)
-
-
 def _typed(section: str, key: str, raw: str, kind):
     try:
         if kind is bool:
             if raw.lower() not in ("true", "false"):
                 raise ValueError("expected true or false")
             return raw.lower() == "true"
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _float_list(section: str, key: str, raw: str) -> list[float]:
@@ -358,8 +334,18 @@ def _positive(section: str, key: str, value):
     return value
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse an INI experiment file, applying defaults and validating."""
+def parse_modes(raw: str, name: str) -> list[str]:
+    """Comma list of compensation modes; an unknown one names ``name``."""
+    modes = [m.strip() for m in raw.split(",") if m.strip()]
+    for m in modes:
+        if m not in ("none", "ndo", "hodo"):
+            raise ConfigError(f"{name}: must be none|ndo|hodo, got {m!r}")
+    return modes
+
+
+def load_config(path) -> dict:
+    """Parse an INI experiment file, apply the defaults and type-check
+    every field; returns the typed dict that the commands use."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -378,14 +364,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"{sec}.{key}: unknown field")
             merged[sec][key] = value
 
-    cfg = ExperimentConfig(**merged)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> dict:
-    """Type-check every field; returns the typed view used by commands."""
-    b, l, o, s, w = cfg.basis, cfg.learning, cfg.observer, cfg.scenario, cfg.sweep
+    b, l, o, s, w, io_ = (merged[sec] for sec in _DEFAULTS)
     typed = {}
     typed["p"] = _typed("basis", "p", b["p"], int)
     if typed["p"] < 0:
@@ -430,10 +409,7 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     typed["sigma_v2"] = _typed("scenario", "sigma_v2", s["sigma_v2"], float)
     if typed["sigma_v2"] < 0:
         raise ConfigError(f"scenario.sigma_v2: must be >= 0, got {typed['sigma_v2']}")
-    typed["modes"] = [m.strip() for m in s["modes"].split(",") if m.strip()]
-    for m in typed["modes"]:
-        if m not in ("none", "ndo", "hodo"):
-            raise ConfigError(f"scenario.modes: must be none|ndo|hodo, got {m!r}")
+    typed["modes"] = parse_modes(s["modes"], "scenario.modes")
     typed["scenario_seed"] = _typed("scenario", "seed", s["seed"], int)
     typed["log_sigma"] = _typed("scenario", "log_sigma", s["log_sigma"], bool)
 
@@ -446,17 +422,6 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     if any(not v >= 0 for v in typed["noise_variances"]):
         raise ConfigError(f"sweep.noise_variances: must be >= 0, got {w['noise_variances']!r}")
 
-    typed["out_dir"] = cfg.io["out_dir"]
-    typed["model_file"] = cfg.io["model_file"]
-    typed["dataset_file"] = cfg.io["dataset_file"]
-    typed["results_file"] = cfg.io["results_file"]
+    typed.update(io_)
     return typed
 
-
-def save_config(path, cfg: ExperimentConfig) -> None:
-    """Write a config back to INI form (field-for-field)."""
-    parser = configparser.ConfigParser()
-    for sec in _DEFAULTS:
-        parser[sec] = cfg.section(sec)
-    with open(path, "w") as fh:
-        parser.write(fh)

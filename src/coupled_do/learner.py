@@ -137,10 +137,6 @@ class SeparatedModel:
     def n(self) -> int:
         return self.theta.shape[0]
 
-    def predict_batch(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Vectorized prediction, shape (N, n)."""
-        return self.config.design_rows(x, t) @ self.theta.T
-
     def output_map(self, x) -> np.ndarray:
         """C(x) = Theta B(x) D, the observer output matrix, shape (n, s2)."""
         return self._K @ self.config.pi_vector(x)
@@ -251,7 +247,7 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     -------
     (SeparatedModel, FitReport)
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ConfigError(f"ridge weight must be > 0, got {delta}")
     if len(data) < 1:
         raise DataError("cannot fit on an empty dataset")
@@ -277,29 +273,27 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
 
     model = SeparatedModel(theta=theta, config=config)
     train_resid = np.linalg.norm(data.delta - feats @ theta.T, axis=1)
-    eval_data = test if test is not None else data
-    test_report = evaluate(model, eval_data)
+    test_mae, residual_sup = evaluate(model, test if test is not None else data)
     report = FitReport(
         train_mae=float(train_resid.mean()),
-        test_mae=test_report.test_mae,
+        test_mae=test_mae,
         gram_condition=cond,
-        residual_sup=test_report.residual_sup,
+        residual_sup=residual_sup,
         theta_error=None if theta_true is None
         else float(np.sum((np.atleast_2d(theta_true) - theta) ** 2)),
     )
     return model, report
 
 
-def evaluate(model: SeparatedModel, data: TrajectoryDataset) -> FitReport:
-    """Mean and sup of ||delta_i - Theta B(x_i) xi(t_i)|| over a dataset."""
+def evaluate(model: SeparatedModel, data: TrajectoryDataset) -> tuple[float, float]:
+    """(mean, sup) of ||delta_i - Theta B(x_i) xi(t_i)|| over a dataset."""
     if len(data) == 0:
         raise DataError("cannot evaluate on an empty dataset")
     if data.delta is None:
         raise DataError("evaluation data carries no disturbance targets")
-    resid = np.linalg.norm(data.delta - model.predict_batch(data.x, data.t), axis=1)
-    mae = float(resid.mean())
-    return FitReport(train_mae=mae, test_mae=mae,
-                     gram_condition=1.0, residual_sup=float(resid.max()))
+    pred = model.config.design_rows(data.x, data.t) @ model.theta.T
+    resid = np.linalg.norm(data.delta - pred, axis=1)
+    return float(resid.mean()), float(resid.max())
 
 
 def synthesize_dataset(disturbance: Callable, x_box, t_box, n_samples: int,

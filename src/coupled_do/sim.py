@@ -179,12 +179,12 @@ class ScenarioConfig:
     reference: Callable = field(default=_sin_half_reference, repr=False)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError(f"scenario.dt must be > 0, got {self.dt}")
-        if self.duration <= 0:
-            raise ConfigError(f"scenario.duration must be > 0, got {self.duration}")
-        if self.sigma_v2 < 0:
-            raise ConfigError(f"scenario.sigma_v2 must be >= 0, got {self.sigma_v2}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"scenario.dt must be finite and > 0, got {self.dt}")
+        if not 0 < self.duration < math.inf:
+            raise ConfigError(f"scenario.duration must be finite and > 0, got {self.duration}")
+        if not 0 <= self.sigma_v2 < math.inf:
+            raise ConfigError(f"scenario.sigma_v2 must be finite and >= 0, got {self.sigma_v2}")
         if self.mode not in ("none", "ndo", "hodo"):
             raise ConfigError(f"scenario.mode must be none|ndo|hodo, got {self.mode!r}")
         if self.mode == "hodo" and self.model is None:

@@ -9,14 +9,12 @@ cache so each runtime budget covers its own work.
 import time
 
 import numpy as np
-import pytest
 
 from coupled_do import fileio
-from coupled_do.basis import BasisConfig, structure_matrices
-from coupled_do.learner import (SweepConfig, TrajectoryDataset, fit_rls,
-                                rng_stream, sweep, synthesize_dataset)
-from coupled_do.observer import ackermann_gain, placement_residual
-from coupled_do.oracles import projection_oracle, separated_eval_brute
+from coupled_do.basis import BasisConfig
+from coupled_do.learner import SweepConfig, fit_rls, sweep
+from coupled_do.oracles import (basis_identity_checks, gain_placement_checks,
+                                projection_oracle, rls_checks)
 from coupled_do.sim import (NEWTON_REFERENCE_THETA, ScenarioConfig, disturbance,
                             generate_training_run, run_scenario)
 
@@ -41,84 +39,24 @@ def run_mode(mode, seed, sigma_v2, model=None):
         poles=(-0.4, -0.4, -0.4), ndo_gain=0.4, seed=seed))
 
 
-def test_criterion_1_basis_identities(acceptance):
+def suite_verdict(acceptance, name, suite, budget_s, **kwargs):
+    """Run an oracle suite; the criterion holds when every check passes
+    within the time budget."""
     start = time.perf_counter()
-    rng = np.random.default_rng(0)
-
-    worst_id = 0.0
-    for s2 in range(1, 9):
-        D, _ = structure_matrices(s2)
-        cfg = BasisConfig(p=s2 - 1, n=1)
-        for t in rng.uniform(-1, 1, 100):
-            worst_id = max(worst_id, np.abs(
-                cfg.xi_vector([t]) - D @ cfg.monomial_vector(t)).max())
-
-    fd_ok = True
-    for s2 in range(1, 9):
-        _, A = structure_matrices(s2)
-        cfg = BasisConfig(p=s2 - 1, n=1)
-        errs = []
-        for h in (1e-2, 5e-3):
-            fd = (cfg.monomial_vector(0.37 + h) - cfg.monomial_vector(0.37 - h)) / (2 * h)
-            errs.append(np.linalg.norm(fd - A @ cfg.monomial_vector(0.37)))
-        if s2 >= 4:
-            fd_ok &= 3.0 < errs[0] / errs[1] < 5.0    # O(h^2) halving ratio
-        else:
-            fd_ok &= errs[0] < 1e-11                  # exact below cubic degree
-
-    worst_sep = 0.0
-    for _ in range(100):
-        p = int(rng.integers(0, 3))
-        n = int(rng.integers(1, 3))
-        m = int(rng.integers(1, 3))
-        cfg = BasisConfig(p=p, n=n, feature_dim=m)
-        theta = rng.standard_normal((n, cfg.s1))
-        x, d = rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
-        dev = np.abs(theta @ cfg.b_matrix(x) @ cfg.xi_vector(d)
-                     - separated_eval_brute(theta, cfg, x, d)).max()
-        worst_sep = max(worst_sep, dev)
-
+    checks = suite(**kwargs)
     elapsed = time.perf_counter() - start
-    acceptance(
-        "criterion 1: basis identities",
-        worst_id < 1e-12 and fd_ok and worst_sep < 1e-12 and elapsed < 5.0,
-        f"|xi - D sigma| {worst_id:.1e}, derivative O(h^2) {fd_ok}, "
-        f"separation dev {worst_sep:.1e}, {elapsed:.1f} s")
+    acceptance(name, all(c.passed for c in checks) and elapsed < budget_s,
+               "; ".join(c.line() for c in checks) + f"; {elapsed:.1f} s")
+
+
+def test_criterion_1_basis_identities(acceptance):
+    suite_verdict(acceptance, "criterion 1: basis identities",
+                  basis_identity_checks, 5.0, seed=0)
 
 
 def test_criterion_2_rls_correctness(acceptance):
-    start = time.perf_counter()
-    rng = np.random.default_rng(1)
-    cfg = BasisConfig(p=2, n=1)
-    theta0 = rng.standard_normal((1, cfg.s1))
-    x = rng.uniform(-1, 1, (500, 1))
-    t = rng.uniform(-1, 1, 500)
-    data = TrajectoryDataset(t=t, x=x, u=np.zeros((500, 1)),
-                             delta=cfg.design_rows(x, t) @ theta0.T)
-    model, _ = fit_rls(data, cfg, 1e-9)
-    recovery = np.linalg.norm(model.theta - theta0)
-
-    # gradient residual on every fit performed here
-    grads = []
-    noisy = TrajectoryDataset(t=t, x=x, u=data.u,
-                              delta=data.delta + rng.normal(0, 0.3, (500, 1)))
-    for fit_data, d in ((data, 1e-9), (noisy, 0.01), (noisy, 1.0)):
-        m, _ = fit_rls(fit_data, cfg, d)
-        feats = cfg.design_rows(fit_data.x, fit_data.t)
-        g = (fit_data.delta - feats @ m.theta.T).T @ feats - d * m.theta
-        grads.append(np.linalg.norm(g) / max(np.linalg.norm(m.theta), 1e-30))
-    worst_grad = max(grads)
-
-    norms = [np.linalg.norm(fit_rls(noisy, cfg, d)[0].theta)
-             for d in (1e-6, 1e-3, 0.1, 10.0, 1e3)]
-    monotone = all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
-
-    elapsed = time.perf_counter() - start
-    acceptance(
-        "criterion 2: regularized least squares",
-        recovery < 1e-6 and worst_grad < 1e-8 and monotone and elapsed < 5.0,
-        f"in-span recovery {recovery:.1e}, worst gradient residual {worst_grad:.1e}, "
-        f"shrinkage monotone {monotone}, {elapsed:.1f} s")
+    suite_verdict(acceptance, "criterion 2: regularized least squares",
+                  rls_checks, 5.0, seed=1)
 
 
 def test_criterion_3_benchmark_identification(acceptance):
@@ -136,35 +74,8 @@ def test_criterion_3_benchmark_identification(acceptance):
 
 
 def test_criterion_4_gain_placement(acceptance):
-    start = time.perf_counter()
-    _, A = structure_matrices(3)
-    rng = np.random.default_rng(2)
-    poles = np.array([-0.4, -0.7, -1.3])
-    worst_eig = 0.0
-    placed = 0
-    while placed < 100:
-        c = rng.standard_normal(3)
-        if abs(c[2]) < 1e-2:
-            continue
-        gamma = ackermann_gain(A, c, poles)
-        eig = np.sort_complex(np.linalg.eigvals(A - np.outer(gamma, c)))
-        worst_eig = max(worst_eig, np.abs(eig - np.sort_complex(poles)).max())
-        placed += 1
-    # repeated poles certified through the annihilating polynomial (the
-    # eigenproblem of a defective triple root is conditioned as eps**(1/3))
-    worst_cert = 0.0
-    for _ in range(100):
-        c = rng.standard_normal(3)
-        if abs(c[2]) < 1e-2:
-            continue
-        gamma = ackermann_gain(A, c, [-0.4] * 3)
-        worst_cert = max(worst_cert, placement_residual(A, c, gamma, [-0.4] * 3))
-    elapsed = time.perf_counter() - start
-    acceptance(
-        "criterion 4: observer gain placement",
-        worst_eig < 1e-8 and worst_cert < 1e-8 and elapsed < 2.0,
-        f"eigenvalue deviation {worst_eig:.1e} (100 rows), triple-pole "
-        f"certificate {worst_cert:.1e}, {elapsed:.1f} s")
+    suite_verdict(acceptance, "criterion 4: observer gain placement",
+                  gain_placement_checks, 2.0, seed=2, draws=100)
 
 
 def test_criterion_5_hodo_convergence(acceptance):

@@ -181,11 +181,10 @@ class TestScenarioCsv:
         res = run_scenario(ScenarioConfig(mode="ndo", duration=0.2, seed=4))
         path = tmp_path / "scenario.csv"
         fileio.save_scenario(path, res)
-        series = fileio.load_scenario_series(path)
-        assert abs(np.mean(np.abs(series["eta"] - series["eta_d"]))
-                   - res.tracking_mae()) < 1e-12
-        assert abs(np.mean(np.abs(series["delta_true"] - series["delta_hat"]))
-                   - res.estimation_mae()) < 1e-12
+        _, eta, eta_d, _, _, delta_true, delta_hat = np.loadtxt(
+            path, delimiter=",", skiprows=1, usecols=range(7), unpack=True)
+        assert abs(np.mean(np.abs(eta - eta_d)) - res.tracking_mae()) < 1e-12
+        assert abs(np.mean(np.abs(delta_true - delta_hat)) - res.estimation_mae()) < 1e-12
 
 
 def _fmt_rows_reference(columns):
@@ -294,8 +293,7 @@ class TestDigest:
 
 class TestConfig:
     def test_defaults_applied(self, config_file):
-        cfg = fileio.load_config(config_file)
-        typed = fileio.validate_config(cfg)
+        typed = fileio.load_config(config_file)
         assert typed["k_eta"] == 10.0
         assert typed["poles"] == (-0.4, -0.4, -0.4)
         assert typed["p"] == 2
@@ -304,7 +302,7 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_text("[scenario]\ndt = -1\n")
         with pytest.raises(ConfigError, match="scenario.dt"):
-            fileio.validate_config(fileio.load_config(path))
+            fileio.load_config(path)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -322,14 +320,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             fileio.load_config(tmp_path / "absent.ini")
 
-    def test_round_trip_semantically_identical(self, config_file, tmp_path):
-        cfg = fileio.load_config(config_file)
-        saved = tmp_path / "resaved.ini"
-        fileio.save_config(saved, cfg)
-        again = fileio.load_config(saved)
-        for sec in ("basis", "learning", "observer", "scenario", "sweep", "io"):
-            assert cfg.section(sec) == again.section(sec)
-
     @pytest.mark.parametrize("orders", ["1, 1.7", "-1, 2"])
     def test_bad_sweep_orders_rejected(self, tmp_path, orders):
         path = tmp_path / "bad.ini"
@@ -346,11 +336,43 @@ class TestConfig:
         assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "sweep.csv").exists()
 
+    # every float field, as "section", "field", INI value with {} for the number
+    FLOAT_FIELDS = [
+        ("basis", "x_box", "-1, {}"), ("basis", "t_box", "0, {}"),
+        ("learning", "delta", "{}"), ("learning", "train_fraction", "{}"),
+        ("learning", "noise_variance", "{}"),
+        ("observer", "poles", "{}, -0.4, -0.4"), ("observer", "ndo_gain", "{}"),
+        ("scenario", "k_eta", "{}"), ("scenario", "k_v", "{}"),
+        ("scenario", "mass", "{}"), ("scenario", "eta0", "{}"),
+        ("scenario", "v0", "{}"), ("scenario", "sigma_v2", "{}"),
+        ("scenario", "dt", "{}"), ("scenario", "duration", "{}"),
+        ("sweep", "p_values", "1, {}"), ("sweep", "noise_variances", "0, {}"),
+    ]
+
+    @pytest.mark.parametrize("section, key, template", FLOAT_FIELDS,
+                             ids=[f"{s}.{k}" for s, k, _ in FLOAT_FIELDS])
+    @pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, tmp_path, capsys, section, key, template,
+                                        number):
+        # short runs, should a bad value get through
+        ini = {"scenario": {"duration": "0.05"}}
+        ini.setdefault(section, {})[key] = template.format(number)
+        path = tmp_path / "bad.ini"
+        path.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                                for sec, kv in ini.items()))
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be finite"):
+            fileio.load_config(path)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out),
+                         "--modes", "none,ndo"]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_bad_poles_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[observer]\npoles = 0.4, -0.4, -0.4\n")
         with pytest.raises(ConfigError, match="observer.poles"):
-            fileio.validate_config(fileio.load_config(path))
+            fileio.load_config(path)
 
 
 class TestCliExitCodes:
@@ -392,6 +414,41 @@ class TestCliExitCodes:
                          "--modes", "hodo"]) == 2
         assert "observer.poles" in capsys.readouterr().err
 
+    def test_unknown_cli_mode_names_the_flag(self, config_file, tmp_path, capsys):
+        assert cli.main(["simulate", "--config", str(config_file),
+                         "--out", str(tmp_path / "o"), "--modes", "hodo,warp"]) == 2
+        assert "--modes: must be none|ndo|hodo, got 'warp'" in capsys.readouterr().err
+
+    def test_model_basis_mismatch_is_3(self, tmp_path, capsys):
+        # a p = 2 theta block (9 columns) under a p = 1 header (s1 = 4)
+        model = tmp_path / "model.txt"
+        fileio.save_model(model, random_model(np.random.default_rng(5)))
+        model.write_text(model.read_text().replace("p = 2", "p = 1"))
+        with pytest.raises(DataError, match="theta has 9 columns"):
+            fileio.load_model(model)
+        ini = tmp_path / "sim.ini"
+        ini.write_text(BASE_CONFIG + f"\n[observer]\npoles = -0.4, -0.4\n"
+                       f"\n[io]\nmodel_file = {model}\n")
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
+                         "--modes", "hodo"]) == 3
+        assert "theta has 9 columns" in capsys.readouterr().err
+
+    def test_simulate_rejects_multi_state_model(self, tmp_path, capsys):
+        cfg = BasisConfig(p=2, n=2, x_box=[(-10.0, 10.0)] * 2, t_box=(0.0, 100.0))
+        model = tmp_path / "model.txt"
+        fileio.save_model(model, SeparatedModel(
+            theta=np.random.default_rng(6).standard_normal((2, cfg.s1)), config=cfg))
+        ini = tmp_path / "sim.ini"
+        ini.write_text(BASE_CONFIG + f"\n[io]\nmodel_file = {model}\n")
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
+                         "--modes", "hodo"]) == 2
+        assert "io.model_file" in capsys.readouterr().err
+
+    def test_verify_full(self, capsys):
+        assert cli.main(["verify", "--level", "full"]) == 0
+        out = capsys.readouterr().out
+        assert "(s2=3, 1000 rows)" in out and "[FAIL]" not in out
+
     def test_verify_fast(self, capsys):
         assert cli.main(["verify", "--level", "fast"]) == 0
         out = capsys.readouterr().out
@@ -423,7 +480,7 @@ class TestCliPipelines:
         lines = (out / "scenario_hodo_sigma.csv").read_text().splitlines()
         assert lines[0] == "t,sigma_1,sigma_2,sigma_3"
 
-        typed = fileio.validate_config(fileio.load_config(ini))
+        typed = fileio.load_config(ini)
         result = run_scenario(ScenarioConfig(
             mode="hodo", model=fileio.load_model(out / "model.txt"),
             k_eta=typed["k_eta"], k_v=typed["k_v"], mass=typed["mass"],

@@ -159,6 +159,8 @@ class TestFitRls:
         data = TrajectoryDataset(t=[0.0], x=[[0.0]], u=[[0.0]], delta=[[1.0]])
         with pytest.raises(ConfigError):
             fit_rls(data, cfg, 0.0)
+        with pytest.raises(ConfigError, match="ridge weight"):
+            fit_rls(data, cfg, float("nan"))
 
     def test_zero_targets_give_zero_theta(self):
         rng = np.random.default_rng(2)
@@ -281,7 +283,7 @@ class TestEvaluate:
         theta = rng.standard_normal((1, cfg.s1))
         data = make_inspan_data(rng, cfg, theta, n=300)
         model, _ = fit_rls(data, cfg, 1e-9)
-        assert evaluate(model, data).test_mae < 1e-8
+        assert evaluate(model, data)[0] < 1e-8
 
     def test_zero_model_constant_targets(self):
         cfg = BasisConfig(p=1, n=2)
@@ -290,7 +292,7 @@ class TestEvaluate:
         c = np.array([3.0, 4.0])
         data = TrajectoryDataset(t=np.zeros(10), x=np.zeros((10, 2)),
                                  u=np.zeros((10, 1)), delta=np.tile(c, (10, 1)))
-        assert evaluate(model, data).test_mae == pytest.approx(5.0)
+        assert evaluate(model, data) == (pytest.approx(5.0), pytest.approx(5.0))
 
     def test_empty_rejected(self):
         cfg = BasisConfig(p=1, n=1)

@@ -166,6 +166,10 @@ class TestScenario:
             ScenarioConfig(mode="both")
         with pytest.raises(ConfigError):
             ScenarioConfig(mode="hodo", model=None)
+        for field in ("dt", "duration", "sigma_v2"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ConfigError, match=f"scenario.{field}"):
+                    ScenarioConfig(**{field: value})
 
     def test_determinism(self):
         cfg = dict(mode="ndo", sigma_v2=0.1, duration=0.5, seed=7)
