@@ -35,7 +35,7 @@ import numpy as np
 from .basis import BasisConfig
 from .errors import ConfigError, DataError
 from .learner import FitReport, SeparatedModel, TrajectoryDataset
-from .sim import ScenarioResult
+from .sim import ScenarioResult, registered_disturbances
 
 MODEL_FORMAT_VERSION = 1
 DATASET_CSV_VERSION = 1
@@ -335,12 +335,21 @@ def _positive(section: str, key: str, value):
 
 
 def parse_modes(raw: str, name: str) -> list[str]:
-    """Comma list of compensation modes; an unknown one names ``name``."""
+    """Non-empty comma list of compensation modes; an error names ``name``."""
     modes = [m.strip() for m in raw.split(",") if m.strip()]
+    if not modes:
+        raise ConfigError(f"{name}: must list at least one of none|ndo|hodo")
     for m in modes:
         if m not in ("none", "ndo", "hodo"):
             raise ConfigError(f"{name}: must be none|ndo|hodo, got {m!r}")
     return modes
+
+
+def _registered(section: str, key: str, name: str) -> str:
+    known = registered_disturbances()
+    if name not in known:
+        raise ConfigError(f"{section}.{key}: unknown disturbance {name!r}; known: {known}")
+    return name
 
 
 def load_config(path) -> dict:
@@ -380,7 +389,7 @@ def load_config(path) -> dict:
         else:
             typed[key] = None
 
-    typed["function"] = l["function"]
+    typed["function"] = _registered("learning", "function", l["function"])
     typed["ridge_delta"] = _positive("learning", "delta", _typed("learning", "delta", l["delta"], float))
     typed["n_samples"] = _positive("learning", "n_samples", _typed("learning", "n_samples", l["n_samples"], int))
     typed["train_fraction"] = _typed("learning", "train_fraction", l["train_fraction"], float)
@@ -413,7 +422,10 @@ def load_config(path) -> dict:
     typed["scenario_seed"] = _typed("scenario", "seed", s["seed"], int)
     typed["log_sigma"] = _typed("scenario", "log_sigma", s["log_sigma"], bool)
 
-    typed["sweep_functions"] = [f.strip() for f in w["functions"].split(",") if f.strip()]
+    typed["sweep_functions"] = [_registered("sweep", "functions", f.strip())
+                                for f in w["functions"].split(",") if f.strip()]
+    if not typed["sweep_functions"]:
+        raise ConfigError("sweep.functions: must be a non-empty list")
     p_values = _float_list("sweep", "p_values", w["p_values"])
     if not all(v.is_integer() and v >= 0 for v in p_values):
         raise ConfigError(f"sweep.p_values: orders must be integers >= 0, got {w['p_values']!r}")

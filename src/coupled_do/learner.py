@@ -10,7 +10,9 @@ whose closed-form solution
     Theta* = (sum_n delta_n xi_n^T B_n^T) (sum_n B_n xi_n xi_n^T B_n^T + delta I)^{-1}
 
 is computed here through a Cholesky solve of the diagonally equilibrated
-regularized Gram matrix, never an explicit inverse.
+regularized Gram matrix, never an explicit inverse.  At most a few dozen
+unknowns enter one solve, so NumPy's ``cholesky`` and ``solve`` on the
+two triangular factors serve; the package needs no other library.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import BasisConfig, structure_matrices
@@ -116,12 +117,18 @@ class SeparatedModel:
     need at every step, and the coefficients with D folded in,
     K[i, j, b] = sum_k Theta[i, k, b] D[k, j] with Theta viewed as
     (n, s2, (p+1)^n), so that C(x) = K Pi(x).
+
+    The monomials are those of the basis's time variable tau, which is
+    t itself on a raw basis and 2 (t - lo) / (hi - lo) - 1 on a
+    normalized one.  ``time_scale`` is d(tau)/dt, and A = time_scale *
+    structure_matrices(s2).A, so that d/dt varsigma(tau(t)) = A varsigma.
     """
 
     theta: np.ndarray
     config: BasisConfig
     D: np.ndarray = field(init=False, repr=False)
     A: np.ndarray = field(init=False, repr=False)
+    time_scale: float = field(init=False)
     _K: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -129,7 +136,13 @@ class SeparatedModel:
         if self.theta.shape[1] != self.config.s1:
             raise ConfigError(
                 f"theta has {self.theta.shape[1]} columns, basis requires s1={self.config.s1}")
-        self.D, self.A = structure_matrices(self.config.s2)
+        if self.theta.shape[0] != self.config.n:
+            raise ConfigError(
+                f"theta has {self.theta.shape[0]} rows, basis requires n={self.config.n}")
+        lo, hi = self.config.t_box[0]
+        self.time_scale = 2.0 / (hi - lo) if self.config.normalize else 1.0
+        self.D, A = structure_matrices(self.config.s2)
+        self.A = self.time_scale * A
         theta = self.theta.reshape(self.n, self.config.s2, self.config.state_block)
         self._K = np.einsum("ikb,kj->ijb", theta, self.D)
 
@@ -260,15 +273,20 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     gram = feats.T @ feats + delta * np.eye(config.s1)
     rhs = feats.T @ data.delta                          # = (sum delta_n xi_n^T B_n^T)^T
 
+    # cholesky does not check finiteness: features that overflow would
+    # factor into NaN rather than fail
+    if not np.isfinite(gram).all():
+        raise NumericalError("regularized Gram has non-finite entries (features overflow)")
     # symmetric diagonal equilibration keeps the Cholesky solve accurate
     # on raw (unnormalized) bases whose feature scales span many decades
     scale = 1.0 / np.sqrt(np.diag(gram))
     gram_eq = gram * scale[:, None] * scale[None, :]
     try:
-        cho = scipy.linalg.cho_factor(gram_eq, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(gram_eq)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
-    theta = (scale[:, None] * scipy.linalg.cho_solve(cho, scale[:, None] * rhs)).T
+    half = np.linalg.solve(chol, scale[:, None] * rhs)
+    theta = (scale[:, None] * np.linalg.solve(chol.T, half)).T
     cond = float(np.linalg.cond(gram_eq))
 
     model = SeparatedModel(theta=theta, config=config)

@@ -139,23 +139,23 @@ class Hodo:
     sigma0 : array_like, shape (s2,), optional
         Initial feature estimate; zeros by default (offline and online
         time domains are unrelated, so no warm start is attempted).
-    output_weights : array_like, shape (n,), optional
-        Unit-norm aggregation weights turning the n-row output map into
-        the single synthesis output w @ C(x); uniform by default.
     verify_placement : bool
         After each design, raise if the :func:`placement_residual` of
         A - Gamma c exceeds 1e-8 * (1 + ||A - Gamma c||)^s2.
 
-    The gain for c = w @ C(x) is a back-substitution: O(c) with its
-    columns reversed is triangular, so c is observable iff c_(s2-1) != 0.
+    The n output rows enter the design as the single row c = w @ C(x)
+    with the uniform unit weights w.  Its gain is a back-substitution:
+    O(c) with its columns reversed is triangular, so c is observable iff
+    c_(s2-1) != 0.  On a normalized model A is the unit weighted shift
+    scaled by ``model.time_scale`` = alpha; the rows of O then carry
+    alpha^k, which the gain undoes by a constant factor alpha^-(s2-1).
     On a non-finite row or |c_(s2-1)| <= ``_MARGIN`` * max|c_i| the
     constructor raises :class:`UnobservableError` and ``step`` keeps the
     previous gain, incrementing ``gain_failures``.
     """
 
     def __init__(self, model: SeparatedModel, f_x: Callable, f_u: Callable,
-                 poles, x0, sigma0=None, output_weights=None,
-                 verify_placement: bool = False):
+                 poles, x0, sigma0=None, verify_placement: bool = False):
         self.model = model
         self.f_x = f_x
         self.f_u = f_u
@@ -168,13 +168,15 @@ class Hodo:
         self.verify_placement = verify_placement
         self.gain_failures = 0
 
-        w = np.ones(model.n) if output_weights is None else np.asarray(output_weights, float)
+        w = np.ones(model.n)
         self.w = w / np.linalg.norm(w)
 
         self._A = model.A
-        # (c A^k)_j = g_(j+k) / j! with g_i = c_i i!; q(A) absorbs the j!
+        # (c A^k)_j = alpha^k g_(j+k) / j! with g_i = c_i i!; q(A) absorbs
+        # the j!, and alpha^-(s2-1) the row scaling of O
         self._fact = np.cumprod(np.r_[1.0, np.arange(1.0, s2)])
-        self._q_fact = _pole_polynomial_of_a(self._A, self.poles) * self._fact
+        self._q_fact = (_pole_polynomial_of_a(self._A, self.poles) * self._fact
+                        * model.time_scale ** -(s2 - 1))
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         sigma0 = np.zeros(s2) if sigma0 is None else np.asarray(sigma0, dtype=float)
         self.gamma = self._design(model.output_map(x0))     # (s2, n)

@@ -12,7 +12,7 @@ f_u = 1/m), which is where the coupled disturbance enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -155,10 +155,11 @@ def _sin_half_reference(t):
 class ScenarioConfig:
     """Closed-loop tracking run description.
 
-    ``mode`` selects the feedforward source: "none" (PD only), "ndo"
-    (first-order observer), or "hodo" (higher-order observer with the
-    supplied model).  Measured velocity is corrupted with seeded
-    Gaussian noise of variance ``sigma_v2``; logged truth is clean.
+    The position tracks eta_d(t) = sin(t/2).  ``mode`` selects the
+    feedforward source: "none" (PD only), "ndo" (first-order observer),
+    or "hodo" (higher-order observer with the supplied model).  Measured
+    velocity is corrupted with seeded Gaussian noise of variance
+    ``sigma_v2``; logged truth is clean.
     """
 
     mode: str = "none"
@@ -176,7 +177,6 @@ class ScenarioConfig:
     ndo_gain: float = 0.4
     seed: int = 0
     log_sigma: bool = False
-    reference: Callable = field(default=_sin_half_reference, repr=False)
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -269,7 +269,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     for k in range(n_steps):
         t = t_grid.item(k)          # Python floats, not NumPy scalars
         v_meas = v + noise.item(k)
-        eta_d, eta_d_dot = cfg.reference(t)
+        eta_d, eta_d_dot = _sin_half_reference(t)
         u = pd_control(eta, v_meas, eta_d, eta_d_dot, cfg.k_eta, cfg.k_v, delta_hat)
         delta = fn(v, t)
 

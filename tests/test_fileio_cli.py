@@ -1,7 +1,12 @@
 """File formats, configuration handling, and the command-line surface."""
 
 import csv
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +373,34 @@ class TestConfig:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("modes", [",", " , ,"])
+    def test_empty_mode_list_rejected(self, config_file, tmp_path, capsys, modes):
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(config_file), "--out", str(out),
+                         "--modes", modes]) == 2
+        assert "--modes: must list at least one" in capsys.readouterr().err
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[scenario]\nmodes = {modes}\n")
+        with pytest.raises(ConfigError, match="scenario.modes: must list at least one"):
+            fileio.load_config(path)
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("learn", "learning", "function", "nosuch"),
+        ("sweep", "sweep", "functions", "cubic_drift, nosuch"),
+        ("sweep", "sweep", "functions", ","),
+    ])
+    def test_disturbance_names_checked(self, tmp_path, capsys, command, section, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+            fileio.load_config(path)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_bad_poles_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[observer]\npoles = 0.4, -0.4, -0.4\n")
@@ -420,18 +453,43 @@ class TestCliExitCodes:
         assert "--modes: must be none|ndo|hodo, got 'warp'" in capsys.readouterr().err
 
     def test_model_basis_mismatch_is_3(self, tmp_path, capsys):
-        # a p = 2 theta block (9 columns) under a p = 1 header (s1 = 4)
-        model = tmp_path / "model.txt"
-        fileio.save_model(model, random_model(np.random.default_rng(5)))
-        model.write_text(model.read_text().replace("p = 2", "p = 1"))
-        with pytest.raises(DataError, match="theta has 9 columns"):
-            fileio.load_model(model)
-        ini = tmp_path / "sim.ini"
-        ini.write_text(BASE_CONFIG + f"\n[observer]\npoles = -0.4, -0.4\n"
-                       f"\n[io]\nmodel_file = {model}\n")
-        assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
-                         "--modes", "hodo"]) == 3
-        assert "theta has 9 columns" in capsys.readouterr().err
+        def p1_header(text):
+            # a p = 2 theta block (9 columns) under a p = 1 header (s1 = 4)
+            return text.replace("p = 2", "p = 1"), "-0.4, -0.4", "theta has 9 columns"
+
+        def two_rows(text):
+            # a second theta row under an n = 1 header
+            head, _, row = text.rpartition("\n  ")
+            return (head.replace("theta_rows = 1", "theta_rows = 2") + "\n  " + row
+                    + "  " + row, "-0.4, -0.4, -0.4", "theta has 2 rows")
+
+        for edit in (p1_header, two_rows):
+            model = tmp_path / f"{edit.__name__}.txt"
+            fileio.save_model(model, random_model(np.random.default_rng(5)))
+            text, poles, message = edit(model.read_text())
+            model.write_text(text)
+            with pytest.raises(DataError, match=message):
+                fileio.load_model(model)
+            ini = tmp_path / "sim.ini"
+            ini.write_text(BASE_CONFIG + f"\n[observer]\npoles = {poles}\n"
+                           f"\n[io]\nmodel_file = {model}\n")
+            assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
+                             "--modes", "hodo"]) == 3
+            assert message in capsys.readouterr().err
+
+    def test_overflowing_dataset_is_4(self, tmp_path, capsys):
+        # one state of 1e60 under a raw p = 6 basis: T_6 overflows
+        x = np.linspace(-1.0, 1.0, 40)
+        x[3] = 1e60
+        data = tmp_path / "data.csv"
+        fileio.save_dataset(data, TrajectoryDataset(t=np.linspace(0.0, 4.0, 40), x=x,
+                                                    u=np.zeros(40), delta=np.ones(40)))
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[basis]\np = 6\n[io]\ndataset_file = {data}\n")
+        assert cli.main(["learn", "--config", str(ini), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: regularized Gram has non-finite entries")
+        assert not (tmp_path / "o" / "model.txt").exists()
 
     def test_simulate_rejects_multi_state_model(self, tmp_path, capsys):
         cfg = BasisConfig(p=2, n=2, x_box=[(-10.0, 10.0)] * 2, t_box=(0.0, 100.0))
@@ -491,6 +549,32 @@ class TestCliPipelines:
         assert len(values) == len(result.t) == 50
         assert np.array_equal(values[:, 0], result.t)
         assert np.array_equal(values[:, 1:], result.sigma_hat)
+
+    def test_runs_without_scipy(self, config_file, tmp_path):
+        # scipy is a test-only dependency: with its import blocked, the
+        # whole command surface still runs and loads no scipy module
+        out = tmp_path / "out"
+        ini = tmp_path / "sim.ini"
+        ini.write_text(BASE_CONFIG + f"\n[io]\nmodel_file = {out / 'model.txt'}\n")
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from coupled_do import cli\n"
+            f"codes = [cli.main(['verify', '--level', 'fast']),\n"
+            f"         cli.main(['learn', '--config', {str(config_file)!r}, '--out', {str(out)!r}]),\n"
+            f"         cli.main(['simulate', '--config', {str(ini)!r}, '--out', {str(out)!r},\n"
+            "                   '--modes', 'none,ndo,hodo'])]\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.partition('.')[0] == 'scipy' and sys.modules[m] is not None)\n"
+            "print(json.dumps({'codes': codes, 'scipy': loaded}))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "scipy": []}
+        assert len((out / "metrics.csv").read_text().splitlines()) == 4
 
     def test_sweep_writes_and_resumes(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coupled_do.basis import BasisConfig
-from coupled_do.errors import ConfigError, DataError
+from coupled_do.errors import ConfigError, DataError, NumericalError
 from coupled_do.learner import (SeparatedModel, SweepConfig, TrajectoryDataset,
                                 _poly_derivative_window, evaluate, fit_rls, rng_stream,
                                 split_dataset, sweep, synthesize_dataset, targets_from_trajectory)
@@ -242,6 +242,26 @@ class TestFitRls:
         mean_norm = np.mean(np.linalg.norm(data.delta, axis=1))
         assert report.test_mae == pytest.approx(mean_norm, rel=1e-3)
 
+    def test_overflowing_features_rejected(self):
+        # T_6(1e60) overflows to inf, so the Gram is not finite; the
+        # factorization would not notice and return NaN
+        cfg = BasisConfig(p=6, n=1)
+        x = np.linspace(-1.0, 1.0, 50)[:, None]
+        x[7] = 1e60
+        data = TrajectoryDataset(t=np.linspace(0.0, 1.0, 50), x=x, u=np.zeros((50, 1)),
+                                 delta=np.ones((50, 1)))
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_rls(data, cfg, 0.01)
+
+    def test_singular_gram_rejected(self):
+        # one repeated state of 1e10: the columns 1 and x are parallel,
+        # and a ridge of 1e-20 is lost in the equilibrated Gram
+        cfg = BasisConfig(p=1, n=1)
+        data = TrajectoryDataset(t=np.zeros(20), x=np.full((20, 1), 1e10),
+                                 u=np.zeros((20, 1)), delta=np.ones((20, 1)))
+        with pytest.raises(NumericalError, match="not positive definite"):
+            fit_rls(data, cfg, 1e-20)
+
 
 class TestOutputMap:
     # C(x) from the coefficients with D folded in, against the defining
@@ -261,6 +281,22 @@ class TestOutputMap:
             assert got.shape == (n, cfg.s2)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.array_equal(cfg.pi_vector(x), cfg.pi_rows(x[None])[0])
+
+
+class TestSeparatedModel:
+    @pytest.mark.parametrize("normalize, t_box", [(False, (0.0, 100.0)), (True, (0.0, 4.0)),
+                                                  (True, (-3.0, 7.0))])
+    @pytest.mark.parametrize("s2", range(1, 6))
+    def test_exosystem_is_time_derivative_of_monomials(self, s2, normalize, t_box):
+        # d/dt varsigma(tau(t)) = A varsigma with tau the basis's own time
+        # variable; a central difference is exact on degrees <= 2
+        cfg = BasisConfig(p=s2 - 1, n=1, t_box=t_box, normalize=normalize)
+        model = SeparatedModel(theta=np.zeros((1, cfg.s1)), config=cfg)
+        for t in (0.3, 1.7, 3.9):
+            h = 1e-6 * (t_box[1] - t_box[0])
+            fd = (cfg.monomial_vector(t + h) - cfg.monomial_vector(t - h)) / (2 * h)
+            exact = model.A @ cfg.monomial_vector(t)
+            assert np.allclose(fd, exact, rtol=1e-6, atol=1e-7 * np.abs(exact).max())
 
 
 class TestRngStream:

@@ -68,9 +68,10 @@ class TestAckermannGain:
             ackermann_gain(A, np.ones(3), [-1.0])
 
 
-def order_observer(s2, poles) -> Hodo:
-    """Scalar-output observer of time order s2 whose _design takes any row."""
-    cfg = BasisConfig(p=s2 - 1, n=1, normalize=False)
+def order_observer(s2, poles, normalize=False) -> Hodo:
+    """Scalar-output observer of time order s2 whose _design takes any row;
+    normalized over t in [0, 3], its exosystem is (2/3) times the raw one."""
+    cfg = BasisConfig(p=s2 - 1, n=1, t_box=(0.0, 3.0), normalize=normalize)
     model = SeparatedModel(theta=np.ones((1, cfg.s1)), config=cfg)
     return Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                 poles=poles, x0=[0.3])
@@ -83,19 +84,20 @@ class TestStructuredGain:
     @pytest.mark.parametrize("s2", range(1, 8))
     def test_matches_ackermann(self, s2):
         poles = -np.linspace(0.5, 2.0, s2)
-        obs = order_observer(s2, poles)
-        rng = np.random.default_rng(s2)
-        compared = 0
-        for _ in range(50):
-            c = rng.standard_normal(s2)
-            try:
-                ref = ackermann_gain(obs.model.A, c, poles)
-            except UnobservableError:
-                continue
-            gamma = obs._design(c[None, :])[:, 0]
-            assert np.linalg.norm(gamma - ref) <= 1e-10 * np.linalg.norm(ref)
-            compared += 1
-        assert compared >= 40
+        for normalize in (False, True):
+            obs = order_observer(s2, poles, normalize)
+            rng = np.random.default_rng(s2)
+            compared = 0
+            for _ in range(50):
+                c = rng.standard_normal(s2)
+                try:
+                    ref = ackermann_gain(obs.model.A, c, poles)
+                except UnobservableError:
+                    continue
+                gamma = obs._design(c[None, :])[:, 0]
+                assert np.linalg.norm(gamma - ref) <= 1e-10 * np.linalg.norm(ref)
+                compared += 1
+            assert compared >= 40
 
     @pytest.mark.parametrize("s2", range(2, 8))
     def test_matches_scipy_place_poles(self, s2):
