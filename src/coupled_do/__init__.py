@@ -16,10 +16,9 @@ from .learner import (FitReport, SeparatedModel, SweepCell, SweepConfig,
                       targets_from_trajectory)
 from .observer import FirstOrderDo, Hodo, UnobservableError, ackermann_gain
 from .oracles import rk4_step
-from .sim import (Plant, ScenarioConfig, ScenarioResult, disturbance,
-                  disturbance_box, generate_training_run,
-                  newton_velocity_channel, pd_control, registered_disturbances,
-                  run_scenario)
+from .sim import (ScenarioConfig, ScenarioResult, disturbance, disturbance_box,
+                  generate_training_run, newton_velocity_channel, pd_control,
+                  registered_disturbances, run_scenario)
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,7 @@ __all__ = [
     "TrajectoryDataset", "evaluate", "fit_rls", "rng_stream",
     "split_dataset", "sweep", "synthesize_dataset", "targets_from_trajectory",
     "FirstOrderDo", "Hodo", "UnobservableError", "ackermann_gain",
-    "Plant", "ScenarioConfig", "ScenarioResult", "disturbance",
+    "ScenarioConfig", "ScenarioResult", "disturbance",
     "disturbance_box", "generate_training_run", "newton_velocity_channel",
     "pd_control", "registered_disturbances", "rk4_step", "run_scenario",
     "__version__",

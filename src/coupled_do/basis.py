@@ -1,18 +1,18 @@
 """Chebyshev tensor-product bases for separable disturbance models.
 
-A disturbance that couples the system state x with an external feature
-(a disturbance vector d, or time t when d is an analytic function of t)
-is represented as
+A disturbance that couples the system state x with time t is represented
+as
 
-    delta(x, d)  ~=  Theta @ B(x) @ xi(d)
+    delta(x, t)  ~=  Theta @ B(x) @ xi(t)
 
 where Theta is a constant coefficient matrix, B(x) is a block matrix
-built from the state basis vector Pi(x), and xi(d) is the feature basis
-vector.  All basis entries are products of Chebyshev polynomials of the
-first kind, indexed by a flat base-(p+1) multi-index.
+built from the state basis vector Pi(x), and xi(t) = [T_0(t), ..., T_p(t)]
+is the basis of the scalar time feature.  Each entry of Pi(x) is a
+product of Chebyshev polynomials of the first kind, one per state
+dimension, indexed by a flat base-(p+1) multi-index.
 
-This module also provides the two structural matrices of the time-feature
-case: the lower-triangular change of basis D with xi(t) = D @ varsigma(t)
+This module also provides the two structural matrices of the time
+feature: the lower-triangular change of basis D with xi(t) = D @ varsigma(t)
 for the monomial vector varsigma(t) = [1, t, ..., t^p], and the nilpotent
 companion matrix A with d/dt varsigma = A varsigma.
 """
@@ -136,14 +136,15 @@ class BasisConfig:
     Parameters
     ----------
     p : int
-        Polynomial order, shared by every dimension.
+        Polynomial order, shared by every state dimension and by time.
     n : int
         State dimension.
-    feature_dim : int
-        Dimension of the external feature (1 for the time-feature case).
-    x_box, t_box : array_like, shape (dims, 2) or (2,)
-        Per-dimension affine ranges mapped onto [-1, 1] when
+    x_box : array_like, shape (n, 2) or (2,)
+        Per-dimension state ranges mapped onto [-1, 1] when
         ``normalize`` is set.  A single (lo, hi) pair is broadcast.
+    t_box : array_like, shape (2,)
+        The (lo, hi) time range mapped onto [-1, 1] when ``normalize``
+        is set.
     normalize : bool
         Apply the affine map 2*(v - lo)/(hi - lo) - 1 before basis
         evaluation.  Off by default: identified coefficients then refer
@@ -152,7 +153,6 @@ class BasisConfig:
 
     p: int
     n: int
-    feature_dim: int = 1
     x_box: np.ndarray = field(default=None)
     t_box: np.ndarray = field(default=None)
     normalize: bool = False
@@ -162,29 +162,26 @@ class BasisConfig:
             raise ValueError(f"p must be >= 0, got {self.p}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         x_box = self.x_box if self.x_box is not None else [[-1.0, 1.0]]
-        t_box = self.t_box if self.t_box is not None else [[-1.0, 1.0]]
+        t_box = self.t_box if self.t_box is not None else [-1.0, 1.0]
         object.__setattr__(self, "x_box", _as_box(x_box, self.n, "x_box"))
-        object.__setattr__(self, "t_box", _as_box(t_box, self.feature_dim, "t_box"))
+        object.__setattr__(self, "t_box", _as_box(t_box, 1, "t_box")[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BasisConfig):
             return NotImplemented
         return (self.p == other.p and self.n == other.n
-                and self.feature_dim == other.feature_dim
                 and self.normalize == other.normalize
                 and np.array_equal(self.x_box, other.x_box)
                 and np.array_equal(self.t_box, other.t_box))
 
     @property
     def s1(self) -> int:
-        return (self.p + 1) ** (self.n + self.feature_dim)
+        return (self.p + 1) ** (self.n + 1)
 
     @property
     def s2(self) -> int:
-        return (self.p + 1) ** self.feature_dim
+        return self.p + 1
 
     @property
     def state_block(self) -> int:
@@ -199,13 +196,13 @@ class BasisConfig:
         lo, hi = self.x_box[:, 0], self.x_box[:, 1]
         return 2.0 * (x - lo) / (hi - lo) - 1.0
 
-    def normalize_feature(self, d: np.ndarray) -> np.ndarray:
-        """Affine map of features onto [-1, 1]^feature_dim."""
-        d = np.asarray(d, dtype=float)
+    def normalize_feature(self, t) -> np.ndarray:
+        """Affine map of times onto [-1, 1] (identity when off)."""
+        t = np.asarray(t, dtype=float)
         if not self.normalize:
-            return d
-        lo, hi = self.t_box[:, 0], self.t_box[:, 1]
-        return 2.0 * (d - lo) / (hi - lo) - 1.0
+            return t
+        lo, hi = self.t_box
+        return 2.0 * (t - lo) / (hi - lo) - 1.0
 
     def pi_vector(self, x) -> np.ndarray:
         """State basis Pi(x): entry h_k is prod_i T_{k_i}(x_i).
@@ -216,18 +213,14 @@ class BasisConfig:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.n,):
             raise ValueError(f"state must have shape ({self.n},), got {x.shape}")
-        tables = cheb_series(self.p, self.normalize_state(x))     # (p+1, n)
-        acc = tables[:, 0]
-        for i in range(1, self.n):      # little-endian: dim 1 varies fastest
-            acc = (tables[:, i, None] * acc).ravel()
-        return acc
+        return self._tensor(self.normalize_state(x))
 
-    def xi_vector(self, d) -> np.ndarray:
-        """Feature basis xi(d); for feature_dim == 1 this is [T_0..T_p](d)."""
-        d = np.atleast_1d(np.asarray(d, dtype=float))
-        if d.shape != (self.feature_dim,):
-            raise ValueError(f"feature must have shape ({self.feature_dim},), got {d.shape}")
-        return self._tensor_rows(self.normalize_feature(d)[None, :])[0]
+    def xi_vector(self, t) -> np.ndarray:
+        """Time basis xi(t) = [T_0(t), ..., T_p(t)] at one scalar time."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.shape != (1,):
+            raise ValueError(f"time must be a scalar, got shape {t.shape}")
+        return cheb_series(self.p, self.normalize_feature(t[0]))
 
     def b_matrix(self, x) -> np.ndarray:
         """Block matrix B(x) of shape (s1, s2).
@@ -239,13 +232,8 @@ class BasisConfig:
         return np.kron(np.eye(self.s2), pi[:, None])
 
     def monomial_vector(self, t: float) -> np.ndarray:
-        """Monomial feature vector [1, t, ..., t^p] (normalized t when on).
-
-        Only defined for the scalar time-feature case (feature_dim == 1).
-        """
-        if self.feature_dim != 1:
-            raise ValueError("monomial_vector requires feature_dim == 1")
-        tn = float(self.normalize_feature(np.atleast_1d(t))[0])
+        """Monomial time vector [1, t, ..., t^p] (normalized t when on)."""
+        tn = float(self.normalize_feature(t))
         return tn ** np.arange(self.s2, dtype=float)
 
     def pi_rows(self, x: np.ndarray) -> np.ndarray:
@@ -253,33 +241,26 @@ class BasisConfig:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n:
             raise ValueError(f"state batch must have shape (N, {self.n}), got {x.shape}")
-        return self._tensor_rows(self.normalize_state(x))
+        return self._tensor(self.normalize_state(x))
 
-    def xi_rows(self, d: np.ndarray) -> np.ndarray:
-        """Vectorized xi over a batch of features, shape (N, s2)."""
-        d = np.asarray(d, dtype=float)
-        if d.ndim == 1:
-            d = d[:, None]
-        if d.shape[1] != self.feature_dim:
-            raise ValueError(f"feature batch must have shape (N, {self.feature_dim}), got {d.shape}")
-        return self._tensor_rows(self.normalize_feature(d))
-
-    def design_rows(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Rows B(x_i) @ xi(d_i) = kron(xi_i, Pi_i), shape (N, s1).
+    def design_rows(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Rows B(x_i) @ xi(t_i) = kron(xi_i, Pi_i), shape (N, s1).
 
         This is the regression feature map: Theta @ design_rows(...).T
         evaluates the separated model on a batch.
         """
         pi = self.pi_rows(x)
-        xi = self.xi_rows(d)
+        xi = cheb_series(self.p, self.normalize_feature(t)).T
+        if xi.shape != (len(pi), self.s2):
+            raise ValueError(f"times must have shape ({len(pi)},), got {np.shape(t)}")
         return (xi[:, :, None] * pi[:, None, :]).reshape(len(pi), self.s1)
 
-    def _tensor_rows(self, v: np.ndarray) -> np.ndarray:
-        # little-endian tensor product: digit of dim 1 varies fastest
-        n_rows, dims = v.shape
-        tables = cheb_series(self.p, v)          # (p+1, N, dims)
-        acc = np.ones((n_rows, 1))
-        for i in range(dims):
-            ti = tables[:, :, i].T               # (N, p+1)
-            acc = (ti[:, :, None] * acc[:, None, :]).reshape(n_rows, -1)
+    def _tensor(self, v: np.ndarray) -> np.ndarray:
+        """Little-endian tensor product of [T_0, ..., T_p] over the last
+        axis of v: (n,) -> ((p+1)^n,) and (N, n) -> (N, (p+1)^n), with
+        the order of dimension 1 varying fastest."""
+        tables = cheb_series(self.p, v).T          # (n, p+1) or (n, N, p+1)
+        acc = tables[0]
+        for i in range(1, len(tables)):
+            acc = (tables[i][..., :, None] * acc[..., None, :]).reshape(acc.shape[:-1] + (-1,))
         return acc

@@ -12,8 +12,8 @@ verify    run the independent oracle suites, which are also acceptance
           criteria 1, 2 and 4 at the same seeds, and report pass/fail;
           ``--level full`` places 1000 observer gains instead of 100
 
-Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical failure.  Partial successes never exit 0.
+Exit codes: 0 success, 1 ``verify`` with a failed check, 2 configuration
+error, 3 data error, 4 numerical failure.  Partial successes never exit 0.
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ def _out_dir(typed, override) -> Path:
     return out
 
 
+def _seed(args, configured: int) -> int:
+    if args.seed is None:
+        return configured
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _basis_for(typed, function: str) -> BasisConfig:
     x_box, t_box = disturbance_box(function)
     if typed["x_box"] is not None:
@@ -76,7 +84,7 @@ def _basis_for(typed, function: str) -> BasisConfig:
 
 def cmd_learn(args) -> int:
     typed = fileio.load_config(args.config)
-    seed = args.seed if args.seed is not None else typed["seed"]
+    seed = _seed(args, typed["seed"])
     out = _out_dir(typed, args.out)
     function = typed["function"]
     sigma2 = typed["noise_variance"] if args.noisy and not typed["dataset_file"] else 0.0
@@ -84,8 +92,8 @@ def cmd_learn(args) -> int:
     if typed["dataset_file"]:
         data = fileio.load_dataset(typed["dataset_file"])
         if data.delta is None:
-            channel = newton_velocity_channel(typed["mass"])
-            data = targets_from_trajectory(data, channel.f_x, channel.f_u,
+            f_x, f_u = newton_velocity_channel(typed["mass"])
+            data = targets_from_trajectory(data, f_x, f_u,
                                            window=typed["window"],
                                            fit_order=typed["fit_order"])
     else:
@@ -121,7 +129,7 @@ def cmd_learn(args) -> int:
 
 def cmd_sweep(args) -> int:
     typed = fileio.load_config(args.config)
-    seed = args.seed if args.seed is not None else typed["seed"]
+    seed = _seed(args, typed["seed"])
     out = _out_dir(typed, args.out)
     grid_path = Path(typed["results_file"]) if typed["results_file"] else out / "sweep.csv"
     done = fileio.existing_sweep_keys(grid_path)
@@ -168,7 +176,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     typed = fileio.load_config(args.config)
-    seed = args.seed if args.seed is not None else typed["scenario_seed"]
+    seed = _seed(args, typed["scenario_seed"])
     out = _out_dir(typed, args.out)
     modes = fileio.parse_modes(args.modes, "--modes") if args.modes else typed["modes"]
 

@@ -89,16 +89,20 @@ def dataset_digest(data: TrajectoryDataset) -> str:
 def save_model(path, model: SeparatedModel, seed: Optional[int] = None,
                delta: Optional[float] = None, digest: str = "",
                timestamp: Optional[str] = None) -> None:
-    """Write a model file: versioned header, basis fields, theta block."""
+    """Write a model file: versioned header, basis fields, theta block.
+
+    The ``feature_dim`` line is the constant 1, the scalar time feature,
+    which :func:`load_model` requires of every model file.
+    """
     cfg = model.config
     lines = [
         f"format_version = {MODEL_FORMAT_VERSION}",
         f"p = {cfg.p}",
         f"n = {cfg.n}",
-        f"feature_dim = {cfg.feature_dim}",
+        "feature_dim = 1",
         f"normalize = {'true' if cfg.normalize else 'false'}",
         "x_box = " + "; ".join(f"{fmt(lo)},{fmt(hi)}" for lo, hi in cfg.x_box),
-        "t_box = " + "; ".join(f"{fmt(lo)},{fmt(hi)}" for lo, hi in cfg.t_box),
+        "t_box = {},{}".format(*map(fmt, cfg.t_box)),
         f"seed = {'' if seed is None else seed}",
         f"ridge_delta = {'' if delta is None else fmt(delta)}",
         f"dataset_digest = {digest}",
@@ -140,9 +144,11 @@ def load_model(path) -> SeparatedModel:
         version = int(fields["format_version"])
         if version != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported model format version {version}")
+        if int(fields["feature_dim"]) != 1:
+            raise DataError(f"model file {path}: feature_dim = {fields['feature_dim']}, "
+                            "only the scalar time feature (1) is supported")
         cfg = BasisConfig(
             p=int(fields["p"]), n=int(fields["n"]),
-            feature_dim=int(fields["feature_dim"]),
             x_box=_parse_box(fields["x_box"]),
             t_box=_parse_box(fields["t_box"]),
             normalize=fields["normalize"] == "true")
@@ -334,6 +340,12 @@ def _positive(section: str, key: str, value):
     return value
 
 
+def _non_negative(section: str, key: str, value):
+    if value < 0:
+        raise ConfigError(f"{section}.{key}: must be >= 0, got {value}")
+    return value
+
+
 def parse_modes(raw: str, name: str) -> list[str]:
     """Non-empty comma list of compensation modes; an error names ``name``."""
     modes = [m.strip() for m in raw.split(",") if m.strip()]
@@ -375,9 +387,7 @@ def load_config(path) -> dict:
 
     b, l, o, s, w, io_ = (merged[sec] for sec in _DEFAULTS)
     typed = {}
-    typed["p"] = _typed("basis", "p", b["p"], int)
-    if typed["p"] < 0:
-        raise ConfigError(f"basis.p: must be >= 0, got {typed['p']}")
+    typed["p"] = _non_negative("basis", "p", _typed("basis", "p", b["p"], int))
     typed["normalize"] = _typed("basis", "normalize", b["normalize"], bool)
     for key in ("x_box", "t_box"):
         raw = b[key].strip()
@@ -395,12 +405,15 @@ def load_config(path) -> dict:
     typed["train_fraction"] = _typed("learning", "train_fraction", l["train_fraction"], float)
     if not 0.0 < typed["train_fraction"] < 1.0:
         raise ConfigError(f"learning.train_fraction: must be in (0, 1), got {typed['train_fraction']}")
+    typed["fit_order"] = _positive("learning", "fit_order",
+                                   _typed("learning", "fit_order", l["fit_order"], int))
     typed["window"] = _typed("learning", "window", l["window"], int)
-    typed["fit_order"] = _typed("learning", "fit_order", l["fit_order"], int)
-    typed["seed"] = _typed("learning", "seed", l["seed"], int)
-    typed["noise_variance"] = _typed("learning", "noise_variance", l["noise_variance"], float)
-    if typed["noise_variance"] < 0:
-        raise ConfigError(f"learning.noise_variance: must be >= 0, got {typed['noise_variance']}")
+    if typed["window"] % 2 == 0 or typed["window"] <= typed["fit_order"]:
+        raise ConfigError(f"learning.window: must be odd and > learning.fit_order = "
+                          f"{typed['fit_order']}, got {typed['window']}")
+    typed["seed"] = _non_negative("learning", "seed", _typed("learning", "seed", l["seed"], int))
+    typed["noise_variance"] = _non_negative(
+        "learning", "noise_variance", _typed("learning", "noise_variance", l["noise_variance"], float))
 
     typed["poles"] = tuple(_float_list("observer", "poles", o["poles"]))
     if any(p >= 0 for p in typed["poles"]):
@@ -415,11 +428,11 @@ def load_config(path) -> dict:
         typed[key] = _positive("scenario", key, _typed("scenario", key, s[key], kind))
     for key in ("eta0", "v0"):
         typed[key] = _typed("scenario", key, s[key], float)
-    typed["sigma_v2"] = _typed("scenario", "sigma_v2", s["sigma_v2"], float)
-    if typed["sigma_v2"] < 0:
-        raise ConfigError(f"scenario.sigma_v2: must be >= 0, got {typed['sigma_v2']}")
+    typed["sigma_v2"] = _non_negative("scenario", "sigma_v2",
+                                      _typed("scenario", "sigma_v2", s["sigma_v2"], float))
     typed["modes"] = parse_modes(s["modes"], "scenario.modes")
-    typed["scenario_seed"] = _typed("scenario", "seed", s["seed"], int)
+    typed["scenario_seed"] = _non_negative("scenario", "seed",
+                                           _typed("scenario", "seed", s["seed"], int))
     typed["log_sigma"] = _typed("scenario", "log_sigma", s["log_sigma"], bool)
 
     typed["sweep_functions"] = [_registered("sweep", "functions", f.strip())

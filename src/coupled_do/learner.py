@@ -13,6 +13,12 @@ is computed here through a Cholesky solve of the diagonally equilibrated
 regularized Gram matrix, never an explicit inverse.  At most a few dozen
 unknowns enter one solve, so NumPy's ``cholesky`` and ``solve`` on the
 two triangular factors serve; the package needs no other library.
+
+Reruns are byte-identical only within one NumPy/LAPACK build: on raw
+bases of high order the equilibrated Gram is ill-conditioned (condition
+1.3e11 for a p = 6 fit of ``sine_cubic``), and Cholesky factors from two
+builds, which differ in their last bits, move Theta by up to 3e-5
+relative.
 """
 
 from __future__ import annotations
@@ -139,7 +145,7 @@ class SeparatedModel:
         if self.theta.shape[0] != self.config.n:
             raise ConfigError(
                 f"theta has {self.theta.shape[0]} rows, basis requires n={self.config.n}")
-        lo, hi = self.config.t_box[0]
+        lo, hi = self.config.t_box
         self.time_scale = 2.0 / (hi - lo) if self.config.normalize else 1.0
         self.D, A = structure_matrices(self.config.s2)
         self.A = self.time_scale * A
@@ -204,9 +210,11 @@ def targets_from_trajectory(traj: TrajectoryDataset, f_x: Callable, f_u: Callabl
     traj : TrajectoryDataset
         Strictly time-ordered records.
     f_x, f_u : callable
-        Batched plant mappings (see :class:`coupled_do.sim.Plant`),
+        Batched plant mappings of dx/dt = f_x(x) + f_u(x) u + delta,
         called once on the kept states of shape (N, n); a result that
-        does not broadcast to (N, n), resp. (N, n, o), raises ConfigError.
+        does not broadcast to (N, n), resp. (N, n, o), raises ConfigError,
+        so a state-independent map may return the unbatched (n,), resp.
+        (n, o).
     window : int
         Sliding window length, odd and larger than ``fit_order``.
     fit_order : int
@@ -269,12 +277,12 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     if data.n != config.n:
         raise ConfigError(f"data has n={data.n}, basis expects n={config.n}")
 
-    feats = config.design_rows(data.x, data.t)          # rows are B_n @ xi_n
-    gram = feats.T @ feats + delta * np.eye(config.s1)
-    rhs = feats.T @ data.delta                          # = (sum delta_n xi_n^T B_n^T)^T
-
-    # cholesky does not check finiteness: features that overflow would
-    # factor into NaN rather than fail
+    # features that overflow are reported by the finite-Gram check below,
+    # not by NumPy warnings; cholesky would factor them into NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats = config.design_rows(data.x, data.t)      # rows are B_n @ xi_n
+        gram = feats.T @ feats + delta * np.eye(config.s1)
+        rhs = feats.T @ data.delta                      # = (sum delta_n xi_n^T B_n^T)^T
     if not np.isfinite(gram).all():
         raise NumericalError("regularized Gram has non-finite entries (features overflow)")
     # symmetric diagonal equilibration keeps the Cholesky solve accurate

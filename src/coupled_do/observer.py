@@ -139,9 +139,6 @@ class Hodo:
     sigma0 : array_like, shape (s2,), optional
         Initial feature estimate; zeros by default (offline and online
         time domains are unrelated, so no warm start is attempted).
-    verify_placement : bool
-        After each design, raise if the :func:`placement_residual` of
-        A - Gamma c exceeds 1e-8 * (1 + ||A - Gamma c||)^s2.
 
     The n output rows enter the design as the single row c = w @ C(x)
     with the uniform unit weights w.  Its gain is a back-substitution:
@@ -155,7 +152,7 @@ class Hodo:
     """
 
     def __init__(self, model: SeparatedModel, f_x: Callable, f_u: Callable,
-                 poles, x0, sigma0=None, verify_placement: bool = False):
+                 poles, x0, sigma0=None):
         self.model = model
         self.f_x = f_x
         self.f_u = f_u
@@ -165,7 +162,6 @@ class Hodo:
             raise ValueError(f"need {s2} poles, got {self.poles.shape}")
         if np.any(self.poles.real >= 0):
             raise ValueError("all poles must have strictly negative real part")
-        self.verify_placement = verify_placement
         self.gain_failures = 0
 
         w = np.ones(model.n)
@@ -197,14 +193,7 @@ class Hodo:
         y[0] = 1.0 / r[0]
         for m in range(1, len(r)):
             y[m] = -(r[m:0:-1] @ y[:m]) / r[0]
-        col = self._q_fact @ y
-        if self.verify_placement:
-            resid = placement_residual(self._A, c, col, self.poles)
-            lam_norm = np.linalg.norm(self._A - np.outer(col, c))
-            if resid > 1e-8 * (1.0 + lam_norm) ** len(self.poles):
-                raise NumericalError(
-                    f"pole placement residual ||q(A - Gamma c)|| = {resid:.2e} too large")
-        return col[:, None] * self.w
+        return (self._q_fact @ y)[:, None] * self.w
 
     def step(self, x, u, dt: float) -> np.ndarray:
         """Advance the observer by dt and return the disturbance estimate.

@@ -43,23 +43,20 @@ def rk4_step(f: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarray:
     return out
 
 
-def separated_eval_brute(theta: np.ndarray, cfg: BasisConfig, x, d) -> np.ndarray:
-    """Evaluate Theta B(x) xi(d) as the raw double Chebyshev sum.
+def separated_eval_brute(theta: np.ndarray, cfg: BasisConfig, x, t: float) -> np.ndarray:
+    """Evaluate Theta B(x) xi(t) as the raw double Chebyshev sum.
 
-    Loops over every pair of flat indices (h_k, h_l), evaluating
-    coefficient * T_{k_1}(x_1)...T_{k_n}(x_n) * T_{l_1}(d_1)...T_{l_m}(d_m)
-    term by term.  Exponential in dimensions; for small p, n, m only.
+    Loops over every pair of a time order l and a flat state index h_k,
+    evaluating coefficient * T_{k_1}(x_1)...T_{k_n}(x_n) * T_l(t) term
+    by term.  Exponential in the state dimension; for small p, n only.
     """
     x = cfg.normalize_state(np.atleast_1d(np.asarray(x, dtype=float)))
-    d = cfg.normalize_feature(np.atleast_1d(np.asarray(d, dtype=float)))
-    p, n, m = cfg.p, cfg.n, cfg.feature_dim
+    tau = float(cfg.normalize_feature(t))
+    p, n = cfg.p, cfg.n
     q = (p + 1) ** n
     out = np.zeros(theta.shape[0])
     for h_l in range(cfg.s2):
-        ls = flat_to_multi(h_l, p, m)
-        t_d = 1.0
-        for i, l in enumerate(ls):
-            t_d *= cheb_eval(l, d[i])
+        t_d = cheb_eval(h_l, tau)
         for h_k in range(q):
             ks = flat_to_multi(h_k, p, n)
             t_x = 1.0
@@ -175,13 +172,12 @@ def basis_identity_checks(seed: int = 0) -> list[CheckResult]:
     for _ in range(100):
         p = int(rng.integers(0, 3))
         n = int(rng.integers(1, 3))
-        m = int(rng.integers(1, 3))
-        cfg = BasisConfig(p=p, n=n, feature_dim=m)
+        cfg = BasisConfig(p=p, n=n)
         theta = rng.standard_normal((n, cfg.s1))
         x = rng.uniform(-1, 1, n)
-        d = rng.uniform(-1, 1, m)
-        fast = theta @ cfg.b_matrix(x) @ cfg.xi_vector(d)
-        slow = separated_eval_brute(theta, cfg, x, d)
+        t = rng.uniform(-1, 1)
+        fast = theta @ cfg.b_matrix(x) @ cfg.xi_vector(t)
+        slow = separated_eval_brute(theta, cfg, x, t)
         worst = max(worst, np.abs(fast - slow).max())
     results.append(_check("separation equals brute-force double sum",
                           worst < 1e-12, f"max deviation = {worst:.3e}"))

@@ -106,26 +106,14 @@ def registered_disturbances() -> list[str]:
     return sorted(_REGISTRY)
 
 
-@dataclass
-class Plant:
-    """Observer-facing channel description: dx/dt = f_x(x) + f_u(x) u + delta.
+def newton_velocity_channel(mass: float = 1.0) -> tuple[Callable, Callable]:
+    """Plant maps (f_x, f_u) of the point mass's velocity equation
+    dv/dt = f_x(v) + f_u(v) u + delta/m = u/m + delta/m.
 
-    The maps are batched: f_x maps states (..., n) to (..., n) and f_u
-    to (..., n, o).  A state-independent map may return the unbatched
-    (n,) or (n, o), which batch callers ``np.broadcast_to`` full shape.
+    Both maps are state-independent and return the unbatched (1,) and
+    (1, 1), which batch callers ``np.broadcast_to`` full shape.
     """
-
-    n: int
-    o: int
-    f_x: Callable
-    f_u: Callable
-
-
-def newton_velocity_channel(mass: float = 1.0) -> Plant:
-    """The velocity equation of the point mass: dv/dt = u/m + delta/m."""
-    return Plant(n=1, o=1,
-                 f_x=lambda x: np.zeros(1),
-                 f_u=lambda x: np.full((1, 1), 1.0 / mass))
+    return lambda x: np.zeros(1), lambda x: np.full((1, 1), 1.0 / mass)
 
 
 def generate_training_run(name: str, ranges=None, n_samples: int = 10000,
@@ -244,14 +232,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """
     n_steps = int(round(cfg.duration / cfg.dt))
     fn = disturbance(cfg.disturbance_name)
-    channel = newton_velocity_channel(cfg.mass)
+    f_x, f_u = newton_velocity_channel(cfg.mass)
 
     observer = None
     if cfg.mode == "hodo":
-        observer = Hodo(cfg.model, channel.f_x, channel.f_u, cfg.poles,
-                        x0=[cfg.v0])
+        observer = Hodo(cfg.model, f_x, f_u, cfg.poles, x0=[cfg.v0])
     elif cfg.mode == "ndo":
-        observer = FirstOrderDo(channel.f_x, channel.f_u, cfg.ndo_gain, n=1)
+        observer = FirstOrderDo(f_x, f_u, cfg.ndo_gain, n=1)
 
     rng = rng_stream(cfg.seed, "scenario", cfg.mode)
     noise = (np.sqrt(cfg.sigma_v2) * rng.standard_normal(n_steps)

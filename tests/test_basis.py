@@ -96,6 +96,34 @@ class TestPiVector:
         with pytest.raises(ValueError):
             BasisConfig(p=1, n=2).pi_vector([1.0])
 
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_bit_identical_to_reference_chains(self, n):
+        # reference loops for the two shapes: an outer-product chain on one
+        # state, and a row-wise chain from a column of ones on a batch
+        def chain(tables):                       # tables (p+1, n)
+            acc = tables[:, 0]
+            for i in range(1, tables.shape[1]):
+                acc = (tables[:, i, None] * acc).ravel()
+            return acc
+
+        def rows(v):                             # v (N, n)
+            tables = cheb_series(p, v)
+            acc = np.ones((len(v), 1))
+            for i in range(v.shape[1]):
+                ti = tables[:, :, i].T
+                acc = (ti[:, :, None] * acc[:, None, :]).reshape(len(v), -1)
+            return acc
+
+        rng = np.random.default_rng(n)
+        for p in range(5):
+            for normalize in (False, True):
+                cfg = BasisConfig(p=p, n=n, x_box=(-2.0, 3.0), normalize=normalize)
+                x = rng.uniform(-3.0, 4.0, (20, n))
+                v = cfg.normalize_state(x)
+                assert np.array_equal(cfg.pi_rows(x), rows(v))
+                for xi, vi in zip(x, v):
+                    assert np.array_equal(cfg.pi_vector(xi), chain(cheb_series(p, vi)))
+
 
 class TestBMatrix:
     def test_order_zero(self):
@@ -112,13 +140,12 @@ class TestBMatrix:
         for _ in range(25):
             p = int(rng.integers(0, 3))
             n = int(rng.integers(1, 3))
-            m = int(rng.integers(1, 3))
-            cfg = BasisConfig(p=p, n=n, feature_dim=m)
+            cfg = BasisConfig(p=p, n=n)
             theta = rng.standard_normal((n, cfg.s1))
             x = rng.uniform(-1, 1, n)
-            d = rng.uniform(-1, 1, m)
-            fast = theta @ cfg.b_matrix(x) @ cfg.xi_vector(d)
-            assert np.allclose(fast, separated_eval_brute(theta, cfg, x, d), atol=1e-12)
+            t = rng.uniform(-1, 1)
+            fast = theta @ cfg.b_matrix(x) @ cfg.xi_vector(t)
+            assert np.allclose(fast, separated_eval_brute(theta, cfg, x, t), atol=1e-12)
 
 
 class TestXiVector:
@@ -128,14 +155,11 @@ class TestXiVector:
     def test_at_zero_pattern(self):
         assert np.allclose(BasisConfig(p=3, n=1).xi_vector([0.0]), [1, 0, -1, 0])
 
-    def test_two_feature_dims(self):
-        u, w = 0.25, -0.6
-        cfg = BasisConfig(p=1, n=1, feature_dim=2)
-        assert np.allclose(cfg.xi_vector([u, w]), [1.0, u, w, u * w])
-
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            BasisConfig(p=1, n=1, feature_dim=2).xi_vector([1.0])
+        cfg = BasisConfig(p=1, n=1)
+        for t in ([0.2, 1.0], [[0.5]], []):
+            with pytest.raises(ValueError):
+                cfg.xi_vector(t)
 
 
 class TestStructureMatrices:
@@ -230,10 +254,10 @@ class TestNormalization:
 
 class TestSizes:
     def test_s1_s2(self):
-        cfg = BasisConfig(p=2, n=1, feature_dim=1)
+        cfg = BasisConfig(p=2, n=1)
         assert (cfg.s1, cfg.s2) == (9, 3)
-        cfg = BasisConfig(p=2, n=2, feature_dim=2)
-        assert (cfg.s1, cfg.s2) == (81, 9)
+        cfg = BasisConfig(p=2, n=2)
+        assert (cfg.s1, cfg.s2) == (27, 3)
 
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
@@ -243,9 +267,12 @@ class TestSizes:
 
     def test_design_rows_match_b_xi(self):
         rng = np.random.default_rng(3)
-        cfg = BasisConfig(p=2, n=2, feature_dim=1)
+        cfg = BasisConfig(p=2, n=2)
         x = rng.uniform(-1, 1, (5, 2))
         t = rng.uniform(-1, 1, 5)
         rows = cfg.design_rows(x, t)
         for i in range(5):
-            assert np.allclose(rows[i], cfg.b_matrix(x[i]) @ cfg.xi_vector([t[i]]), atol=1e-13)
+            assert np.allclose(rows[i], cfg.b_matrix(x[i]) @ cfg.xi_vector(t[i]), atol=1e-13)
+        for bad in (t[:1], t[:, None]):      # one time per state row, as a flat vector
+            with pytest.raises(ValueError):
+                cfg.design_rows(x, bad)

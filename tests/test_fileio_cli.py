@@ -407,6 +407,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="observer.poles"):
             fileio.load_config(path)
 
+    @pytest.mark.parametrize("window, fit_order, field", [
+        ("8", "3", "learning.window"), ("3", "3", "learning.window"),
+        ("9", "0", "learning.fit_order"),
+    ])
+    def test_window_and_fit_order_checked(self, tmp_path, capsys, window, fit_order, field):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[learning]\nwindow = {window}\nfit_order = {fit_order}\n")
+        with pytest.raises(ConfigError, match=rf"^{field}: "):
+            fileio.load_config(path)
+        # checked even when no dataset file makes learn recover targets
+        assert cli.main(["learn", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
 
 class TestCliExitCodes:
     def test_learn_success(self, config_file, tmp_path, capsys):
@@ -486,10 +499,51 @@ class TestCliExitCodes:
                                                     u=np.zeros(40), delta=np.ones(40)))
         ini = tmp_path / "exp.ini"
         ini.write_text(f"[basis]\np = 6\n[io]\ndataset_file = {data}\n")
-        assert cli.main(["learn", "--config", str(ini), "--out", str(tmp_path / "o")]) == 4
+        # pytest records warnings instead of printing them: record them here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["learn", "--config", str(ini), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: regularized Gram has non-finite entries")
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
         assert not (tmp_path / "o" / "model.txt").exists()
+
+    def test_feature_dim_other_than_one_is_3(self, tmp_path, capsys):
+        # p = 1 and four poles fit a two-feature tensor basis (s1 = 8, s2 = 4),
+        # for which the scalar-time exosystem is wrong
+        model = tmp_path / "model.txt"
+        model.write_text("format_version = 1\np = 1\nn = 1\nfeature_dim = 2\n"
+                         "normalize = false\nx_box = -10,10\nt_box = 0,100\nseed = \n"
+                         "ridge_delta = \ndataset_digest = \n"
+                         "created = 2026-01-01T00:00:00+00:00\n"
+                         "theta_rows = 1\ntheta_cols = 8\ntheta =\n  1 0 1 0 1 0 1 0\n")
+        with pytest.raises(DataError, match="feature_dim = 2"):
+            fileio.load_model(model)
+        ini = tmp_path / "sim.ini"
+        ini.write_text(BASE_CONFIG + "\n[observer]\npoles = -0.4, -0.4, -0.4, -0.4\n"
+                       f"\n[io]\nmodel_file = {model}\n")
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
+                         "--modes", "hodo"]) == 3
+        assert str(model) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, field", [
+        ("learn", "learning.seed"), ("sweep", "learning.seed"), ("simulate", "scenario.seed"),
+    ])
+    def test_negative_seed_is_2(self, config_file, tmp_path, capsys, command, field):
+        out = tmp_path / "o"
+        modes = ["--modes", "none"] if command == "simulate" else []
+        argv = [command, "--out", str(out)] + modes
+        assert cli.main(argv + ["--config", str(config_file), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: --seed: must be >= 0")
+        section, key = field.split(".")
+        ini = tmp_path / "neg.ini"
+        ini.write_text(f"[{section}]\n{key} = -3\n")
+        with pytest.raises(ConfigError, match=rf"^{field}: must be >= 0"):
+            fileio.load_config(ini)
+        assert cli.main(argv + ["--config", str(ini)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+        assert not out.exists() or not any(out.iterdir())
 
     def test_simulate_rejects_multi_state_model(self, tmp_path, capsys):
         cfg = BasisConfig(p=2, n=2, x_box=[(-10.0, 10.0)] * 2, t_box=(0.0, 100.0))

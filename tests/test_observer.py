@@ -260,9 +260,16 @@ class TestHodoDynamics:
 
     def test_placement_verified_each_step(self):
         obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[0.5], verify_placement=True)
+                   poles=(-0.4,) * 3, x0=[0.5])
         for k in range(20):
-            obs.step([0.5 + 0.1 * k], [0.0], 1e-3)   # raises on drifted spectra
+            x = [0.5 + 0.1 * k]
+            obs.step(x, [0.0], 1e-3)
+            # the gain in use was designed at this step's state
+            c = obs.w @ obs.model.output_map(x)
+            col = obs.gamma @ obs.w
+            lam_norm = np.linalg.norm(obs.model.A - np.outer(col, c))
+            assert placement_residual(obs.model.A, c, col, obs.poles) <= 1e-8 * (1.0 + lam_norm) ** 3
+        assert obs.gain_failures == 0
 
 
 class TestZeroErrorManifold:
