@@ -1,14 +1,13 @@
 """Learning and online estimation of coupled disturbances.
 
-The package separates a disturbance delta(x, d) into constant
+The package separates a disturbance delta(x, t) into constant
 coefficients and known Chebyshev tensor structures, identifies the
 coefficients by regularized least squares on trajectory data, and
 estimates the disturbance online with a higher-order observer whose
 error dynamics carry prescribed eigenvalues.
 """
 
-from .basis import (BasisConfig, StructureMatrices, cheb_eval, cheb_series,
-                    flat_to_multi, multi_to_flat, structure_matrices)
+from .basis import BasisConfig, cheb_series, flat_to_multi, structure_matrices
 from .errors import ConfigError, CoupledDoError, DataError, NumericalError
 from .learner import (FitReport, SeparatedModel, SweepCell, SweepConfig,
                       TrajectoryDataset, evaluate, fit_rls, rng_stream,
@@ -23,8 +22,7 @@ from .sim import (ScenarioConfig, ScenarioResult, disturbance, disturbance_box,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisConfig", "StructureMatrices", "cheb_eval", "cheb_series",
-    "flat_to_multi", "multi_to_flat", "structure_matrices",
+    "BasisConfig", "cheb_series", "flat_to_multi", "structure_matrices",
     "ConfigError", "CoupledDoError", "DataError", "NumericalError",
     "FitReport", "SeparatedModel", "SweepCell", "SweepConfig",
     "TrajectoryDataset", "evaluate", "fit_rls", "rng_stream",

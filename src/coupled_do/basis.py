@@ -20,38 +20,20 @@ companion matrix A with d/dt varsigma = A varsigma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 
-def cheb_eval(k: int, tau):
-    """Evaluate the Chebyshev polynomial T_k at tau.
+def cheb_series(p: int, tau) -> np.ndarray:
+    """Stack [T_0(tau), ..., T_p(tau)] along a new leading axis.
 
     Uses the three-term recurrence T_k = 2*tau*T_{k-1} - T_{k-2} with
-    T_0 = 1, T_1 = tau.  Outside [-1, 1] the polynomial is evaluated
+    T_0 = 1, T_1 = tau.  Outside [-1, 1] the polynomials are evaluated
     as-is (no clamping); approximation guarantees do not apply there,
     but observers must stay total during transients.
-
-    Parameters
-    ----------
-    k : int
-        Polynomial order, >= 0.
-    tau : float or ndarray
-        Evaluation point(s).
-
-    Returns
-    -------
-    float or ndarray
-        T_k(tau), matching the shape of tau.
     """
-    if k < 0:
-        raise ValueError(f"order must be >= 0, got {k}")
-    return cheb_series(k, tau)[k]
-
-
-def cheb_series(p: int, tau) -> np.ndarray:
-    """Stack [T_0(tau), ..., T_p(tau)] along a new leading axis."""
+    if p < 0:
+        raise ValueError(f"order must be >= 0, got {p}")
     tau = np.asarray(tau, dtype=float)
     out = np.empty((p + 1,) + tau.shape)
     out[0] = 1.0
@@ -79,25 +61,8 @@ def flat_to_multi(h: int, p: int, dims: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def multi_to_flat(digits, p: int) -> int:
-    """Inverse of :func:`flat_to_multi`."""
-    h = 0
-    for i, k in enumerate(digits):
-        if not 0 <= k <= p:
-            raise ValueError(f"digit {k} out of range [0, {p}]")
-        h += k * (p + 1) ** i
-    return h
-
-
-class StructureMatrices(NamedTuple):
-    """Monomial-to-Chebyshev change of basis D and companion matrix A."""
-
-    D: np.ndarray
-    A: np.ndarray
-
-
-def structure_matrices(s2: int) -> StructureMatrices:
-    """Build the s2 x s2 structure matrices of the time-feature model.
+def structure_matrices(s2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Build the s2 x s2 structure matrices (D, A) of the time-feature model.
 
     Row i of D holds the monomial coefficients of T_{i-1}; rows follow
     the recurrence row_i = 2*rightshift(row_{i-1}) - row_{i-2}, where
@@ -115,7 +80,7 @@ def structure_matrices(s2: int) -> StructureMatrices:
         D[i, 1:] = 2.0 * D[i - 1, :-1]
         D[i] -= D[i - 2]
     A = np.diag(np.arange(1.0, s2), k=-1)
-    return StructureMatrices(D=D, A=A)
+    return D, A
 
 
 def _as_box(box, dims: int, name: str) -> np.ndarray:

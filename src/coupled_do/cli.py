@@ -73,13 +73,11 @@ def _seed(args, configured: int) -> int:
     return args.seed
 
 
-def _basis_for(typed, function: str) -> BasisConfig:
+def _boxes(typed, function: str) -> tuple:
+    """(x_box, t_box) for a function: each configured basis box where set,
+    else the one registered with the disturbance."""
     x_box, t_box = disturbance_box(function)
-    if typed["x_box"] is not None:
-        x_box = typed["x_box"]
-    if typed["t_box"] is not None:
-        t_box = typed["t_box"]
-    return BasisConfig(p=typed["p"], n=1, x_box=x_box, t_box=t_box, normalize=typed["normalize"])
+    return typed["x_box"] or x_box, typed["t_box"] or t_box
 
 
 def cmd_learn(args) -> int:
@@ -101,12 +99,14 @@ def cmd_learn(args) -> int:
                                      seed=seed, noise_std=float(np.sqrt(sigma2)))
 
     train, test = split_dataset(data, typed["train_fraction"], rng_stream(seed, "split"))
-    basis = _basis_for(typed, function)
+    x_box, t_box = _boxes(typed, function)
+    basis = BasisConfig(p=typed["p"], n=1, x_box=x_box, t_box=t_box,
+                        normalize=typed["normalize"])
 
     theta_true = None
     if function == "quad_drag_drift" and not basis.normalize:
-        x_box, t_box = disturbance_box(function)
-        theta_true = oracles.projection_oracle(disturbance(function), typed["p"], x_box, t_box)
+        theta_true = oracles.projection_oracle(disturbance(function), typed["p"],
+                                               *disturbance_box(function))
 
     model, report = fit_rls(train, basis, typed["ridge_delta"], test=test,
                             theta_true=theta_true)
@@ -139,25 +139,19 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for function in typed["sweep_functions"]:
-        x_box, t_box = disturbance_box(function)
-        base = SweepConfig(disturbance=disturbance(function),
-                           x_box=typed["x_box"] or x_box,
-                           t_box=typed["t_box"] or t_box,
+        x_box, t_box = _boxes(typed, function)
+        base = SweepConfig(disturbance=disturbance(function), x_box=x_box, t_box=t_box,
                            n_samples=typed["n_samples"],
                            train_fraction=typed["train_fraction"],
                            delta=typed["ridge_delta"],
                            normalize=typed["normalize"],
                            seed=seed)
-        # group the orders by the noise levels still missing at each, so
-        # done cells are never computed and a fresh grid is one sweep call
-        missing: dict[tuple, list] = {}
-        for p in p_values:
-            todo = tuple(s2 for s2 in noise_variances
-                         if (function, p, float(s2), seed) not in done)
-            if todo:
-                missing.setdefault(todo, []).append(p)
-        for noise, ps in missing.items():
-            for cell in sweep(base, ps, noise, seed=seed):
+        # only the orders still missing at a noise level are computed
+        for s2 in noise_variances:
+            todo = [p for p in p_values if (function, p, float(s2), seed) not in done]
+            if not todo:
+                continue
+            for cell in sweep(base, todo, [s2]):
                 ok = cell.report is not None
                 rows.append([function, cell.p, fileio.fmt(cell.noise_variance), seed,
                              fileio.fmt(cell.report.test_mae) if ok else "",

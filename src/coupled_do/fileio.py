@@ -87,8 +87,7 @@ def dataset_digest(data: TrajectoryDataset) -> str:
 # --- model files -------------------------------------------------------------
 
 def save_model(path, model: SeparatedModel, seed: Optional[int] = None,
-               delta: Optional[float] = None, digest: str = "",
-               timestamp: Optional[str] = None) -> None:
+               delta: Optional[float] = None, digest: str = "") -> None:
     """Write a model file: versioned header, basis fields, theta block.
 
     The ``feature_dim`` line is the constant 1, the scalar time feature,
@@ -106,8 +105,7 @@ def save_model(path, model: SeparatedModel, seed: Optional[int] = None,
         f"seed = {'' if seed is None else seed}",
         f"ridge_delta = {'' if delta is None else fmt(delta)}",
         f"dataset_digest = {digest}",
-        "created = " + (timestamp if timestamp is not None
-                        else datetime.now(timezone.utc).isoformat(timespec="seconds")),
+        "created = " + datetime.now(timezone.utc).isoformat(timespec="seconds"),
         f"theta_rows = {model.theta.shape[0]}",
         f"theta_cols = {model.theta.shape[1]}",
         "theta =",
@@ -118,14 +116,28 @@ def save_model(path, model: SeparatedModel, seed: Optional[int] = None,
 
 
 def load_model(path) -> SeparatedModel:
-    """Read a model file written by :func:`save_model`."""
+    """Read a model file written by :func:`save_model`.
+
+    Every :class:`DataError` it raises names the file.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"model file not found: {path}")
+    try:
+        return _parse_model(path.read_text())
+    except KeyError as exc:
+        raise DataError(f"model file {path}: missing field {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"model file {path}: malformed: {exc}") from exc
+    except (ConfigError, DataError) as exc:
+        raise DataError(f"model file {path}: {exc}") from exc
+
+
+def _parse_model(text: str) -> SeparatedModel:
     fields: dict[str, str] = {}
     theta_lines: list[str] = []
     in_theta = False
-    for raw in path.read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -136,34 +148,28 @@ def load_model(path) -> SeparatedModel:
             in_theta = True
             continue
         if "=" not in line:
-            raise DataError(f"model file line not key = value: {line!r}")
+            raise DataError(f"line not key = value: {line!r}")
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
 
-    try:
-        version = int(fields["format_version"])
-        if version != MODEL_FORMAT_VERSION:
-            raise DataError(f"unsupported model format version {version}")
-        if int(fields["feature_dim"]) != 1:
-            raise DataError(f"model file {path}: feature_dim = {fields['feature_dim']}, "
-                            "only the scalar time feature (1) is supported")
-        cfg = BasisConfig(
-            p=int(fields["p"]), n=int(fields["n"]),
-            x_box=_parse_box(fields["x_box"]),
-            t_box=_parse_box(fields["t_box"]),
-            normalize=fields["normalize"] == "true")
-        rows, cols = int(fields["theta_rows"]), int(fields["theta_cols"])
-        theta = np.array([[float(v) for v in line.split()] for line in theta_lines])
-    except KeyError as exc:
-        raise DataError(f"model file missing field {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"model file malformed: {exc}") from exc
+    version = int(fields["format_version"])
+    if version != MODEL_FORMAT_VERSION:
+        raise DataError(f"unsupported model format version {version}")
+    if int(fields["feature_dim"]) != 1:
+        raise DataError(f"feature_dim = {fields['feature_dim']}, "
+                        "only the scalar time feature (1) is supported")
+    if fields["normalize"] not in ("true", "false"):
+        raise DataError(f"normalize = {fields['normalize']}, expected true or false")
+    cfg = BasisConfig(
+        p=int(fields["p"]), n=int(fields["n"]),
+        x_box=_parse_box(fields["x_box"]),
+        t_box=_parse_box(fields["t_box"]),
+        normalize=fields["normalize"] == "true")
+    rows, cols = int(fields["theta_rows"]), int(fields["theta_cols"])
+    theta = np.array([[float(v) for v in line.split()] for line in theta_lines])
     if theta.shape != (rows, cols):
         raise DataError(f"theta block is {theta.shape}, header says ({rows}, {cols})")
-    try:
-        return SeparatedModel(theta=theta, config=cfg)
-    except ConfigError as exc:
-        raise DataError(f"model file {path}: {exc}") from exc
+    return SeparatedModel(theta=theta, config=cfg)
 
 
 def _parse_box(text: str) -> list[list[float]]:

@@ -369,10 +369,10 @@ class SweepCell:
     error: Optional[str] = None
 
 
-def _run_cell(base: SweepConfig, p: int, sigma2: float, seed: int) -> SweepCell:
+def _run_cell(base: SweepConfig, p: int, sigma2: float) -> SweepCell:
     # keyed by the exact bits of sigma2, so all orders at one noise level
     # share one dataset and split, whatever grid the cell sits in
-    rng = rng_stream(seed, "sweep", int(np.float64(sigma2).view(np.uint64)))
+    rng = rng_stream(base.seed, "sweep", int(np.float64(sigma2).view(np.uint64)))
     try:
         data = synthesize_dataset(base.disturbance, base.x_box, base.t_box,
                                   base.n_samples, rng, noise_std=float(np.sqrt(sigma2)))
@@ -388,18 +388,17 @@ def _run_cell(base: SweepConfig, p: int, sigma2: float, seed: int) -> SweepCell:
         return SweepCell(p=p, noise_variance=sigma2, error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(base: SweepConfig, p_values: Sequence[int], noise_variances: Sequence[float],
-          seed: Optional[int] = None) -> list[SweepCell]:
+def sweep(base: SweepConfig, p_values: Sequence[int],
+          noise_variances: Sequence[float]) -> list[SweepCell]:
     """Grid of identification runs over polynomial order and noise level.
 
     Each cell regenerates its dataset from a generator stream keyed by
-    (seed, noise variance), so every order at one noise level is fitted
-    and scored on the same samples, noise and train/test split, and the
-    orders are compared on common data.  A cell depends only on
-    (seed, p, noise variance), not on the grid around it or the order
-    in which the cells run.
+    (``base.seed``, noise variance), so every order at one noise level
+    is fitted and scored on the same samples, noise and train/test
+    split, and the orders are compared on common data.  A cell depends
+    only on (``base``, p, noise variance), not on the grid around it or
+    the order in which the cells run.
     """
     if not p_values or not len(noise_variances):
         raise ConfigError("p_values and noise_variances must be non-empty")
-    seed = base.seed if seed is None else seed
-    return [_run_cell(base, p, s2, seed) for p in p_values for s2 in noise_variances]
+    return [_run_cell(base, p, s2) for p in p_values for s2 in noise_variances]

@@ -48,11 +48,12 @@ from .learner import SeparatedModel
 
 
 _MARGIN = 1e-4     # |c_(s2-1)| / max|c_i| at or below which a row is unobservable
+_COND_LIMIT = 1e8  # cond(O) above which ackermann_gain calls a row unobservable
 
 
 class UnobservableError(NumericalError):
     """The output row fails :class:`Hodo`'s pivot margin, or the observability
-    matrix in :func:`ackermann_gain` exceeds its condition limit."""
+    matrix in :func:`ackermann_gain` has a condition number above 1e8."""
 
 
 def _pole_polynomial_of_a(A: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -84,8 +85,7 @@ def placement_residual(A: np.ndarray, c: np.ndarray, gamma: np.ndarray, poles) -
     return float(np.linalg.norm(_pole_polynomial_of_a(lam, poles)))
 
 
-def ackermann_gain(A: np.ndarray, c: np.ndarray, poles,
-                   cond_limit: float = 1e8) -> np.ndarray:
+def ackermann_gain(A: np.ndarray, c: np.ndarray, poles) -> np.ndarray:
     """Place observer poles for a single-output pair (A, c).
 
     Builds the observability matrix O with rows c, cA, ..., cA^(s-1)
@@ -97,7 +97,7 @@ def ackermann_gain(A: np.ndarray, c: np.ndarray, poles,
     Raises
     ------
     UnobservableError
-        When cond(O) exceeds ``cond_limit``.
+        When cond(O) exceeds 1e8.
     """
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float).ravel()
@@ -115,9 +115,9 @@ def ackermann_gain(A: np.ndarray, c: np.ndarray, poles,
         obs[i] = row
         row = row @ A
     cond = np.linalg.cond(obs)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise UnobservableError(
-            f"observability matrix condition {cond:.2e} exceeds {cond_limit:.2e}")
+            f"observability matrix condition {cond:.2e} exceeds {_COND_LIMIT:.2e}")
     return _pole_polynomial_of_a(A, poles) @ np.linalg.solve(obs, np.eye(s)[-1])
 
 
@@ -252,14 +252,15 @@ class FirstOrderDo:
 
     The estimation error obeys d/dt e = -G e + d(delta)/dt, so constant
     disturbances are recovered exactly while a ramp of slope r leaves a
-    steady lag r / G.
+    steady lag r / G.  The auxiliary state z starts at zero and takes
+    the shape of the state on the first step.
     """
 
-    def __init__(self, f_x: Callable, f_u: Callable, gain: float, n: int = 1):
+    def __init__(self, f_x: Callable, f_u: Callable, gain: float):
         self.f_x = f_x
         self.f_u = f_u
         self.gain = float(gain)
-        self.z = np.zeros(n)
+        self.z = 0.0
 
     def step(self, x, u, dt: float) -> np.ndarray:
         """Advance the observer by dt and return the disturbance estimate.

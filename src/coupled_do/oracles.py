@@ -7,9 +7,11 @@ that every returned check passes, so ``verify`` checks the same draws.
 
 Everything here deliberately avoids the vectorized construction paths in
 :mod:`coupled_do.basis` and the solver in :mod:`coupled_do.learner`:
-values are rebuilt from explicit multi-index loops, scalar Chebyshev
-evaluations, and plain unregularized least squares, so the two routes
-stay independent of each other.
+values are rebuilt from explicit multi-index loops, Chebyshev values by
+Clenshaw's backward recurrence (:func:`numpy.polynomial.chebyshev.chebval`)
+instead of the forward recurrence of :func:`coupled_do.basis.cheb_series`,
+and plain unregularized least squares, so the two routes stay independent
+of each other.
 """
 
 from __future__ import annotations
@@ -20,8 +22,17 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisConfig, cheb_eval, flat_to_multi, structure_matrices
+from .basis import BasisConfig, flat_to_multi, structure_matrices
 from .errors import NumericalError
+
+_GRID = 101             # points per axis of the projection grid
+_GD_MAX_ITER = 200000   # gradient descent stops after this many steps
+_GD_TOL = 1e-13         # ... or once max |gradient| falls below this
+
+
+def _cheb(k: int, tau):
+    """T_k(tau) by Clenshaw's recurrence on the k-th unit coefficient vector."""
+    return np.polynomial.chebyshev.chebval(tau, np.eye(k + 1)[k])
 
 
 def rk4_step(f: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -56,38 +67,38 @@ def separated_eval_brute(theta: np.ndarray, cfg: BasisConfig, x, t: float) -> np
     q = (p + 1) ** n
     out = np.zeros(theta.shape[0])
     for h_l in range(cfg.s2):
-        t_d = cheb_eval(h_l, tau)
+        t_d = _cheb(h_l, tau)
         for h_k in range(q):
             ks = flat_to_multi(h_k, p, n)
             t_x = 1.0
             for i, k in enumerate(ks):
-                t_x *= cheb_eval(k, x[i])
+                t_x *= _cheb(k, x[i])
             out += theta[:, h_l * q + h_k] * t_x * t_d
     return out
 
 
-def projection_oracle(fn, p: int, x_box, t_box, grid: int = 101) -> np.ndarray:
+def projection_oracle(fn, p: int, x_box, t_box) -> np.ndarray:
     """Project a scalar disturbance fn(x, t) onto the raw tensor basis.
 
-    Dense uniform grid over the box, explicit per-index design columns,
-    unregularized :func:`numpy.linalg.lstsq`.  Serves as the ground
-    truth coefficient vector against which identified coefficients are
-    judged.  Scalar state and scalar time feature only.
+    Uniform grid of ``_GRID`` points per axis over the box, explicit
+    per-index design columns, unregularized :func:`numpy.linalg.lstsq`.
+    Serves as the ground truth coefficient vector against which
+    identified coefficients are judged.  Scalar state and scalar time
+    feature only.
     """
-    xs = np.linspace(x_box[0], x_box[1], grid)
-    ts = np.linspace(t_box[0], t_box[1], grid)
+    xs = np.linspace(x_box[0], x_box[1], _GRID)
+    ts = np.linspace(t_box[0], t_box[1], _GRID)
     xg, tg = (a.ravel() for a in np.meshgrid(xs, ts))
     cols = []
     for h_l in range(p + 1):
         for h_k in range(p + 1):
-            cols.append(cheb_eval(h_k, xg) * cheb_eval(h_l, tg))
+            cols.append(_cheb(h_k, xg) * _cheb(h_l, tg))
     design = np.column_stack(cols)
     coef, *_ = np.linalg.lstsq(design, fn(xg, tg), rcond=None)
     return coef
 
 
-def gradient_descent_fit(features: np.ndarray, targets: np.ndarray, delta: float,
-                         max_iter: int = 200000, tol: float = 1e-13) -> np.ndarray:
+def gradient_descent_fit(features: np.ndarray, targets: np.ndarray, delta: float) -> np.ndarray:
     """Minimize the ridge objective by plain gradient descent.
 
     Independent route to the closed-form solution; only practical on
@@ -99,10 +110,10 @@ def gradient_descent_fit(features: np.ndarray, targets: np.ndarray, delta: float
     gram = features.T @ features + delta * np.eye(s1)
     rhs = targets.T @ features
     step = 1.0 / np.linalg.eigvalsh(gram)[-1]
-    for _ in range(max_iter):
+    for _ in range(_GD_MAX_ITER):
         grad = theta @ gram - rhs
         theta -= step * grad
-        if np.abs(grad).max() < tol:
+        if np.abs(grad).max() < _GD_TOL:
             break
     return theta
 
@@ -309,7 +320,7 @@ def newton_projection_check() -> list[CheckResult]:
     recon = np.zeros_like(vg)
     for h_l in range(3):
         for h_k in range(3):
-            recon += proj[h_l * 3 + h_k] * cheb_eval(h_k, vg) * cheb_eval(h_l, tg)
+            recon += proj[h_l * 3 + h_k] * _cheb(h_k, vg) * _cheb(h_l, tg)
     resid = np.abs(recon - fn(vg, tg)).max()
     detail = (f"projection {np.array2string(proj, precision=4, suppress_small=True)} "
               f"vs recorded {np.array2string(NEWTON_REFERENCE_THETA, precision=4)}; "

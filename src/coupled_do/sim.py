@@ -116,21 +116,19 @@ def newton_velocity_channel(mass: float = 1.0) -> tuple[Callable, Callable]:
     return lambda x: np.zeros(1), lambda x: np.full((1, 1), 1.0 / mass)
 
 
-def generate_training_run(name: str, ranges=None, n_samples: int = 10000,
+def generate_training_run(name: str, n_samples: int = 10000,
                           seed: int = 0, noise_std: float = 0.0) -> TrajectoryDataset:
     """Synthesize an identification dataset for a registered disturbance.
 
-    Samples (x, t) uniformly over the given or default box and records
+    Samples (x, t) uniformly over the disturbance's registered box and records
     the disturbance value at each sample (optionally corrupted, see
     :func:`coupled_do.learner.synthesize_dataset`).  Trajectory-based
     target recovery is handled separately by ``targets_from_trajectory``.
     """
-    fn = disturbance(name)
     x_box, t_box = disturbance_box(name)
-    if ranges is not None:
-        x_box, t_box = ranges
     rng = rng_stream(seed, "dataset", 0)
-    return synthesize_dataset(fn, x_box, t_box, n_samples, rng, noise_std=noise_std)
+    return synthesize_dataset(disturbance(name), x_box, t_box, n_samples, rng,
+                              noise_std=noise_std)
 
 
 # --- closed-loop scenario ---------------------------------------------------
@@ -238,7 +236,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.mode == "hodo":
         observer = Hodo(cfg.model, f_x, f_u, cfg.poles, x0=[cfg.v0])
     elif cfg.mode == "ndo":
-        observer = FirstOrderDo(f_x, f_u, cfg.ndo_gain, n=1)
+        observer = FirstOrderDo(f_x, f_u, cfg.ndo_gain)
 
     rng = rng_stream(cfg.seed, "scenario", cfg.mode)
     noise = (np.sqrt(cfg.sigma_v2) * rng.standard_normal(n_steps)

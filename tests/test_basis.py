@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupled_do.basis import (BasisConfig, cheb_eval, cheb_series, flat_to_multi,
-                              multi_to_flat, structure_matrices)
-from coupled_do.oracles import separated_eval_brute
+from coupled_do.basis import BasisConfig, cheb_series, flat_to_multi, structure_matrices
+from coupled_do.oracles import projection_oracle, separated_eval_brute
 
 
 class TestChebEval:
     def test_order_zero_is_one(self):
-        assert cheb_eval(0, 0.7) == 1.0
+        assert cheb_series(0, 0.7)[0] == 1.0
 
     def test_closed_forms(self):
-        assert cheb_eval(2, 0.5) == pytest.approx(-0.5, abs=1e-15)   # 2 tau^2 - 1
-        assert cheb_eval(3, 0.5) == pytest.approx(-1.0, abs=1e-15)   # 4 tau^3 - 3 tau
+        assert cheb_series(2, 0.5)[2] == pytest.approx(-0.5, abs=1e-15)   # 2 tau^2 - 1
+        assert cheb_series(3, 0.5)[3] == pytest.approx(-1.0, abs=1e-15)   # 4 tau^3 - 3 tau
 
     def test_matches_numpy_chebval(self):
         # numpy's Chebyshev module is an independent evaluation route
@@ -25,16 +24,16 @@ class TestChebEval:
             unit = np.zeros(k + 1)
             unit[k] = 1.0
             for tau in rng.uniform(-2.0, 2.0, 20):   # includes out-of-domain points
-                assert cheb_eval(k, tau) == pytest.approx(
+                assert cheb_series(k, tau)[k] == pytest.approx(
                     np.polynomial.chebyshev.chebval(tau, unit), rel=1e-12, abs=1e-12)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            cheb_eval(-1, 0.0)
+            cheb_series(-1, 0.0)
 
     def test_vectorized(self):
         taus = np.linspace(-1, 1, 7)
-        assert np.allclose(cheb_eval(2, taus), 2 * taus**2 - 1)
+        assert np.allclose(cheb_series(2, taus)[2], 2 * taus**2 - 1)
 
 
 class TestIndexMaps:
@@ -56,7 +55,8 @@ class TestIndexMaps:
         for p in range(4):
             for dims in range(1, 4):
                 for h in range((p + 1) ** dims):
-                    assert multi_to_flat(flat_to_multi(h, p, dims), p) == h
+                    digits = flat_to_multi(h, p, dims)
+                    assert sum(k * (p + 1) ** i for i, k in enumerate(digits)) == h
 
     @given(p=st.integers(0, 6), dims=st.integers(1, 4), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -65,7 +65,7 @@ class TestIndexMaps:
         digits = flat_to_multi(h, p, dims)
         assert len(digits) == dims
         assert all(0 <= k <= p for k in digits)
-        assert multi_to_flat(digits, p) == h
+        assert sum(k * (p + 1) ** i for i, k in enumerate(digits)) == h
 
 
 class TestPiVector:
@@ -90,7 +90,7 @@ class TestPiVector:
         for h in range(len(pi)):
             ks = flat_to_multi(h, 2, 2)
             assert pi[h] == pytest.approx(
-                cheb_eval(ks[0], x[0]) * cheb_eval(ks[1], x[1]), rel=1e-14)
+                cheb_series(ks[0], x[0])[ks[0]] * cheb_series(ks[1], x[1])[ks[1]], rel=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -146,6 +146,26 @@ class TestBMatrix:
             t = rng.uniform(-1, 1)
             fast = theta @ cfg.b_matrix(x) @ cfg.xi_vector(t)
             assert np.allclose(fast, separated_eval_brute(theta, cfg, x, t), atol=1e-12)
+
+
+class TestOracleIndependence:
+    def test_brute_force_routes_avoid_cheb_series(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        cfg = BasisConfig(p=3, n=2, x_box=(-2.0, 2.0), t_box=(0.0, 4.0), normalize=True)
+        theta = rng.standard_normal((2, cfg.s1))
+        x, t = rng.uniform(-2.0, 2.0, 2), 1.3
+        fast = theta @ cfg.b_matrix(x) @ cfg.xi_vector(t)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle called basis.cheb_series")
+        monkeypatch.setattr("coupled_do.basis.cheb_series", forbidden)
+
+        assert np.allclose(separated_eval_brute(theta, cfg, x, t), fast, rtol=1e-12, atol=1e-12)
+        # -v^2 + 50 - 10 t - t^2 / 2 in T_k(v) T_l(t), row-major over (l, k)
+        proj = projection_oracle(lambda v, t: -v**2 + 50.0 - 10.0 * t - 0.5 * t**2,
+                                 2, (-10.0, 10.0), (0.0, 100.0))
+        expected = [49.25, 0.0, -0.5, -10.0, 0.0, 0.0, -0.25, 0.0, 0.0]
+        assert np.allclose(proj, expected, rtol=0.0, atol=1e-9)
 
 
 class TestXiVector:

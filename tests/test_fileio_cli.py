@@ -527,6 +527,25 @@ class TestCliExitCodes:
                          "--modes", "hodo"]) == 3
         assert str(model) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("format_version = 1\n", "format_version = 2\n"),
+        ("theta_cols = 9\n", ""),
+        ("p = 2\n", "p = two\n"),
+        ("theta_cols = 9\n", "theta_cols = 8\n"),
+        ("normalize = false\n", "normalize = True\n"),
+    ], ids=["version", "missing_field", "malformed_number", "theta_size", "normalize"])
+    def test_bad_model_file_is_3_and_named(self, tmp_path, capsys, old, new):
+        model = tmp_path / "model.txt"
+        fileio.save_model(model, random_model(np.random.default_rng(5)))
+        text = model.read_text()
+        assert old in text
+        model.write_text(text.replace(old, new))
+        ini = tmp_path / "sim.ini"
+        ini.write_text(BASE_CONFIG + f"\n[io]\nmodel_file = {model}\n")
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
+                         "--modes", "hodo"]) == 3
+        assert str(model) in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, field", [
         ("learn", "learning.seed"), ("sweep", "learning.seed"), ("simulate", "scenario.seed"),
     ])

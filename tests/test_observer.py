@@ -430,7 +430,7 @@ class TestAffineRk4Step:
         f_x = lambda x: 0.3 * x - 0.1
         f_u = lambda x: np.full((2, 1), 1.5)
         for _ in range(20):
-            obs = FirstOrderDo(f_x, f_u, gain=gain, n=2)
+            obs = FirstOrderDo(f_x, f_u, gain=gain)
             obs.z = rng.standard_normal(2)
             x, u = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 1)
             drive = f_x(x) + f_u(x) @ u

@@ -138,12 +138,6 @@ class TestGenerateTrainingRun:
                 assert np.abs(counts - 1000).max() < 150
             assert data.x.min() >= -2.0 and data.x.max() <= 2.0
 
-    def test_custom_ranges(self):
-        data = generate_training_run("quad_drag_drift", ranges=((-1, 1), (0, 5)),
-                                     n_samples=100, seed=1)
-        assert data.x.min() >= -1 and data.x.max() <= 1
-        assert data.t.min() >= 0 and data.t.max() <= 5
-
     def test_invalid_count(self):
         with pytest.raises(DataError):
             generate_training_run("cubic_drift", n_samples=0)
