@@ -13,8 +13,8 @@ from .learner import (FitReport, SeparatedModel, SweepCell, SweepConfig,
                       TrajectoryDataset, evaluate, fit_rls, rng_stream,
                       split_dataset, sweep, synthesize_dataset,
                       targets_from_trajectory)
-from .observer import FirstOrderDo, Hodo, UnobservableError, ackermann_gain
-from .oracles import rk4_step
+from .observer import Hodo, UnobservableError
+from .oracles import ackermann_gain, rk4_step
 from .sim import (ScenarioConfig, ScenarioResult, disturbance, disturbance_box,
                   generate_training_run, newton_velocity_channel, pd_control,
                   registered_disturbances, run_scenario)
@@ -27,7 +27,7 @@ __all__ = [
     "FitReport", "SeparatedModel", "SweepCell", "SweepConfig",
     "TrajectoryDataset", "evaluate", "fit_rls", "rng_stream",
     "split_dataset", "sweep", "synthesize_dataset", "targets_from_trajectory",
-    "FirstOrderDo", "Hodo", "UnobservableError", "ackermann_gain",
+    "Hodo", "UnobservableError", "ackermann_gain",
     "ScenarioConfig", "ScenarioResult", "disturbance",
     "disturbance_box", "generate_training_run", "newton_velocity_channel",
     "pd_control", "registered_disturbances", "rk4_step", "run_scenario",

@@ -24,19 +24,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def cheb_series(p: int, tau) -> np.ndarray:
-    """Stack [T_0(tau), ..., T_p(tau)] along a new leading axis.
+def cheb_series(p: int, tau):
+    """[T_0(tau), ..., T_p(tau)] by the recurrence T_k = 2*tau*T_{k-1} - T_{k-2}.
 
-    Uses the three-term recurrence T_k = 2*tau*T_{k-1} - T_{k-2} with
-    T_0 = 1, T_1 = tau.  Outside [-1, 1] the polynomials are evaluated
-    as-is (no clamping); approximation guarantees do not apply there,
-    but observers must stay total during transients.
+    A Python float gives a list of floats, anything else an array with
+    the terms along a new leading axis, in the same bits.  Outside
+    [-1, 1] the terms are evaluated as-is, so that observers stay total.
     """
     if p < 0:
         raise ValueError(f"order must be >= 0, got {p}")
-    tau = np.asarray(tau, dtype=float)
-    out = np.empty((p + 1,) + tau.shape)
-    out[0] = 1.0
+    scalar = isinstance(tau, float)
+    tau = tau if scalar else np.asarray(tau, dtype=float)
+    out = [1.0] * (p + 1) if scalar else np.ones((p + 1,) + tau.shape)
     if p >= 1:
         out[1] = tau
     for k in range(2, p + 1):
@@ -178,7 +177,14 @@ class BasisConfig:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.n,):
             raise ValueError(f"state must have shape ({self.n},), got {x.shape}")
-        return self._tensor(self.normalize_state(x))
+        return np.array(self.pi_terms(x.tolist()))
+
+    def pi_terms(self, x: list) -> list:
+        """Unchecked :meth:`pi_vector` on a list of n Python floats, as a
+        list of floats with the same bits."""
+        if self.normalize:
+            x = [2.0 * (v - lo) / (hi - lo) - 1.0 for v, (lo, hi) in zip(x, self.x_box.tolist())]
+        return self._tensor(x)
 
     def xi_vector(self, t) -> np.ndarray:
         """Time basis xi(t) = [T_0(t), ..., T_p(t)] at one scalar time."""
@@ -206,7 +212,7 @@ class BasisConfig:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n:
             raise ValueError(f"state batch must have shape (N, {self.n}), got {x.shape}")
-        return self._tensor(self.normalize_state(x))
+        return np.asarray(self._tensor(list(self.normalize_state(x).T))).T
 
     def design_rows(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Rows B(x_i) @ xi(t_i) = kron(xi_i, Pi_i), shape (N, s1).
@@ -220,12 +226,11 @@ class BasisConfig:
             raise ValueError(f"times must have shape ({len(pi)},), got {np.shape(t)}")
         return (xi[:, :, None] * pi[:, None, :]).reshape(len(pi), self.s1)
 
-    def _tensor(self, v: np.ndarray) -> np.ndarray:
-        """Little-endian tensor product of [T_0, ..., T_p] over the last
-        axis of v: (n,) -> ((p+1)^n,) and (N, n) -> (N, (p+1)^n), with
-        the order of dimension 1 varying fastest."""
-        tables = cheb_series(self.p, v).T          # (n, p+1) or (n, N, p+1)
-        acc = tables[0]
-        for i in range(1, len(tables)):
-            acc = (tables[i][..., :, None] * acc[..., None, :]).reshape(acc.shape[:-1] + (-1,))
+    def _tensor(self, coords: list) -> list:
+        """Little-endian tensor product of [T_0, ..., T_p] over the n
+        coordinates, each a float or an (N,) array: (p+1)^n entries of
+        that kind, with the order of dimension 1 varying fastest."""
+        acc = cheb_series(self.p, coords[0])
+        for v in coords[1:]:
+            acc = [t * a for t in cheb_series(self.p, v) for a in acc]
         return acc

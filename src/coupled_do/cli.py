@@ -182,17 +182,16 @@ def cmd_simulate(args) -> int:
         if model.config.n != 1:
             raise ConfigError(f"io.model_file: model has n = {model.config.n}, "
                               "the point-mass velocity channel has n = 1")
-        if len(typed["poles"]) != model.config.s2:
-            raise ConfigError(f"observer.poles: {len(typed['poles'])} given, model has s2 = {model.config.s2}")
 
     metrics_path = out / "metrics.csv"
-    for mode in modes:
-        scenario = ScenarioConfig(
-            mode=mode, model=model, k_eta=typed["k_eta"], k_v=typed["k_v"],
-            mass=typed["mass"], eta0=typed["eta0"], v0=typed["v0"],
-            sigma_v2=typed["sigma_v2"], dt=typed["dt"], duration=typed["duration"],
-            poles=typed["poles"], ndo_gain=typed["ndo_gain"],
-            seed=seed, log_sigma=typed["log_sigma"])
+    # every scenario is validated before the first one runs
+    scenarios = [ScenarioConfig(
+        mode=mode, model=model, k_eta=typed["k_eta"], k_v=typed["k_v"],
+        mass=typed["mass"], eta0=typed["eta0"], v0=typed["v0"],
+        sigma_v2=typed["sigma_v2"], dt=typed["dt"], duration=typed["duration"],
+        poles=typed["poles"], ndo_gain=typed["ndo_gain"],
+        seed=seed, log_sigma=typed["log_sigma"]) for mode in modes]
+    for mode, scenario in zip(modes, scenarios):
         result = run_scenario(scenario)
         series_path = out / f"scenario_{mode}.csv"
         fileio.save_scenario(series_path, result)
@@ -206,6 +205,9 @@ def cmd_simulate(args) -> int:
                                result.gain_failures])
         print(f"{mode}: tracking MAE = {result.tracking_mae():.4f}  "
               f"estimation MAE = {result.estimation_mae():.4f}  series -> {series_path}")
+        if not result.completed:
+            raise NumericalError(f"mode {mode}: plant state non-finite after the step from "
+                                 f"t = {result.t[-1]:g}; partial series in {series_path}")
     print(f"metrics appended to {metrics_path}")
     return 0
 

@@ -135,7 +135,7 @@ class SeparatedModel:
     D: np.ndarray = field(init=False, repr=False)
     A: np.ndarray = field(init=False, repr=False)
     time_scale: float = field(init=False)
-    _K: np.ndarray = field(init=False, repr=False)
+    K: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.theta = np.atleast_2d(np.asarray(self.theta, dtype=float))
@@ -150,7 +150,7 @@ class SeparatedModel:
         self.D, A = structure_matrices(self.config.s2)
         self.A = self.time_scale * A
         theta = self.theta.reshape(self.n, self.config.s2, self.config.state_block)
-        self._K = np.einsum("ikb,kj->ijb", theta, self.D)
+        self.K = np.einsum("ikb,kj->ijb", theta, self.D)
 
     @property
     def n(self) -> int:
@@ -158,7 +158,7 @@ class SeparatedModel:
 
     def output_map(self, x) -> np.ndarray:
         """C(x) = Theta B(x) D, the observer output matrix, shape (n, s2)."""
-        return self._K @ self.config.pi_vector(x)
+        return self.K @ self.config.pi_vector(x)
 
 
 @dataclass
@@ -369,17 +369,9 @@ class SweepCell:
     error: Optional[str] = None
 
 
-def _run_cell(base: SweepConfig, p: int, sigma2: float) -> SweepCell:
-    # keyed by the exact bits of sigma2, so all orders at one noise level
-    # share one dataset and split, whatever grid the cell sits in
-    rng = rng_stream(base.seed, "sweep", int(np.float64(sigma2).view(np.uint64)))
+def _run_cell(base: SweepConfig, p: int, sigma2: float, train: TrajectoryDataset,
+              test: TrajectoryDataset) -> SweepCell:
     try:
-        data = synthesize_dataset(base.disturbance, base.x_box, base.t_box,
-                                  base.n_samples, rng, noise_std=float(np.sqrt(sigma2)))
-        train, test = split_dataset(data, base.train_fraction, rng)
-        # test error is measured against the clean disturbance values
-        clean = base.disturbance(test.x[:, 0] if test.x.shape[1] == 1 else test.x, test.t)
-        test = TrajectoryDataset(t=test.t, x=test.x, u=test.u, delta=clean)
         cfg = BasisConfig(p=p, n=train.n, x_box=base.x_box, t_box=base.t_box,
                           normalize=base.normalize)
         _, report = fit_rls(train, cfg, base.delta, test=test)
@@ -392,13 +384,27 @@ def sweep(base: SweepConfig, p_values: Sequence[int],
           noise_variances: Sequence[float]) -> list[SweepCell]:
     """Grid of identification runs over polynomial order and noise level.
 
-    Each cell regenerates its dataset from a generator stream keyed by
-    (``base.seed``, noise variance), so every order at one noise level
-    is fitted and scored on the same samples, noise and train/test
-    split, and the orders are compared on common data.  A cell depends
-    only on (``base``, p, noise variance), not on the grid around it or
-    the order in which the cells run.
+    Each noise level draws one dataset and split, from a generator
+    stream keyed by (``base.seed``, noise variance), on which every order
+    is fitted and scored, so a cell depends only on (``base``, p, noise
+    variance), not on the grid around it.  Cells are returned p-major.
     """
     if not p_values or not len(noise_variances):
         raise ConfigError("p_values and noise_variances must be non-empty")
-    return [_run_cell(base, p, s2) for p in p_values for s2 in noise_variances]
+    by_level = []
+    for s2 in noise_variances:
+        # keyed by the exact bits of s2, so all orders at one noise level
+        # share one dataset and split, whatever grid the cell sits in
+        rng = rng_stream(base.seed, "sweep", int(np.float64(s2).view(np.uint64)))
+        try:
+            data = synthesize_dataset(base.disturbance, base.x_box, base.t_box,
+                                      base.n_samples, rng, noise_std=float(np.sqrt(s2)))
+            train, test = split_dataset(data, base.train_fraction, rng)
+            # test error is measured against the clean disturbance values
+            clean = base.disturbance(test.x[:, 0] if test.x.shape[1] == 1 else test.x, test.t)
+            test = TrajectoryDataset(t=test.t, x=test.x, u=test.u, delta=clean)
+            by_level.append([_run_cell(base, p, s2, train, test) for p in p_values])
+        except Exception as exc:  # a failed draw fails the cells of its own level only
+            error = f"{type(exc).__name__}: {exc}"
+            by_level.append([SweepCell(p=p, noise_variance=s2, error=error) for p in p_values])
+    return [level[i] for i in range(len(p_values)) for level in by_level]

@@ -1,44 +1,38 @@
-"""Online disturbance estimation.
+"""Online disturbance estimation by one observer, :class:`Hodo`.
 
-Two observers are provided.  The higher-order observer reconstructs the
-monomial time-feature vector varsigma(t) of an identified separable
-model through the exosystem
+It reconstructs the monomial time-feature vector varsigma(t) of an
+identified separable model, d/dt varsigma = A varsigma with
+delta = Theta B(x) D varsigma = C(x) varsigma, through
 
-    d/dt varsigma = A varsigma,      delta = Theta B(x) D varsigma,
+    dz/dt = A sigma_hat - Gamma (f_x(x) + f_u(x) u + C(x) sigma_hat),
+    sigma_hat = z + Gamma x,      delta_hat = C(x) sigma_hat,
 
-via the auxiliary dynamics
-
-    dz/dt   = A sigma_hat - Gamma (f_x(x) + f_u(x) u + Theta B(x) D sigma_hat)
-    sigma_hat = z + Gamma x
-    delta_hat = Theta B(x) D sigma_hat,
-
-with the gain Gamma resynthesized every step at the current state
-(frozen-time design) so that A - Gamma C(x) carries prescribed stable
-eigenvalues.  The estimation error then obeys
-d/dt e = (A - Gamma C(x)) e and decays exponentially.
+with Gamma redesigned at each step's state so that the error dynamics
+d/dt e = (A - Gamma C(x)) e have prescribed stable eigenvalues.  The
+classical first-order disturbance observer is its case s2 = 1: on the
+unit model Theta = [[1]] of order p = 0, C(x) = 1, A = 0 and the pole -G
+places Gamma = G, so dz/dt = -G (z + G x + f_x(x) + f_u(x) u); it
+recovers constant disturbances and lags a ramp of slope r by r / G.
 
 A is a weighted shift (d/dt t^k = k t^(k-1)), so the observability
 matrix of an output row c, columns reversed, is upper triangular with
 the pivot c_(s2-1) times factorials on its diagonal: c is observable
-iff c_(s2-1) != 0, and the gain is an O(s2^2) back-substitution.  A row
-with a non-finite entry or |c_(s2-1)| <= _MARGIN * max|c_i| counts as
-unobservable.  :func:`ackermann_gain` keeps the generic route as reference.
+iff c_(s2-1) != 0, and the gain is an O(s2^2) back-substitution.  A
+non-finite row or |c_(s2-1)| <= _MARGIN * max|c_i| counts as unobservable;
+:func:`coupled_do.oracles.ackermann_gain` is the generic reference route.
 
-Both observers hold x, u, the gain and C(x) over a step, which makes
-their auxiliary dynamics linear, dy/dt = M y + b.  A classical
-fourth-order Runge-Kutta step of such a system is exactly the affine map
-y+ = y + dt phi(dt M) (M y + b) with phi(X) = I + X/2 + X^2/6 + X^3/24
-(the method's stability polynomial), so each step is evaluated in that
-closed form, by Horner's rule on the vector, instead of through four
-stage evaluations.
-
-The first-order baseline treats the disturbance as a signal with
-bounded derivative; it converges on constant disturbances and lags
-behind time-varying ones.
+With x, u, the gain and C(x) held over a step, dy/dt = M y + b is
+linear, and one classical RK4 step is exactly y+ = y + dt phi(dt M)
+(M y + b), phi(X) = I + X/2 + X^2/6 + X^3/24, evaluated by Horner's rule.
+Since Gamma = g w^T for the design row c = w C(x), M = A - g c^T is a
+rank-one update of the weighted shift: (M v)_k = A_(k,k-1) v_(k-1) -
+g_k (c . v) costs O(s2), and M is never formed.  The step runs on
+Python floats, with every dot product summed left to right.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -48,12 +42,11 @@ from .learner import SeparatedModel
 
 
 _MARGIN = 1e-4     # |c_(s2-1)| / max|c_i| at or below which a row is unobservable
-_COND_LIMIT = 1e8  # cond(O) above which ackermann_gain calls a row unobservable
 
 
 class UnobservableError(NumericalError):
-    """The output row fails :class:`Hodo`'s pivot margin, or the observability
-    matrix in :func:`ackermann_gain` has a condition number above 1e8."""
+    """The output row fails :class:`Hodo`'s pivot margin, or cond(O) in
+    :func:`coupled_do.oracles.ackermann_gain` exceeds 1e8."""
 
 
 def _pole_polynomial_of_a(A: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -68,57 +61,12 @@ def _pole_polynomial_of_a(A: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return q_of_a
 
 
-def placement_residual(A: np.ndarray, c: np.ndarray, gamma: np.ndarray, poles) -> float:
-    """Certificate that A - gamma c carries exactly the requested poles.
-
-    Returns ||q(A - gamma c)||_F for the monic polynomial q with the
-    requested roots.  By Cayley-Hamilton this is zero in exact
-    arithmetic whenever the spectrum (with multiplicities) equals the
-    requested pole set; unlike an eigensolver comparison it stays sharp
-    for repeated poles, whose eigenvalue problem is conditioned as
-    eps**(1/multiplicity).
-    """
-    A = np.asarray(A, dtype=float)
-    lam = A - np.outer(np.asarray(gamma, dtype=float).ravel(),
-                       np.asarray(c, dtype=float).ravel())
-    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-    return float(np.linalg.norm(_pole_polynomial_of_a(lam, poles)))
-
-
-def ackermann_gain(A: np.ndarray, c: np.ndarray, poles) -> np.ndarray:
-    """Place observer poles for a single-output pair (A, c).
-
-    Builds the observability matrix O with rows c, cA, ..., cA^(s-1)
-    and returns Gamma = q(A) O^{-1} e_s, where q is the monic
-    polynomial with the requested roots and e_s the last standard basis
-    vector.  The spectrum of A - Gamma c then equals ``poles`` exactly
-    (up to conditioning of O).  Independent reference for :class:`Hodo`.
-
-    Raises
-    ------
-    UnobservableError
-        When cond(O) exceeds 1e8.
-    """
-    A = np.asarray(A, dtype=float)
-    c = np.asarray(c, dtype=float).ravel()
-    s = A.shape[0]
-    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-    if poles.shape != (s,):
-        raise ValueError(f"need {s} poles, got {poles.shape}")
-    if np.any(poles.real >= 0):
-        raise ValueError("all poles must have strictly negative real part")
-    if not np.all(np.isfinite(c)):
-        raise NumericalError("output row contains non-finite entries")
-    obs = np.empty((s, s))
-    row = c
-    for i in range(s):
-        obs[i] = row
-        row = row @ A
-    cond = np.linalg.cond(obs)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise UnobservableError(
-            f"observability matrix condition {cond:.2e} exceeds {_COND_LIMIT:.2e}")
-    return _pole_polynomial_of_a(A, poles) @ np.linalg.solve(obs, np.eye(s)[-1])
+def _dot(a, b) -> float:
+    """sum_i a_i b_i, added left to right on Python floats."""
+    s = 0.0
+    for ai, bi in zip(a, b, strict=True):
+        s += ai * bi
+    return s
 
 
 class Hodo:
@@ -140,22 +88,18 @@ class Hodo:
         Initial feature estimate; zeros by default (offline and online
         time domains are unrelated, so no warm start is attempted).
 
-    The n output rows enter the design as the single row c = w @ C(x)
-    with the uniform unit weights w.  Its gain is a back-substitution:
-    O(c) with its columns reversed is triangular, so c is observable iff
-    c_(s2-1) != 0.  On a normalized model A is the unit weighted shift
-    scaled by ``model.time_scale`` = alpha; the rows of O then carry
-    alpha^k, which the gain undoes by a constant factor alpha^-(s2-1).
-    On a non-finite row or |c_(s2-1)| <= ``_MARGIN`` * max|c_i| the
-    constructor raises :class:`UnobservableError` and ``step`` keeps the
-    previous gain, incrementing ``gain_failures``.
+    The design row is c = w C(x) with the uniform weights w = n^-1/2,
+    and Gamma = g w^T.  On a normalized model A is scaled by
+    ``model.time_scale`` = alpha, which the gain undoes by the factor
+    alpha^-(s2-1).  On an unobservable row the constructor raises
+    :class:`UnobservableError`, and ``step`` keeps the previous gain and
+    counts it in ``gain_failures``.  ``sigma_hat``, the auxiliary ``z``
+    and the gain column ``gain`` (g) are lists of s2 Python floats.
     """
 
     def __init__(self, model: SeparatedModel, f_x: Callable, f_u: Callable,
                  poles, x0, sigma0=None):
-        self.model = model
-        self.f_x = f_x
-        self.f_u = f_u
+        self.model, self.f_x, self.f_u = model, f_x, f_u
         s2 = model.config.s2
         self.poles = np.atleast_1d(np.asarray(poles, dtype=complex))
         if self.poles.shape != (s2,):
@@ -164,124 +108,106 @@ class Hodo:
             raise ValueError("all poles must have strictly negative real part")
         self.gain_failures = 0
 
-        w = np.ones(model.n)
-        self.w = w / np.linalg.norm(w)
+        self.w = 1.0 / math.sqrt(model.n)
+        # w folded into K: the design row is c = K_w Pi(x).  With one
+        # output row w = 1, K_w = K, and c is C(x) itself.
+        self._Kw = (self.w * model.K.sum(axis=0)).tolist()
+        self._K = model.K.tolist() if model.n > 1 else None
+        # (A v)_k = shift_k v_(k-1), with shift_0 = 0 for the zero first row
+        self._shift = [0.0] + np.diag(model.A, -1).tolist()
+        # (c A^k)_j = alpha^k h_(j+k) / j! with h_i = c_i i!; q(A) absorbs
+        # the j!, and alpha^-(s2-1) the row scaling of O.  q(A) is lower
+        # triangular like A, so row i needs its first i + 1 entries only.
+        fact = np.cumprod(np.r_[1.0, np.arange(1.0, s2)])
+        self._fact = fact.tolist()
+        q_fact = (_pole_polynomial_of_a(model.A, self.poles) * fact
+                  * model.time_scale ** -(s2 - 1))
+        self._q_rows = [row[:i + 1] for i, row in enumerate(q_fact.tolist())]
 
-        self._A = model.A
-        # (c A^k)_j = alpha^k g_(j+k) / j! with g_i = c_i i!; q(A) absorbs
-        # the j!, and alpha^-(s2-1) the row scaling of O
-        self._fact = np.cumprod(np.r_[1.0, np.arange(1.0, s2)])
-        self._q_fact = (_pole_polynomial_of_a(self._A, self.poles) * self._fact
-                        * model.time_scale ** -(s2 - 1))
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        sigma0 = np.zeros(s2) if sigma0 is None else np.asarray(sigma0, dtype=float)
-        self.gamma = self._design(model.output_map(x0))     # (s2, n)
-        self.z = sigma0 - self.gamma @ x0
-        self.sigma_hat = sigma0
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
+        self.sigma_hat = [0.0] * s2 if sigma0 is None else np.asarray(sigma0, float).tolist()
+        pi = model.config.pi_terms(x0)
+        self._c = [_dot(k, pi) for k in self._Kw]       # the row ``gain`` was designed for
+        self.gain = self._design(self._c)
+        xw = self.w * sum(x0)
+        self.z = [s - g * xw for s, g in zip(self.sigma_hat, self.gain)]
 
-    def _design(self, cmap: np.ndarray) -> np.ndarray:
-        """Gain (s2, n) for the output map C(x) of shape (n, s2)."""
-        c = self.w @ cmap
-        # false for a zero pivot and for any non-finite entry
-        if not abs(c[-1]) > _MARGIN * np.abs(c).max():
-            raise UnobservableError(f"output row pivot {c[-1]:.2e} is within "
-                                    f"{_MARGIN:.0e} * max|c_i| of zero")
-        # O(c) v = e_s2 with v = diag(j!) y is sum_j g_(j+k) y_j = [k = s2 - 1]:
-        # y is the reciprocal power series of r = g reversed, term by term
-        r = (c * self._fact)[::-1]
-        y = np.empty_like(r)
-        y[0] = 1.0 / r[0]
+    def _design(self, c: list) -> list:
+        """Gain column g (s2 floats) for the design row c (s2 floats)."""
+        pivot = abs(c[-1])
+        for ci in c:
+            # false for a zero pivot and for any non-finite entry
+            if not pivot > _MARGIN * abs(ci):
+                raise UnobservableError(f"output row pivot {c[-1]:.2e} is within "
+                                        f"{_MARGIN:.0e} * max|c_i| of zero")
+        # O(c) v = e_s2 with v = diag(j!) y is sum_j h_(j+k) y_j = [k = s2 - 1]:
+        # y is the reciprocal power series of r = h reversed, term by term
+        r = [ci * fi for ci, fi in zip(c, self._fact)][::-1]
+        y = [1.0 / r[0]]
         for m in range(1, len(r)):
-            y[m] = -(r[m:0:-1] @ y[:m]) / r[0]
-        return (self._q_fact @ y)[:, None] * self.w
+            y.append(-_dot(r[m:0:-1], y) / r[0])
+        return [_dot(row, y[:len(row)]) for row in self._q_rows]
 
     def step(self, x, u, dt: float) -> np.ndarray:
-        """Advance the observer by dt and return the disturbance estimate.
+        """Advance by dt and return the estimate C(x) sigma_hat, shape (n,).
 
-        The measured state and control are held constant over the step
-        (zero-order hold), together with the gain and C(x), so the
-        estimate obeys the linear ODE d(sigma)/dt = M sigma - Gamma d
-        with M = A - Gamma C(x) and drive d = f_x(x) + f_u(x) u.  One
-        classical fourth-order Runge-Kutta step of it is exactly
-
-            sigma+ = sigma + dt phi(dt M) (M sigma - Gamma d),
-            phi(X) = I + X/2 + X^2/6 + X^3/24,
-
-        evaluated by Horner's rule on the vector.  The gain is
-        redesigned at the current state; on an unobservable output row
-        the previous gain is kept.
+        x and u are held over the step (zero-order hold), together with
+        the gain and C(x), so that sigma obeys d(sigma)/dt = M sigma -
+        Gamma d with d = f_x(x) + f_u(x) u, stepped in the closed RK4
+        form of the module docstring.  The gain is redesigned at x; on
+        an unobservable output row the previous gain is kept.
         """
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if not (np.isfinite(x).all() and np.isfinite(u).all()):
+        xs, us = list(map(float, x)), list(map(float, u))
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, us))):
             raise NumericalError("non-finite observer inputs")
+        if len(xs) != self.model.n:
+            raise ValueError(f"state must have {self.model.n} entries, got {len(xs)}")
 
-        cmap = self.model.output_map(x)         # (n, s2), frozen over the step
+        pi = self.model.config.pi_terms(xs)
+        c = [_dot(k, pi) for k in self._Kw]             # frozen over the step
+        cmap = [c] if self._K is None else [[_dot(k, pi) for k in r] for r in self._K]
         try:
-            gamma_new = self._design(cmap)
+            # the gain depends on the row alone: an unchanged row keeps it
+            gain = self.gain if c == self._c else self._design(c)
+            self._c = c
         except UnobservableError:
-            gamma_new = self.gamma
+            gain = self.gain
             self.gain_failures += 1
         # sigma_hat is continuous across the gain switch: the output
         # identity sigma = z + Gamma x holds with the new gain after it
-        sigma = self.z + self.gamma @ x
-        gamma = self.gamma = gamma_new
+        z_old, g_old, shift = self.z, self.gain, self._shift
+        ks = range(len(z_old))
+        xw = self.w * sum(xs)
+        sigma = [z_old[k] + g_old[k] * xw for k in ks]
+        self.gain = gain
 
-        drive = np.asarray(self.f_x(x)) + np.asarray(self.f_u(x)) @ u
-        M = self._A - gamma @ cmap
-        v = M @ sigma - gamma @ drive
-        w = v + (0.25 * dt) * (M @ v)
-        w = v + (dt / 3.0) * (M @ w)
-        w = v + (0.5 * dt) * (M @ w)
-        gamma_x = gamma @ x
-        self.z = sigma + dt * w - gamma_x
-        self.sigma_hat = self.z + gamma_x
-        if not np.isfinite(self.sigma_hat).all():
+        xa = np.array(xs)
+        drive = [f + _dot(row, us) for f, row in zip(np.asarray(self.f_x(xa)).tolist(),
+                                                     np.asarray(self.f_u(xa)).tolist())]
+        # v = M sigma - Gamma d with (M v)_k = shift_k v_(k-1) - g_k (c . v),
+        # then w = v + h M w in place for h = dt/4, dt/3, dt/2; cw is c . w
+        cv = _dot(c, sigma) + self.w * sum(drive)
+        v, cw, p = [0.0] * len(ks), 0.0, 0.0
+        for k in ks:
+            v[k] = shift[k] * p - gain[k] * cv
+            cw += c[k] * v[k]
+            p = sigma[k]
+        w = v[:]
+        for h in (0.25 * dt, dt / 3.0, 0.5 * dt):
+            cw_next = p = 0.0
+            for k in ks:
+                wk = v[k] + h * (shift[k] * p - gain[k] * cw)
+                p, w[k] = w[k], wk
+                cw_next += c[k] * wk
+            cw = cw_next
+        z, sigma_hat = [0.0] * len(ks), [0.0] * len(ks)
+        for k in ks:
+            gx = gain[k] * xw
+            z[k] = sigma[k] + dt * w[k] - gx
+            sigma_hat[k] = z[k] + gx
+        self.z, self.sigma_hat = z, sigma_hat
+        if not all(map(math.isfinite, sigma_hat)):
             raise NumericalError("observer state diverged to non-finite values")
-        return cmap @ self.sigma_hat
-
-
-class FirstOrderDo:
-    """Classical first-order disturbance observer (comparison baseline).
-
-    Assumes a bounded disturbance derivative:
-
-        dz/dt = -G z - G (G x + f_x(x) + f_u(x) u),   delta_hat = z + G x.
-
-    The estimation error obeys d/dt e = -G e + d(delta)/dt, so constant
-    disturbances are recovered exactly while a ramp of slope r leaves a
-    steady lag r / G.  The auxiliary state z starts at zero and takes
-    the shape of the state on the first step.
-    """
-
-    def __init__(self, f_x: Callable, f_u: Callable, gain: float):
-        self.f_x = f_x
-        self.f_u = f_u
-        self.gain = float(gain)
-        self.z = 0.0
-
-    def step(self, x, u, dt: float) -> np.ndarray:
-        """Advance the observer by dt and return the disturbance estimate.
-
-        With (x, u) held over the step, z obeys the scalar-rate linear
-        ODE dz/dt = -G (z + G x + d), d = f_x(x) + f_u(x) u.  One
-        classical fourth-order Runge-Kutta step of it is exactly
-
-            z+ = z + dt phi(-G dt) (-G (z + G x + d)),
-            phi(X) = 1 + X/2 + X^2/6 + X^3/24.
-        """
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if not (np.isfinite(x).all() and np.isfinite(u).all()):
-            raise NumericalError("non-finite observer inputs")
-        g = self.gain
-        drive = np.asarray(self.f_x(x)) + np.asarray(self.f_u(x)) @ u
-        gx = g * x
-        y = -g * dt
-        phi = 1.0 + 0.5 * y * (1.0 + y / 3.0 * (1.0 + 0.25 * y))
-        self.z = self.z + (dt * phi * -g) * (self.z + gx + drive)
-        return self.z + gx
+        return np.array([_dot(row, sigma_hat) for row in cmap])

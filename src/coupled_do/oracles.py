@@ -24,7 +24,9 @@ import numpy as np
 
 from .basis import BasisConfig, flat_to_multi, structure_matrices
 from .errors import NumericalError
+from .observer import UnobservableError, _pole_polynomial_of_a
 
+_COND_LIMIT = 1e8       # cond(O) above which ackermann_gain calls a row unobservable
 _GRID = 101             # points per axis of the projection grid
 _GD_MAX_ITER = 200000   # gradient descent stops after this many steps
 _GD_TOL = 1e-13         # ... or once max |gradient| falls below this
@@ -33,6 +35,50 @@ _GD_TOL = 1e-13         # ... or once max |gradient| falls below this
 def _cheb(k: int, tau):
     """T_k(tau) by Clenshaw's recurrence on the k-th unit coefficient vector."""
     return np.polynomial.chebyshev.chebval(tau, np.eye(k + 1)[k])
+
+
+def placement_residual(A: np.ndarray, c: np.ndarray, gamma: np.ndarray, poles) -> float:
+    """||q(A - gamma c)||_F for the monic q with the requested roots.
+
+    By Cayley-Hamilton this is zero in exact arithmetic iff A - gamma c
+    carries the requested poles with their multiplicities; unlike an
+    eigensolver comparison it stays sharp for repeated poles.
+    """
+    A = np.asarray(A, dtype=float)
+    lam = A - np.outer(np.asarray(gamma, dtype=float).ravel(),
+                       np.asarray(c, dtype=float).ravel())
+    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
+    return float(np.linalg.norm(_pole_polynomial_of_a(lam, poles)))
+
+
+def ackermann_gain(A: np.ndarray, c: np.ndarray, poles) -> np.ndarray:
+    """Gamma = q(A) O^-1 e_s, placing ``poles`` on A - Gamma c (Ackermann).
+
+    O has the rows c, cA, ..., cA^(s-1) and q is the monic polynomial
+    with the requested roots.  Generic reference for
+    :class:`coupled_do.observer.Hodo`; raises :class:`UnobservableError`
+    when cond(O) exceeds 1e8.
+    """
+    A = np.asarray(A, dtype=float)
+    c = np.asarray(c, dtype=float).ravel()
+    s = A.shape[0]
+    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
+    if poles.shape != (s,):
+        raise ValueError(f"need {s} poles, got {poles.shape}")
+    if np.any(poles.real >= 0):
+        raise ValueError("all poles must have strictly negative real part")
+    if not np.all(np.isfinite(c)):
+        raise NumericalError("output row contains non-finite entries")
+    obs = np.empty((s, s))
+    row = c
+    for i in range(s):
+        obs[i] = row
+        row = row @ A
+    cond = np.linalg.cond(obs)
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise UnobservableError(
+            f"observability matrix condition {cond:.2e} exceeds {_COND_LIMIT:.2e}")
+    return _pole_polynomial_of_a(A, poles) @ np.linalg.solve(obs, np.eye(s)[-1])
 
 
 def rk4_step(f: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -248,8 +294,6 @@ def gain_placement_checks(seed: int = 2, draws: int = 100) -> list[CheckResult]:
     that clear the same pivot bound.  Such a row is never rejected: an
     :class:`UnobservableError` on one propagates.
     """
-    from .observer import UnobservableError, ackermann_gain, placement_residual
-
     rng = np.random.default_rng(seed)
     _, A = structure_matrices(3)
     poles = np.array([-0.4, -0.7, -1.3])

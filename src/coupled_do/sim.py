@@ -17,9 +17,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .basis import BasisConfig
+from .errors import ConfigError, NumericalError
 from .learner import SeparatedModel, TrajectoryDataset, rng_stream, synthesize_dataset
-from .observer import FirstOrderDo, Hodo
+from .observer import Hodo
 
 
 def point_mass_step(fn: Callable, u: float, mass: float, eta: float, v: float,
@@ -110,10 +111,12 @@ def newton_velocity_channel(mass: float = 1.0) -> tuple[Callable, Callable]:
     """Plant maps (f_x, f_u) of the point mass's velocity equation
     dv/dt = f_x(v) + f_u(v) u + delta/m = u/m + delta/m.
 
-    Both maps are state-independent and return the unbatched (1,) and
-    (1, 1), which batch callers ``np.broadcast_to`` full shape.
+    Both maps are state-independent and return the same read-only
+    (1,) and (1, 1) arrays, which batch callers ``np.broadcast_to``.
     """
-    return lambda x: np.zeros(1), lambda x: np.full((1, 1), 1.0 / mass)
+    fx, fu = np.zeros(1), np.full((1, 1), 1.0 / mass)
+    fx.flags.writeable = fu.flags.writeable = False
+    return lambda x: fx, lambda x: fu
 
 
 def generate_training_run(name: str, n_samples: int = 10000,
@@ -142,10 +145,11 @@ class ScenarioConfig:
     """Closed-loop tracking run description.
 
     The position tracks eta_d(t) = sin(t/2).  ``mode`` selects the
-    feedforward source: "none" (PD only), "ndo" (first-order observer),
-    or "hodo" (higher-order observer with the supplied model).  Measured
-    velocity is corrupted with seeded Gaussian noise of variance
-    ``sigma_v2``; logged truth is clean.
+    feedforward source: "none" (PD only), "hodo" (the observer on
+    ``model`` with ``poles``), or "ndo" (the same observer on the p = 0
+    unit model Theta = [[1]] with the pole -``ndo_gain``: the classical
+    first-order observer).  Measured velocity is corrupted with seeded
+    Gaussian noise of variance ``sigma_v2``; logged truth is clean.
     """
 
     mode: str = "none"
@@ -165,21 +169,27 @@ class ScenarioConfig:
     log_sigma: bool = False
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ConfigError(f"scenario.dt must be finite and > 0, got {self.dt}")
-        if not 0 < self.duration < math.inf:
-            raise ConfigError(f"scenario.duration must be finite and > 0, got {self.duration}")
+        for name, value in (("scenario.dt", self.dt), ("scenario.duration", self.duration),
+                            ("scenario.mass", self.mass), ("observer.ndo_gain", self.ndo_gain)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.sigma_v2 < math.inf:
             raise ConfigError(f"scenario.sigma_v2 must be finite and >= 0, got {self.sigma_v2}")
         if self.mode not in ("none", "ndo", "hodo"):
             raise ConfigError(f"scenario.mode must be none|ndo|hodo, got {self.mode!r}")
+        poles = np.asarray(self.poles, dtype=complex)
+        if not (poles.ndim == 1 and np.isfinite(poles).all() and (poles.real < 0).all()):
+            raise ConfigError(f"observer.poles must be finite and negative, got {self.poles}")
         if self.mode == "hodo" and self.model is None:
             raise ConfigError("scenario.mode 'hodo' requires a model")
+        if self.mode == "hodo" and len(poles) != self.model.config.s2:
+            raise ConfigError(f"observer.poles: {len(poles)} given, model has s2 = {self.model.config.s2}")
 
 
 @dataclass
 class ScenarioResult:
-    """Uniformly sampled series of one closed-loop run plus summary metrics."""
+    """Uniformly sampled series of one closed-loop run plus summary metrics;
+    ``completed`` is false when a non-finite plant state ended it early."""
 
     mode: str
     t: np.ndarray
@@ -191,6 +201,7 @@ class ScenarioResult:
     delta_hat: np.ndarray
     sigma_hat: Optional[np.ndarray] = None
     gain_failures: int = 0
+    completed: bool = True
 
     def tracking_mae(self) -> float:
         return float(np.mean(np.abs(self.eta - self.eta_d)))
@@ -226,7 +237,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     control.  The plant advances by :func:`point_mass_step` on Python
     floats, which reuses the logged disturbance as its first RK4 stage;
     a non-finite plant state ends the run and returns the series up to
-    that step.  Deterministic for a fixed config including seed.
+    that step, marked not completed.  NumPy's overflow warnings are off
+    over the loop: the finiteness checks alone report a diverging run.
+    Deterministic for a fixed config including seed.
     """
     n_steps = int(round(cfg.duration / cfg.dt))
     fn = disturbance(cfg.disturbance_name)
@@ -236,7 +249,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.mode == "hodo":
         observer = Hodo(cfg.model, f_x, f_u, cfg.poles, x0=[cfg.v0])
     elif cfg.mode == "ndo":
-        observer = FirstOrderDo(f_x, f_u, cfg.ndo_gain)
+        unit = SeparatedModel(theta=[[1.0]], config=BasisConfig(p=0, n=1))
+        observer = Hodo(unit, f_x, f_u, (-cfg.ndo_gain,), x0=[cfg.v0])
 
     rng = rng_stream(cfg.seed, "scenario", cfg.mode)
     noise = (np.sqrt(cfg.sigma_v2) * rng.standard_normal(n_steps)
@@ -250,35 +264,37 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     eta, v = float(cfg.eta0), float(cfg.v0)
     delta_hat = 0.0
     mass, dt = cfg.mass, cfg.dt
-    n_done = n_steps
-    for k in range(n_steps):
-        t = t_grid.item(k)          # Python floats, not NumPy scalars
-        v_meas = v + noise.item(k)
-        eta_d, eta_d_dot = _sin_half_reference(t)
-        u = pd_control(eta, v_meas, eta_d, eta_d_dot, cfg.k_eta, cfg.k_v, delta_hat)
-        delta = fn(v, t)
+    n_done, completed = n_steps, True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = t_grid.item(k)          # Python floats, not NumPy scalars
+            v_meas = v + noise.item(k)
+            eta_d, eta_d_dot = _sin_half_reference(t)
+            u = pd_control(eta, v_meas, eta_d, eta_d_dot, cfg.k_eta, cfg.k_v, delta_hat)
+            delta = fn(v, t)
 
-        log["eta"][k] = eta
-        log["eta_d"][k] = eta_d
-        log["v"][k] = v
-        log["u"][k] = u
-        log["delta_true"][k] = delta
-        log["delta_hat"][k] = delta_hat
-        if sig_log is not None:
-            sig_log[k] = observer.sigma_hat
+            log["eta"][k] = eta
+            log["eta_d"][k] = eta_d
+            log["v"][k] = v
+            log["u"][k] = u
+            log["delta_true"][k] = delta
+            log["delta_hat"][k] = delta_hat
+            if sig_log is not None:
+                sig_log[k] = observer.sigma_hat
 
-        try:
-            eta, v = point_mass_step(fn, u, mass, eta, v, t, dt, delta)
-        except NumericalError:
-            # hard integration failure: return the partial series
-            n_done = k + 1
-            break
+            try:
+                eta, v = point_mass_step(fn, u, mass, eta, v, t, dt, delta)
+            except NumericalError:
+                # hard integration failure: return the partial series
+                n_done, completed = k + 1, False
+                break
 
-        if observer is not None:
-            delta_hat = mass * float(observer.step([v_meas], [u], dt)[0])
+            if observer is not None:
+                delta_hat = mass * float(observer.step([v_meas], [u], dt)[0])
 
     return ScenarioResult(
         mode=cfg.mode, t=t_grid[:n_done],
         **{key: arr[:n_done] for key, arr in log.items()},
         sigma_hat=None if sig_log is None else sig_log[:n_done],
-        gain_failures=getattr(observer, "gain_failures", 0))
+        gain_failures=getattr(observer, "gain_failures", 0),
+        completed=completed)

@@ -509,6 +509,26 @@ class TestCliExitCodes:
         assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
         assert not (tmp_path / "o" / "model.txt").exists()
 
+    def test_diverging_closed_loop_is_4(self, tmp_path, capsys):
+        # G dt = 5 lies far outside RK4's stability interval: the loop
+        # diverges and the plant state goes non-finite within a few steps
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[scenario]\nduration = 2\n\n[observer]\nndo_gain = 5000\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                             "--modes", "ndo"]) == 4
+        err = capsys.readouterr().err
+        # the partial series is written, and the error names its last step
+        with open(out / "scenario_ndo.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert 1 < len(rows) < 2000
+        assert err.startswith(f"numerical failure: mode ndo: plant state non-finite after "
+                              f"the step from t = {float(rows[-1]['t']):g};")
+        assert (out / "metrics.csv").exists()
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+
     def test_feature_dim_other_than_one_is_3(self, tmp_path, capsys):
         # p = 1 and four poles fit a two-feature tensor basis (s1 = 8, s2 = 4),
         # for which the scalar-time exosystem is wrong

@@ -8,9 +8,8 @@ import scipy.signal
 from coupled_do.basis import BasisConfig, structure_matrices
 from coupled_do.errors import NumericalError
 from coupled_do.learner import SeparatedModel
-from coupled_do.observer import (_MARGIN, FirstOrderDo, Hodo, UnobservableError,
-                                 ackermann_gain, placement_residual)
-from coupled_do.oracles import projection_oracle, rk4_step
+from coupled_do.observer import _MARGIN, Hodo, UnobservableError
+from coupled_do.oracles import ackermann_gain, placement_residual, rk4_step
 from coupled_do.sim import disturbance
 
 EXACT_THETA = np.array([[49.25, 0.0, -0.5, -10.0, 0.0, 0.0, -0.25, 0.0, 0.0]])
@@ -22,6 +21,13 @@ UNIT_FU = staticmethod(lambda x: np.ones((1, 1)))
 
 def exact_model() -> SeparatedModel:
     return SeparatedModel(theta=EXACT_THETA.copy(), config=BasisConfig(**RAW_CFG))
+
+
+def first_order_observer(f_x, f_u, gain, x0=(0.0,)) -> Hodo:
+    """The classical first-order observer as ``run_scenario``'s ndo mode
+    builds it: the HODO of the order-zero unit model with the pole -gain."""
+    unit = SeparatedModel(theta=[[1.0]], config=BasisConfig(p=0, n=1))
+    return Hodo(unit, f_x, f_u, (-gain,), x0=list(x0))
 
 
 class TestAckermannGain:
@@ -94,7 +100,7 @@ class TestStructuredGain:
                     ref = ackermann_gain(obs.model.A, c, poles)
                 except UnobservableError:
                     continue
-                gamma = obs._design(c[None, :])[:, 0]
+                gamma = np.array(obs._design(c.tolist()))
                 assert np.linalg.norm(gamma - ref) <= 1e-10 * np.linalg.norm(ref)
                 compared += 1
             assert compared >= 40
@@ -112,7 +118,7 @@ class TestStructuredGain:
                 continue
             placed = scipy.signal.place_poles(obs.model.A.T, c[:, None], poles)
             ref = placed.gain_matrix.ravel()
-            gamma = obs._design(c[None, :])[:, 0]
+            gamma = np.array(obs._design(c.tolist()))
             tol = 100 * np.finfo(float).eps * np.linalg.cond(placed.X)
             assert np.linalg.norm(gamma - ref) <= tol * np.linalg.norm(ref)
 
@@ -121,12 +127,12 @@ class TestStructuredGain:
         for ratio in (0.5 * _MARGIN, _MARGIN, 2.0 * _MARGIN, 1e-2, 0.0):
             c = np.array([1.0, -0.3, ratio])
             try:
-                base = obs._design(c[None, :])
+                base = np.array(obs._design(c.tolist()))
             except UnobservableError:
                 base = None
             for k in (-60, -7, 1, 9, 60):
                 try:
-                    scaled = obs._design(2.0 ** k * c[None, :])
+                    scaled = obs._design((2.0 ** k * c).tolist())
                 except UnobservableError:
                     scaled = None
                 assert (base is None) == (scaled is None)
@@ -146,16 +152,16 @@ class TestStructuredGain:
             assert (abs(c[-1]) / np.abs(c).max() < _MARGIN) == held
             obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                        poles=(-0.4,) * 3, x0=[1.0])
-            gamma_before = obs.gamma.copy()
+            gain_before = obs.gain.copy()
             obs.step([x], [0.0], 1e-3)
             assert obs.gain_failures == int(held)
-            assert np.array_equal(obs.gamma, gamma_before) == held
+            assert (obs.gain == gain_before) == held
 
     def test_non_finite_row_holds_the_gain(self):
         obs = order_observer(3, (-0.4,) * 3)
         for bad in ([np.nan, 0.0, 1.0], [1.0, np.inf, 1.0], [0.0, 0.0, np.inf]):
             with pytest.raises(UnobservableError):
-                obs._design(np.array([bad]))
+                obs._design(bad)
 
 
 class TestHodoInit:
@@ -163,14 +169,15 @@ class TestHodoInit:
         obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                    poles=(-0.4,) * 3, x0=[2.0])
         assert np.array_equal(obs.sigma_hat, np.zeros(3))
-        assert np.allclose(obs.z + obs.gamma @ np.array([2.0]), obs.sigma_hat)
+        # one output row: w = 1, Gamma x = gain * x
+        assert np.allclose(np.add(obs.z, np.multiply(obs.gain, 2.0)), obs.sigma_hat)
 
     def test_custom_initial_estimate(self):
         sigma0 = np.array([1.0, 2.0, 3.0])
         obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                    poles=(-0.4,) * 3, x0=[-1.5], sigma0=sigma0)
         assert np.array_equal(obs.sigma_hat, sigma0)
-        assert np.allclose(obs.z + obs.gamma @ np.array([-1.5]), sigma0)
+        assert np.allclose(np.add(obs.z, np.multiply(obs.gain, -1.5)), sigma0)
 
     def test_output_invariant_after_steps(self):
         obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
@@ -179,7 +186,8 @@ class TestHodoInit:
         for _ in range(50):
             x = rng.uniform(-3, 3)
             obs.step([x], [rng.uniform(-1, 1)], 1e-2)
-            assert np.allclose(obs.z + obs.gamma @ np.array([x]), obs.sigma_hat, atol=1e-13)
+            assert np.allclose(np.add(obs.z, np.multiply(obs.gain, x)), obs.sigma_hat,
+                               atol=1e-13)
 
     def test_unstable_poles_rejected(self):
         with pytest.raises(ValueError):
@@ -218,9 +226,9 @@ class TestHodoDynamics:
         model = exact_model()
         obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                    poles=(-0.4,) * 3, x0=[0.0], sigma0=np.array([1.0, 0.5, 0.2]))
-        obs.gamma = np.zeros_like(obs.gamma)
+        obs.gain = [0.0] * 3
         obs.z = obs.sigma_hat.copy()
-        obs._design = lambda x: np.zeros_like(obs.gamma)
+        obs._design = lambda c: [0.0] * 3
         A = model.A
         expected = scipy.linalg.expm(A * 0.5) @ obs.sigma_hat
         for _ in range(500):
@@ -234,6 +242,10 @@ class TestHodoDynamics:
             obs.step([0.0], [0.0], 0.0)
         with pytest.raises(NumericalError):
             obs.step([np.nan], [0.0], 1e-3)
+        with pytest.raises(ValueError):
+            obs.step([0.0, 1.0], [0.0], 1e-3)
+        with pytest.raises(ValueError):
+            obs.step([0.0], [0.0, 1.0], 1e-3)
 
     def test_gain_fallback_on_unobservable_state(self):
         # last output-map entry is proportional to x, so the design is
@@ -244,10 +256,12 @@ class TestHodoDynamics:
         model = SeparatedModel(theta=theta, config=BasisConfig(**RAW_CFG))
         obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                    poles=(-0.4,) * 3, x0=[1.0])
-        gamma_before = obs.gamma.copy()
+        gain_before = obs.gain.copy()
         obs.step([0.0], [0.0], 1e-3)
         assert obs.gain_failures == 1
-        assert np.array_equal(obs.gamma, gamma_before)
+        assert obs.gain == gain_before
+        obs.step([0.0], [0.0], 1e-3)          # the same row fails again
+        assert obs.gain_failures == 2
 
     def test_init_propagates_unobservable(self):
         theta = np.zeros((1, 9))
@@ -265,8 +279,8 @@ class TestHodoDynamics:
             x = [0.5 + 0.1 * k]
             obs.step(x, [0.0], 1e-3)
             # the gain in use was designed at this step's state
-            c = obs.w @ obs.model.output_map(x)
-            col = obs.gamma @ obs.w
+            c = obs.model.output_map(x)[0]      # one output row: w = 1
+            col = np.array(obs.gain)
             lam_norm = np.linalg.norm(obs.model.A - np.outer(col, c))
             assert placement_residual(obs.model.A, c, col, obs.poles) <= 1e-8 * (1.0 + lam_norm) ** 3
         assert obs.gain_failures == 0
@@ -285,8 +299,8 @@ class TestZeroErrorManifold:
         sigma0 = np.array([1.0, 0.0, 0.0])          # [1, t, t^2] at t = 0
         obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                    poles=(-0.4,) * 3, x0=[v], sigma0=sigma0)
-        z = obs.z.copy()
-        gamma = obs.gamma[:, 0].copy()
+        z = np.array(obs.z)
+        gamma = np.array(obs.gain)
 
         worst = 0.0
         for k in range(n_steps):
@@ -308,7 +322,7 @@ class TestZeroErrorManifold:
             eta, v, z = y[0], y[1], y[2:]
             # frozen-time redesign between steps, preserving the estimate
             sig = z + gamma * v
-            gamma = obs._design(model.output_map([v]))[:, 0]
+            gamma = np.array(obs._design(model.output_map([v])[0].tolist()))
             z = sig - gamma * v
         assert worst < 1e-8
 
@@ -350,16 +364,16 @@ class TestStepSizeConvergence:
                        poles=(-0.4,) * 3, x0=[x_const])
             for _ in range(int(round(horizon / dt))):
                 obs.step([x_const], [u_const], dt)
-            return obs.sigma_hat.copy()
+            return np.array(obs.sigma_hat)
 
         obs0 = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                     poles=(-0.4,) * 3, x0=[x_const])
         cmap = model.output_map([x_const])
-        gamma = obs0.gamma
+        gamma = np.array(obs0.gain)[:, None]
         M = model.A - gamma @ cmap
         b = M @ (gamma @ np.array([x_const])) - gamma @ np.array([u_const])
         z_inf = -np.linalg.solve(M, b)
-        z_exact = scipy.linalg.expm(M * horizon) @ (obs0.z - z_inf) + z_inf
+        z_exact = scipy.linalg.expm(M * horizon) @ (np.array(obs0.z) - z_inf) + z_inf
         sigma_exact = z_exact + gamma @ np.array([x_const])
 
         errs = [np.linalg.norm(run(dt) - sigma_exact) for dt in (0.04, 0.02, 0.01)]
@@ -371,9 +385,11 @@ def closure_rk4_hodo_step(obs, x, u, dt):
     """Reference for Hodo.step: the rebase, then one generic RK4 step of the
     auxiliary ODE written as a closure over the frozen (x, u, Gamma, C(x))."""
     cmap = obs.model.output_map(x)
-    gamma = obs._design(cmap)
+    w = np.full(len(x), obs.w)
+    gamma = np.outer(obs._design((w @ cmap).tolist()), w)
+    gamma_old = np.outer(obs.gain, w)
     z_frozen = gamma @ x
-    z0 = obs.z + obs.gamma @ x - z_frozen
+    z0 = obs.z + gamma_old @ x - z_frozen
     drive = obs.f_x(x) + obs.f_u(x) @ u
 
     def rhs(t, z):
@@ -385,10 +401,26 @@ def closure_rk4_hodo_step(obs, x, u, dt):
     M = obs.model.A - gamma @ cmap
     sigma0 = z0 + z_frozen
     scale = (np.linalg.norm(sigma0) + np.linalg.norm(z_frozen)
-             + np.linalg.norm(obs.gamma @ x)
+             + np.linalg.norm(gamma_old @ x)
              + dt * (np.linalg.norm(M, 2) * np.linalg.norm(sigma0)
                      + np.linalg.norm(gamma @ drive)) * (1.0 + dt * np.linalg.norm(M, 2)) ** 3)
     return z, z + z_frozen, scale
+
+
+def output_left_to_right(model, x, sigma):
+    """C(x) sigma = (K Pi(x)) sigma with every sum taken left to right,
+    the order of Hodo.step."""
+    pi = model.config.pi_vector(x).tolist()
+    out = []
+    for k_i in model.K.tolist():
+        acc = 0.0
+        for k_ij, s_j in zip(k_i, sigma):
+            c_ij = 0.0
+            for k, p in zip(k_ij, pi):
+                c_ij += k * p
+            acc += c_ij * s_j
+        out.append(acc)
+    return np.array(out)
 
 
 class TestAffineRk4Step:
@@ -409,10 +441,10 @@ class TestAffineRk4Step:
             try:
                 obs = Hodo(model, lambda x: 0.3 * x - 0.1, lambda x: np.full((n, 1), 1.5),
                            poles=poles, x0=x_prev)
-                obs._design(model.output_map(x))
+                obs._design((np.full(n, obs.w) @ model.output_map(x)).tolist())
             except UnobservableError:
                 continue
-            obs.z = rng.standard_normal(s2)
+            obs.z = rng.standard_normal(s2).tolist()
             z_ref, sigma_ref, scale = closure_rk4_hodo_step(obs, x, u, dt)
             out = obs.step(x, u, dt)
             # one output row: plain relative error; with two rows the
@@ -420,7 +452,7 @@ class TestAffineRk4Step:
             tol = 1e-12 * (np.linalg.norm(sigma_ref) if n == 1 else scale)
             assert np.linalg.norm(obs.sigma_hat - sigma_ref) <= tol
             assert np.linalg.norm(obs.z - z_ref) <= tol + 1e-12 * np.linalg.norm(z_ref)
-            assert np.array_equal(out, model.output_map(x) @ obs.sigma_hat)
+            assert np.array_equal(out, output_left_to_right(model, x, obs.sigma_hat))
             compared += 1
 
     @pytest.mark.parametrize("dt", (1e-3, 0.04))
@@ -428,14 +460,15 @@ class TestAffineRk4Step:
     def test_first_order_step_equals_closure_rk4(self, gain, dt):
         rng = np.random.default_rng(int(gain * 10))
         f_x = lambda x: 0.3 * x - 0.1
-        f_u = lambda x: np.full((2, 1), 1.5)
+        f_u = lambda x: np.full((1, 1), 1.5)
         for _ in range(20):
-            obs = FirstOrderDo(f_x, f_u, gain=gain)
-            obs.z = rng.standard_normal(2)
-            x, u = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 1)
+            x_prev, x = rng.uniform(-1.0, 1.0, (2, 1))
+            obs = first_order_observer(f_x, f_u, gain, x0=x_prev)
+            obs.z = rng.standard_normal(1).tolist()
+            u = rng.uniform(-1.0, 1.0, 1)
             drive = f_x(x) + f_u(x) @ u
             z_ref = rk4_step(lambda t, z: -gain * z - gain * (gain * x + drive),
-                             obs.z, 0.0, dt)
+                             np.array(obs.z), 0.0, dt)
             out = obs.step(x, u, dt)
             assert np.linalg.norm(obs.z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
             ref_out = z_ref + gain * x
@@ -506,10 +539,11 @@ class TestLinearityInTargets:
 
 
 class TestFirstOrderDo:
+    # the classical first-order observer, as the s2 = 1 HODO of ndo mode
     def test_constant_disturbance_converges(self):
         value = 4.0
         dt = 1e-3
-        obs = FirstOrderDo(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain=2.0)
+        obs = first_order_observer(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain=2.0)
         x = 0.0
         for k in range(8000):
             u = -value          # keeps dx/dt = u + delta = 0
@@ -520,7 +554,7 @@ class TestFirstOrderDo:
         # the input cancels the ramp so the state never moves and the
         # measured lag is not polluted by the held-state approximation
         rate, gain, dt = 3.0, 2.0, 1e-3
-        obs = FirstOrderDo(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain=gain)
+        obs = first_order_observer(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain=gain)
         x, t = 0.0, 0.0
         for k in range(12000):
             t = k * dt
@@ -534,6 +568,11 @@ class TestFirstOrderDo:
         assert (rate * (t + dt) - d_hat) == pytest.approx(rate / gain, rel=1e-2)
 
     def test_rejects_bad_inputs(self):
-        obs = FirstOrderDo(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain=1.0)
+        obs = first_order_observer(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain=1.0)
         with pytest.raises(ValueError):
             obs.step([0.0], [0.0], -1.0)
+        with pytest.raises(NumericalError):
+            obs.step([0.0], [np.inf], 1e-3)
+        for gain in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                first_order_observer(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain)

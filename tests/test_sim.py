@@ -1,11 +1,14 @@
 """Integrator, controller, dataset synthesis, and closed-loop scenarios."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError, NumericalError
-from coupled_do.learner import fit_rls, rng_stream
+from coupled_do.learner import SeparatedModel, fit_rls, rng_stream
 from coupled_do.oracles import rk4_step
 from coupled_do import sim
 from coupled_do.sim import (ScenarioConfig, disturbance, disturbance_box,
@@ -165,6 +168,21 @@ class TestScenario:
                 with pytest.raises(ConfigError, match=f"scenario.{field}"):
                     ScenarioConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, kwargs", [
+        pytest.param("scenario.mass", dict(mass=0.0), id="zero-mass"),
+        pytest.param("scenario.mass", dict(mass=-1.0), id="negative-mass"),
+        pytest.param("observer.ndo_gain", dict(mode="ndo", ndo_gain=0.0), id="zero-gain"),
+        pytest.param("observer.ndo_gain", dict(ndo_gain=-0.4), id="negative-gain"),
+        pytest.param("observer.poles", dict(poles=(0.4, -0.4, -0.4)), id="unstable-pole"),
+        pytest.param("observer.poles", dict(poles=(-0.4, 0.0, -0.4)), id="zero-pole"),
+        pytest.param("observer.poles", dict(mode="hodo", poles=(-0.4, -0.4)), id="pole-count"),
+    ])
+    def test_values_the_config_loader_rejects(self, field, kwargs):
+        # the library checks what the INI loader checks, naming the same field
+        model = SeparatedModel(theta=np.ones((1, 9)), config=BasisConfig(p=2, n=1))
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            ScenarioConfig(model=model, **kwargs)
+
     def test_determinism(self):
         cfg = dict(mode="ndo", sigma_v2=0.1, duration=0.5, seed=7)
         a = run_scenario(ScenarioConfig(**cfg))
@@ -228,6 +246,7 @@ class TestScenario:
         full = run_scenario(ScenarioConfig(duration=0.011, **cfg))
         held = run_scenario(ScenarioConfig(duration=0.010, **cfg))
         assert len(cut.t) == 11
+        assert not cut.completed and full.completed
         for name in ("t", "eta", "eta_d", "v", "u", "delta_true", "delta_hat"):
             assert np.array_equal(getattr(cut, name), getattr(full, name))
         if mode == "hodo":
@@ -243,3 +262,20 @@ class TestScenario:
         res = run_scenario(cfg)
         assert res.sigma_hat is not None
         assert res.sigma_hat.shape == (len(res.t), 3)
+
+
+class TestDivergingRuns:
+    def test_hodo_divergence_is_an_error_not_a_warning(self):
+        # sine_product is no polynomial in t: the raw p = 2 model, identified
+        # on t in [0, 4], drives the 20 s loop into divergence; the
+        # observer's finiteness check reports it, and NumPy stays quiet
+        data = generate_training_run("sine_product", n_samples=5000, seed=1)
+        cfg = BasisConfig(p=2, n=1, x_box=(-2.0, 2.0), t_box=(0.0, 4.0), normalize=False)
+        model, _ = fit_rls(data, cfg, 0.01)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError):
+                run_scenario(ScenarioConfig(mode="hodo", model=model,
+                                            disturbance_name="sine_product", sigma_v2=0.0,
+                                            duration=20.0, poles=(-0.4,) * 3))
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
