@@ -27,7 +27,8 @@ linear, and one classical RK4 step is exactly y+ = y + dt phi(dt M)
 Since Gamma = g w^T for the design row c = w C(x), M = A - g c^T is a
 rank-one update of the weighted shift: (M v)_k = A_(k,k-1) v_(k-1) -
 g_k (c . v) costs O(s2), and M is never formed.  The step runs on
-Python floats, with every dot product summed left to right.
+Python floats and adds every sum left to right in an explicit loop, so
+its bits do not depend on the Python version's built-in ``sum``.
 """
 
 from __future__ import annotations
@@ -59,14 +60,6 @@ def _pole_polynomial_of_a(A: np.ndarray, poles: np.ndarray) -> np.ndarray:
     for coef in q_coef.real:
         q_of_a = q_of_a @ A + coef * eye
     return q_of_a
-
-
-def _dot(a, b) -> float:
-    """sum_i a_i b_i, added left to right on Python floats."""
-    s = 0.0
-    for ai, bi in zip(a, b, strict=True):
-        s += ai * bi
-    return s
 
 
 class Hodo:
@@ -127,29 +120,48 @@ class Hodo:
         x0 = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
         self.sigma_hat = [0.0] * s2 if sigma0 is None else np.asarray(sigma0, float).tolist()
         pi = model.config.pi_terms(x0)
-        self._c = [_dot(k, pi) for k in self._Kw]       # the row ``gain`` was designed for
+        self._c = []                    # the row ``gain`` was designed for,
+        for krow in self._Kw:           # summed as ``step`` sums it, bit for bit
+            acc = 0.0
+            for kj, pj in zip(krow, pi):
+                acc += kj * pj
+            self._c.append(acc)
         self.gain = self._design(self._c)
-        xw = self.w * sum(x0)
+        xw = 0.0
+        for xi in x0:
+            xw += xi
+        xw *= self.w
         self.z = [s - g * xw for s, g in zip(self.sigma_hat, self.gain)]
 
     def _design(self, c: list) -> list:
         """Gain column g (s2 floats) for the design row c (s2 floats)."""
-        pivot = abs(c[-1])
-        for ci in c:
+        # O(c) v = e_s2 with v = diag(j!) y is sum_j h_(j+k) y_j = [k = s2 - 1]:
+        # y is the reciprocal power series of r = h reversed, term by term
+        pivot, r = abs(c[-1]), []
+        for ci, fi in zip(c, self._fact):
             # false for a zero pivot and for any non-finite entry
             if not pivot > _MARGIN * abs(ci):
                 raise UnobservableError(f"output row pivot {c[-1]:.2e} is within "
                                         f"{_MARGIN:.0e} * max|c_i| of zero")
-        # O(c) v = e_s2 with v = diag(j!) y is sum_j h_(j+k) y_j = [k = s2 - 1]:
-        # y is the reciprocal power series of r = h reversed, term by term
-        r = [ci * fi for ci, fi in zip(c, self._fact)][::-1]
+            r.append(ci * fi)
+        r.reverse()
         y = [1.0 / r[0]]
         for m in range(1, len(r)):
-            y.append(-_dot(r[m:0:-1], y) / r[0])
-        return [_dot(row, y[:len(row)]) for row in self._q_rows]
+            acc = 0.0
+            for ri, yi in zip(r[m:0:-1], y):
+                acc += ri * yi
+            y.append(-acc / r[0])
+        gain = []
+        for row in self._q_rows:        # row i has i + 1 entries
+            acc = 0.0
+            for qi, yi in zip(row, y):
+                acc += qi * yi
+            gain.append(acc)
+        return gain
 
-    def step(self, x, u, dt: float) -> np.ndarray:
-        """Advance by dt and return the estimate C(x) sigma_hat, shape (n,).
+    def step(self, x, u, dt: float) -> list:
+        """Advance by dt and return the estimate C(x) sigma_hat as a list
+        of n Python floats.
 
         x and u are held over the step (zero-order hold), together with
         the gain and C(x), so that sigma obeys d(sigma)/dt = M sigma -
@@ -164,10 +176,26 @@ class Hodo:
             raise NumericalError("non-finite observer inputs")
         if len(xs) != self.model.n:
             raise ValueError(f"state must have {self.model.n} entries, got {len(xs)}")
+        xa = np.array(xs)
+        xw = wd = 0.0                   # w sum(x) and w sum(d), d = f_x(x) + f_u(x) u
+        for xi, f, row in zip(xs, np.asarray(self.f_x(xa)).tolist(),
+                              np.asarray(self.f_u(xa)).tolist(), strict=True):
+            if len(row) != len(us):
+                raise ValueError(f"control must have {len(row)} entries, got {len(us)}")
+            acc = 0.0
+            for fj, uj in zip(row, us):
+                acc += fj * uj
+            xw += xi
+            wd += f + acc
+        xw, wd = self.w * xw, self.w * wd
 
         pi = self.model.config.pi_terms(xs)
-        c = [_dot(k, pi) for k in self._Kw]             # frozen over the step
-        cmap = [c] if self._K is None else [[_dot(k, pi) for k in r] for r in self._K]
+        c = []                          # frozen over the step
+        for krow in self._Kw:
+            acc = 0.0
+            for kj, pj in zip(krow, pi):
+                acc += kj * pj
+            c.append(acc)
         try:
             # the gain depends on the row alone: an unchanged row keeps it
             gain = self.gain if c == self._c else self._design(c)
@@ -179,16 +207,15 @@ class Hodo:
         # identity sigma = z + Gamma x holds with the new gain after it
         z_old, g_old, shift = self.z, self.gain, self._shift
         ks = range(len(z_old))
-        xw = self.w * sum(xs)
-        sigma = [z_old[k] + g_old[k] * xw for k in ks]
+        sigma, cv = [0.0] * len(ks), 0.0
+        for k in ks:
+            sigma[k] = sk = z_old[k] + g_old[k] * xw
+            cv += c[k] * sk
+        cv += wd
         self.gain = gain
 
-        xa = np.array(xs)
-        drive = [f + _dot(row, us) for f, row in zip(np.asarray(self.f_x(xa)).tolist(),
-                                                     np.asarray(self.f_u(xa)).tolist())]
         # v = M sigma - Gamma d with (M v)_k = shift_k v_(k-1) - g_k (c . v),
         # then w = v + h M w in place for h = dt/4, dt/3, dt/2; cw is c . w
-        cv = _dot(c, sigma) + self.w * sum(drive)
         v, cw, p = [0.0] * len(ks), 0.0, 0.0
         for k in ks:
             v[k] = shift[k] * p - gain[k] * cv
@@ -202,12 +229,25 @@ class Hodo:
                 p, w[k] = w[k], wk
                 cw_next += c[k] * wk
             cw = cw_next
-        z, sigma_hat = [0.0] * len(ks), [0.0] * len(ks)
+        # cs is c . sigma_hat, the estimate when there is one output row
+        z, sigma_hat, cs = [0.0] * len(ks), [0.0] * len(ks), 0.0
         for k in ks:
             gx = gain[k] * xw
-            z[k] = sigma[k] + dt * w[k] - gx
-            sigma_hat[k] = z[k] + gx
+            z[k] = zk = sigma[k] + dt * w[k] - gx
+            sigma_hat[k] = sk = zk + gx
+            cs += c[k] * sk
         self.z, self.sigma_hat = z, sigma_hat
         if not all(map(math.isfinite, sigma_hat)):
             raise NumericalError("observer state diverged to non-finite values")
-        return np.array([_dot(row, sigma_hat) for row in cmap])
+        if self._K is None:
+            return [cs]
+        estimate = []                   # row i: sum_j (K_ij . Pi(x)) sigma_hat_j
+        for rows in self._K:
+            acc = 0.0
+            for krow, sj in zip(rows, sigma_hat):
+                cij = 0.0
+                for kj, pj in zip(krow, pi):
+                    cij += kj * pj
+                acc += cij * sj
+            estimate.append(acc)
+        return estimate

@@ -136,8 +136,9 @@ def generate_training_run(name: str, n_samples: int = 10000,
 
 # --- closed-loop scenario ---------------------------------------------------
 
-def _sin_half_reference(t):
-    return np.sin(0.5 * t), 0.5 * np.cos(0.5 * t)
+def _sin_half_reference(t: float) -> tuple[float, float]:
+    """eta_d(t) = sin(t/2) and its derivative, as Python floats."""
+    return math.sin(0.5 * t), 0.5 * math.cos(0.5 * t)
 
 
 @dataclass
@@ -189,7 +190,8 @@ class ScenarioConfig:
 @dataclass
 class ScenarioResult:
     """Uniformly sampled series of one closed-loop run plus summary metrics;
-    ``completed`` is false when a non-finite plant state ended it early."""
+    ``completed`` is false when a non-finite plant state or a disturbance
+    beyond the float range ended it early."""
 
     mode: str
     t: np.ndarray
@@ -234,12 +236,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     Per step: measure v (noisy), form the control from the current
     disturbance estimate, log, advance the true plant with the held
     control, then advance the observer with the held measurement and
-    control.  The plant advances by :func:`point_mass_step` on Python
-    floats, which reuses the logged disturbance as its first RK4 stage;
-    a non-finite plant state ends the run and returns the series up to
-    that step, marked not completed.  NumPy's overflow warnings are off
-    over the loop: the finiteness checks alone report a diverging run.
-    Deterministic for a fixed config including seed.
+    control.  The loop runs on Python floats, the observer's estimate
+    included; :func:`point_mass_step` reuses the logged disturbance as
+    its first RK4 stage.  A non-finite plant state, or a disturbance
+    beyond the float range (logged as nan), ends the run and returns the
+    series up to that step, marked not completed.  NumPy's overflow
+    warnings are off over the loop: the finiteness checks alone report
+    a diverging run.  Deterministic for a fixed config including seed.
     """
     n_steps = int(round(cfg.duration / cfg.dt))
     fn = disturbance(cfg.disturbance_name)
@@ -271,7 +274,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             v_meas = v + noise.item(k)
             eta_d, eta_d_dot = _sin_half_reference(t)
             u = pd_control(eta, v_meas, eta_d, eta_d_dot, cfg.k_eta, cfg.k_v, delta_hat)
-            delta = fn(v, t)
+            try:
+                delta = fn(v, t)
+            except OverflowError:
+                delta = math.nan        # the plant step below fails on it
 
             log["eta"][k] = eta
             log["eta_d"][k] = eta_d
@@ -284,13 +290,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
             try:
                 eta, v = point_mass_step(fn, u, mass, eta, v, t, dt, delta)
-            except NumericalError:
+            except (NumericalError, OverflowError):
                 # hard integration failure: return the partial series
                 n_done, completed = k + 1, False
                 break
 
             if observer is not None:
-                delta_hat = mass * float(observer.step([v_meas], [u], dt)[0])
+                delta_hat = mass * observer.step([v_meas], [u], dt)[0]
 
     return ScenarioResult(
         mode=cfg.mode, t=t_grid[:n_done],

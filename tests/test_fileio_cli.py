@@ -529,6 +529,24 @@ class TestCliExitCodes:
         assert (out / "metrics.csv").exists()
         assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
+    def test_overflowing_disturbance_is_4(self, tmp_path, capsys):
+        # v0**2 overflows the float range in the first step's disturbance
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[scenario]\nduration = 2\nv0 = 1e200\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                             "--modes", "none"]) == 4
+        err = capsys.readouterr().err
+        with open(out / "scenario_none.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert err.startswith("numerical failure: mode none: plant state non-finite after "
+                              "the step from t = 0;")
+        assert "Traceback" not in err
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+
     def test_feature_dim_other_than_one_is_3(self, tmp_path, capsys):
         # p = 1 and four poles fit a two-feature tensor basis (s1 = 8, s2 = 4),
         # for which the scalar-time exosystem is wrong

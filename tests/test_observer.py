@@ -286,6 +286,33 @@ class TestHodoDynamics:
         assert obs.gain_failures == 0
 
 
+class TestFloatStep:
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_estimate_is_a_list_of_python_floats(self, n):
+        cfg = BasisConfig(p=2, n=n)
+        model = SeparatedModel(theta=np.ones((n, cfg.s1)), config=cfg)
+        obs = Hodo(model, lambda x: np.zeros(n), lambda x: np.ones((n, 1)),
+                   poles=(-0.4,) * 3, x0=[0.1] * n)
+        out = obs.step([0.2] * n, [0.5], 1e-3)
+        assert type(out) is list and len(out) == n
+        assert all(type(d) is float for d in out)
+        assert out == output_left_to_right(model, [0.2] * n, obs.sigma_hat).tolist()
+
+    def test_sums_add_left_to_right(self):
+        # 1e16 + 1 rounds to 1e16, so x = (1e16, 1, -1e16) sums to 0.0 left to
+        # right, but to 1.0 compensated (Python >= 3.12's built-in sum): the
+        # observer must then act exactly as at x = 0
+        model = SeparatedModel(theta=np.ones((3, 1)), config=BasisConfig(p=0, n=3))
+        f_u = lambda x: np.zeros((3, 1))
+        big = [1e16, 1.0, -1e16]
+        a = Hodo(model, lambda x: x, f_u, poles=(-0.4,), x0=big, sigma0=[2.0])
+        b = Hodo(model, lambda x: x, f_u, poles=(-0.4,), x0=[0.0] * 3, sigma0=[2.0])
+        assert a.z == b.z == [2.0]
+        for _ in range(3):
+            assert list(a.step(big, [0.0], 1e-3)) == list(b.step([0.0] * 3, [0.0], 1e-3))
+            assert a.z == b.z and a.sigma_hat == b.sigma_hat
+
+
 class TestZeroErrorManifold:
     def test_joint_integration_keeps_zero_error(self):
         # simulation oracle: plant and observer integrated with shared

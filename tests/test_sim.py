@@ -256,6 +256,34 @@ class TestScenario:
         # the observer did not step after the failed plant step
         assert cut.gain_failures == held.gain_failures
 
+    @pytest.mark.parametrize("mode", ["none", "ndo", "hodo"])
+    def test_closed_loop_runs_on_python_floats(self, newton_model, monkeypatch, mode):
+        # np.float64 subclasses float, so only ``type(...) is float`` tells
+        # a Python float from a NumPy scalar
+        base = disturbance("quad_drag_drift")
+        seen = set()
+
+        def recording(v, t):
+            seen.update((type(v), type(t)))
+            return base(v, t)
+
+        monkeypatch.setitem(sim._REGISTRY["quad_drag_drift"], "fn", recording)
+        res = run_scenario(ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
+                                          duration=0.01, seed=1))
+        assert len(res.t) == 10 and res.completed
+        assert seen == {float}
+
+    @pytest.mark.parametrize("mode", ["none", "ndo"])
+    def test_overflowing_disturbance_ends_the_run(self, mode):
+        # -v**2 raises OverflowError on a Python float: the disturbance is
+        # logged as nan and the run ends after its first step
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run_scenario(ScenarioConfig(mode=mode, v0=1e200, duration=1.0))
+        assert not res.completed
+        assert len(res.t) == 1 and np.isnan(res.delta_true[0])
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+
     def test_sigma_logging(self, newton_model):
         cfg = ScenarioConfig(mode="hodo", model=newton_model, duration=0.1,
                              seed=2, log_sigma=True)
