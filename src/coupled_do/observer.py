@@ -26,13 +26,25 @@ linear, and one classical RK4 step is exactly y+ = y + dt phi(dt M)
 (M y + b), phi(X) = I + X/2 + X^2/6 + X^3/24, evaluated by Horner's rule.
 Since Gamma = g w^T for the design row c = w C(x), M = A - g c^T is a
 rank-one update of the weighted shift: (M v)_k = A_(k,k-1) v_(k-1) -
-g_k (c . v) costs O(s2), and M is never formed.  The step runs on
-Python floats and adds every sum left to right in an explicit loop, so
-its bits do not depend on the Python version's built-in ``sum``.
+g_k (c . v) costs O(s2), and M is never formed.
+
+The step and the gain design are generated as straight-line Python for
+each model shape (n, s2, normalize) and compiled once per shape
+(:func:`_kernels`): every loop over the s2 time-feature entries, the n
+state entries and the (p+1)^n terms of Pi(x) is written out as named
+locals, and each sum is an explicit left-to-right chain that starts at
+0.0, the order of the loop form kept in ``tests/loop_observer.py``.
+IEEE addition and multiplication are deterministic, so the kernels give
+the loop form's bits, which the tests check with ``==``; and the bits
+do not depend on the Python version's built-in ``sum``.  The model's
+numbers enter as closure variables, never as source text.  Only the
+f_u(x) u product stays a loop, over the o controls, which the shape
+does not fix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -43,6 +55,7 @@ from .learner import SeparatedModel
 
 
 _MARGIN = 1e-4     # |c_(s2-1)| / max|c_i| at or below which a row is unobservable
+_CHUNK = 32        # terms per statement of a generated sum
 
 
 class UnobservableError(NumericalError):
@@ -60,6 +73,192 @@ def _pole_polynomial_of_a(A: np.ndarray, poles: np.ndarray) -> np.ndarray:
     for coef in q_coef.real:
         q_of_a = q_of_a @ A + coef * eye
     return q_of_a
+
+
+# --- kernel generation -------------------------------------------------------
+
+def _sum(name: str, terms: list) -> list:
+    """Lines setting ``name`` to 0.0 + terms[0] + terms[1] + ..., added
+    left to right; long sums continue over several statements, which
+    keeps the compiler's expression depth bounded."""
+    return [f"{name} = {'0.0' if i == 0 else name} + " + " + ".join(terms[i:i + _CHUNK])
+            for i in range(0, len(terms), _CHUNK)]
+
+
+def _times(a: str, b: str) -> str:
+    """a * b, or the other factor where one is the literal 1.0 of T_0:
+    v * 1.0 is v exactly in IEEE arithmetic, so the bits are kept."""
+    return b if a == "1.0" else a if b == "1.0" else f"{a} * {b}"
+
+
+def _unpack(names: list, value: str) -> list:
+    return [f"{', '.join(names)}, = {value}"] if names else []
+
+
+def _row_lines(n: int, s2: int, normalize: bool) -> tuple[list, list]:
+    """Lines computing Pi(x) and c = K_w Pi(x) from the locals x0 .. x(n-1)
+    as ``BasisConfig.pi_terms`` and the loop form do, and the Pi(x) terms
+    (a local's name, or the literal 1.0)."""
+    lines, pi = [], None
+    for i in range(n):
+        a = f"x{i}"
+        if normalize:
+            lines.append(f"a{i} = 2.0 * (x{i} - lo{i}) / sp{i} - 1.0")
+            a = f"a{i}"
+        cheb = ["1.0", a][:s2]                  # T_k = 2 a T_(k-1) - T_(k-2)
+        for k in range(2, s2):
+            lines.append(f"t{i}_{k} = 2.0 * {a} * {cheb[k - 1]} - {cheb[k - 2]}")
+            cheb.append(f"t{i}_{k}")
+        if pi is None:
+            pi = cheb
+            continue
+        terms = []                              # little-endian: dimension 1 fastest
+        for k, t in enumerate(cheb):
+            for h, a_h in enumerate(pi):
+                term = _times(t, a_h)
+                if term not in ("1.0", t, a_h):
+                    lines.append(f"e{i}_{k * len(pi) + h} = {term}")
+                    term = f"e{i}_{k * len(pi) + h}"
+                terms.append(term)
+        pi = terms
+    for k in range(s2):
+        lines += _sum(f"c{k}", [_times(f"kw{k}_{h}", t) for h, t in enumerate(pi)])
+    return lines, pi
+
+
+def _kernel_source(n: int, s2: int, normalize: bool) -> str:
+    """Source of ``_factory``, which binds one model's constants and
+    returns its (step, design, row) kernels."""
+    ks, ns, n_pi = range(s2), range(n), s2 ** n
+    cs = [f"c{k}" for k in ks]
+
+    def vec(fmt):
+        return "[" + ", ".join(fmt.format(k=k) for k in ks) + "]"
+
+    def scaled(expr):                           # w * expr; w = 1 when n = 1
+        return f"wn * ({expr})" if n > 1 else expr
+
+    row, pi = _row_lines(n, s2, normalize)
+    xs = [f"x{i}" for i in ns]
+    src = ["def _factory(kw, K, A, q, f, lo, sp, wn):"]
+    body = (_unpack([f"kw{k}_{h}" for k in ks for h in range(n_pi)], "kw")
+            + _unpack([f"K{i}_{j}_{h}" for i in ns for j in ks for h in range(n_pi)]
+                      if n > 1 else [], "K")
+            + _unpack([f"A{k}" for k in range(1, s2)], "A")
+            + _unpack([f"q{i}_{j}" for i in ks for j in range(i + 1)], "q")
+            + _unpack([f"f{k}" for k in ks], "f")
+            + _unpack([f"lo{i}" for i in ns] if normalize else [], "lo")
+            + _unpack([f"sp{i}" for i in ns] if normalize else [], "sp")
+            + ["isfinite = math.isfinite"])
+    src += ["    " + line for line in body]
+
+    # the state's design row and w sum(x), for the constructor
+    src += ["", "    def row(xs):", f"        {', '.join(xs)}, = xs"]
+    src += ["        " + line for line in row]
+    src += [f"        return {vec('c{k}')}, {scaled('0.0 + ' + ' + '.join(xs))}"]
+
+    # O(c) v = e_s2 with v = diag(j!) y is sum_j h_(j+k) y_j = [k = s2 - 1]:
+    # y is the reciprocal power series of r = (c_j j!) reversed
+    last = f"c{s2 - 1}"
+    design = [f"{', '.join(cs)}, = c",
+              f"pivot = abs({last})",
+              "# false for a zero pivot and for any non-finite entry",
+              "if not (" + " and ".join(f"pivot > _MARGIN * abs(c{k})" for k in ks) + "):",
+              f"    raise UnobservableError(f\"output row pivot {{{last}:.2e}} is within \"",
+              "                            f\"{_MARGIN:.0e} * max|c_i| of zero\")"]
+    design += [f"r{m} = c{s2 - 1 - m} * f{s2 - 1 - m}" for m in ks]
+    design.append("y0 = 1.0 / r0")
+    for m in range(1, s2):
+        design += _sum(f"y{m}", [f"r{m - j} * y{j}" for j in range(m)])
+        design.append(f"y{m} = -y{m} / r0")
+    for i in ks:                                # q(A) is lower triangular
+        design += _sum(f"g{i}", [f"q{i}_{j} * y{j}" for j in range(i + 1)])
+    design.append(f"return {vec('g{k}')}")
+    src += ["", "    def design(c):"] + ["        " + line for line in design]
+
+    step = ["if dt <= 0:",
+            "    raise ValueError(f\"dt must be > 0, got {dt}\")",
+            "xs, us = list(map(float, x)), list(map(float, u))",
+            "if not (all(map(isfinite, xs)) and all(map(isfinite, us))):",
+            "    raise NumericalError(\"non-finite observer inputs\")",
+            f"if len(xs) != {n}:",
+            f"    raise ValueError(f\"state must have {n} entries, got {{len(xs)}}\")",
+            f"{', '.join(xs)}, = xs",
+            "xa = np.array(xs)",
+            "fx = np.asarray(self.f_x(xa)).tolist()",
+            "fu = np.asarray(self.f_u(xa)).tolist()",
+            f"if len(fx) != {n} or len(fu) != {n}:",
+            f"    raise ValueError(f\"f_x and f_u must have {n} rows, \"",
+            "                     f\"got {len(fx)} and {len(fu)}\")",
+            f"{', '.join(f'fx{i}' for i in ns)}, = fx",
+            f"{', '.join(f'fu{i}' for i in ns)}, = fu"]
+    for i in ns:                                # d = f_x(x) + f_u(x) u, row by row
+        step += [f"if len(fu{i}) != len(us):",
+                 f"    raise ValueError(f\"control must have {{len(fu{i})}} entries, \"",
+                 "                     f\"got {len(us)}\")",
+                 f"d{i} = 0.0",
+                 f"for fj, uj in zip(fu{i}, us):",
+                 f"    d{i} += fj * uj"]
+    step += [f"xw = {scaled('0.0 + ' + ' + '.join(xs))}",
+             f"wd = {scaled('0.0 + ' + ' + '.join(f'(fx{i} + d{i})' for i in ns))}"]
+    step += row
+    step += [f"c = {vec('c{k}')}                     # frozen over the step",
+             "try:",
+             "    # the gain depends on the row alone: an unchanged row keeps it",
+             "    gain = self.gain if c == self._c else self._design(c)",
+             "    self._c = c",
+             "except UnobservableError:",
+             "    gain = self.gain",
+             "    self.gain_failures += 1",
+             f"{', '.join(f'g{k}' for k in ks)}, = gain",
+             f"{', '.join(f'zo{k}' for k in ks)}, = self.z",
+             f"{', '.join(f'go{k}' for k in ks)}, = self.gain",
+             "# sigma_hat is continuous across the gain switch: the output",
+             "# identity sigma = z + Gamma x holds with the new gain after it"]
+    step += [f"s{k} = zo{k} + go{k} * xw" for k in ks]
+    step += [f"cv = 0.0 + {' + '.join(f'c{k} * s{k}' for k in ks)} + wd",
+             "self.gain = gain",
+             "# v = M sigma - Gamma d with (M v)_k = A_k v_(k-1) - g_k (c . v), then",
+             "# w = v + h M w for h = dt/4, dt/3, dt/2; cw is c . w.  The loop form's",
+             "# first entry A_0 * 0.0 - g_0 (c . v) has A_0 = 0.0, so it reads 0.0 - ..."]
+    step += [f"v{k} = {f'A{k} * s{k - 1}' if k else '0.0'} - g{k} * cv" for k in ks]
+    step += _sum("cw", [f"c{k} * v{k}" for k in ks])
+    prev = [f"v{k}" for k in ks]
+    for j, h in enumerate(("0.25 * dt", "dt / 3.0", "0.5 * dt"), start=1):
+        step.append(f"h = {h}")
+        step += [f"w{j}_{k} = v{k} + h * ({f'A{k} * {prev[k - 1]}' if k else '0.0'}"
+                 f" - g{k} * cw)" for k in ks]
+        prev = [f"w{j}_{k}" for k in ks]
+        if j < 3:                               # the last pass's c . w is unused
+            step += _sum("cw", [f"c{k} * {w}" for k, w in enumerate(prev)])
+    for k in ks:
+        step += [f"gx = g{k} * xw",
+                 f"z{k} = s{k} + dt * w3_{k} - gx",
+                 f"sh{k} = z{k} + gx"]
+    step += [f"self.z, self.sigma_hat = {vec('z{k}')}, {vec('sh{k}')}",
+             "if not (" + " and ".join(f"isfinite(sh{k})" for k in ks) + "):",
+             "    raise NumericalError(\"observer state diverged to non-finite values\")"]
+    if n == 1:                                  # c . sigma_hat is the estimate
+        step += _sum("e0", [f"c{k} * sh{k}" for k in ks])
+    else:                                       # row i: sum_j (K_ij . Pi(x)) sigma_hat_j
+        for i in ns:
+            for j in ks:
+                step += _sum(f"k{i}_{j}", [_times(f"K{i}_{j}_{h}", t) for h, t in enumerate(pi)])
+            step += _sum(f"e{i}", [f"k{i}_{j} * sh{j}" for j in ks])
+    step.append(f"return [{', '.join(f'e{i}' for i in ns)}]")
+    src += ["", "    def step(self, x, u, dt):"] + ["        " + line for line in step]
+    src += ["", "    return step, design, row", ""]
+    return "\n".join(src)
+
+
+@functools.cache
+def _kernels(n: int, s2: int, normalize: bool) -> Callable:
+    """The compiled kernel factory of one model shape."""
+    namespace = {}
+    exec(compile(_kernel_source(n, s2, normalize),
+                 f"<coupled_do.observer kernels n={n} s2={s2} normalize={normalize}>",
+                 "exec"), globals(), namespace)
+    return namespace["_factory"]
 
 
 class Hodo:
@@ -88,76 +287,64 @@ class Hodo:
     :class:`UnobservableError`, and ``step`` keeps the previous gain and
     counts it in ``gain_failures``.  ``sigma_hat``, the auxiliary ``z``
     and the gain column ``gain`` (g) are lists of s2 Python floats.
+
+    The constructor binds this model's constants (K_w = w sum_i K_i, K
+    when n > 1, the shift of A, the rows of q(A), the factorials and the
+    normalization box) into the straight-line step and design generated
+    for its shape (n, s2, normalize).  They add in the order of the loop
+    form in ``tests/loop_observer.py`` and so return its bits exactly
+    (module docstring).  ``step`` and ``_design`` stay methods that call
+    them, and the step kernel calls ``self._design``, so a replacement
+    of either on the class or on the instance is honoured.
     """
 
     def __init__(self, model: SeparatedModel, f_x: Callable, f_u: Callable,
                  poles, x0, sigma0=None):
         self.model, self.f_x, self.f_u = model, f_x, f_u
-        s2 = model.config.s2
+        n, s2 = model.n, model.config.s2
         self.poles = np.atleast_1d(np.asarray(poles, dtype=complex))
         if self.poles.shape != (s2,):
             raise ValueError(f"need {s2} poles, got {self.poles.shape}")
         if np.any(self.poles.real >= 0):
             raise ValueError("all poles must have strictly negative real part")
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        if x0.shape != (n,):
+            raise ValueError(f"x0 must have the model's n = {n} entries, got shape {x0.shape}")
+        sigma0 = np.zeros(s2) if sigma0 is None else np.asarray(sigma0, dtype=float)
+        if sigma0.shape != (s2,):
+            raise ValueError(f"sigma0 must have the model's s2 = {s2} entries, "
+                             f"got shape {sigma0.shape}")
         self.gain_failures = 0
 
-        self.w = 1.0 / math.sqrt(model.n)
+        self.w = 1.0 / math.sqrt(n)
         # w folded into K: the design row is c = K_w Pi(x).  With one
         # output row w = 1, K_w = K, and c is C(x) itself.
-        self._Kw = (self.w * model.K.sum(axis=0)).tolist()
-        self._K = model.K.tolist() if model.n > 1 else None
-        # (A v)_k = shift_k v_(k-1), with shift_0 = 0 for the zero first row
-        self._shift = [0.0] + np.diag(model.A, -1).tolist()
+        kw = (self.w * model.K.sum(axis=0)).ravel().tolist()
+        K = model.K.ravel().tolist() if n > 1 else []
+        # (A v)_k = A_k v_(k-1) with A_k the first subdiagonal
+        shift = np.diag(model.A, -1).tolist()
         # (c A^k)_j = alpha^k h_(j+k) / j! with h_i = c_i i!; q(A) absorbs
         # the j!, and alpha^-(s2-1) the row scaling of O.  q(A) is lower
         # triangular like A, so row i needs its first i + 1 entries only.
         fact = np.cumprod(np.r_[1.0, np.arange(1.0, s2)])
-        self._fact = fact.tolist()
         q_fact = (_pole_polynomial_of_a(model.A, self.poles) * fact
-                  * model.time_scale ** -(s2 - 1))
-        self._q_rows = [row[:i + 1] for i, row in enumerate(q_fact.tolist())]
+                  * model.time_scale ** -(s2 - 1)).tolist()
+        q = [qij for i, row in enumerate(q_fact) for qij in row[:i + 1]]
+        lo, hi = model.config.x_box.T.tolist()
+        span = [h - l for l, h in zip(lo, hi)]
+        factory = _kernels(n, s2, bool(model.config.normalize))
+        self._step_kernel, self._design_kernel, row = factory(
+            kw, K, shift, q, fact.tolist(), lo, span, self.w)
 
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
-        self.sigma_hat = [0.0] * s2 if sigma0 is None else np.asarray(sigma0, float).tolist()
-        pi = model.config.pi_terms(x0)
-        self._c = []                    # the row ``gain`` was designed for,
-        for krow in self._Kw:           # summed as ``step`` sums it, bit for bit
-            acc = 0.0
-            for kj, pj in zip(krow, pi):
-                acc += kj * pj
-            self._c.append(acc)
+        self.sigma_hat = sigma0.tolist()
+        # the row ``gain`` was designed for, summed as ``step`` sums it
+        self._c, xw = row(x0.tolist())
         self.gain = self._design(self._c)
-        xw = 0.0
-        for xi in x0:
-            xw += xi
-        xw *= self.w
         self.z = [s - g * xw for s, g in zip(self.sigma_hat, self.gain)]
 
     def _design(self, c: list) -> list:
         """Gain column g (s2 floats) for the design row c (s2 floats)."""
-        # O(c) v = e_s2 with v = diag(j!) y is sum_j h_(j+k) y_j = [k = s2 - 1]:
-        # y is the reciprocal power series of r = h reversed, term by term
-        pivot, r = abs(c[-1]), []
-        for ci, fi in zip(c, self._fact):
-            # false for a zero pivot and for any non-finite entry
-            if not pivot > _MARGIN * abs(ci):
-                raise UnobservableError(f"output row pivot {c[-1]:.2e} is within "
-                                        f"{_MARGIN:.0e} * max|c_i| of zero")
-            r.append(ci * fi)
-        r.reverse()
-        y = [1.0 / r[0]]
-        for m in range(1, len(r)):
-            acc = 0.0
-            for ri, yi in zip(r[m:0:-1], y):
-                acc += ri * yi
-            y.append(-acc / r[0])
-        gain = []
-        for row in self._q_rows:        # row i has i + 1 entries
-            acc = 0.0
-            for qi, yi in zip(row, y):
-                acc += qi * yi
-            gain.append(acc)
-        return gain
+        return self._design_kernel(c)
 
     def step(self, x, u, dt: float) -> list:
         """Advance by dt and return the estimate C(x) sigma_hat as a list
@@ -169,85 +356,4 @@ class Hodo:
         form of the module docstring.  The gain is redesigned at x; on
         an unobservable output row the previous gain is kept.
         """
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        xs, us = list(map(float, x)), list(map(float, u))
-        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, us))):
-            raise NumericalError("non-finite observer inputs")
-        if len(xs) != self.model.n:
-            raise ValueError(f"state must have {self.model.n} entries, got {len(xs)}")
-        xa = np.array(xs)
-        xw = wd = 0.0                   # w sum(x) and w sum(d), d = f_x(x) + f_u(x) u
-        for xi, f, row in zip(xs, np.asarray(self.f_x(xa)).tolist(),
-                              np.asarray(self.f_u(xa)).tolist(), strict=True):
-            if len(row) != len(us):
-                raise ValueError(f"control must have {len(row)} entries, got {len(us)}")
-            acc = 0.0
-            for fj, uj in zip(row, us):
-                acc += fj * uj
-            xw += xi
-            wd += f + acc
-        xw, wd = self.w * xw, self.w * wd
-
-        pi = self.model.config.pi_terms(xs)
-        c = []                          # frozen over the step
-        for krow in self._Kw:
-            acc = 0.0
-            for kj, pj in zip(krow, pi):
-                acc += kj * pj
-            c.append(acc)
-        try:
-            # the gain depends on the row alone: an unchanged row keeps it
-            gain = self.gain if c == self._c else self._design(c)
-            self._c = c
-        except UnobservableError:
-            gain = self.gain
-            self.gain_failures += 1
-        # sigma_hat is continuous across the gain switch: the output
-        # identity sigma = z + Gamma x holds with the new gain after it
-        z_old, g_old, shift = self.z, self.gain, self._shift
-        ks = range(len(z_old))
-        sigma, cv = [0.0] * len(ks), 0.0
-        for k in ks:
-            sigma[k] = sk = z_old[k] + g_old[k] * xw
-            cv += c[k] * sk
-        cv += wd
-        self.gain = gain
-
-        # v = M sigma - Gamma d with (M v)_k = shift_k v_(k-1) - g_k (c . v),
-        # then w = v + h M w in place for h = dt/4, dt/3, dt/2; cw is c . w
-        v, cw, p = [0.0] * len(ks), 0.0, 0.0
-        for k in ks:
-            v[k] = shift[k] * p - gain[k] * cv
-            cw += c[k] * v[k]
-            p = sigma[k]
-        w = v[:]
-        for h in (0.25 * dt, dt / 3.0, 0.5 * dt):
-            cw_next = p = 0.0
-            for k in ks:
-                wk = v[k] + h * (shift[k] * p - gain[k] * cw)
-                p, w[k] = w[k], wk
-                cw_next += c[k] * wk
-            cw = cw_next
-        # cs is c . sigma_hat, the estimate when there is one output row
-        z, sigma_hat, cs = [0.0] * len(ks), [0.0] * len(ks), 0.0
-        for k in ks:
-            gx = gain[k] * xw
-            z[k] = zk = sigma[k] + dt * w[k] - gx
-            sigma_hat[k] = sk = zk + gx
-            cs += c[k] * sk
-        self.z, self.sigma_hat = z, sigma_hat
-        if not all(map(math.isfinite, sigma_hat)):
-            raise NumericalError("observer state diverged to non-finite values")
-        if self._K is None:
-            return [cs]
-        estimate = []                   # row i: sum_j (K_ij . Pi(x)) sigma_hat_j
-        for rows in self._K:
-            acc = 0.0
-            for krow, sj in zip(rows, sigma_hat):
-                cij = 0.0
-                for kj, pj in zip(krow, pi):
-                    cij += kj * pj
-                acc += cij * sj
-            estimate.append(acc)
-        return estimate
+        return self._step_kernel(self, x, u, dt)

@@ -63,6 +63,18 @@ def pd_control(eta: float, v: float, eta_d: float, eta_d_dot: float,
 # quad_drag_drift is the closed-loop benchmark: quadratic drag in the
 # velocity plus a quadratic-in-time drift.
 
+def _sin(v):
+    """sin(v): ``math.sin`` on a Python float, so that closed loops stay on
+    floats, and ``np.sin`` otherwise, so that arrays keep NumPy's bits.
+    An infinite float gives nan, as ``np.sin`` does, not ``ValueError``."""
+    if isinstance(v, float):
+        try:
+            return math.sin(v)
+        except ValueError:
+            return math.nan
+    return np.sin(v)
+
+
 NEWTON_V_BOX = (-10.0, 10.0)
 NEWTON_T_BOX = (0.0, 100.0)
 
@@ -74,13 +86,13 @@ NEWTON_REFERENCE_THETA = np.array([49.75, 0.0, -0.5, -10.0, 0.0, 0.0, 0.25, 0.0,
 
 _REGISTRY: dict[str, dict] = {
     "sine_product": dict(
-        fn=lambda x, t: np.sin(x) * np.sin(t),
+        fn=lambda x, t: _sin(x) * _sin(t),
         x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
     "cubic_drift": dict(
         fn=lambda x, t: x - x**3 / 12.0 - t**2 / 4.0,
         x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
     "sine_cubic": dict(
-        fn=lambda x, t: -np.sin(x) * t**3 / 9.0,
+        fn=lambda x, t: -_sin(x) * t**3 / 9.0,
         x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
     "quad_drag_drift": dict(
         fn=lambda v, t: -v**2 + 50.0 - 10.0 * t - 0.5 * t**2,

@@ -1,0 +1,155 @@
+"""The observer step in loop form: the reference for the generated kernels.
+
+:class:`LoopHodo` is :class:`coupled_do.observer.Hodo` written with
+explicit loops over the s2 time-feature entries, the n state entries and
+the (p+1)^n terms of Pi(x), every sum added left to right from 0.0.
+The generated straight-line step of ``Hodo`` keeps the order of every
+operation of this form, so the two agree bit for bit; the tests compare
+them with ``==``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from coupled_do.errors import NumericalError
+from coupled_do.observer import _MARGIN, UnobservableError, _pole_polynomial_of_a
+
+
+class LoopHodo:
+    """``Hodo`` in loop form, with the same state (``z``, ``sigma_hat``,
+    ``gain``, ``gain_failures``) and the same step contract."""
+
+    def __init__(self, model, f_x, f_u, poles, x0, sigma0=None):
+        self.model, self.f_x, self.f_u = model, f_x, f_u
+        s2 = model.config.s2
+        self.poles = np.atleast_1d(np.asarray(poles, dtype=complex))
+        self.gain_failures = 0
+
+        self.w = 1.0 / math.sqrt(model.n)
+        self._Kw = (self.w * model.K.sum(axis=0)).tolist()
+        self._K = model.K.tolist() if model.n > 1 else None
+        self._shift = [0.0] + np.diag(model.A, -1).tolist()
+        fact = np.cumprod(np.r_[1.0, np.arange(1.0, s2)])
+        self._fact = fact.tolist()
+        q_fact = (_pole_polynomial_of_a(model.A, self.poles) * fact
+                  * model.time_scale ** -(s2 - 1))
+        self._q_rows = [row[:i + 1] for i, row in enumerate(q_fact.tolist())]
+
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
+        self.sigma_hat = [0.0] * s2 if sigma0 is None else np.asarray(sigma0, float).tolist()
+        pi = model.config.pi_terms(x0)
+        self._c = []
+        for krow in self._Kw:
+            acc = 0.0
+            for kj, pj in zip(krow, pi):
+                acc += kj * pj
+            self._c.append(acc)
+        self.gain = self._design(self._c)
+        xw = 0.0
+        for xi in x0:
+            xw += xi
+        xw *= self.w
+        self.z = [s - g * xw for s, g in zip(self.sigma_hat, self.gain)]
+
+    def _design(self, c: list) -> list:
+        pivot, r = abs(c[-1]), []
+        for ci, fi in zip(c, self._fact):
+            if not pivot > _MARGIN * abs(ci):
+                raise UnobservableError(f"output row pivot {c[-1]:.2e} is within "
+                                        f"{_MARGIN:.0e} * max|c_i| of zero")
+            r.append(ci * fi)
+        r.reverse()
+        y = [1.0 / r[0]]
+        for m in range(1, len(r)):
+            acc = 0.0
+            for ri, yi in zip(r[m:0:-1], y):
+                acc += ri * yi
+            y.append(-acc / r[0])
+        gain = []
+        for row in self._q_rows:
+            acc = 0.0
+            for qi, yi in zip(row, y):
+                acc += qi * yi
+            gain.append(acc)
+        return gain
+
+    def step(self, x, u, dt: float) -> list:
+        if dt <= 0:
+            raise ValueError(f"dt must be > 0, got {dt}")
+        xs, us = list(map(float, x)), list(map(float, u))
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, us))):
+            raise NumericalError("non-finite observer inputs")
+        if len(xs) != self.model.n:
+            raise ValueError(f"state must have {self.model.n} entries, got {len(xs)}")
+        xa = np.array(xs)
+        xw = wd = 0.0
+        for xi, f, row in zip(xs, np.asarray(self.f_x(xa)).tolist(),
+                              np.asarray(self.f_u(xa)).tolist(), strict=True):
+            if len(row) != len(us):
+                raise ValueError(f"control must have {len(row)} entries, got {len(us)}")
+            acc = 0.0
+            for fj, uj in zip(row, us):
+                acc += fj * uj
+            xw += xi
+            wd += f + acc
+        xw, wd = self.w * xw, self.w * wd
+
+        pi = self.model.config.pi_terms(xs)
+        c = []
+        for krow in self._Kw:
+            acc = 0.0
+            for kj, pj in zip(krow, pi):
+                acc += kj * pj
+            c.append(acc)
+        try:
+            gain = self.gain if c == self._c else self._design(c)
+            self._c = c
+        except UnobservableError:
+            gain = self.gain
+            self.gain_failures += 1
+        z_old, g_old, shift = self.z, self.gain, self._shift
+        ks = range(len(z_old))
+        sigma, cv = [0.0] * len(ks), 0.0
+        for k in ks:
+            sigma[k] = sk = z_old[k] + g_old[k] * xw
+            cv += c[k] * sk
+        cv += wd
+        self.gain = gain
+
+        v, cw, p = [0.0] * len(ks), 0.0, 0.0
+        for k in ks:
+            v[k] = shift[k] * p - gain[k] * cv
+            cw += c[k] * v[k]
+            p = sigma[k]
+        w = v[:]
+        for h in (0.25 * dt, dt / 3.0, 0.5 * dt):
+            cw_next = p = 0.0
+            for k in ks:
+                wk = v[k] + h * (shift[k] * p - gain[k] * cw)
+                p, w[k] = w[k], wk
+                cw_next += c[k] * wk
+            cw = cw_next
+        z, sigma_hat, cs = [0.0] * len(ks), [0.0] * len(ks), 0.0
+        for k in ks:
+            gx = gain[k] * xw
+            z[k] = zk = sigma[k] + dt * w[k] - gx
+            sigma_hat[k] = sk = zk + gx
+            cs += c[k] * sk
+        self.z, self.sigma_hat = z, sigma_hat
+        if not all(map(math.isfinite, sigma_hat)):
+            raise NumericalError("observer state diverged to non-finite values")
+        if self._K is None:
+            return [cs]
+        estimate = []
+        for rows in self._K:
+            acc = 0.0
+            for krow, sj in zip(rows, sigma_hat):
+                cij = 0.0
+                for kj, pj in zip(krow, pi):
+                    cij += kj * pj
+                acc += cij * sj
+            estimate.append(acc)
+        return estimate

@@ -11,6 +11,7 @@ from coupled_do.learner import SeparatedModel
 from coupled_do.observer import _MARGIN, Hodo, UnobservableError
 from coupled_do.oracles import ackermann_gain, placement_residual, rk4_step
 from coupled_do.sim import disturbance
+from loop_observer import LoopHodo
 
 EXACT_THETA = np.array([[49.25, 0.0, -0.5, -10.0, 0.0, 0.0, -0.25, 0.0, 0.0]])
 RAW_CFG = dict(p=2, n=1, x_box=(-10, 10), t_box=(0, 100), normalize=False)
@@ -194,6 +195,16 @@ class TestHodoInit:
             Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                  poles=(0.4, -0.4, -0.4), x0=[0.0])
 
+    def test_state_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"n = 1 entries, got shape \(2,\)"):
+            Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
+                 poles=(-0.4,) * 3, x0=[0.0, 5.0])
+
+    def test_initial_estimate_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"s2 = 3 entries, got shape \(2,\)"):
+            Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
+                 poles=(-0.4,) * 3, x0=[0.0], sigma0=[1.0, 2.0])
+
 
 def constant_output_model() -> SeparatedModel:
     # only T_0(x) entries are weighted, so C(x) is state independent
@@ -246,6 +257,16 @@ class TestHodoDynamics:
             obs.step([0.0, 1.0], [0.0], 1e-3)
         with pytest.raises(ValueError):
             obs.step([0.0], [0.0, 1.0], 1e-3)
+        with pytest.raises(NumericalError):
+            obs.step([0.0], [np.inf], 1e-3)
+        obs.f_x = lambda x: np.zeros(2)
+        with pytest.raises(ValueError):
+            obs.step([0.0], [0.0], 1e-3)
+        obs.f_x, obs.f_u = (lambda x: np.zeros(1)), (lambda x: np.ones((2, 1)))
+        with pytest.raises(ValueError):
+            obs.step([0.0], [0.0], 1e-3)
+        assert obs.z == Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
+                             poles=(-0.4,) * 3, x0=[0.0]).z
 
     def test_gain_fallback_on_unobservable_state(self):
         # last output-map entry is proportional to x, so the design is
@@ -311,6 +332,92 @@ class TestFloatStep:
         for _ in range(3):
             assert list(a.step(big, [0.0], 1e-3)) == list(b.step([0.0] * 3, [0.0], 1e-3))
             assert a.z == b.z and a.sigma_hat == b.sigma_hat
+
+
+def step_outcome(obs, x, u, dt):
+    """The estimate of one step, or the type and message of its error."""
+    try:
+        return obs.step(x, u, dt)
+    except (ValueError, NumericalError) as err:
+        return type(err), str(err)
+
+
+def assert_same_bits(kernel: Hodo, loop: LoopHodo):
+    assert kernel.z == loop.z and kernel.sigma_hat == loop.sigma_hat
+    assert kernel.gain == loop.gain and kernel.gain_failures == loop.gain_failures
+
+
+class TestGeneratedKernels:
+    # the straight-line kernels against the loop form, compared with ==
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    @pytest.mark.parametrize("p", range(5))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_bit_identical_to_the_loop_form(self, n, p, normalize):
+        rng = np.random.default_rng(100 * n + 10 * p + normalize)
+        cfg = BasisConfig(p=p, n=n, x_box=[(-2.0, 3.0)] * n, t_box=(0.0, 5.0),
+                          normalize=normalize)
+        poles = -np.linspace(0.5, 2.0, p + 1)
+        f_x = lambda x: 0.3 * x - 0.1
+        f_u = lambda x: np.outer(x, [1.5, -0.5]) + 1.0
+        while True:
+            model = SeparatedModel(theta=rng.standard_normal((n, cfg.s1)), config=cfg)
+            x = rng.uniform(-1.0, 1.0, n)
+            sigma0 = rng.standard_normal(p + 1)
+            try:
+                kernel = Hodo(model, f_x, f_u, poles, x0=x, sigma0=sigma0)
+            except UnobservableError:
+                continue
+            break
+        loop = LoopHodo(model, f_x, f_u, poles, x0=x, sigma0=sigma0)
+        assert_same_bits(kernel, loop)
+        for k in range(200):
+            if k % 5:                   # every fifth step repeats the state
+                x = x + rng.uniform(-0.05, 0.05, n)
+            u = rng.uniform(-1.0, 1.0, 2)
+            dt = (1e-3, 0.04)[k % 2]
+            assert step_outcome(kernel, x, u, dt) == step_outcome(loop, x, u, dt)
+            assert_same_bits(kernel, loop)
+
+    def test_unobservable_row_holds_the_gain(self):
+        # C(x) = [1, 0, x]: the row at x = 0 fails the pivot margin
+        theta = np.zeros((1, 9))
+        theta[0, 0] = theta[0, 7] = 1.0
+        model = SeparatedModel(theta=theta, config=BasisConfig(**RAW_CFG))
+        kernel, loop = (cls(model, ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[1.0])
+                        for cls in (Hodo, LoopHodo))
+        for x in (0.0, 0.0, 0.5, 0.0):
+            assert kernel.step([x], [0.3], 1e-3) == loop.step([x], [0.3], 1e-3)
+            assert_same_bits(kernel, loop)
+        assert kernel.gain_failures == 3
+
+    def test_repeated_row_reuses_the_gain(self):
+        kernel, loop = (cls(exact_model(), ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[0.5])
+                        for cls in (Hodo, LoopHodo))
+        designs = []
+        design = kernel._design
+        kernel._design = lambda c: designs.append(c) or design(c)
+        for x in (0.5, 0.7, 0.7, 0.7, 0.2):
+            assert kernel.step([x], [0.1], 1e-3) == loop.step([x], [0.1], 1e-3)
+            assert_same_bits(kernel, loop)
+        assert len(designs) == 2        # x = 0.5 is the constructor's row
+
+    def test_sums_add_left_to_right_as_the_loop_form(self):
+        model = SeparatedModel(theta=np.ones((3, 1)), config=BasisConfig(p=0, n=3))
+        big = [1e16, 1.0, -1e16]
+        kernel, loop = (cls(model, lambda x: x, lambda x: np.zeros((3, 1)), (-0.4,),
+                            x0=big, sigma0=[2.0]) for cls in (Hodo, LoopHodo))
+        assert_same_bits(kernel, loop)
+        for _ in range(3):
+            assert kernel.step(big, [0.0], 1e-3) == loop.step(big, [0.0], 1e-3)
+            assert_same_bits(kernel, loop)
+
+    def test_one_compiled_step_per_shape(self):
+        cfg = BasisConfig(p=2, n=1)
+        a, b = (Hodo(SeparatedModel(theta=np.full((1, cfg.s1), v), config=cfg),
+                     ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[0.1]) for v in (1.0, 2.0))
+        assert a._step_kernel.__code__ is b._step_kernel.__code__
+        assert a._step_kernel is not b._step_kernel
 
 
 class TestZeroErrorManifold:

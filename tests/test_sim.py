@@ -116,6 +116,14 @@ class TestRegistry:
         assert disturbance("sine_cubic")(1.0, 3.0) == pytest.approx(-np.sin(1) * 3.0)
         assert disturbance("quad_drag_drift")(3.0, 1.0) == pytest.approx(-9 + 50 - 10 - 0.5)
 
+    def test_sine_takes_math_on_floats_and_numpy_on_arrays(self):
+        x = np.linspace(-2.0, 2.0, 101)
+        assert np.array_equal(sim._sin(x), np.sin(x))
+        assert type(sim._sin(0.5)) is float
+        assert np.isnan(sim._sin(float("inf")))
+        fn = disturbance("sine_product")
+        assert np.array_equal(fn(x, x[::-1]), np.sin(x) * np.sin(x[::-1]))
+
     def test_unknown_rejected(self):
         with pytest.raises(ConfigError):
             disturbance("nope")
@@ -256,20 +264,24 @@ class TestScenario:
         # the observer did not step after the failed plant step
         assert cut.gain_failures == held.gain_failures
 
-    @pytest.mark.parametrize("mode", ["none", "ndo", "hodo"])
-    def test_closed_loop_runs_on_python_floats(self, newton_model, monkeypatch, mode):
+    # the benchmark disturbance keeps the bare mode as its id
+    @pytest.mark.parametrize("mode, name", [
+        pytest.param(mode, name, id=mode if name == "quad_drag_drift" else f"{mode}-{name}")
+        for name in ("quad_drag_drift", "sine_product", "sine_cubic")
+        for mode in ("none", "ndo", "hodo")])
+    def test_closed_loop_runs_on_python_floats(self, newton_model, monkeypatch, mode, name):
         # np.float64 subclasses float, so only ``type(...) is float`` tells
         # a Python float from a NumPy scalar
-        base = disturbance("quad_drag_drift")
+        base = disturbance(name)
         seen = set()
 
         def recording(v, t):
             seen.update((type(v), type(t)))
             return base(v, t)
 
-        monkeypatch.setitem(sim._REGISTRY["quad_drag_drift"], "fn", recording)
+        monkeypatch.setitem(sim._REGISTRY[name], "fn", recording)
         res = run_scenario(ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
-                                          duration=0.01, seed=1))
+                                          disturbance_name=name, duration=0.01, seed=1))
         assert len(res.t) == 10 and res.completed
         assert seen == {float}
 
