@@ -11,6 +11,10 @@ is the basis of the scalar time feature.  Each entry of Pi(x) is a
 product of Chebyshev polynomials of the first kind, one per state
 dimension, indexed by a flat base-(p+1) multi-index.
 
+:meth:`BasisConfig.pi_rows` (Pi(x)) and :meth:`BasisConfig.design_rows`
+(B(x) xi(t)) are the one route from states and times to these features,
+for a batch of points; a single point is a batch of one.
+
 This module also provides the two structural matrices of the time
 feature: the lower-triangular change of basis D with xi(t) = D @ varsigma(t)
 for the monomial vector varsigma(t) = [1, t, ..., t^p], and the nilpotent
@@ -24,18 +28,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def cheb_series(p: int, tau):
+def cheb_series(p: int, tau) -> np.ndarray:
     """[T_0(tau), ..., T_p(tau)] by the recurrence T_k = 2*tau*T_{k-1} - T_{k-2}.
 
-    A Python float gives a list of floats, anything else an array with
-    the terms along a new leading axis, in the same bits.  Outside
-    [-1, 1] the terms are evaluated as-is, so that observers stay total.
+    The terms lie along a new leading axis, shape (p+1,) + shape(tau).
+    Outside [-1, 1] they are evaluated as-is, so that observers stay
+    total.
     """
     if p < 0:
         raise ValueError(f"order must be >= 0, got {p}")
-    scalar = isinstance(tau, float)
-    tau = tau if scalar else np.asarray(tau, dtype=float)
-    out = [1.0] * (p + 1) if scalar else np.ones((p + 1,) + tau.shape)
+    tau = np.asarray(tau, dtype=float)
+    out = np.ones((p + 1,) + tau.shape)
     if p >= 1:
         out[1] = tau
     for k in range(2, p + 1):
@@ -152,85 +155,30 @@ class BasisConfig:
         """Length of Pi(x), the per-column block of B(x)."""
         return (self.p + 1) ** self.n
 
-    def normalize_state(self, x: np.ndarray) -> np.ndarray:
-        """Affine map of states onto [-1, 1]^n (identity when off)."""
-        x = np.asarray(x, dtype=float)
-        if not self.normalize:
-            return x
-        lo, hi = self.x_box[:, 0], self.x_box[:, 1]
-        return 2.0 * (x - lo) / (hi - lo) - 1.0
-
-    def normalize_feature(self, t) -> np.ndarray:
-        """Affine map of times onto [-1, 1] (identity when off)."""
-        t = np.asarray(t, dtype=float)
-        if not self.normalize:
-            return t
-        lo, hi = self.t_box
-        return 2.0 * (t - lo) / (hi - lo) - 1.0
-
-    def pi_vector(self, x) -> np.ndarray:
-        """State basis Pi(x): entry h_k is prod_i T_{k_i}(x_i).
-
-        The flat index h_k follows the little-endian base-(p+1)
-        encoding of :func:`flat_to_multi`.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.n,):
-            raise ValueError(f"state must have shape ({self.n},), got {x.shape}")
-        return np.array(self.pi_terms(x.tolist()))
-
-    def pi_terms(self, x: list) -> list:
-        """Unchecked :meth:`pi_vector` on a list of n Python floats, as a
-        list of floats with the same bits."""
-        if self.normalize:
-            x = [2.0 * (v - lo) / (hi - lo) - 1.0 for v, (lo, hi) in zip(x, self.x_box.tolist())]
-        return self._tensor(x)
-
-    def xi_vector(self, t) -> np.ndarray:
-        """Time basis xi(t) = [T_0(t), ..., T_p(t)] at one scalar time."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.shape != (1,):
-            raise ValueError(f"time must be a scalar, got shape {t.shape}")
-        return cheb_series(self.p, self.normalize_feature(t[0]))
-
-    def b_matrix(self, x) -> np.ndarray:
-        """Block matrix B(x) of shape (s1, s2).
-
-        Column j holds Pi(x) in rows j*(p+1)^n .. (j+1)*(p+1)^n and is
-        zero elsewhere; equivalently kron(I_{s2}, Pi(x) as a column).
-        """
-        pi = self.pi_vector(x)
-        return np.kron(np.eye(self.s2), pi[:, None])
-
-    def monomial_vector(self, t: float) -> np.ndarray:
-        """Monomial time vector [1, t, ..., t^p] (normalized t when on)."""
-        tn = float(self.normalize_feature(t))
-        return tn ** np.arange(self.s2, dtype=float)
-
     def pi_rows(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized Pi over a batch of states, shape (N, (p+1)^n)."""
+        """Pi(x) over a batch of states, shape (N, (p+1)^n): entry h_k of a
+        row is prod_i T_{k_i}(x_i), h_k encoded as by :func:`flat_to_multi`."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n:
             raise ValueError(f"state batch must have shape (N, {self.n}), got {x.shape}")
-        return np.asarray(self._tensor(list(self.normalize_state(x).T))).T
+        if self.normalize:
+            lo, hi = self.x_box.T
+            x = 2.0 * (x - lo) / (hi - lo) - 1.0
+        acc = cheb_series(self.p, x[:, 0])
+        for i in range(1, self.n):
+            acc = [t * a for t in cheb_series(self.p, x[:, i]) for a in acc]
+        return np.asarray(acc).T
 
     def design_rows(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Rows B(x_i) @ xi(t_i) = kron(xi_i, Pi_i), shape (N, s1).
-
-        This is the regression feature map: Theta @ design_rows(...).T
-        evaluates the separated model on a batch.
-        """
+        """Rows B(x_i) @ xi(t_i) = kron(xi_i, Pi_i), shape (N, s1): the
+        regression feature map, so Theta @ design_rows(...).T evaluates
+        the separated model on a batch."""
         pi = self.pi_rows(x)
-        xi = cheb_series(self.p, self.normalize_feature(t)).T
+        t = np.asarray(t, dtype=float)
+        if self.normalize:
+            lo, hi = self.t_box
+            t = 2.0 * (t - lo) / (hi - lo) - 1.0
+        xi = cheb_series(self.p, t).T
         if xi.shape != (len(pi), self.s2):
             raise ValueError(f"times must have shape ({len(pi)},), got {np.shape(t)}")
         return (xi[:, :, None] * pi[:, None, :]).reshape(len(pi), self.s1)
-
-    def _tensor(self, coords: list) -> list:
-        """Little-endian tensor product of [T_0, ..., T_p] over the n
-        coordinates, each a float or an (N,) array: (p+1)^n entries of
-        that kind, with the order of dimension 1 varying fastest."""
-        acc = cheb_series(self.p, coords[0])
-        for v in coords[1:]:
-            acc = [t * a for t in cheb_series(self.p, v) for a in acc]
-        return acc

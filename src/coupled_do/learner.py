@@ -145,6 +145,8 @@ class SeparatedModel:
         if self.theta.shape[0] != self.config.n:
             raise ConfigError(
                 f"theta has {self.theta.shape[0]} rows, basis requires n={self.config.n}")
+        if not np.isfinite(self.theta).all():
+            raise DataError("theta has non-finite coefficients")
         lo, hi = self.config.t_box
         self.time_scale = 2.0 / (hi - lo) if self.config.normalize else 1.0
         self.D, A = structure_matrices(self.config.s2)
@@ -158,7 +160,10 @@ class SeparatedModel:
 
     def output_map(self, x) -> np.ndarray:
         """C(x) = Theta B(x) D, the observer output matrix, shape (n, s2)."""
-        return self.K @ self.config.pi_vector(x)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.n,):
+            raise ValueError(f"state must have shape ({self.n},), got {x.shape}")
+        return self.K @ self.config.pi_rows(x[None])[0]
 
 
 @dataclass

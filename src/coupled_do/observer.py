@@ -97,8 +97,8 @@ def _unpack(names: list, value: str) -> list:
 
 def _row_lines(n: int, s2: int, normalize: bool) -> tuple[list, list]:
     """Lines computing Pi(x) and c = K_w Pi(x) from the locals x0 .. x(n-1)
-    as ``BasisConfig.pi_terms`` and the loop form do, and the Pi(x) terms
-    (a local's name, or the literal 1.0)."""
+    with the operations of ``BasisConfig.pi_rows`` on one row, and the
+    Pi(x) terms (a local's name, or the literal 1.0)."""
     lines, pi = [], None
     for i in range(n):
         a = f"x{i}"

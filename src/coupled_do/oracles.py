@@ -5,9 +5,10 @@
 criteria call them with their default seeds (0, 1 and 2) and assert
 that every returned check passes, so ``verify`` checks the same draws.
 
-Everything here deliberately avoids the vectorized construction paths in
-:mod:`coupled_do.basis` and the solver in :mod:`coupled_do.learner`:
-values are rebuilt from explicit multi-index loops, Chebyshev values by
+Everything here deliberately avoids the construction path it checks,
+:meth:`coupled_do.basis.BasisConfig.design_rows`, and the solver in
+:mod:`coupled_do.learner`: values are rebuilt from explicit multi-index
+loops with their own affine maps onto [-1, 1], Chebyshev values by
 Clenshaw's backward recurrence (:func:`numpy.polynomial.chebyshev.chebval`)
 instead of the forward recurrence of :func:`coupled_do.basis.cheb_series`,
 and plain unregularized least squares, so the two routes stay independent
@@ -107,8 +108,10 @@ def separated_eval_brute(theta: np.ndarray, cfg: BasisConfig, x, t: float) -> np
     evaluating coefficient * T_{k_1}(x_1)...T_{k_n}(x_n) * T_l(t) term
     by term.  Exponential in the state dimension; for small p, n only.
     """
-    x = cfg.normalize_state(np.atleast_1d(np.asarray(x, dtype=float)))
-    tau = float(cfg.normalize_feature(t))
+    x, tau = np.atleast_1d(np.asarray(x, dtype=float)), float(t)
+    if cfg.normalize:                   # onto [-1, 1], in another form than the basis's
+        (xl, xh), (tl, th) = cfg.x_box.T, cfg.t_box
+        x, tau = (2.0 * x - (xl + xh)) / (xh - xl), (2.0 * tau - (tl + th)) / (th - tl)
     p, n = cfg.p, cfg.n
     q = (p + 1) ** n
     out = np.zeros(theta.shape[0])
@@ -188,10 +191,9 @@ def basis_identity_checks(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for s2 in range(1, 9):
         D, _ = structure_matrices(s2)
-        cfg = BasisConfig(p=s2 - 1, n=1)
         for t in rng.uniform(-1.0, 1.0, 100):
-            xi = cfg.xi_vector([t])
-            mono = cfg.monomial_vector(t)
+            xi = np.array([_cheb(k, t) for k in range(s2)])
+            mono = t ** np.arange(s2, dtype=float)
             worst = max(worst, np.abs(xi - D @ mono).max())
     results.append(_check("chebyshev identity xi = D @ monomials (s2 <= 8)",
                           worst < 1e-12, f"max |xi - D sigma| = {worst:.3e}"))
@@ -204,12 +206,12 @@ def basis_identity_checks(seed: int = 0) -> list[CheckResult]:
     small_ok = True
     for s2 in range(1, 9):
         _, A = structure_matrices(s2)
-        cfg = BasisConfig(p=s2 - 1, n=1)
+        powers = np.arange(s2, dtype=float)
         t0 = 0.37
         errs = []
         for h in (1e-2, 5e-3):
-            fd = (cfg.monomial_vector(t0 + h) - cfg.monomial_vector(t0 - h)) / (2 * h)
-            errs.append(np.linalg.norm(fd - A @ cfg.monomial_vector(t0)))
+            fd = ((t0 + h) ** powers - (t0 - h) ** powers) / (2 * h)
+            errs.append(np.linalg.norm(fd - A @ t0 ** powers))
         if s2 >= 4:
             ratios.append(errs[0] / errs[1])
         else:
@@ -225,18 +227,24 @@ def basis_identity_checks(seed: int = 0) -> list[CheckResult]:
         nil_ok &= not np.any(np.linalg.matrix_power(A, s2))
     results.append(_check("companion matrix nilpotency A^s2 == 0", nil_ok, "exact zero"))
 
+    # 100 raw draws on [-1, 1], then 100 normalized ones on random boxes
     worst = 0.0
-    for _ in range(100):
-        p = int(rng.integers(0, 3))
-        n = int(rng.integers(1, 3))
-        cfg = BasisConfig(p=p, n=n)
-        theta = rng.standard_normal((n, cfg.s1))
-        x = rng.uniform(-1, 1, n)
-        t = rng.uniform(-1, 1)
-        fast = theta @ cfg.b_matrix(x) @ cfg.xi_vector(t)
-        slow = separated_eval_brute(theta, cfg, x, t)
-        worst = max(worst, np.abs(fast - slow).max())
-    results.append(_check("separation equals brute-force double sum",
+    for normalize in (False, True):
+        for _ in range(100):
+            p = int(rng.integers(0, 3))
+            n = int(rng.integers(1, 3))
+            box = np.array([[-1.0, 1.0]] * (n + 1))     # rows x_1 .. x_n, t
+            if normalize:
+                box[:, 0] = rng.uniform(-5.0, 5.0, n + 1)
+                box[:, 1] = box[:, 0] + rng.uniform(0.5, 10.0, n + 1)
+            cfg = BasisConfig(p=p, n=n, x_box=box[:n], t_box=box[n], normalize=normalize)
+            theta = rng.standard_normal((n, cfg.s1))
+            x = rng.uniform(box[:n, 0], box[:n, 1])
+            t = rng.uniform(*box[n])
+            fast = theta @ cfg.design_rows(x[None], [t])[0]
+            slow = separated_eval_brute(theta, cfg, x, t)
+            worst = max(worst, np.abs(fast - slow).max())
+    results.append(_check("separation equals brute-force double sum (raw and normalized)",
                           worst < 1e-12, f"max deviation = {worst:.3e}"))
     return results
 

@@ -186,6 +186,9 @@ class ScenarioConfig:
                             ("scenario.mass", self.mass), ("observer.ndo_gain", self.ndo_gain)):
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if self.duration / self.dt <= 0.5:         # round() of the ratio: no step
+            raise ConfigError(f"scenario.duration = {self.duration} holds no step of "
+                              f"scenario.dt = {self.dt}")
         if not 0 <= self.sigma_v2 < math.inf:
             raise ConfigError(f"scenario.sigma_v2 must be finite and >= 0, got {self.sigma_v2}")
         if self.mode not in ("none", "ndo", "hodo"):

@@ -40,7 +40,7 @@ class LoopHodo:
 
         x0 = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
         self.sigma_hat = [0.0] * s2 if sigma0 is None else np.asarray(sigma0, float).tolist()
-        pi = model.config.pi_terms(x0)
+        pi = model.config.pi_rows(np.array([x0]))[0].tolist()
         self._c = []
         for krow in self._Kw:
             acc = 0.0
@@ -97,7 +97,7 @@ class LoopHodo:
             wd += f + acc
         xw, wd = self.w * xw, self.w * wd
 
-        pi = self.model.config.pi_terms(xs)
+        pi = self.model.config.pi_rows(np.array([xs]))[0].tolist()
         c = []
         for krow in self._Kw:
             acc = 0.0

@@ -11,7 +11,8 @@ from coupled_do.oracles import projection_oracle, separated_eval_brute
 
 class TestChebEval:
     def test_order_zero_is_one(self):
-        assert cheb_series(0, 0.7)[0] == 1.0
+        out = cheb_series(0, 0.7)                 # a float gives an array too
+        assert isinstance(out, np.ndarray) and np.array_equal(out, [1.0])
 
     def test_closed_forms(self):
         assert cheb_series(2, 0.5)[2] == pytest.approx(-0.5, abs=1e-15)   # 2 tau^2 - 1
@@ -68,33 +69,40 @@ class TestIndexMaps:
         assert sum(k * (p + 1) ** i for i, k in enumerate(digits)) == h
 
 
+def xi_of(cfg, t):
+    """xi(t) read off one design row: entry 0 of every Pi block is T_0 = 1."""
+    return cfg.design_rows(np.zeros((1, cfg.n)), [t])[0, ::cfg.state_block]
+
+
 class TestPiVector:
     def test_order_zero(self):
         cfg = BasisConfig(p=0, n=3)
-        assert np.array_equal(cfg.pi_vector([0.3, -4.0, 7.0]), [1.0])
+        assert np.array_equal(cfg.pi_rows([[0.3, -4.0, 7.0]]), [[1.0]])
 
     def test_scalar_state(self):
         cfg = BasisConfig(p=2, n=1)
-        assert np.allclose(cfg.pi_vector([0.5]), [1.0, 0.5, -0.5])
+        assert np.allclose(cfg.pi_rows([[0.5]]), [[1.0, 0.5, -0.5]])
 
     def test_two_dims_ordering(self):
         a, b = 0.4, -0.8
         cfg = BasisConfig(p=1, n=2)
-        assert np.allclose(cfg.pi_vector([a, b]), [1.0, a, b, a * b])
+        assert np.allclose(cfg.pi_rows([[a, b]]), [[1.0, a, b, a * b]])
 
     def test_against_index_enumeration(self):
         rng = np.random.default_rng(4)
         cfg = BasisConfig(p=2, n=2)
         x = rng.uniform(-1, 1, 2)
-        pi = cfg.pi_vector(x)
+        pi = cfg.pi_rows(x[None])[0]
         for h in range(len(pi)):
             ks = flat_to_multi(h, 2, 2)
             assert pi[h] == pytest.approx(
                 cheb_series(ks[0], x[0])[ks[0]] * cheb_series(ks[1], x[1])[ks[1]], rel=1e-14)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            BasisConfig(p=1, n=2).pi_vector([1.0])
+        cfg = BasisConfig(p=1, n=2)
+        for x in ([[1.0]], [1.0, 2.0], [[[1.0, 2.0]]]):
+            with pytest.raises(ValueError):
+                cfg.pi_rows(x)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_bit_identical_to_reference_chains(self, n):
@@ -115,25 +123,28 @@ class TestPiVector:
             return acc
 
         rng = np.random.default_rng(n)
+        lo, hi = -2.0, 3.0
         for p in range(5):
             for normalize in (False, True):
-                cfg = BasisConfig(p=p, n=n, x_box=(-2.0, 3.0), normalize=normalize)
+                cfg = BasisConfig(p=p, n=n, x_box=(lo, hi), normalize=normalize)
                 x = rng.uniform(-3.0, 4.0, (20, n))
-                v = cfg.normalize_state(x)
+                v = 2.0 * (x - lo) / (hi - lo) - 1.0 if normalize else x
                 assert np.array_equal(cfg.pi_rows(x), rows(v))
-                for xi, vi in zip(x, v):
-                    assert np.array_equal(cfg.pi_vector(xi), chain(cheb_series(p, vi)))
+                for xi, vi in zip(x, v):          # a batch of one row: the observer's case
+                    assert np.array_equal(cfg.pi_rows(xi[None])[0], chain(cheb_series(p, vi)))
 
 
 class TestBMatrix:
+    # B(x) xi(t) through the design rows: column j of B(x) holds Pi(x)
+    # in block j, so a row is kron(xi(t), Pi(x))
+
     def test_order_zero(self):
-        assert np.array_equal(BasisConfig(p=0, n=1).b_matrix([3.0]), [[1.0]])
+        assert np.array_equal(BasisConfig(p=0, n=1).design_rows([[3.0]], [0.7]), [[1.0]])
 
     def test_block_placement(self):
-        B = BasisConfig(p=1, n=1).b_matrix([0.3])
-        assert B.shape == (4, 2)
-        assert np.allclose(B[:, 0], [1.0, 0.3, 0.0, 0.0])
-        assert np.allclose(B[:, 1], [0.0, 0.0, 1.0, 0.3])
+        row = BasisConfig(p=1, n=1).design_rows([[0.3]], [0.5])
+        assert row.shape == (1, 4)
+        assert np.allclose(row[0], [1.0, 0.3, 0.5, 0.5 * 0.3])
 
     def test_separation_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -144,7 +155,7 @@ class TestBMatrix:
             theta = rng.standard_normal((n, cfg.s1))
             x = rng.uniform(-1, 1, n)
             t = rng.uniform(-1, 1)
-            fast = theta @ cfg.b_matrix(x) @ cfg.xi_vector(t)
+            fast = theta @ cfg.design_rows(x[None], [t])[0]
             assert np.allclose(fast, separated_eval_brute(theta, cfg, x, t), atol=1e-12)
 
 
@@ -154,7 +165,7 @@ class TestOracleIndependence:
         cfg = BasisConfig(p=3, n=2, x_box=(-2.0, 2.0), t_box=(0.0, 4.0), normalize=True)
         theta = rng.standard_normal((2, cfg.s1))
         x, t = rng.uniform(-2.0, 2.0, 2), 1.3
-        fast = theta @ cfg.b_matrix(x) @ cfg.xi_vector(t)
+        fast = theta @ cfg.design_rows(x[None], [t])[0]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle called basis.cheb_series")
@@ -170,16 +181,16 @@ class TestOracleIndependence:
 
 class TestXiVector:
     def test_at_one_all_ones(self):
-        assert np.allclose(BasisConfig(p=2, n=1).xi_vector([1.0]), [1, 1, 1])
+        assert np.array_equal(xi_of(BasisConfig(p=2, n=1), 1.0), [1, 1, 1])
 
     def test_at_zero_pattern(self):
-        assert np.allclose(BasisConfig(p=3, n=1).xi_vector([0.0]), [1, 0, -1, 0])
+        assert np.allclose(xi_of(BasisConfig(p=3, n=1), 0.0), [1, 0, -1, 0])
 
     def test_dimension_mismatch(self):
         cfg = BasisConfig(p=1, n=1)
-        for t in ([0.2, 1.0], [[0.5]], []):
+        for t in ([0.2, 1.0], [[0.5]], []):       # one time per state row
             with pytest.raises(ValueError):
-                cfg.xi_vector(t)
+                cfg.design_rows([[0.0]], t)
 
 
 class TestStructureMatrices:
@@ -214,11 +225,6 @@ class TestStructureMatrices:
 
 
 class TestMonomialVector:
-    def test_values(self):
-        cfg = BasisConfig(p=2, n=1)
-        assert np.array_equal(cfg.monomial_vector(0.0), [1, 0, 0])
-        assert np.array_equal(cfg.monomial_vector(2.0), [1, 2, 4])
-
     @given(st.integers(1, 8))
     @settings(max_examples=8, deadline=None)
     def test_chebyshev_identity(self, s2):
@@ -226,30 +232,30 @@ class TestMonomialVector:
         D, _ = structure_matrices(s2)
         rng = np.random.default_rng(s2)
         for t in rng.uniform(-1, 1, 100):
-            assert np.abs(cfg.xi_vector([t]) - D @ cfg.monomial_vector(t)).max() < 1e-12
+            assert np.abs(xi_of(cfg, t) - D @ t ** np.arange(s2)).max() < 1e-12
 
     def test_derivative_via_companion(self):
         # central difference error falls ~4x when h halves (degree >= 3)
-        cfg = BasisConfig(p=5, n=1)
+        powers = np.arange(6)
         _, A = structure_matrices(6)
         t0 = 0.3
         errs = []
         for h in (1e-2, 5e-3):
-            fd = (cfg.monomial_vector(t0 + h) - cfg.monomial_vector(t0 - h)) / (2 * h)
-            errs.append(np.linalg.norm(fd - A @ cfg.monomial_vector(t0)))
+            fd = ((t0 + h) ** powers - (t0 - h) ** powers) / (2 * h)
+            errs.append(np.linalg.norm(fd - A @ t0 ** powers))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
 
 class TestNormalization:
     def test_affine_map(self):
         cfg = BasisConfig(p=1, n=1, x_box=(0.0, 10.0), t_box=(0.0, 4.0), normalize=True)
-        assert cfg.normalize_state(np.array([5.0]))[0] == pytest.approx(0.0)
-        assert cfg.normalize_state(np.array([10.0]))[0] == pytest.approx(1.0)
-        assert cfg.normalize_feature(np.array([0.0]))[0] == pytest.approx(-1.0)
+        assert cfg.pi_rows([[5.0], [10.0]])[:, 1] == pytest.approx([0.0, 1.0])
+        assert xi_of(cfg, 0.0)[1] == pytest.approx(-1.0)
 
     def test_off_by_default(self):
-        cfg = BasisConfig(p=1, n=1, x_box=(0.0, 10.0))
-        assert np.array_equal(cfg.normalize_state(np.array([5.0])), [5.0])
+        cfg = BasisConfig(p=1, n=1, x_box=(0.0, 10.0), t_box=(0.0, 4.0))
+        assert np.array_equal(cfg.pi_rows([[5.0]]), [[1.0, 5.0]])
+        assert xi_of(cfg, 3.0)[1] == 3.0
 
     def test_model_value_invariant_under_normalization(self):
         # evaluating through the normalizing basis at raw inputs equals
@@ -261,10 +267,9 @@ class TestNormalization:
         for _ in range(20):
             x = rng.uniform(-2, 2)
             t = rng.uniform(0, 4)
-            through_norm = theta @ norm_cfg.b_matrix([x]) @ norm_cfg.xi_vector([t])
-            xh = norm_cfg.normalize_state(np.array([x]))
-            th = norm_cfg.normalize_feature(np.array([t]))
-            direct = theta @ raw_cfg.b_matrix(xh) @ raw_cfg.xi_vector(th)
+            through_norm = theta @ norm_cfg.design_rows([[x]], [t])[0]
+            xh, th = x / 2.0, t / 2.0 - 1.0
+            direct = theta @ raw_cfg.design_rows([[xh]], [th])[0]
             assert through_norm[0] == pytest.approx(direct[0], rel=1e-12, abs=1e-12)
 
     def test_invalid_box_rejected(self):
@@ -286,13 +291,29 @@ class TestSizes:
             BasisConfig(p=1, n=0)
 
     def test_design_rows_match_b_xi(self):
+        # against kron(xi(t), Pi(x)) from Clenshaw values and the index
+        # map, on the raw basis and on normalized ones with their own boxes
+        def cheb(k, v):
+            return np.polynomial.chebyshev.chebval(v, np.eye(k + 1)[k])
+
+        def unit(v, lo, hi):
+            return (2.0 * v - (lo + hi)) / (hi - lo)
+
         rng = np.random.default_rng(3)
-        cfg = BasisConfig(p=2, n=2)
-        x = rng.uniform(-1, 1, (5, 2))
-        t = rng.uniform(-1, 1, 5)
-        rows = cfg.design_rows(x, t)
-        for i in range(5):
-            assert np.allclose(rows[i], cfg.b_matrix(x[i]) @ cfg.xi_vector(t[i]), atol=1e-13)
-        for bad in (t[:1], t[:, None]):      # one time per state row, as a flat vector
-            with pytest.raises(ValueError):
-                cfg.design_rows(x, bad)
+        for normalize, x_box, t_box in ((False, None, None),
+                                        (True, [(-3.0, 1.0), (0.5, 7.0)], (2.0, 12.0))):
+            cfg = BasisConfig(p=2, n=2, x_box=x_box, t_box=t_box, normalize=normalize)
+            x = rng.uniform(cfg.x_box[:, 0], cfg.x_box[:, 1], (5, 2))
+            t = rng.uniform(*cfg.t_box, 5)
+            rows = cfg.design_rows(x, t)
+            for i in range(5):
+                v, tau = x[i], t[i]
+                if normalize:
+                    v, tau = unit(v, *cfg.x_box.T), unit(tau, *cfg.t_box)
+                xi = [cheb(l, tau) for l in range(cfg.s2)]
+                pi = [np.prod([cheb(k, vk) for k, vk in zip(flat_to_multi(h, 2, 2), v)])
+                      for h in range(cfg.state_block)]
+                assert np.allclose(rows[i], np.kron(xi, pi), rtol=0.0, atol=1e-13)
+            for bad in (t[:1], t[:, None]):      # one time per state row, as a flat vector
+                with pytest.raises(ValueError):
+                    cfg.design_rows(x, bad)

@@ -584,6 +584,32 @@ class TestCliExitCodes:
                          "--modes", "hodo"]) == 3
         assert str(model) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_is_3_and_named(self, tmp_path, capsys, value):
+        model = tmp_path / "model.txt"
+        fileio.save_model(model, random_model(np.random.default_rng(5)))
+        lines = model.read_text().splitlines()
+        coefs = lines[-1].split()
+        lines[-1] = "  " + " ".join(coefs[:-1] + [value])
+        model.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="non-finite"):
+            fileio.load_model(model)
+        ini = tmp_path / "sim.ini"
+        ini.write_text(BASE_CONFIG + f"\n[io]\nmodel_file = {model}\n")
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
+                         "--modes", "hodo"]) == 3
+        assert str(model) in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    def test_duration_that_holds_no_step_is_2(self, tmp_path, capsys):
+        ini = tmp_path / "short.ini"
+        ini.write_text(BASE_CONFIG.replace("duration = 0.5", "duration = 0.0001"))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                         "--modes", "none,ndo"]) == 2
+        assert "scenario.duration" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     @pytest.mark.parametrize("command, field", [
         ("learn", "learning.seed"), ("sweep", "learning.seed"), ("simulate", "scenario.seed"),
     ])

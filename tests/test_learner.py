@@ -265,7 +265,7 @@ class TestFitRls:
 
 class TestOutputMap:
     # C(x) from the coefficients with D folded in, against the defining
-    # product Theta B(x) D; Pi(x) for one state against the batch path
+    # product Theta B(x) D with B(x) = kron(I_s2, Pi(x) as a column)
 
     @pytest.mark.parametrize("normalize", (False, True))
     @pytest.mark.parametrize("p", range(5))
@@ -276,11 +276,13 @@ class TestOutputMap:
                           t_box=(0.0, 10.0), normalize=normalize)
         model = SeparatedModel(theta=rng.standard_normal((n, cfg.s1)), config=cfg)
         for x in rng.uniform(-2.5, 3.5, (10, n)):
-            ref = model.theta @ cfg.b_matrix(x) @ model.D
+            b = np.kron(np.eye(cfg.s2), cfg.pi_rows(x[None]).T)
+            ref = model.theta @ b @ model.D
             got = model.output_map(x)
             assert got.shape == (n, cfg.s2)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-            assert np.array_equal(cfg.pi_vector(x), cfg.pi_rows(x[None])[0])
+        with pytest.raises(ValueError, match=rf"shape \({n},\)"):
+            model.output_map(np.zeros(n + 1))
 
 
 class TestSeparatedModel:
@@ -292,10 +294,15 @@ class TestSeparatedModel:
         # variable; a central difference is exact on degrees <= 2
         cfg = BasisConfig(p=s2 - 1, n=1, t_box=t_box, normalize=normalize)
         model = SeparatedModel(theta=np.zeros((1, cfg.s1)), config=cfg)
+
+        def varsigma(t):
+            tau = 2.0 * (t - t_box[0]) / (t_box[1] - t_box[0]) - 1.0 if normalize else t
+            return tau ** np.arange(s2)
+
         for t in (0.3, 1.7, 3.9):
             h = 1e-6 * (t_box[1] - t_box[0])
-            fd = (cfg.monomial_vector(t + h) - cfg.monomial_vector(t - h)) / (2 * h)
-            exact = model.A @ cfg.monomial_vector(t)
+            fd = (varsigma(t + h) - varsigma(t - h)) / (2 * h)
+            exact = model.A @ varsigma(t)
             assert np.allclose(fd, exact, rtol=1e-6, atol=1e-7 * np.abs(exact).max())
 
 

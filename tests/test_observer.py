@@ -544,7 +544,7 @@ def closure_rk4_hodo_step(obs, x, u, dt):
 def output_left_to_right(model, x, sigma):
     """C(x) sigma = (K Pi(x)) sigma with every sum taken left to right,
     the order of Hodo.step."""
-    pi = model.config.pi_vector(x).tolist()
+    pi = model.config.pi_rows(np.asarray(x, dtype=float)[None])[0].tolist()
     out = []
     for k_i in model.K.tolist():
         acc = 0.0

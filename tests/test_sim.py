@@ -176,6 +176,14 @@ class TestScenario:
                 with pytest.raises(ConfigError, match=f"scenario.{field}"):
                     ScenarioConfig(**{field: value})
 
+    @pytest.mark.parametrize("duration", [1e-4, 5e-4])
+    def test_duration_that_holds_no_step_rejected(self, duration):
+        # round(duration / dt) = 0 steps: a run would log nothing and
+        # report nan metrics
+        with pytest.raises(ConfigError, match=r"scenario\.duration"):
+            ScenarioConfig(dt=1e-3, duration=duration)
+        assert len(run_scenario(ScenarioConfig(dt=1e-3, duration=6e-4)).t) == 1   # one step
+
     @pytest.mark.parametrize("field, kwargs", [
         pytest.param("scenario.mass", dict(mass=0.0), id="zero-mass"),
         pytest.param("scenario.mass", dict(mass=-1.0), id="negative-mass"),
