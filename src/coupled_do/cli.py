@@ -19,6 +19,7 @@ error, 3 data error, 4 numerical failure.  Partial successes never exit 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from .basis import BasisConfig
 from .errors import ConfigError, DataError, NumericalError
 from .learner import (SweepConfig, fit_rls, rng_stream, split_dataset, sweep,
                       targets_from_trajectory)
-from .sim import (ScenarioConfig, disturbance, disturbance_box,
-                  generate_training_run, newton_velocity_channel, run_scenario)
+from .sim import (disturbance, disturbance_box, generate_training_run,
+                  newton_velocity_channel, run_scenario)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,7 +91,7 @@ def cmd_learn(args) -> int:
     if typed["dataset_file"]:
         data = fileio.load_dataset(typed["dataset_file"])
         if data.delta is None:
-            f_x, f_u = newton_velocity_channel(typed["mass"])
+            f_x, f_u = newton_velocity_channel(typed["scenario"].mass)
             data = targets_from_trajectory(data, f_x, f_u,
                                            window=typed["window"],
                                            fit_order=typed["fit_order"])
@@ -170,7 +171,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     typed = fileio.load_config(args.config)
-    seed = _seed(args, typed["scenario_seed"])
+    seed = _seed(args, typed["scenario"].seed)
     out = _out_dir(typed, args.out)
     modes = fileio.parse_modes(args.modes, "--modes") if args.modes else typed["modes"]
 
@@ -185,12 +186,8 @@ def cmd_simulate(args) -> int:
 
     metrics_path = out / "metrics.csv"
     # every scenario is validated before the first one runs
-    scenarios = [ScenarioConfig(
-        mode=mode, model=model, k_eta=typed["k_eta"], k_v=typed["k_v"],
-        mass=typed["mass"], eta0=typed["eta0"], v0=typed["v0"],
-        sigma_v2=typed["sigma_v2"], dt=typed["dt"], duration=typed["duration"],
-        poles=typed["poles"], ndo_gain=typed["ndo_gain"],
-        seed=seed, log_sigma=typed["log_sigma"]) for mode in modes]
+    scenarios = [dataclasses.replace(typed["scenario"], mode=mode, model=model, seed=seed)
+                 for mode in modes]
     for mode, scenario in zip(modes, scenarios):
         result = run_scenario(scenario)
         series_path = out / f"scenario_{mode}.csv"

@@ -1,8 +1,9 @@
 """File formats: model files, dataset and result CSVs, and INI configs.
 
-:func:`load_config` reads an INI experiment file, applies the defaults
-and validates every field once; it returns the typed dict that the
-commands use, and each violation names its ``section.field``.
+:func:`load_config` reads an INI experiment file and validates every
+field once; it returns the typed dict that the commands use, with the
+``[scenario]``/``[observer]`` keys as one :class:`ScenarioConfig`, whose
+defaults and range checks apply.  Each violation names its ``section.field``.
 
 All numeric fields are serialized with 17 significant digits so that a
 load of a save reproduces every value bit-exactly.  CSV files are plain
@@ -35,7 +36,7 @@ import numpy as np
 from .basis import BasisConfig
 from .errors import ConfigError, DataError
 from .learner import FitReport, SeparatedModel, TrajectoryDataset
-from .sim import ScenarioResult, registered_disturbances
+from .sim import MODES, ScenarioConfig, ScenarioResult, registered_disturbances
 
 MODEL_FORMAT_VERSION = 1
 DATASET_CSV_VERSION = 1
@@ -308,19 +309,30 @@ _DEFAULTS = {
     "learning": {"function": "quad_drag_drift", "delta": "0.01", "n_samples": "10000",
                  "train_fraction": "0.5", "window": "9", "fit_order": "3",
                  "seed": "0", "noise_variance": "0.1"},
-    "observer": {"poles": "-0.4, -0.4, -0.4", "ndo_gain": "0.4"},
-    "scenario": {"plant": "newton", "k_eta": "10", "k_v": "25", "mass": "1",
-                 "eta0": "0", "v0": "0", "sigma_v2": "0.1", "dt": "0.001",
-                 "duration": "20", "modes": "none, ndo, hodo", "seed": "0",
-                 "log_sigma": "false"},
+    "observer": {},
+    "scenario": {"plant": "newton", "modes": "none, ndo, hodo"},
     "sweep": {"functions": "sine_product, cubic_drift, sine_cubic",
               "p_values": "1, 2, 3, 4, 5, 6",
               "noise_variances": "0, 0.01, 0.05, 0.1"},
     "io": {"out_dir": "out", "model_file": "", "dataset_file": "", "results_file": ""},
 }
 
+# the keys that are ScenarioConfig fields, with their kind; an absent key keeps the default
+_SCENARIO_FIELDS = {
+    "observer": {"poles": tuple, "ndo_gain": float},
+    "scenario": {"k_eta": float, "k_v": float, "mass": float, "eta0": float, "v0": float,
+                 "sigma_v2": float, "dt": float, "duration": float, "seed": int,
+                 "log_sigma": bool},
+}
+
 
 def _typed(section: str, key: str, raw: str, kind):
+    """``raw`` parsed as ``kind``, a finite number or a bool; the kind
+    ``tuple`` is a non-empty comma list of finite floats."""
+    if kind is tuple:
+        if not raw.strip():
+            raise ConfigError(f"{section}.{key}: must be a non-empty list")
+        return tuple(_typed(section, key, part.strip(), float) for part in raw.split(","))
     try:
         if kind is bool:
             if raw.lower() not in ("true", "false"):
@@ -332,12 +344,6 @@ def _typed(section: str, key: str, raw: str, kind):
     if not math.isfinite(value):
         raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
     return value
-
-
-def _float_list(section: str, key: str, raw: str) -> list[float]:
-    if not raw.strip():
-        raise ConfigError(f"{section}.{key}: must be a non-empty list")
-    return [_typed(section, key, part.strip(), float) for part in raw.split(",")]
 
 
 def _positive(section: str, key: str, value):
@@ -356,10 +362,10 @@ def parse_modes(raw: str, name: str) -> list[str]:
     """Non-empty comma list of compensation modes; an error names ``name``."""
     modes = [m.strip() for m in raw.split(",") if m.strip()]
     if not modes:
-        raise ConfigError(f"{name}: must list at least one of none|ndo|hodo")
+        raise ConfigError(f"{name}: must list at least one of {'|'.join(MODES)}")
     for m in modes:
-        if m not in ("none", "ndo", "hodo"):
-            raise ConfigError(f"{name}: must be none|ndo|hodo, got {m!r}")
+        if m not in MODES:
+            raise ConfigError(f"{name}: must be {'|'.join(MODES)}, got {m!r}")
     return modes
 
 
@@ -372,7 +378,8 @@ def _registered(section: str, key: str, name: str) -> str:
 
 def load_config(path) -> dict:
     """Parse an INI experiment file, apply the defaults and type-check
-    every field; returns the typed dict that the commands use."""
+    every field; returns the typed dict that the commands use, whose
+    ``"scenario"`` is a :class:`ScenarioConfig` of mode "none"."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -387,23 +394,20 @@ def load_config(path) -> dict:
         if sec not in merged:
             raise ConfigError(f"unknown config section [{sec}]")
         for key, value in parser.items(sec):
-            if key not in merged[sec]:
+            if key not in merged[sec] and key not in _SCENARIO_FIELDS.get(sec, ()):
                 raise ConfigError(f"{sec}.{key}: unknown field")
             merged[sec][key] = value
 
-    b, l, o, s, w, io_ = (merged[sec] for sec in _DEFAULTS)
+    b, l, _, s, w, io_ = (merged[sec] for sec in _DEFAULTS)
     typed = {}
     typed["p"] = _non_negative("basis", "p", _typed("basis", "p", b["p"], int))
     typed["normalize"] = _typed("basis", "normalize", b["normalize"], bool)
     for key in ("x_box", "t_box"):
         raw = b[key].strip()
-        if raw:
-            pair = _float_list("basis", key, raw)
-            if len(pair) != 2 or pair[0] >= pair[1]:
-                raise ConfigError(f"basis.{key}: expected 'lo, hi' with lo < hi, got {raw!r}")
-            typed[key] = (pair[0], pair[1])
-        else:
-            typed[key] = None
+        pair = _typed("basis", key, raw, tuple) if raw else None
+        if pair is not None and (len(pair) != 2 or pair[0] >= pair[1]):
+            raise ConfigError(f"basis.{key}: expected 'lo, hi' with lo < hi, got {raw!r}")
+        typed[key] = pair
 
     typed["function"] = _registered("learning", "function", l["function"])
     typed["ridge_delta"] = _positive("learning", "delta", _typed("learning", "delta", l["delta"], float))
@@ -421,35 +425,24 @@ def load_config(path) -> dict:
     typed["noise_variance"] = _non_negative(
         "learning", "noise_variance", _typed("learning", "noise_variance", l["noise_variance"], float))
 
-    typed["poles"] = tuple(_float_list("observer", "poles", o["poles"]))
-    if any(p >= 0 for p in typed["poles"]):
-        raise ConfigError("observer.poles: all poles must be strictly negative")
-    typed["ndo_gain"] = _positive("observer", "ndo_gain", _typed("observer", "ndo_gain", o["ndo_gain"], float))
-
+    typed["scenario"] = ScenarioConfig(**{
+        key: _typed(sec, key, merged[sec][key], kind)
+        for sec, kinds in _SCENARIO_FIELDS.items()
+        for key, kind in kinds.items() if key in merged[sec]})
     typed["plant"] = s["plant"]
     if typed["plant"] != "newton":
         raise ConfigError(f"scenario.plant: only 'newton' is available, got {typed['plant']!r}")
-    for key, kind in (("k_eta", float), ("k_v", float), ("mass", float),
-                      ("dt", float), ("duration", float)):
-        typed[key] = _positive("scenario", key, _typed("scenario", key, s[key], kind))
-    for key in ("eta0", "v0"):
-        typed[key] = _typed("scenario", key, s[key], float)
-    typed["sigma_v2"] = _non_negative("scenario", "sigma_v2",
-                                      _typed("scenario", "sigma_v2", s["sigma_v2"], float))
     typed["modes"] = parse_modes(s["modes"], "scenario.modes")
-    typed["scenario_seed"] = _non_negative("scenario", "seed",
-                                           _typed("scenario", "seed", s["seed"], int))
-    typed["log_sigma"] = _typed("scenario", "log_sigma", s["log_sigma"], bool)
 
     typed["sweep_functions"] = [_registered("sweep", "functions", f.strip())
                                 for f in w["functions"].split(",") if f.strip()]
     if not typed["sweep_functions"]:
         raise ConfigError("sweep.functions: must be a non-empty list")
-    p_values = _float_list("sweep", "p_values", w["p_values"])
+    p_values = _typed("sweep", "p_values", w["p_values"], tuple)
     if not all(v.is_integer() and v >= 0 for v in p_values):
         raise ConfigError(f"sweep.p_values: orders must be integers >= 0, got {w['p_values']!r}")
     typed["p_values"] = [int(v) for v in p_values]
-    typed["noise_variances"] = _float_list("sweep", "noise_variances", w["noise_variances"])
+    typed["noise_variances"] = list(_typed("sweep", "noise_variances", w["noise_variances"], tuple))
     if any(not v >= 0 for v in typed["noise_variances"]):
         raise ConfigError(f"sweep.noise_variances: must be >= 0, got {w['noise_variances']!r}")
 

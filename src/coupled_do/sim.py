@@ -153,6 +153,9 @@ def _sin_half_reference(t: float) -> tuple[float, float]:
     return math.sin(0.5 * t), 0.5 * math.cos(0.5 * t)
 
 
+MODES = ("none", "ndo", "hodo")
+
+
 @dataclass
 class ScenarioConfig:
     """Closed-loop tracking run description.
@@ -163,6 +166,9 @@ class ScenarioConfig:
     unit model Theta = [[1]] with the pole -``ndo_gain``: the classical
     first-order observer).  Measured velocity is corrupted with seeded
     Gaussian noise of variance ``sigma_v2``; logged truth is clean.
+    Every field but ``mode``, ``model`` and ``disturbance_name`` is an
+    INI ``[scenario]``/``[observer]`` key; its only default and range
+    check are here, and each error names its ``section.field``.
     """
 
     mode: str = "none"
@@ -182,22 +188,25 @@ class ScenarioConfig:
     log_sigma: bool = False
 
     def __post_init__(self):
-        for name, value in (("scenario.dt", self.dt), ("scenario.duration", self.duration),
+        for name, value in (("scenario.k_eta", self.k_eta), ("scenario.k_v", self.k_v),
+                            ("scenario.dt", self.dt), ("scenario.duration", self.duration),
                             ("scenario.mass", self.mass), ("observer.ndo_gain", self.ndo_gain)):
             if not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        if self.duration / self.dt <= 0.5:         # round() of the ratio: no step
-            raise ConfigError(f"scenario.duration = {self.duration} holds no step of "
-                              f"scenario.dt = {self.dt}")
-        if not 0 <= self.sigma_v2 < math.inf:
-            raise ConfigError(f"scenario.sigma_v2 must be finite and >= 0, got {self.sigma_v2}")
-        if self.mode not in ("none", "ndo", "hodo"):
-            raise ConfigError(f"scenario.mode must be none|ndo|hodo, got {self.mode!r}")
+                raise ConfigError(f"{name}: must be > 0 and finite, got {value}")
+        steps = self.duration / self.dt        # rounded, the step count
+        if not 0.5 < steps < math.inf:
+            raise ConfigError(f"scenario.duration: {self.duration} holds {steps:g} steps of "
+                              f"scenario.dt = {self.dt}; need a finite count >= 1")
+        for name, value in (("scenario.sigma_v2", self.sigma_v2), ("scenario.seed", self.seed)):
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name}: must be >= 0 and finite, got {value}")
+        if self.mode not in MODES:
+            raise ConfigError(f"scenario.mode: must be {'|'.join(MODES)}, got {self.mode!r}")
         poles = np.asarray(self.poles, dtype=complex)
         if not (poles.ndim == 1 and np.isfinite(poles).all() and (poles.real < 0).all()):
-            raise ConfigError(f"observer.poles must be finite and negative, got {self.poles}")
+            raise ConfigError(f"observer.poles: must be finite and negative, got {self.poles}")
         if self.mode == "hodo" and self.model is None:
-            raise ConfigError("scenario.mode 'hodo' requires a model")
+            raise ConfigError("scenario.mode: 'hodo' requires a model")
         if self.mode == "hodo" and len(poles) != self.model.config.s2:
             raise ConfigError(f"observer.poles: {len(poles)} given, model has s2 = {self.model.config.s2}")
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -299,9 +300,32 @@ class TestDigest:
 class TestConfig:
     def test_defaults_applied(self, config_file):
         typed = fileio.load_config(config_file)
-        assert typed["k_eta"] == 10.0
-        assert typed["poles"] == (-0.4, -0.4, -0.4)
+        assert typed["scenario"].k_eta == 10.0
+        assert typed["scenario"].poles == (-0.4, -0.4, -0.4)
         assert typed["p"] == 2
+
+    def test_every_scenario_key_reaches_its_field(self, tmp_path):
+        # a non-default value for each [scenario]/[observer] key that is a
+        # ScenarioConfig field lands in the field of the same name
+        values = {
+            "observer": {"poles": (-0.5, -0.75, -1.25), "ndo_gain": 0.625},
+            "scenario": {"k_eta": 12.5, "k_v": 30.25, "mass": 2.5, "eta0": 0.125,
+                         "v0": -0.375, "sigma_v2": 0.0625, "dt": 0.002,
+                         "duration": 1.5, "seed": 17, "log_sigma": True},
+        }
+
+        def ini(value):
+            return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value).lower()
+        path = tmp_path / "all.ini"
+        path.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {ini(v)}\n" for k, v in kv.items())
+                                for sec, kv in values.items()))
+        scenario = fileio.load_config(path)["scenario"]
+        assert scenario.mode == "none"
+        defaults = ScenarioConfig()
+        for kv in values.values():
+            for key, value in kv.items():
+                assert getattr(defaults, key) != value, key
+                assert getattr(scenario, key) == value, key
 
     def test_field_path_in_errors(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -610,6 +634,18 @@ class TestCliExitCodes:
         assert "scenario.duration" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_step_count_that_overflows_is_2(self, tmp_path, capsys):
+        # duration / dt is inf: rejected before anything is allocated
+        ini = tmp_path / "tiny_dt.ini"
+        ini.write_text(BASE_CONFIG.replace("duration = 0.5", "duration = 1\ndt = 1e-320"))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                         "--modes", "none"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: scenario.duration: ")
+        assert "scenario.dt" in err
+        assert not (out / "metrics.csv").exists()
+
     @pytest.mark.parametrize("command, field", [
         ("learn", "learning.seed"), ("sweep", "learning.seed"), ("simulate", "scenario.seed"),
     ])
@@ -676,12 +712,8 @@ class TestCliPipelines:
         assert lines[0] == "t,sigma_1,sigma_2,sigma_3"
 
         typed = fileio.load_config(ini)
-        result = run_scenario(ScenarioConfig(
-            mode="hodo", model=fileio.load_model(out / "model.txt"),
-            k_eta=typed["k_eta"], k_v=typed["k_v"], mass=typed["mass"],
-            eta0=typed["eta0"], v0=typed["v0"], sigma_v2=typed["sigma_v2"],
-            dt=typed["dt"], duration=typed["duration"], poles=typed["poles"],
-            ndo_gain=typed["ndo_gain"], seed=typed["scenario_seed"], log_sigma=True))
+        result = run_scenario(replace(typed["scenario"], mode="hodo",
+                                      model=fileio.load_model(out / "model.txt")))
         values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert len(values) == len(result.t) == 50
         assert np.array_equal(values[:, 0], result.t)
@@ -733,9 +765,9 @@ class TestCliPipelines:
         computed = []
         run_cell = learner._run_cell
 
-        def counting(base, p, sigma2, seed):
-            computed.append((p, sigma2))
-            return run_cell(base, p, sigma2, seed)
+        def counting(*args):
+            computed.append(args[1:3])            # (p, noise variance)
+            return run_cell(*args)
         monkeypatch.setattr(learner, "_run_cell", counting)
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
         assert computed == []

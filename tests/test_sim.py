@@ -184,6 +184,12 @@ class TestScenario:
             ScenarioConfig(dt=1e-3, duration=duration)
         assert len(run_scenario(ScenarioConfig(dt=1e-3, duration=6e-4)).t) == 1   # one step
 
+    @pytest.mark.parametrize("duration, dt", [(1.0, 1e-320), (1e300, 1e-300)])
+    def test_step_count_that_overflows_rejected(self, duration, dt):
+        # duration / dt is inf, which round() cannot turn into a step count
+        with pytest.raises(ConfigError, match=r"^scenario\.duration: .*scenario\.dt"):
+            ScenarioConfig(dt=dt, duration=duration)
+
     @pytest.mark.parametrize("field, kwargs", [
         pytest.param("scenario.mass", dict(mass=0.0), id="zero-mass"),
         pytest.param("scenario.mass", dict(mass=-1.0), id="negative-mass"),
@@ -192,9 +198,12 @@ class TestScenario:
         pytest.param("observer.poles", dict(poles=(0.4, -0.4, -0.4)), id="unstable-pole"),
         pytest.param("observer.poles", dict(poles=(-0.4, 0.0, -0.4)), id="zero-pole"),
         pytest.param("observer.poles", dict(mode="hodo", poles=(-0.4, -0.4)), id="pole-count"),
+        *(pytest.param(f"scenario.{key}", {key: value}, id=f"{key}={value}")
+          for key in ("k_eta", "k_v") for value in (0.0, -1.0, float("inf"))),
+        pytest.param("scenario.seed", dict(seed=-1), id="negative-seed"),
     ])
     def test_values_the_config_loader_rejects(self, field, kwargs):
-        # the library checks what the INI loader checks, naming the same field
+        # load_config leaves these checks to ScenarioConfig, which names the INI field
         model = SeparatedModel(theta=np.ones((1, 9)), config=BasisConfig(p=2, n=1))
         with pytest.raises(ConfigError, match=re.escape(field)):
             ScenarioConfig(model=model, **kwargs)
