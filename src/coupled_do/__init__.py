@@ -9,10 +9,9 @@ error dynamics carry prescribed eigenvalues.
 
 from .basis import BasisConfig, cheb_series, flat_to_multi, structure_matrices
 from .errors import ConfigError, CoupledDoError, DataError, NumericalError
-from .learner import (FitReport, SeparatedModel, SweepCell, SweepConfig,
-                      TrajectoryDataset, evaluate, fit_rls, rng_stream,
-                      split_dataset, sweep, synthesize_dataset,
-                      targets_from_trajectory)
+from .learner import (FitReport, LearningConfig, SeparatedModel, SweepCell, SweepConfig,
+                      TrajectoryDataset, evaluate, fit_rls, rng_stream, split_dataset,
+                      sweep, synthesize_dataset, targets_from_trajectory)
 from .observer import Hodo, UnobservableError
 from .oracles import ackermann_gain, rk4_step
 from .sim import (ScenarioConfig, ScenarioResult, disturbance, disturbance_box,
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisConfig", "cheb_series", "flat_to_multi", "structure_matrices",
     "ConfigError", "CoupledDoError", "DataError", "NumericalError",
-    "FitReport", "SeparatedModel", "SweepCell", "SweepConfig",
+    "FitReport", "LearningConfig", "SeparatedModel", "SweepCell", "SweepConfig",
     "TrajectoryDataset", "evaluate", "fit_rls", "rng_stream",
     "split_dataset", "sweep", "synthesize_dataset", "targets_from_trajectory",
     "Hodo", "UnobservableError", "ackermann_gain",

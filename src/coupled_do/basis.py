@@ -27,6 +27,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
+
+def check_order(p, name: str = "basis.p") -> int:
+    """``p`` as an int; ConfigError naming ``name`` unless it is a whole number >= 0."""
+    if not (p >= 0 and float(p).is_integer()):
+        raise ConfigError(f"{name}: must be an integer >= 0, got {p}")
+    return int(p)
+
+
+def check_box(box, name: str, dims: int = 0) -> np.ndarray:
+    """``box`` as a float array of (lo, hi) rows, ``dims`` of them if nonzero (a
+    single pair is repeated); ConfigError naming ``name`` unless every lo < hi."""
+    arr = np.atleast_2d(np.asarray(box, dtype=float))
+    if dims and arr.shape == (1, 2):
+        arr = np.repeat(arr, dims, axis=0)
+    if arr.shape != (dims or len(arr), 2) or not (arr[:, 0] < arr[:, 1]).all():
+        raise ConfigError(f"{name}: expected (lo, hi) pairs with lo < hi, got {box}")
+    return arr
+
 
 def cheb_series(p: int, tau) -> np.ndarray:
     """[T_0(tau), ..., T_p(tau)] by the recurrence T_k = 2*tau*T_{k-1} - T_{k-2}.
@@ -35,8 +55,7 @@ def cheb_series(p: int, tau) -> np.ndarray:
     Outside [-1, 1] they are evaluated as-is, so that observers stay
     total.
     """
-    if p < 0:
-        raise ValueError(f"order must be >= 0, got {p}")
+    p = check_order(p)
     tau = np.asarray(tau, dtype=float)
     out = np.ones((p + 1,) + tau.shape)
     if p >= 1:
@@ -85,17 +104,6 @@ def structure_matrices(s2: int) -> tuple[np.ndarray, np.ndarray]:
     return D, A
 
 
-def _as_box(box, dims: int, name: str) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(box, dtype=float))
-    if arr.shape == (1, 2) and dims > 1:
-        arr = np.repeat(arr, dims, axis=0)
-    if arr.shape != (dims, 2):
-        raise ValueError(f"{name} must have shape ({dims}, 2), got {arr.shape}")
-    if np.any(arr[:, 0] >= arr[:, 1]):
-        raise ValueError(f"{name} lower bounds must be strictly below upper bounds")
-    return arr
-
-
 @dataclass(frozen=True)
 class BasisConfig:
     """Shape and normalization of the tensor-product basis.
@@ -125,14 +133,13 @@ class BasisConfig:
     normalize: bool = False
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError(f"p must be >= 0, got {self.p}")
+        object.__setattr__(self, "p", check_order(self.p))
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+            raise ConfigError(f"n must be >= 1, got {self.n}")
         x_box = self.x_box if self.x_box is not None else [[-1.0, 1.0]]
         t_box = self.t_box if self.t_box is not None else [-1.0, 1.0]
-        object.__setattr__(self, "x_box", _as_box(x_box, self.n, "x_box"))
-        object.__setattr__(self, "t_box", _as_box(t_box, 1, "t_box")[0])
+        object.__setattr__(self, "x_box", check_box(x_box, "basis.x_box", self.n))
+        object.__setattr__(self, "t_box", check_box(t_box, "basis.t_box", 1)[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BasisConfig):

@@ -3,7 +3,8 @@
 Subcommands
 -----------
 learn     identify a separated model from a dataset file or a synthesis
-          spec, write the model file, append a fit-report row
+          spec, write the model file, append a fit-report row, print the
+          train and test errors
 sweep     grid of fits over polynomial order and noise variance, one
           CSV row per cell, resumable
 simulate  closed-loop tracking runs for the requested compensation
@@ -26,12 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, oracles
-from .basis import BasisConfig
 from .errors import ConfigError, DataError, NumericalError
-from .learner import (SweepConfig, fit_rls, rng_stream, split_dataset, sweep,
-                      targets_from_trajectory)
-from .sim import (disturbance, disturbance_box, generate_training_run,
-                  newton_velocity_channel, run_scenario)
+from .learner import check, fit_rls, rng_stream, split_dataset, sweep, targets_from_trajectory
+from .sim import generate_training_run, newton_velocity_channel, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,86 +65,56 @@ def _out_dir(typed, override) -> Path:
 
 
 def _seed(args, configured: int) -> int:
-    if args.seed is None:
-        return configured
-    if args.seed < 0:
-        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
-    return args.seed
-
-
-def _boxes(typed, function: str) -> tuple:
-    """(x_box, t_box) for a function: each configured basis box where set,
-    else the one registered with the disturbance."""
-    x_box, t_box = disturbance_box(function)
-    return typed["x_box"] or x_box, typed["t_box"] or t_box
+    return configured if args.seed is None else check("seed", args.seed, "--seed")
 
 
 def cmd_learn(args) -> int:
     typed = fileio.load_config(args.config)
-    seed = _seed(args, typed["seed"])
+    cfg = typed["learning"]
+    seed = _seed(args, cfg.seed)
     out = _out_dir(typed, args.out)
-    function = typed["function"]
-    sigma2 = typed["noise_variance"] if args.noisy and not typed["dataset_file"] else 0.0
+    sigma2 = cfg.noise_variance if args.noisy and not typed["dataset_file"] else 0.0
 
     if typed["dataset_file"]:
         data = fileio.load_dataset(typed["dataset_file"])
         if data.delta is None:
-            f_x, f_u = newton_velocity_channel(typed["scenario"].mass)
-            data = targets_from_trajectory(data, f_x, f_u,
-                                           window=typed["window"],
-                                           fit_order=typed["fit_order"])
+            data = targets_from_trajectory(data, *newton_velocity_channel(typed["scenario"].mass),
+                                           window=cfg.window, fit_order=cfg.fit_order)
     else:
-        data = generate_training_run(function, n_samples=typed["n_samples"],
+        data = generate_training_run(cfg.function, n_samples=cfg.n_samples,
                                      seed=seed, noise_std=float(np.sqrt(sigma2)))
 
-    train, test = split_dataset(data, typed["train_fraction"], rng_stream(seed, "split"))
-    x_box, t_box = _boxes(typed, function)
-    basis = BasisConfig(p=typed["p"], n=1, x_box=x_box, t_box=t_box,
-                        normalize=typed["normalize"])
-
-    theta_true = None
-    if function == "quad_drag_drift" and not basis.normalize:
-        theta_true = oracles.projection_oracle(disturbance(function), typed["p"],
-                                               *disturbance_box(function))
-
-    model, report = fit_rls(train, basis, typed["ridge_delta"], test=test,
-                            theta_true=theta_true)
+    train, test = split_dataset(data, cfg.train_fraction, rng_stream(seed, "split"))
+    model, report = fit_rls(train, cfg.basis(), cfg.delta, test=test)
 
     model_path = Path(typed["model_file"]) if typed["model_file"] else out / "model.txt"
-    fileio.save_model(model_path, model, seed=seed, delta=typed["ridge_delta"],
+    fileio.save_model(model_path, model, seed=seed, delta=cfg.delta,
                       digest=fileio.dataset_digest(data))
     results_path = Path(typed["results_file"]) if typed["results_file"] else out / "fit_reports.csv"
     fileio.append_csv_row(results_path, fileio.REPORT_CSV_COLUMNS,
-                          fileio.report_row(function, typed["p"], sigma2, typed["ridge_delta"],
+                          fileio.report_row(cfg.function, cfg.p, sigma2, cfg.delta,
                                             seed, len(train), len(test), report))
 
     print(f"model written to {model_path}")
     print(f"train MAE = {report.train_mae:.6e}  test MAE = {report.test_mae:.6e}  "
           f"gram condition = {report.gram_condition:.3e}")
-    if report.theta_error is not None:
-        print(f"squared coefficient error vs projection oracle = {report.theta_error:.6e}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     typed = fileio.load_config(args.config)
-    seed = _seed(args, typed["seed"])
+    cfg = typed["learning"]
+    seed = _seed(args, cfg.seed)
     out = _out_dir(typed, args.out)
     grid_path = Path(typed["results_file"]) if typed["results_file"] else out / "sweep.csv"
     done = fileio.existing_sweep_keys(grid_path)
     # a value repeated in the config is one cell of the grid
-    p_values = list(dict.fromkeys(typed["p_values"]))
-    noise_variances = list(dict.fromkeys(typed["noise_variances"]))
+    p_values = list(dict.fromkeys(cfg.p_values))
+    noise_variances = list(dict.fromkeys(cfg.noise_variances))
 
     rows = []
-    for function in typed["sweep_functions"]:
-        x_box, t_box = _boxes(typed, function)
-        base = SweepConfig(disturbance=disturbance(function), x_box=x_box, t_box=t_box,
-                           n_samples=typed["n_samples"],
-                           train_fraction=typed["train_fraction"],
-                           delta=typed["ridge_delta"],
-                           normalize=typed["normalize"],
-                           seed=seed)
+    for function in cfg.functions:
+        base = dataclasses.replace(cfg.sweep_config(function), seed=seed)
         # only the orders still missing at a noise level are computed
         for s2 in noise_variances:
             todo = [p for p in p_values if (function, p, float(s2), seed) not in done]

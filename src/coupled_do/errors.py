@@ -9,8 +9,9 @@ class CoupledDoError(Exception):
     """Base class for package errors."""
 
 
-class ConfigError(CoupledDoError):
-    """Invalid configuration; the message names the offending field."""
+class ConfigError(CoupledDoError, ValueError):
+    """Invalid configuration or argument (so also a ValueError); the message
+    names the offending field."""
 
 
 class DataError(CoupledDoError):

@@ -1,9 +1,10 @@
 """File formats: model files, dataset and result CSVs, and INI configs.
 
-:func:`load_config` reads an INI experiment file and validates every
-field once; it returns the typed dict that the commands use, with the
-``[scenario]``/``[observer]`` keys as one :class:`ScenarioConfig`, whose
-defaults and range checks apply.  Each violation names its ``section.field``.
+:func:`load_config` parses an INI experiment file into two dataclasses,
+whose constructors hold the only defaults and range checks: the
+``[basis]``/``[learning]``/``[sweep]`` keys become a :class:`LearningConfig`
+and the ``[scenario]``/``[observer]`` keys a :class:`ScenarioConfig`.  Each
+error names its ``section.field``.
 
 All numeric fields are serialized with 17 significant digits so that a
 load of a save reproduces every value bit-exactly.  CSV files are plain
@@ -35,8 +36,8 @@ import numpy as np
 
 from .basis import BasisConfig
 from .errors import ConfigError, DataError
-from .learner import FitReport, SeparatedModel, TrajectoryDataset
-from .sim import MODES, ScenarioConfig, ScenarioResult, registered_disturbances
+from .learner import FitReport, LearningConfig, SeparatedModel, TrajectoryDataset
+from .sim import MODES, ScenarioConfig, ScenarioResult
 
 MODEL_FORMAT_VERSION = 1
 DATASET_CSV_VERSION = 1
@@ -45,7 +46,7 @@ SCENARIO_CSV_VERSION = 1
 SCENARIO_CSV_COLUMNS = ["t", "eta", "eta_d", "v", "u", "delta_true", "delta_hat", "mode"]
 REPORT_CSV_COLUMNS = ["function", "p", "noise_variance", "delta", "seed", "n_train",
                       "n_test", "train_mae", "test_mae", "gram_condition",
-                      "residual_sup", "theta_error"]
+                      "residual_sup"]
 SWEEP_CSV_COLUMNS = ["function", "p", "noise_variance", "seed", "test_mae", "status"]
 METRICS_CSV_COLUMNS = ["mode", "seed", "tracking_mae", "estimation_mae",
                        "estimation_tail_mae", "decay_slope", "gain_failures"]
@@ -270,12 +271,15 @@ def save_sigma_series(path, result: ScenarioResult) -> None:
 # --- append-style result CSVs --------------------------------------------------
 
 def append_csv_row(path, columns: list[str], row: list) -> None:
-    """Append one row, creating the file with its header when missing."""
-    path = Path(path)
-    fresh = not path.exists()
-    with open(path, "a", newline="") as fh:
+    """Append one row, writing the header first into a new or empty file;
+    a file with another header raises DataError."""
+    with open(path, "a+", newline="") as fh:
+        fh.seek(0)
+        header = next(csv.reader(fh), None)
+        if header not in (None, columns):
+            raise DataError(f"{path}: columns {header} do not match schema {columns}")
         writer = csv.writer(fh)
-        if fresh:
+        if header is None:
             writer.writerow(columns)
         writer.writerow(row)
 
@@ -284,8 +288,7 @@ def report_row(function: str, p: int, sigma2: float, delta: float, seed: int,
                n_train: int, n_test: int, report: FitReport) -> list:
     return [function, p, fmt(sigma2), fmt(delta), seed, n_train, n_test,
             fmt(report.train_mae), fmt(report.test_mae), fmt(report.gram_condition),
-            fmt(report.residual_sup),
-            "" if report.theta_error is None else fmt(report.theta_error)]
+            fmt(report.residual_sup)]
 
 
 def existing_sweep_keys(path) -> set[tuple]:
@@ -296,43 +299,53 @@ def existing_sweep_keys(path) -> set[tuple]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != SWEEP_CSV_COLUMNS:
-            raise DataError(f"sweep columns {reader.fieldnames} do not match "
-                            f"schema {SWEEP_CSV_COLUMNS}")
+            raise DataError(f"{path}: columns {reader.fieldnames} do not match schema {SWEEP_CSV_COLUMNS}")
         return {(r["function"], int(r["p"]), float(r["noise_variance"]), int(r["seed"]))
                 for r in reader}
 
 
 # --- INI configuration ----------------------------------------------------------
 
+# the keys that are not dataclass fields, with their defaults
 _DEFAULTS = {
-    "basis": {"p": "2", "normalize": "false", "x_box": "", "t_box": ""},
-    "learning": {"function": "quad_drag_drift", "delta": "0.01", "n_samples": "10000",
-                 "train_fraction": "0.5", "window": "9", "fit_order": "3",
-                 "seed": "0", "noise_variance": "0.1"},
-    "observer": {},
-    "scenario": {"plant": "newton", "modes": "none, ndo, hodo"},
-    "sweep": {"functions": "sine_product, cubic_drift, sine_cubic",
-              "p_values": "1, 2, 3, 4, 5, 6",
-              "noise_variances": "0, 0.01, 0.05, 0.1"},
+    "scenario": {"modes": "none, ndo, hodo"},
     "io": {"out_dir": "out", "model_file": "", "dataset_file": "", "results_file": ""},
 }
 
-# the keys that are ScenarioConfig fields, with their kind; an absent key keeps the default
-_SCENARIO_FIELDS = {
-    "observer": {"poles": tuple, "ndo_gain": float},
-    "scenario": {"k_eta": float, "k_v": float, "mass": float, "eta0": float, "v0": float,
-                 "sigma_v2": float, "dt": float, "duration": float, "seed": int,
-                 "log_sigma": bool},
+# the keys that are fields of each dataclass, with their kind; an absent key keeps the default
+_FIELDS = {
+    LearningConfig: {
+        "basis": {"p": int, "normalize": bool, "x_box": "box", "t_box": "box"},
+        "learning": {"function": str, "delta": float, "n_samples": int,
+                     "train_fraction": float, "window": int, "fit_order": int, "seed": int,
+                     "noise_variance": float},
+        "sweep": {"functions": list, "p_values": tuple, "noise_variances": tuple},
+    },
+    ScenarioConfig: {
+        "observer": {"poles": tuple, "ndo_gain": float},
+        "scenario": {"k_eta": float, "k_v": float, "mass": float, "eta0": float, "v0": float,
+                     "sigma_v2": float, "dt": float, "duration": float, "seed": int,
+                     "log_sigma": bool},
+    },
 }
+_KINDS = {sec: kinds for sections in _FIELDS.values() for sec, kinds in sections.items()}
 
 
 def _typed(section: str, key: str, raw: str, kind):
-    """``raw`` parsed as ``kind``, a finite number or a bool; the kind
-    ``tuple`` is a non-empty comma list of finite floats."""
-    if kind is tuple:
-        if not raw.strip():
+    """``raw`` parsed as ``kind``: a finite number, a bool or a str.  The
+    kind ``tuple`` is a non-empty comma list of finite floats, ``list`` one
+    of names, and ``"box"`` a tuple or, when empty, None."""
+    if kind is str:
+        return raw
+    if kind == "box":
+        return _typed(section, key, raw, tuple) if raw.strip() else None
+    if kind in (tuple, list):
+        parts = [part.strip() for part in raw.split(",")]
+        if not any(parts):
             raise ConfigError(f"{section}.{key}: must be a non-empty list")
-        return tuple(_typed(section, key, part.strip(), float) for part in raw.split(","))
+        if kind is list:
+            return tuple(filter(None, parts))
+        return tuple(_typed(section, key, part, float) for part in parts)
     try:
         if kind is bool:
             if raw.lower() not in ("true", "false"):
@@ -343,18 +356,6 @@ def _typed(section: str, key: str, raw: str, kind):
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from exc
     if not math.isfinite(value):
         raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
-    return value
-
-
-def _positive(section: str, key: str, value):
-    if value <= 0:
-        raise ConfigError(f"{section}.{key}: must be > 0, got {value}")
-    return value
-
-
-def _non_negative(section: str, key: str, value):
-    if value < 0:
-        raise ConfigError(f"{section}.{key}: must be >= 0, got {value}")
     return value
 
 
@@ -369,17 +370,12 @@ def parse_modes(raw: str, name: str) -> list[str]:
     return modes
 
 
-def _registered(section: str, key: str, name: str) -> str:
-    known = registered_disturbances()
-    if name not in known:
-        raise ConfigError(f"{section}.{key}: unknown disturbance {name!r}; known: {known}")
-    return name
-
-
 def load_config(path) -> dict:
-    """Parse an INI experiment file, apply the defaults and type-check
-    every field; returns the typed dict that the commands use, whose
-    ``"scenario"`` is a :class:`ScenarioConfig` of mode "none"."""
+    """Parse an INI experiment file into the dict that the commands use:
+    ``"learning"``, a :class:`LearningConfig`, and ``"scenario"``, a
+    :class:`ScenarioConfig` of mode "none", each built from the keys that
+    are its fields; ``"modes"``, the ``scenario.modes`` list; and the
+    ``[io]`` keys as strings."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -389,63 +385,19 @@ def load_config(path) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"config file malformed: {exc}") from exc
 
-    merged = {sec: dict(defaults) for sec, defaults in _DEFAULTS.items()}
+    merged = {sec: dict(_DEFAULTS.get(sec, {})) for sec in [*_KINDS, "io"]}
     for sec in parser.sections():
         if sec not in merged:
             raise ConfigError(f"unknown config section [{sec}]")
         for key, value in parser.items(sec):
-            if key not in merged[sec] and key not in _SCENARIO_FIELDS.get(sec, ()):
+            if key not in merged[sec] and key not in _KINDS.get(sec, ()):
                 raise ConfigError(f"{sec}.{key}: unknown field")
             merged[sec][key] = value
 
-    b, l, _, s, w, io_ = (merged[sec] for sec in _DEFAULTS)
-    typed = {}
-    typed["p"] = _non_negative("basis", "p", _typed("basis", "p", b["p"], int))
-    typed["normalize"] = _typed("basis", "normalize", b["normalize"], bool)
-    for key in ("x_box", "t_box"):
-        raw = b[key].strip()
-        pair = _typed("basis", key, raw, tuple) if raw else None
-        if pair is not None and (len(pair) != 2 or pair[0] >= pair[1]):
-            raise ConfigError(f"basis.{key}: expected 'lo, hi' with lo < hi, got {raw!r}")
-        typed[key] = pair
-
-    typed["function"] = _registered("learning", "function", l["function"])
-    typed["ridge_delta"] = _positive("learning", "delta", _typed("learning", "delta", l["delta"], float))
-    typed["n_samples"] = _positive("learning", "n_samples", _typed("learning", "n_samples", l["n_samples"], int))
-    typed["train_fraction"] = _typed("learning", "train_fraction", l["train_fraction"], float)
-    if not 0.0 < typed["train_fraction"] < 1.0:
-        raise ConfigError(f"learning.train_fraction: must be in (0, 1), got {typed['train_fraction']}")
-    typed["fit_order"] = _positive("learning", "fit_order",
-                                   _typed("learning", "fit_order", l["fit_order"], int))
-    typed["window"] = _typed("learning", "window", l["window"], int)
-    if typed["window"] % 2 == 0 or typed["window"] <= typed["fit_order"]:
-        raise ConfigError(f"learning.window: must be odd and > learning.fit_order = "
-                          f"{typed['fit_order']}, got {typed['window']}")
-    typed["seed"] = _non_negative("learning", "seed", _typed("learning", "seed", l["seed"], int))
-    typed["noise_variance"] = _non_negative(
-        "learning", "noise_variance", _typed("learning", "noise_variance", l["noise_variance"], float))
-
-    typed["scenario"] = ScenarioConfig(**{
-        key: _typed(sec, key, merged[sec][key], kind)
-        for sec, kinds in _SCENARIO_FIELDS.items()
-        for key, kind in kinds.items() if key in merged[sec]})
-    typed["plant"] = s["plant"]
-    if typed["plant"] != "newton":
-        raise ConfigError(f"scenario.plant: only 'newton' is available, got {typed['plant']!r}")
-    typed["modes"] = parse_modes(s["modes"], "scenario.modes")
-
-    typed["sweep_functions"] = [_registered("sweep", "functions", f.strip())
-                                for f in w["functions"].split(",") if f.strip()]
-    if not typed["sweep_functions"]:
-        raise ConfigError("sweep.functions: must be a non-empty list")
-    p_values = _typed("sweep", "p_values", w["p_values"], tuple)
-    if not all(v.is_integer() and v >= 0 for v in p_values):
-        raise ConfigError(f"sweep.p_values: orders must be integers >= 0, got {w['p_values']!r}")
-    typed["p_values"] = [int(v) for v in p_values]
-    typed["noise_variances"] = list(_typed("sweep", "noise_variances", w["noise_variances"], tuple))
-    if any(not v >= 0 for v in typed["noise_variances"]):
-        raise ConfigError(f"sweep.noise_variances: must be >= 0, got {w['noise_variances']!r}")
-
-    typed.update(io_)
+    typed = {name: cls(**{key: _typed(sec, key, merged[sec][key], kind)
+                          for sec, kinds in _FIELDS[cls].items()
+                          for key, kind in kinds.items() if key in merged[sec]})
+             for name, cls in (("learning", LearningConfig), ("scenario", ScenarioConfig))}
+    typed["modes"] = parse_modes(merged["scenario"]["modes"], "scenario.modes")
+    typed.update(merged["io"])
     return typed
-

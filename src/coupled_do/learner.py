@@ -19,6 +19,9 @@ bases of high order the equilibrated Gram is ill-conditioned (condition
 1.3e11 for a p = 6 fit of ``sine_cubic``), and Cholesky factors from two
 builds, which differ in their last bits, move Theta by up to 3e-5
 relative.
+
+:class:`LearningConfig` holds the settings of ``learn`` and ``sweep``; its
+range checks are the ones that the functions here apply to their arguments.
 """
 
 from __future__ import annotations
@@ -29,8 +32,35 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import BasisConfig, structure_matrices
+from .basis import BasisConfig, check_box, check_order, structure_matrices
 from .errors import ConfigError, DataError, NumericalError
+
+
+# the range checks of LearningConfig and the seeds, which the library's guards share
+_RULES = {
+    "learning.train_fraction": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "learning.delta": ("a ridge weight > 0", lambda v: v > 0),
+    "learning.n_samples": (">= 1", lambda v: v >= 1),
+    "learning.fit_order": (">= 1", lambda v: v >= 1),
+    "learning.noise_variance": (">= 0", lambda v: v >= 0),
+    "seed": (">= 0", lambda v: v >= 0),
+}
+
+
+def check(rule: str, value, name: str = "", error: type = ConfigError):
+    """``value`` if it keeps ``rule``, else ``error`` (DataError where a dataset
+    is at fault) with a message naming ``name``, by default the rule's field."""
+    text, ok = _RULES[rule]
+    if not ok(value):
+        raise error(f"{name or rule}: must be {text}, got {value}")
+    return value
+
+
+def check_window(window: int, fit_order: int) -> None:
+    check("learning.fit_order", fit_order)
+    if window % 2 == 0 or window <= fit_order:
+        raise ConfigError(f"learning.window: must be odd and > learning.fit_order = "
+                          f"{fit_order}, got {window}")
 
 
 def rng_stream(seed: int, *key) -> np.random.Generator:
@@ -107,8 +137,7 @@ class TrajectoryDataset:
 def split_dataset(data: TrajectoryDataset, train_fraction: float,
                   rng: np.random.Generator) -> tuple[TrajectoryDataset, TrajectoryDataset]:
     """Global shuffle followed by a train/test split."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    check("learning.train_fraction", train_fraction)
     idx = rng.permutation(len(data))
     cut = int(round(train_fraction * len(data)))
     return data.subset(idx[:cut]), data.subset(idx[cut:])
@@ -174,7 +203,6 @@ class FitReport:
     test_mae: float
     gram_condition: float
     residual_sup: float
-    theta_error: Optional[float] = None
 
     def __post_init__(self):
         for name in ("train_mae", "test_mae", "gram_condition", "residual_sup"):
@@ -225,8 +253,7 @@ def targets_from_trajectory(traj: TrajectoryDataset, f_x: Callable, f_u: Callabl
     fit_order : int
         Polynomial degree of the local fit, >= 1.
     """
-    if window % 2 == 0 or window <= fit_order or fit_order < 1:
-        raise ConfigError(f"need odd window > fit_order >= 1, got window={window}, fit_order={fit_order}")
+    check_window(window, fit_order)
     if len(traj) < window:
         raise DataError(f"trajectory has {len(traj)} samples, window needs {window}")
     dt = np.diff(traj.t)
@@ -250,8 +277,7 @@ def targets_from_trajectory(traj: TrajectoryDataset, f_x: Callable, f_u: Callabl
 
 
 def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
-            test: Optional[TrajectoryDataset] = None,
-            theta_true: Optional[np.ndarray] = None) -> tuple[SeparatedModel, FitReport]:
+            test: Optional[TrajectoryDataset] = None) -> tuple[SeparatedModel, FitReport]:
     """Solve the regularized least-squares identification in closed form.
 
     Parameters
@@ -265,16 +291,12 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     test : TrajectoryDataset, optional
         Held-out records for the reported test error (training records
         are reused when absent).
-    theta_true : ndarray, optional
-        Reference coefficients; when given, the squared Frobenius error
-        is recorded in the report.
 
     Returns
     -------
     (SeparatedModel, FitReport)
     """
-    if not delta > 0:
-        raise ConfigError(f"ridge weight must be > 0, got {delta}")
+    check("learning.delta", delta)
     if len(data) < 1:
         raise DataError("cannot fit on an empty dataset")
     if data.delta is None:
@@ -284,10 +306,14 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
 
     # features that overflow are reported by the finite-Gram check below,
     # not by NumPy warnings; cholesky would factor them into NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        feats = config.design_rows(data.x, data.t)      # rows are B_n @ xi_n
-        gram = feats.T @ feats + delta * np.eye(config.s1)
-        rhs = feats.T @ data.delta                      # = (sum delta_n xi_n^T B_n^T)^T
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats = config.design_rows(data.x, data.t)      # rows are B_n @ xi_n
+            gram = feats.T @ feats + delta * np.eye(config.s1)
+            rhs = feats.T @ data.delta                      # = (sum delta_n xi_n^T B_n^T)^T
+    except MemoryError as exc:
+        raise NumericalError(f"the N x s1 design and s1 x s1 Gram arrays do not fit in "
+                             f"memory, N = {len(data)}, s1 = {config.s1} ({exc})") from None
     if not np.isfinite(gram).all():
         raise NumericalError("regularized Gram has non-finite entries (features overflow)")
     # symmetric diagonal equilibration keeps the Cholesky solve accurate
@@ -310,8 +336,6 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
         test_mae=test_mae,
         gram_condition=cond,
         residual_sup=residual_sup,
-        theta_error=None if theta_true is None
-        else float(np.sum((np.atleast_2d(theta_true) - theta) ** 2)),
     )
     return model, report
 
@@ -336,12 +360,8 @@ def synthesize_dataset(disturbance: Callable, x_box, t_box, n_samples: int,
     collection surfaces in the recorded targets: zero-mean Gaussian
     noise of standard deviation ``noise_std`` is added to delta.
     """
-    if n_samples < 1:
-        raise DataError(f"need at least one sample, got {n_samples}")
-    x_box = np.atleast_2d(np.asarray(x_box, dtype=float))
-    t_box = np.asarray(t_box, dtype=float).ravel()
-    if np.any(x_box[:, 0] >= x_box[:, 1]) or t_box[0] >= t_box[1]:
-        raise ConfigError("sampling boxes must have lo < hi")
+    check("learning.n_samples", n_samples, error=DataError)
+    x_box, t_box = check_box(x_box, "basis.x_box"), check_box(t_box, "basis.t_box")[0]
     x = rng.uniform(x_box[:, 0], x_box[:, 1], size=(n_samples, x_box.shape[0]))
     t = rng.uniform(t_box[0], t_box[1], size=n_samples)
     delta = np.asarray(disturbance(x[:, 0] if x.shape[1] == 1 else x, t), dtype=float)
@@ -351,17 +371,72 @@ def synthesize_dataset(disturbance: Callable, x_box, t_box, n_samples: int,
 
 
 @dataclass(frozen=True)
+class LearningConfig:
+    """The ``[basis]``, ``[learning]`` and ``[sweep]`` settings, each field
+    the INI key of the same name, with their only defaults and range
+    checks; each error names its ``section.field``.  An unset box (None)
+    is, for each function, the box registered with it."""
+
+    p: int = 2
+    normalize: bool = False
+    x_box: Optional[tuple] = None
+    t_box: Optional[tuple] = None
+    function: str = "quad_drag_drift"
+    delta: float = 0.01
+    n_samples: int = 10000
+    train_fraction: float = 0.5
+    window: int = 9
+    fit_order: int = 3
+    seed: int = 0
+    noise_variance: float = 0.1
+    functions: tuple = ("sine_product", "cubic_drift", "sine_cubic")
+    p_values: tuple = (1, 2, 3, 4, 5, 6)
+    noise_variances: tuple = (0.0, 0.01, 0.05, 0.1)
+
+    def __post_init__(self):
+        from .sim import disturbance_box        # sim imports this module
+        self.basis()            # checks learning.function, basis.p and the boxes
+        for key in ("delta", "n_samples", "train_fraction", "noise_variance"):
+            check(f"learning.{key}", getattr(self, key))
+        check_window(self.window, self.fit_order)
+        check("seed", self.seed, "learning.seed")
+        for name in self.functions:
+            disturbance_box(name, "sweep.functions")
+        object.__setattr__(self, "p_values",
+                           tuple(check_order(p, "sweep.p_values") for p in self.p_values))
+        for value in self.noise_variances:
+            check("learning.noise_variance", value, "sweep.noise_variances")
+
+    def boxes(self, function: str) -> tuple:
+        """(x_box, t_box) of ``function``: each box set here, else the registered one."""
+        from .sim import disturbance_box
+        x_box, t_box = disturbance_box(function)
+        return self.x_box or x_box, self.t_box or t_box
+
+    def basis(self) -> BasisConfig:
+        """The basis that ``learn`` fits to ``function``."""
+        return BasisConfig(self.p, 1, *self.boxes(self.function), self.normalize)
+
+    def sweep_config(self, function: str) -> "SweepConfig":
+        """The sweep of one of ``functions`` with these settings."""
+        from .sim import disturbance
+        return SweepConfig(disturbance(function), *self.boxes(function), self.n_samples,
+                           self.train_fraction, self.delta, self.normalize, self.seed)
+
+
+@dataclass(frozen=True)
 class SweepConfig:
-    """Shared setup of a (p, noise variance) learning sweep."""
+    """Shared setup of a (p, noise variance) learning sweep: a disturbance, its
+    sampling boxes and the settings of :class:`LearningConfig`, with its defaults."""
 
     disturbance: Callable
     x_box: tuple = (-2.0, 2.0)
     t_box: tuple = (0.0, 4.0)
-    n_samples: int = 10000
-    train_fraction: float = 0.5
-    delta: float = 0.01
-    normalize: bool = True
-    seed: int = 0
+    n_samples: int = LearningConfig.n_samples
+    train_fraction: float = LearningConfig.train_fraction
+    delta: float = LearningConfig.delta
+    normalize: bool = LearningConfig.normalize
+    seed: int = LearningConfig.seed
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import BasisConfig
 from .errors import ConfigError, NumericalError
-from .learner import SeparatedModel, TrajectoryDataset, rng_stream, synthesize_dataset
+from .learner import SeparatedModel, TrajectoryDataset, check, rng_stream, synthesize_dataset
 from .observer import Hodo
 
 
@@ -100,18 +100,16 @@ _REGISTRY: dict[str, dict] = {
 }
 
 
-def disturbance(name: str) -> Callable:
-    """Look up a registered disturbance function by name."""
-    try:
-        return _REGISTRY[name]["fn"]
-    except KeyError:
-        raise ConfigError(f"unknown disturbance {name!r}; known: {sorted(_REGISTRY)}")
-
-
-def disturbance_box(name: str) -> tuple[tuple, tuple]:
-    """Default (x_box, t_box) of a registered disturbance."""
+def disturbance(name: str, field: str = "learning.function") -> Callable:
+    """A registered disturbance by name; an unknown one raises ConfigError naming ``field``."""
     if name not in _REGISTRY:
-        raise ConfigError(f"unknown disturbance {name!r}; known: {sorted(_REGISTRY)}")
+        raise ConfigError(f"{field}: unknown disturbance {name!r}; known: {sorted(_REGISTRY)}")
+    return _REGISTRY[name]["fn"]
+
+
+def disturbance_box(name: str, field: str = "learning.function") -> tuple[tuple, tuple]:
+    """Default (x_box, t_box) of a registered disturbance."""
+    disturbance(name, field)
     return _REGISTRY[name]["x_box"], _REGISTRY[name]["t_box"]
 
 
@@ -197,9 +195,9 @@ class ScenarioConfig:
         if not 0.5 < steps < math.inf:
             raise ConfigError(f"scenario.duration: {self.duration} holds {steps:g} steps of "
                               f"scenario.dt = {self.dt}; need a finite count >= 1")
-        for name, value in (("scenario.sigma_v2", self.sigma_v2), ("scenario.seed", self.seed)):
-            if not 0 <= value < math.inf:
-                raise ConfigError(f"{name}: must be >= 0 and finite, got {value}")
+        if not 0 <= self.sigma_v2 < math.inf:
+            raise ConfigError(f"scenario.sigma_v2: must be >= 0 and finite, got {self.sigma_v2}")
+        check("seed", self.seed, "scenario.seed")
         if self.mode not in MODES:
             raise ConfigError(f"scenario.mode: must be {'|'.join(MODES)}, got {self.mode!r}")
         poles = np.asarray(self.poles, dtype=complex)

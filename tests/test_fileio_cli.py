@@ -12,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupled_do import cli, fileio, learner
+from coupled_do import cli, fileio, learner, oracles
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError
-from coupled_do.learner import SeparatedModel, TrajectoryDataset
-from coupled_do.sim import ScenarioConfig, ScenarioResult, run_scenario
+from coupled_do.learner import (LearningConfig, SeparatedModel, TrajectoryDataset, fit_rls,
+                                split_dataset, synthesize_dataset, targets_from_trajectory)
+from coupled_do.sim import (ScenarioConfig, ScenarioResult, disturbance,
+                            newton_velocity_channel, run_scenario)
 
 BASE_CONFIG = """
 [basis]
@@ -302,7 +304,7 @@ class TestConfig:
         typed = fileio.load_config(config_file)
         assert typed["scenario"].k_eta == 10.0
         assert typed["scenario"].poles == (-0.4, -0.4, -0.4)
-        assert typed["p"] == 2
+        assert typed["learning"].p == 2
 
     def test_every_scenario_key_reaches_its_field(self, tmp_path):
         # a non-default value for each [scenario]/[observer] key that is a
@@ -443,6 +445,74 @@ class TestConfig:
         # checked even when no dataset file makes learn recover targets
         assert cli.main(["learn", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
+    def test_every_learning_key_reaches_its_field(self, tmp_path):
+        # a non-default value for each [basis]/[learning]/[sweep] key lands in
+        # the LearningConfig field of the same name
+        values = {
+            "basis": {"p": 4, "normalize": True, "x_box": (-3.5, 2.5), "t_box": (1.0, 9.0)},
+            "learning": {"function": "cubic_drift", "delta": 0.25, "n_samples": 1234,
+                         "train_fraction": 0.625, "window": 11, "fit_order": 4, "seed": 17,
+                         "noise_variance": 0.375},
+            "sweep": {"functions": ("cubic_drift", "sine_product"), "p_values": (2, 5),
+                      "noise_variances": (0.0, 0.125)},
+        }
+
+        def ini(value):
+            return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value).lower()
+        path = tmp_path / "all.ini"
+        path.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {ini(v)}\n" for k, v in kv.items())
+                                for sec, kv in values.items()))
+        learning = fileio.load_config(path)["learning"]
+        defaults = LearningConfig()
+        for kv in values.values():
+            for key, value in kv.items():
+                assert getattr(defaults, key) != value, key
+                assert getattr(learning, key) == value, key
+
+    # each check as (section, key, INI value, the library call that applies it)
+    SHARED_CHECKS = {
+        "train_fraction": ("learning", "train_fraction", "1.5", lambda data, rng: split_dataset(
+            data, 1.5, rng)),
+        "window": ("learning", "window", "8", lambda data, rng: targets_from_trajectory(
+            data, *newton_velocity_channel(), window=8)),
+        "fit_order": ("learning", "fit_order", "0", lambda data, rng: targets_from_trajectory(
+            data, *newton_velocity_channel(), window=9, fit_order=0)),
+        "delta": ("learning", "delta", "-3", lambda data, rng: fit_rls(
+            data, BasisConfig(p=1, n=1), -3.0)),
+        "n_samples": ("learning", "n_samples", "0", lambda data, rng: synthesize_dataset(
+            disturbance("cubic_drift"), (-2.0, 2.0), (0.0, 4.0), 0, rng)),
+        "p": ("basis", "p", "-1", lambda data, rng: BasisConfig(p=-1, n=1)),
+        "x_box": ("basis", "x_box", "3, 1", lambda data, rng: BasisConfig(
+            p=1, n=1, x_box=(3.0, 1.0))),
+        "t_box": ("basis", "t_box", "3, 1", lambda data, rng: synthesize_dataset(
+            disturbance("cubic_drift"), (-2.0, 2.0), (3.0, 1.0), 10, rng)),
+        "seed": ("scenario", "seed", "-3", lambda data, rng: ScenarioConfig(seed=-3)),
+        "function": ("learning", "function", "nosuch", lambda data, rng: disturbance("nosuch")),
+    }
+
+    @pytest.mark.parametrize("check", SHARED_CHECKS)
+    def test_config_and_library_share_each_check(self, tmp_path, check):
+        section, key, raw, call = self.SHARED_CHECKS[check]
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError) as from_config:
+            fileio.load_config(path)
+        rng = np.random.default_rng(0)
+        t = np.linspace(0.0, 2.0, 40)
+        data = TrajectoryDataset(t=t, x=np.sin(t), u=np.zeros(40), delta=np.cos(t))
+        with pytest.raises((ConfigError, DataError)) as from_library:
+            call(data, rng)
+        assert str(from_config.value).startswith(f"{section}.{key}: ")
+        assert str(from_library.value) == str(from_config.value)
+
+    def test_plant_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "plant.ini"
+        path.write_text("[scenario]\nplant = newton\n")
+        with pytest.raises(ConfigError, match=r"^scenario\.plant: unknown field$"):
+            fileio.load_config(path)
+        assert cli.main(["learn", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "configuration error: scenario.plant: unknown field\n"
 
 
 class TestCliExitCodes:
@@ -664,6 +734,32 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
         assert not out.exists() or not any(out.iterdir())
 
+    def test_order_that_cannot_be_allocated_is_4(self, tmp_path, capsys):
+        # p = 1e12 over 5000 training rows asks for 36 PiB, beyond any address
+        # space: NumPy refuses the shape before it allocates anything
+        ini = tmp_path / "huge.ini"
+        ini.write_text("[basis]\np = 1000000000000\nnormalize = true\n")
+        out = tmp_path / "o"
+        assert cli.main(["learn", "--config", str(ini), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "N = 5000, s1 = 1000000000002000000000001" in err
+        assert "Traceback" not in err
+        assert not (out / "model.txt").exists()
+
+    def test_sweep_cell_of_an_order_that_cannot_be_allocated(self, tmp_path, capsys):
+        # 500 training rows: 3.6 PiB, still beyond any address space
+        ini = tmp_path / "huge.ini"
+        ini.write_text("[learning]\nn_samples = 1000\n[sweep]\nfunctions = cubic_drift\n"
+                       "p_values = 2, 1000000000000\nnoise_variances = 0\n")
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", str(ini), "--out", str(out)]) == 4
+        with open(out / "sweep.csv", newline="") as fh:
+            status = [r["status"] for r in csv.DictReader(fh)]
+        assert status[0] == "ok"
+        assert status[1].startswith("error: NumericalError: ")
+        assert "N = 500, s1 = 1000000000002000000000001" in status[1]
+
     def test_simulate_rejects_multi_state_model(self, tmp_path, capsys):
         cfg = BasisConfig(p=2, n=2, x_box=[(-10.0, 10.0)] * 2, t_box=(0.0, 100.0))
         model = tmp_path / "model.txt"
@@ -849,6 +945,32 @@ class TestCliPipelines:
         with open(out / "fit_reports.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["noise_variance"] for r in rows] == ["0.25", "0"]
+
+    def test_learn_does_not_run_the_projection_oracle(self, tmp_path, capsys, monkeypatch):
+        def oracle(*args):
+            raise AssertionError("projection_oracle called")
+        monkeypatch.setattr(oracles, "projection_oracle", oracle)
+        ini = tmp_path / "raw.ini"
+        ini.write_text("[learning]\nn_samples = 1000\n")    # raw quad_drag_drift basis
+        assert cli.main(["learn", "--config", str(ini), "--out", str(tmp_path / "o")]) == 0
+        assert "projection oracle" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, name", [("learn", "fit_reports.csv"),
+                                               ("simulate", "metrics.csv")])
+    def test_result_file_with_another_header_is_3(self, config_file, tmp_path, capsys,
+                                                  command, name):
+        # an older column set, as fit_reports.csv had with theta_error
+        columns = {"fit_reports.csv": fileio.REPORT_CSV_COLUMNS + ["theta_error"],
+                   "metrics.csv": fileio.METRICS_CSV_COLUMNS[:-1]}[name]
+        out = tmp_path / "o"
+        out.mkdir()
+        old = ",".join(columns) + "\n" + ",".join(["0"] * len(columns)) + "\n"
+        (out / name).write_text(old)
+        modes = ["--modes", "none"] if command == "simulate" else []
+        assert cli.main([command, "--config", str(config_file), "--out", str(out)] + modes) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {out / name}: columns ")
+        assert (out / name).read_text() == old
 
     def test_seed_override_changes_output(self, config_file, tmp_path):
         out1, out2, out3 = (tmp_path / n for n in ("s1", "s2", "s3"))

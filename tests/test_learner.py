@@ -174,9 +174,9 @@ class TestFitRls:
         cfg = BasisConfig(p=2, n=1)
         theta = rng.standard_normal((1, cfg.s1))
         data = make_inspan_data(rng, cfg, theta, n=500)
-        model, report = fit_rls(data, cfg, 1e-9, theta_true=theta)
+        model, report = fit_rls(data, cfg, 1e-9)
         assert np.linalg.norm(model.theta - theta) < 1e-6
-        assert report.theta_error < 1e-12
+        assert np.sum((model.theta - theta) ** 2) < 1e-12
 
     def test_optimality_gradient(self):
         rng = np.random.default_rng(4)
@@ -349,7 +349,7 @@ class TestEvaluate:
 class TestSweep:
     def test_inspan_cell_exact(self):
         base = SweepConfig(disturbance=disturbance("cubic_drift"),
-                           n_samples=4000, delta=1e-9, seed=1)
+                           n_samples=4000, delta=1e-9, normalize=True, seed=1)
         cells = sweep(base, [3], [0.0])
         assert cells[0].report.test_mae < 1e-6
 
@@ -360,7 +360,7 @@ class TestSweep:
         for sigma2 in (0.01, 0.25):
             maes = []
             for seed in range(5):
-                base = SweepConfig(disturbance=fn, n_samples=2000, seed=seed)
+                base = SweepConfig(disturbance=fn, n_samples=2000, normalize=True, seed=seed)
                 maes.append(sweep(base, [3], [sigma2])[0].report.test_mae)
             means.append(np.mean(maes))
         assert means[0] < means[1]
@@ -374,7 +374,7 @@ class TestSweep:
         edges = []
         for seed in range(5):
             base = SweepConfig(disturbance=disturbance("sine_cubic"), n_samples=10000,
-                               seed=seed)
+                               normalize=True, seed=seed)
             cells = sweep(base, p_values, noise)
             for sigma2 in noise:
                 maes = [c.report.test_mae for c in cells if c.noise_variance == sigma2]
@@ -384,7 +384,8 @@ class TestSweep:
         assert edges == []
 
     def test_cell_independent_of_grid(self):
-        base = SweepConfig(disturbance=disturbance("sine_cubic"), n_samples=2000, seed=2)
+        base = SweepConfig(disturbance=disturbance("sine_cubic"), n_samples=2000,
+                           normalize=True, seed=2)
         grid = sweep(base, [1, 2, 3, 4], [0.01, 0.05])
         alone = sweep(base, [3], [0.05])[0]
         cell = next(c for c in grid if c.p == 3 and c.noise_variance == 0.05)
