@@ -4,7 +4,9 @@ Subcommands
 -----------
 learn     identify a separated model from a dataset file or a synthesis
           spec, write the model file, append a fit-report row, print the
-          train and test errors
+          train and test errors; the model file's ``dataset_digest`` is
+          the hash of the whole fitted dataset, targets included, taken
+          before the train/test split
 sweep     grid of fits over polynomial order and noise variance, one
           CSV row per cell, resumable
 simulate  closed-loop tracking runs for the requested compensation
@@ -15,6 +17,8 @@ verify    run the independent oracle suites, which are also acceptance
 
 Exit codes: 0 success, 1 ``verify`` with a failed check, 2 configuration
 error, 3 data error, 4 numerical failure.  Partial successes never exit 0.
+A command checks the header of each result file it appends to before it
+writes its first output, so one refused for that file writes nothing.
 """
 
 from __future__ import annotations
@@ -74,6 +78,10 @@ def cmd_learn(args) -> int:
     seed = _seed(args, cfg.seed)
     out = _out_dir(typed, args.out)
     sigma2 = cfg.noise_variance if args.noisy and not typed["dataset_file"] else 0.0
+    model_path = Path(typed["model_file"]) if typed["model_file"] else out / "model.txt"
+    results_path = Path(typed["results_file"]) if typed["results_file"] else out / "fit_reports.csv"
+    # a learn refused for its report file must not have replaced the model file
+    fileio.check_csv_header(results_path, fileio.REPORT_CSV_COLUMNS)
 
     if typed["dataset_file"]:
         data = fileio.load_dataset(typed["dataset_file"])
@@ -81,16 +89,17 @@ def cmd_learn(args) -> int:
             data = targets_from_trajectory(data, *newton_velocity_channel(typed["scenario"].mass),
                                            window=cfg.window, fit_order=cfg.fit_order)
     else:
-        data = generate_training_run(cfg.function, n_samples=cfg.n_samples,
-                                     seed=seed, noise_std=float(np.sqrt(sigma2)))
+        data = generate_training_run(cfg.function, cfg.n_samples, seed,
+                                     float(np.sqrt(sigma2)), *cfg.boxes(cfg.function))
 
+    digest = fileio.dataset_digest(data)
     train, test = split_dataset(data, cfg.train_fraction, rng_stream(seed, "split"))
+    # the split copies its records: dropping the full dataset, and with it the
+    # loaded array whose columns it views, leaves the fit only train and test
+    del data
     model, report = fit_rls(train, cfg.basis(), cfg.delta, test=test)
 
-    model_path = Path(typed["model_file"]) if typed["model_file"] else out / "model.txt"
-    fileio.save_model(model_path, model, seed=seed, delta=cfg.delta,
-                      digest=fileio.dataset_digest(data))
-    results_path = Path(typed["results_file"]) if typed["results_file"] else out / "fit_reports.csv"
+    fileio.save_model(model_path, model, seed=seed, delta=cfg.delta, digest=digest)
     fileio.append_csv_row(results_path, fileio.REPORT_CSV_COLUMNS,
                           fileio.report_row(cfg.function, cfg.p, sigma2, cfg.delta,
                                             seed, len(train), len(test), report))
@@ -153,7 +162,8 @@ def cmd_simulate(args) -> int:
                               "the point-mass velocity channel has n = 1")
 
     metrics_path = out / "metrics.csv"
-    # every scenario is validated before the first one runs
+    # every scenario and the metrics file are checked before the first one runs
+    fileio.check_csv_header(metrics_path, fileio.METRICS_CSV_COLUMNS)
     scenarios = [dataclasses.replace(typed["scenario"], mode=mode, model=model, seed=seed)
                  for mode in modes]
     for mode, scenario in zip(modes, scenarios):

@@ -270,14 +270,27 @@ def save_sigma_series(path, result: ScenarioResult) -> None:
 
 # --- append-style result CSVs --------------------------------------------------
 
+def _check_header(path, header: Optional[list], columns: list[str]) -> None:
+    if header not in (None, columns):
+        raise DataError(f"{path}: columns {header} do not match schema {columns}")
+
+
+def check_csv_header(path, columns: list[str]) -> None:
+    """DataError unless ``path`` is missing, empty or headed by ``columns``:
+    the check of :func:`append_csv_row`, for a command to make before it
+    writes its first output."""
+    if Path(path).exists():
+        with open(path, newline="") as fh:
+            _check_header(path, next(csv.reader(fh), None), columns)
+
+
 def append_csv_row(path, columns: list[str], row: list) -> None:
     """Append one row, writing the header first into a new or empty file;
     a file with another header raises DataError."""
     with open(path, "a+", newline="") as fh:
         fh.seek(0)
         header = next(csv.reader(fh), None)
-        if header not in (None, columns):
-            raise DataError(f"{path}: columns {header} do not match schema {columns}")
+        _check_header(path, header, columns)
         writer = csv.writer(fh)
         if header is None:
             writer.writerow(columns)
@@ -292,16 +305,14 @@ def report_row(function: str, p: int, sigma2: float, delta: float, seed: int,
 
 
 def existing_sweep_keys(path) -> set[tuple]:
-    """Keys (function, p, noise_variance, seed) already present in a sweep CSV."""
-    path = Path(path)
-    if not path.exists():
+    """Keys (function, p, noise_variance, seed) already present in a sweep CSV;
+    a file with another header raises DataError, as in :func:`append_csv_row`."""
+    check_csv_header(path, SWEEP_CSV_COLUMNS)
+    if not Path(path).exists():
         return set()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SWEEP_CSV_COLUMNS:
-            raise DataError(f"{path}: columns {reader.fieldnames} do not match schema {SWEEP_CSV_COLUMNS}")
         return {(r["function"], int(r["p"]), float(r["noise_variance"]), int(r["seed"]))
-                for r in reader}
+                for r in csv.DictReader(fh)}
 
 
 # --- INI configuration ----------------------------------------------------------

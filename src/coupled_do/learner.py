@@ -295,6 +295,10 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     Returns
     -------
     (SeparatedModel, FitReport)
+
+    Memory: one N x s1 design is alive at a time.  The training design
+    is released once Theta and the training residuals are computed, and
+    only then are the held-out rows featurized and scored.
     """
     check("learning.delta", delta)
     if len(data) < 1:
@@ -329,10 +333,13 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     cond = float(np.linalg.cond(gram_eq))
 
     model = SeparatedModel(theta=theta, config=config)
-    train_resid = np.linalg.norm(data.delta - feats @ theta.T, axis=1)
+    train_mae = float(np.linalg.norm(data.delta - feats @ theta.T, axis=1).mean())
+    # evaluate builds a second design of the held-out rows: freeing this one
+    # first keeps the fit's peak at one design, the size that bounds N
+    del feats
     test_mae, residual_sup = evaluate(model, test if test is not None else data)
     report = FitReport(
-        train_mae=float(train_resid.mean()),
+        train_mae=train_mae,
         test_mae=test_mae,
         gram_condition=cond,
         residual_sup=residual_sup,

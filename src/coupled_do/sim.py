@@ -129,19 +129,23 @@ def newton_velocity_channel(mass: float = 1.0) -> tuple[Callable, Callable]:
     return lambda x: fx, lambda x: fu
 
 
-def generate_training_run(name: str, n_samples: int = 10000,
-                          seed: int = 0, noise_std: float = 0.0) -> TrajectoryDataset:
+def generate_training_run(name: str, n_samples: int = 10000, seed: int = 0,
+                          noise_std: float = 0.0, x_box=None,
+                          t_box=None) -> TrajectoryDataset:
     """Synthesize an identification dataset for a registered disturbance.
 
-    Samples (x, t) uniformly over the disturbance's registered box and records
-    the disturbance value at each sample (optionally corrupted, see
+    Samples (x, t) uniformly over ``x_box`` and ``t_box``, each by default
+    the disturbance's registered box, and records the disturbance value at
+    each sample (optionally corrupted, see
     :func:`coupled_do.learner.synthesize_dataset`).  Trajectory-based
     target recovery is handled separately by ``targets_from_trajectory``.
     """
-    x_box, t_box = disturbance_box(name)
+    registered_x, registered_t = disturbance_box(name)
     rng = rng_stream(seed, "dataset", 0)
-    return synthesize_dataset(disturbance(name), x_box, t_box, n_samples, rng,
-                              noise_std=noise_std)
+    return synthesize_dataset(disturbance(name),
+                              registered_x if x_box is None else x_box,
+                              registered_t if t_box is None else t_box,
+                              n_samples, rng, noise_std=noise_std)
 
 
 # --- closed-loop scenario ---------------------------------------------------

@@ -18,7 +18,7 @@ from coupled_do.errors import ConfigError, DataError
 from coupled_do.learner import (LearningConfig, SeparatedModel, TrajectoryDataset, fit_rls,
                                 split_dataset, synthesize_dataset, targets_from_trajectory)
 from coupled_do.sim import (ScenarioConfig, ScenarioResult, disturbance,
-                            newton_velocity_channel, run_scenario)
+                            generate_training_run, newton_velocity_channel, run_scenario)
 
 BASE_CONFIG = """
 [basis]
@@ -852,6 +852,16 @@ class TestCliPipelines:
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
         assert grid.read_text() == first
 
+    def test_sweep_into_an_empty_file(self, config_file, tmp_path, capsys):
+        # an empty result file takes the header, as append_csv_row writes it
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sweep.csv").write_text("")
+        assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == ",".join(fileio.SWEEP_CSV_COLUMNS)
+        assert len(lines) == 5
+
     def test_sweep_resume_computes_no_done_cell(self, config_file, tmp_path, capsys,
                                                 monkeypatch):
         out = tmp_path / "out"
@@ -956,21 +966,63 @@ class TestCliPipelines:
         assert "projection oracle" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, name", [("learn", "fit_reports.csv"),
-                                               ("simulate", "metrics.csv")])
+                                               ("simulate", "metrics.csv"),
+                                               ("sweep", "sweep.csv")])
     def test_result_file_with_another_header_is_3(self, config_file, tmp_path, capsys,
                                                   command, name):
         # an older column set, as fit_reports.csv had with theta_error
         columns = {"fit_reports.csv": fileio.REPORT_CSV_COLUMNS + ["theta_error"],
-                   "metrics.csv": fileio.METRICS_CSV_COLUMNS[:-1]}[name]
+                   "metrics.csv": fileio.METRICS_CSV_COLUMNS[:-1],
+                   "sweep.csv": fileio.SWEEP_CSV_COLUMNS[:-1]}[name]
         out = tmp_path / "o"
         out.mkdir()
         old = ",".join(columns) + "\n" + ",".join(["0"] * len(columns)) + "\n"
         (out / name).write_text(old)
+        (out / "model.txt").write_text("an earlier model\n")
         modes = ["--modes", "none"] if command == "simulate" else []
         assert cli.main([command, "--config", str(config_file), "--out", str(out)] + modes) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {out / name}: columns ")
         assert (out / name).read_text() == old
+        # a refused command writes no output at all
+        assert (out / "model.txt").read_text() == "an earlier model\n"
+        assert not list(out.glob("scenario_*.csv"))
+
+    def test_learn_draws_from_the_configured_box(self, tmp_path, capsys, monkeypatch):
+        drawn = []
+
+        def recording(*args, **kwargs):
+            drawn.append(generate_training_run(*args, **kwargs))
+            return drawn[-1]
+        monkeypatch.setattr(cli, "generate_training_run", recording)
+        digests = []
+        for name, box in (("registered", ""), ("configured", "x_box = -1, 1\n")):
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(f"[basis]\nnormalize = true\n{box}"
+                           "[learning]\nfunction = cubic_drift\nn_samples = 500\n")
+            assert cli.main(["learn", "--config", str(ini), "--out", str(tmp_path / name)]) == 0
+            text = (tmp_path / name / "model.txt").read_text()
+            digests.append(text.split("dataset_digest = ")[1].split("\n")[0])
+        # the registered box (-2, 2) keeps the stream and bytes of a config without x_box
+        assert digests[0] == "sha256:0bf4343855c54572"
+        assert digests[1] != digests[0]
+        assert np.abs(drawn[0].x).max() > 1.0
+        assert np.abs(drawn[1].x).max() <= 1.0
+
+    def test_learn_peak_memory_on_a_long_trajectory(self, tmp_path, capsys, traced_peak):
+        # the full dataset and the loaded array go before the fit, and the fit
+        # holds one design at a time
+        n = 100_000
+        t = np.arange(n) * 1e-3
+        v = 7.0 * np.sin(0.5 * t)
+        u = 3.5 * np.cos(0.5 * t) - disturbance("quad_drag_drift")(v, t)
+        fileio.save_dataset(tmp_path / "traj.csv", TrajectoryDataset(t=t, x=v, u=u))
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[io]\ndataset_file = {tmp_path / 'traj.csv'}\n")
+        code, peak = traced_peak(lambda: cli.main(["learn", "--config", str(ini),
+                                                   "--out", str(tmp_path / "o")]))
+        assert code == 0
+        assert peak < 5 * n * 3 * 8
 
     def test_seed_override_changes_output(self, config_file, tmp_path):
         out1, out2, out3 = (tmp_path / n for n in ("s1", "s2", "s3"))

@@ -262,6 +262,15 @@ class TestFitRls:
         with pytest.raises(NumericalError, match="not positive definite"):
             fit_rls(data, cfg, 1e-20)
 
+    def test_one_training_design_alive_at_a_time(self, traced_peak):
+        # the held-out rows are featurized after the training design is freed
+        cfg = BasisConfig(p=2, n=1, x_box=(-2.0, 2.0), t_box=(0.0, 4.0))
+        rng = rng_stream(0, "memory")
+        train, test = (synthesize_dataset(disturbance("cubic_drift"), cfg.x_box, cfg.t_box,
+                                          50_000, rng) for _ in range(2))
+        _, peak = traced_peak(lambda: fit_rls(train, cfg, 0.01, test=test))
+        assert peak < 2 * len(train) * cfg.s1 * 8
+
 
 class TestOutputMap:
     # C(x) from the coefficients with D folded in, against the defining
