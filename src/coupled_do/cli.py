@@ -117,16 +117,13 @@ def cmd_sweep(args) -> int:
     out = _out_dir(typed, args.out)
     grid_path = Path(typed["results_file"]) if typed["results_file"] else out / "sweep.csv"
     done = fileio.existing_sweep_keys(grid_path)
-    # a value repeated in the config is one cell of the grid
-    p_values = list(dict.fromkeys(cfg.p_values))
-    noise_variances = list(dict.fromkeys(cfg.noise_variances))
 
     rows = []
     for function in cfg.functions:
-        base = dataclasses.replace(cfg.sweep_config(function), seed=seed)
+        base = dataclasses.replace(cfg, function=function, seed=seed)
         # only the orders still missing at a noise level are computed
-        for s2 in noise_variances:
-            todo = [p for p in p_values if (function, p, float(s2), seed) not in done]
+        for s2 in cfg.noise_variances:
+            todo = [p for p in cfg.p_values if (function, p, s2, seed) not in done]
             if not todo:
                 continue
             for cell in sweep(base, todo, [s2]):

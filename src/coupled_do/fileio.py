@@ -319,7 +319,7 @@ def existing_sweep_keys(path) -> set[tuple]:
 
 # the keys that are not dataclass fields, with their defaults
 _DEFAULTS = {
-    "scenario": {"modes": "none, ndo, hodo"},
+    "scenario": {"modes": ", ".join(MODES)},
     "io": {"out_dir": "out", "model_file": "", "dataset_file": "", "results_file": ""},
 }
 

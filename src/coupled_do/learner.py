@@ -20,8 +20,10 @@ bases of high order the equilibrated Gram is ill-conditioned (condition
 builds, which differ in their last bits, move Theta by up to 3e-5
 relative.
 
-:class:`LearningConfig` holds the settings of ``learn`` and ``sweep``; its
-range checks are the ones that the functions here apply to their arguments.
+:class:`LearningConfig` holds the settings of ``learn`` and ``sweep``, and
+:func:`sweep` runs on it directly: the function, the seed, the sampling
+boxes and the fit settings of a grid are its fields.  Its range checks are
+the ones that the functions here apply to their arguments.
 """
 
 from __future__ import annotations
@@ -409,10 +411,15 @@ class LearningConfig:
         check("seed", self.seed, "learning.seed")
         for name in self.functions:
             disturbance_box(name, "sweep.functions")
-        object.__setattr__(self, "p_values",
-                           tuple(check_order(p, "sweep.p_values") for p in self.p_values))
-        for value in self.noise_variances:
-            check("learning.noise_variance", value, "sweep.noise_variances")
+        # a value repeated in the grid is one cell, and a zero noise variance
+        # is +0, whose bits key the draw, the CSV cell and the resume alike
+        object.__setattr__(self, "noise_variance", float(self.noise_variance) + 0.0)
+        object.__setattr__(self, "functions", tuple(dict.fromkeys(self.functions)))
+        object.__setattr__(self, "p_values", tuple(dict.fromkeys(
+            check_order(p, "sweep.p_values") for p in self.p_values)))
+        object.__setattr__(self, "noise_variances", tuple(dict.fromkeys(
+            float(check("learning.noise_variance", v, "sweep.noise_variances")) + 0.0
+            for v in self.noise_variances)))
 
     def boxes(self, function: str) -> tuple:
         """(x_box, t_box) of ``function``: each box set here, else the registered one."""
@@ -423,27 +430,6 @@ class LearningConfig:
     def basis(self) -> BasisConfig:
         """The basis that ``learn`` fits to ``function``."""
         return BasisConfig(self.p, 1, *self.boxes(self.function), self.normalize)
-
-    def sweep_config(self, function: str) -> "SweepConfig":
-        """The sweep of one of ``functions`` with these settings."""
-        from .sim import disturbance
-        return SweepConfig(disturbance(function), *self.boxes(function), self.n_samples,
-                           self.train_fraction, self.delta, self.normalize, self.seed)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Shared setup of a (p, noise variance) learning sweep: a disturbance, its
-    sampling boxes and the settings of :class:`LearningConfig`, with its defaults."""
-
-    disturbance: Callable
-    x_box: tuple = (-2.0, 2.0)
-    t_box: tuple = (0.0, 4.0)
-    n_samples: int = LearningConfig.n_samples
-    train_fraction: float = LearningConfig.train_fraction
-    delta: float = LearningConfig.delta
-    normalize: bool = LearningConfig.normalize
-    seed: int = LearningConfig.seed
 
 
 @dataclass
@@ -456,41 +442,46 @@ class SweepCell:
     error: Optional[str] = None
 
 
-def _run_cell(base: SweepConfig, p: int, sigma2: float, train: TrajectoryDataset,
+def _run_cell(cfg: LearningConfig, p: int, sigma2: float, train: TrajectoryDataset,
               test: TrajectoryDataset) -> SweepCell:
     try:
-        cfg = BasisConfig(p=p, n=train.n, x_box=base.x_box, t_box=base.t_box,
-                          normalize=base.normalize)
-        _, report = fit_rls(train, cfg, base.delta, test=test)
+        basis = BasisConfig(p, train.n, *cfg.boxes(cfg.function), cfg.normalize)
+        _, report = fit_rls(train, basis, cfg.delta, test=test)
         return SweepCell(p=p, noise_variance=sigma2, report=report)
     except Exception as exc:  # a failed cell must not abort the grid
         return SweepCell(p=p, noise_variance=sigma2, error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(base: SweepConfig, p_values: Sequence[int],
+def sweep(cfg: LearningConfig, p_values: Sequence[int],
           noise_variances: Sequence[float]) -> list[SweepCell]:
-    """Grid of identification runs over polynomial order and noise level.
+    """Grid of identification runs of ``cfg.function`` over polynomial
+    order and noise level.
 
-    Each noise level draws one dataset and split, from a generator
-    stream keyed by (``base.seed``, noise variance), on which every order
-    is fitted and scored, so a cell depends only on (``base``, p, noise
-    variance), not on the grid around it.  Cells are returned p-major.
+    Each noise level draws ``cfg.n_samples`` points from
+    ``cfg.boxes(cfg.function)`` and splits them by ``cfg.train_fraction``,
+    from a generator stream keyed by (``cfg.seed``, noise variance); every
+    order is fitted with ``cfg.delta`` and ``cfg.normalize`` and scored on
+    that one draw, so a cell depends only on (``cfg``, p, noise variance),
+    not on the grid around it.  Cells are returned p-major.
     """
+    from .sim import disturbance        # sim imports this module
     if not p_values or not len(noise_variances):
         raise ConfigError("p_values and noise_variances must be non-empty")
+    fn = disturbance(cfg.function)
+    x_box, t_box = cfg.boxes(cfg.function)
     by_level = []
     for s2 in noise_variances:
         # keyed by the exact bits of s2, so all orders at one noise level
         # share one dataset and split, whatever grid the cell sits in
-        rng = rng_stream(base.seed, "sweep", int(np.float64(s2).view(np.uint64)))
+        rng = rng_stream(cfg.seed, "sweep", int(np.float64(s2).view(np.uint64)))
         try:
-            data = synthesize_dataset(base.disturbance, base.x_box, base.t_box,
-                                      base.n_samples, rng, noise_std=float(np.sqrt(s2)))
-            train, test = split_dataset(data, base.train_fraction, rng)
+            data = synthesize_dataset(fn, x_box, t_box, cfg.n_samples, rng,
+                                      noise_std=float(np.sqrt(s2)))
+            train, test = split_dataset(data, cfg.train_fraction, rng)
             # test error is measured against the clean disturbance values
-            clean = base.disturbance(test.x[:, 0] if test.x.shape[1] == 1 else test.x, test.t)
+            clean = fn(test.x[:, 0] if test.x.shape[1] == 1 else test.x, test.t)
             test = TrajectoryDataset(t=test.t, x=test.x, u=test.u, delta=clean)
-            by_level.append([_run_cell(base, p, s2, train, test) for p in p_values])
+            by_level.append([_run_cell(cfg, p, s2, train, test) for p in p_values])
         except Exception as exc:  # a failed draw fails the cells of its own level only
             error = f"{type(exc).__name__}: {exc}"
             by_level.append([SweepCell(p=p, noise_variance=s2, error=error) for p in p_values])

@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .learner import SeparatedModel
 
 
@@ -61,6 +61,17 @@ _CHUNK = 32        # terms per statement of a generated sum
 class UnobservableError(NumericalError):
     """The output row fails :class:`Hodo`'s pivot margin, or cond(O) in
     :func:`coupled_do.oracles.ackermann_gain` exceeds 1e8."""
+
+
+def check_poles(poles, name: str = "poles", count: int = 0) -> np.ndarray:
+    """``poles`` as a complex array of ``count`` entries if nonzero; ConfigError
+    naming ``name`` unless each is finite with a negative real part."""
+    arr = np.atleast_1d(np.asarray(poles, dtype=complex))
+    if not (arr.ndim == 1 and np.isfinite(arr).all() and (arr.real < 0).all()):
+        raise ConfigError(f"{name}: must be finite and negative, got {poles}")
+    if count and arr.shape != (count,):
+        raise ConfigError(f"{name}: need {count}, got {arr.shape[0]}")
+    return arr
 
 
 def _pole_polynomial_of_a(A: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -273,7 +284,8 @@ class Hodo:
         Plant mappings of the observed channel: f_x(x) -> (n,),
         f_u(x) -> (n, o).
     poles : sequence of s2 values
-        Desired eigenvalues of the error dynamics, negative real parts.
+        Desired eigenvalues of the error dynamics: finite, with negative
+        real parts (:func:`check_poles`).
     x0 : array_like, shape (n,)
         State at initialization (the first gain is designed here).
     sigma0 : array_like, shape (s2,), optional
@@ -302,11 +314,7 @@ class Hodo:
                  poles, x0, sigma0=None):
         self.model, self.f_x, self.f_u = model, f_x, f_u
         n, s2 = model.n, model.config.s2
-        self.poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-        if self.poles.shape != (s2,):
-            raise ValueError(f"need {s2} poles, got {self.poles.shape}")
-        if np.any(self.poles.real >= 0):
-            raise ValueError("all poles must have strictly negative real part")
+        self.poles = check_poles(poles, count=s2)
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if x0.shape != (n,):
             raise ValueError(f"x0 must have the model's n = {n} entries, got shape {x0.shape}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import BasisConfig, flat_to_multi, structure_matrices
 from .errors import NumericalError
-from .observer import UnobservableError, _pole_polynomial_of_a
+from .observer import UnobservableError, _pole_polynomial_of_a, check_poles
 
 _COND_LIMIT = 1e8       # cond(O) above which ackermann_gain calls a row unobservable
 _GRID = 101             # points per axis of the projection grid
@@ -63,11 +63,7 @@ def ackermann_gain(A: np.ndarray, c: np.ndarray, poles) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float).ravel()
     s = A.shape[0]
-    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-    if poles.shape != (s,):
-        raise ValueError(f"need {s} poles, got {poles.shape}")
-    if np.any(poles.real >= 0):
-        raise ValueError("all poles must have strictly negative real part")
+    poles = check_poles(poles, count=s)
     if not np.all(np.isfinite(c)):
         raise NumericalError("output row contains non-finite entries")
     obs = np.empty((s, s))

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisConfig
 from .errors import ConfigError, NumericalError
 from .learner import SeparatedModel, TrajectoryDataset, check, rng_stream, synthesize_dataset
-from .observer import Hodo
+from .observer import Hodo, check_poles
 
 
 def point_mass_step(fn: Callable, u: float, mass: float, eta: float, v: float,
@@ -204,9 +204,7 @@ class ScenarioConfig:
         check("seed", self.seed, "scenario.seed")
         if self.mode not in MODES:
             raise ConfigError(f"scenario.mode: must be {'|'.join(MODES)}, got {self.mode!r}")
-        poles = np.asarray(self.poles, dtype=complex)
-        if not (poles.ndim == 1 and np.isfinite(poles).all() and (poles.real < 0).all()):
-            raise ConfigError(f"observer.poles: must be finite and negative, got {self.poles}")
+        poles = check_poles(self.poles, "observer.poles")
         if self.mode == "hodo" and self.model is None:
             raise ConfigError("scenario.mode: 'hodo' requires a model")
         if self.mode == "hodo" and len(poles) != self.model.config.s2:

@@ -12,7 +12,7 @@ import numpy as np
 
 from coupled_do import fileio
 from coupled_do.basis import BasisConfig
-from coupled_do.learner import SweepConfig, fit_rls, sweep
+from coupled_do.learner import LearningConfig, fit_rls, sweep
 from coupled_do.oracles import (basis_identity_checks, gain_placement_checks,
                                 projection_oracle, rls_checks)
 from coupled_do.sim import (NEWTON_REFERENCE_THETA, ScenarioConfig, disturbance,
@@ -127,8 +127,8 @@ def test_criterion_7_sweep_shape(acceptance):
     interior = True
     details = []
     for name in functions:
-        base = SweepConfig(disturbance=disturbance(name), n_samples=10000,
-                           delta=0.01, normalize=True, seed=7)
+        base = LearningConfig(function=name, n_samples=10000,
+                              delta=0.01, normalize=True, seed=7)
         cells = sweep(base, p_values, noise)
         for sigma2 in noise:
             maes = [c.report.test_mae for c in cells if c.noise_variance == sigma2]
@@ -136,11 +136,11 @@ def test_criterion_7_sweep_shape(acceptance):
             interior &= p_values[0] < arg < p_values[-1]
             details.append(f"{name}@{sigma2}:p{arg}")
 
-    base = SweepConfig(disturbance=disturbance("cubic_drift"), n_samples=10000,
-                       delta=1e-9, normalize=True, seed=7)
+    base = LearningConfig(function="cubic_drift", n_samples=10000,
+                          delta=1e-9, normalize=True, seed=7)
     inspan = [c.report.test_mae for c in sweep(base, [3, 4, 5, 6], [0.0])]
-    base_ridge = SweepConfig(disturbance=disturbance("cubic_drift"), n_samples=10000,
-                             delta=0.01, normalize=True, seed=7)
+    base_ridge = LearningConfig(function="cubic_drift", n_samples=10000,
+                                delta=0.01, normalize=True, seed=7)
     ridge_floor = sweep(base_ridge, [3], [0.0])[0].report.test_mae
     inspan_ok = max(inspan) < 1e-6
 

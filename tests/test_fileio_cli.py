@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -299,6 +300,13 @@ class TestDigest:
         assert fileio.dataset_digest(data) != fileio.dataset_digest(flipped)
 
 
+def test_package_exports_resolve_once():
+    import coupled_do
+    assert len(set(coupled_do.__all__)) == len(coupled_do.__all__)
+    for name in coupled_do.__all__:
+        assert hasattr(coupled_do, name), name
+
+
 class TestConfig:
     def test_defaults_applied(self, config_file):
         typed = fileio.load_config(config_file)
@@ -469,6 +477,16 @@ class TestConfig:
             for key, value in kv.items():
                 assert getattr(defaults, key) != value, key
                 assert getattr(learning, key) == value, key
+
+    def test_grid_values_deduplicated_with_zero_unsigned(self):
+        cfg = LearningConfig(functions=("cubic_drift", "sine_cubic", "cubic_drift"),
+                             p_values=(2, 2.0, 1), noise_variances=(0.01, -0.0, 0, 0.01),
+                             noise_variance=-0.0)
+        assert cfg.functions == ("cubic_drift", "sine_cubic")
+        assert cfg.p_values == (2, 1)
+        assert cfg.noise_variances == (0.01, 0.0)
+        assert [math.copysign(1.0, v) for v in (*cfg.noise_variances, cfg.noise_variance)] \
+            == [1.0, 1.0, 1.0]
 
     # each check as (section, key, INI value, the library call that applies it)
     SHARED_CHECKS = {
@@ -919,13 +937,27 @@ class TestCliPipelines:
     def test_sweep_repeated_grid_values_are_one_cell(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         ini.write_text("[learning]\nn_samples = 1000\nseed = 5\n"
-                       "[sweep]\nfunctions = cubic_drift\np_values = 2, 2, 1\n"
+                       "[sweep]\nfunctions = cubic_drift, cubic_drift\np_values = 2, 2, 1\n"
                        "noise_variances = 0.01, 0, 0.01\n")
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", str(ini), "--out", str(out)]) == 0
         with open(out / "sweep.csv", newline="") as fh:
             cells = [(r["p"], r["noise_variance"]) for r in csv.DictReader(fh)]
         assert cells == [("1", "0"), ("1", "0.01"), ("2", "0"), ("2", "0.01")]
+
+    def test_sweep_negative_zero_noise_is_the_zero_cell(self, tmp_path, capsys):
+        # -0 == 0, so both must draw, write and resume the same cell
+        files = []
+        for zero in ("-0", "0"):
+            ini = tmp_path / f"exp{zero}.ini"
+            ini.write_text("[learning]\nn_samples = 1000\nseed = 5\n"
+                           "[sweep]\nfunctions = cubic_drift\np_values = 2\n"
+                           f"noise_variances = {zero}\n")
+            out = tmp_path / f"out{zero}"
+            assert cli.main(["sweep", "--config", str(ini), "--out", str(out)]) == 0
+            files.append((out / "sweep.csv").read_bytes())
+        assert files[0] == files[1]
+        assert files[1].splitlines()[1].split(b",")[2] == b"0"
 
     def test_single_cell_sweep_matches_learn_protocol(self, tmp_path, capsys):
         # same seed and same cell-stream derivation: the sweep's first

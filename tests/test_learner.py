@@ -5,7 +5,8 @@ import pytest
 
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError, NumericalError
-from coupled_do.learner import (SeparatedModel, SweepConfig, TrajectoryDataset,
+from coupled_do import sim
+from coupled_do.learner import (LearningConfig, SeparatedModel, TrajectoryDataset,
                                 _poly_derivative_window, evaluate, fit_rls, rng_stream,
                                 split_dataset, sweep, synthesize_dataset, targets_from_trajectory)
 from coupled_do.oracles import gradient_descent_fit, projection_oracle, rk4_step
@@ -357,19 +358,19 @@ class TestEvaluate:
 
 class TestSweep:
     def test_inspan_cell_exact(self):
-        base = SweepConfig(disturbance=disturbance("cubic_drift"),
-                           n_samples=4000, delta=1e-9, normalize=True, seed=1)
+        base = LearningConfig(function="cubic_drift",
+                              n_samples=4000, delta=1e-9, normalize=True, seed=1)
         cells = sweep(base, [3], [0.0])
         assert cells[0].report.test_mae < 1e-6
 
     def test_noise_trend(self):
         # mean test error over seeds grows with the noise level
-        fn = disturbance("cubic_drift")
         means = []
         for sigma2 in (0.01, 0.25):
             maes = []
             for seed in range(5):
-                base = SweepConfig(disturbance=fn, n_samples=2000, normalize=True, seed=seed)
+                base = LearningConfig(function="cubic_drift", n_samples=2000,
+                                      normalize=True, seed=seed)
                 maes.append(sweep(base, [3], [sigma2])[0].report.test_mae)
             means.append(np.mean(maes))
         assert means[0] < means[1]
@@ -382,8 +383,8 @@ class TestSweep:
         noise = (0.01, 0.05, 0.1)
         edges = []
         for seed in range(5):
-            base = SweepConfig(disturbance=disturbance("sine_cubic"), n_samples=10000,
-                               normalize=True, seed=seed)
+            base = LearningConfig(function="sine_cubic", n_samples=10000,
+                                  normalize=True, seed=seed)
             cells = sweep(base, p_values, noise)
             for sigma2 in noise:
                 maes = [c.report.test_mae for c in cells if c.noise_variance == sigma2]
@@ -393,22 +394,23 @@ class TestSweep:
         assert edges == []
 
     def test_cell_independent_of_grid(self):
-        base = SweepConfig(disturbance=disturbance("sine_cubic"), n_samples=2000,
-                           normalize=True, seed=2)
+        base = LearningConfig(function="sine_cubic", n_samples=2000,
+                              normalize=True, seed=2)
         grid = sweep(base, [1, 2, 3, 4], [0.01, 0.05])
         alone = sweep(base, [3], [0.05])[0]
         cell = next(c for c in grid if c.p == 3 and c.noise_variance == 0.05)
         assert cell.report.test_mae == alone.report.test_mae
 
-    def test_failed_cell_reported_not_raised(self):
-        def bad(x, t):
-            return np.full_like(np.asarray(x, dtype=float), np.nan)
-        base = SweepConfig(disturbance=bad, n_samples=100, seed=0)
+    def test_failed_cell_reported_not_raised(self, monkeypatch):
+        entry = dict(sim._REGISTRY["cubic_drift"],
+                     fn=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan))
+        monkeypatch.setitem(sim._REGISTRY, "all_nan", entry)
+        base = LearningConfig(function="all_nan", n_samples=100, seed=0)
         cells = sweep(base, [1], [0.0])
         assert cells[0].report is None
         assert "DataError" in cells[0].error
 
     def test_empty_grid_rejected(self):
-        base = SweepConfig(disturbance=disturbance("cubic_drift"))
+        base = LearningConfig(function="cubic_drift")
         with pytest.raises(ConfigError):
             sweep(base, [], [0.0])

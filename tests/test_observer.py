@@ -74,6 +74,12 @@ class TestAckermannGain:
         with pytest.raises(ValueError):
             ackermann_gain(A, np.ones(3), [-1.0])
 
+    @pytest.mark.parametrize("pole", [np.nan, -np.inf])
+    def test_non_finite_poles_rejected(self, pole):
+        _, A = structure_matrices(3)
+        with pytest.raises(ValueError, match="poles: must be finite"):
+            ackermann_gain(A, np.ones(3), [pole, -1.0, -1.0])
+
 
 def order_observer(s2, poles, normalize=False) -> Hodo:
     """Scalar-output observer of time order s2 whose _design takes any row;
@@ -194,6 +200,18 @@ class TestHodoInit:
         with pytest.raises(ValueError):
             Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                  poles=(0.4, -0.4, -0.4), x0=[0.0])
+
+    @pytest.mark.parametrize("pole", [np.nan, -np.inf])
+    def test_non_finite_poles_rejected(self, pole):
+        # rejected at construction, not as a diverged state at the first step
+        with pytest.raises(ValueError, match="poles: must be finite"):
+            Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
+                 poles=(pole, -1.0, -1.0), x0=[0.5])
+
+    def test_wrong_pole_count_rejected(self):
+        with pytest.raises(ValueError, match="poles: need 3, got 2"):
+            Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
+                 poles=(-0.4, -0.4), x0=[0.0])
 
     def test_state_of_the_wrong_length_rejected(self):
         with pytest.raises(ValueError, match=r"n = 1 entries, got shape \(2,\)"):
