@@ -371,8 +371,9 @@ def _typed(section: str, key: str, raw: str, kind):
 
 
 def parse_modes(raw: str, name: str) -> list[str]:
-    """Non-empty comma list of compensation modes; an error names ``name``."""
-    modes = [m.strip() for m in raw.split(",") if m.strip()]
+    """Non-empty comma list of compensation modes, a repeat dropped (each
+    mode runs once); an error names ``name``."""
+    modes = list(dict.fromkeys(m.strip() for m in raw.split(",") if m.strip()))
     if not modes:
         raise ConfigError(f"{name}: must list at least one of {'|'.join(MODES)}")
     for m in modes:

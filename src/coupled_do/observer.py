@@ -39,7 +39,18 @@ the loop form's bits, which the tests check with ``==``; and the bits
 do not depend on the Python version's built-in ``sum``.  The model's
 numbers enter as closure variables, never as source text.  Only the
 f_u(x) u product stays a loop, over the o controls, which the shape
-does not fix.
+does not fix; and past ``_UNROLL`` terms of Pi(x), Pi(x) is a list and
+its dot products are loops in the same order, which bounds the source
+(2401 terms for n = 4, p = 6).
+
+One observer body serves two generated steps: ``Hodo.step``, the
+library's step with list inputs and callable f_x, f_u, and the float
+step of :meth:`Hodo.float_step`, which takes x and one control as
+floats with constant f_x and f_u bound as floats, and is compiled only
+when first asked for.  The closed loop's ``ndo`` mode runs on the float
+step; its ``hodo`` mode keeps calling ``Hodo.step``, the observer layer
+that the benchmark's trace times, until the float step has a traced
+layer of its own.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ from .learner import SeparatedModel
 
 _MARGIN = 1e-4     # |c_(s2-1)| / max|c_i| at or below which a row is unobservable
 _CHUNK = 32        # terms per statement of a generated sum
+_UNROLL = 64       # Pi(x) terms up to which its dot products are written out
 
 
 class UnobservableError(NumericalError):
@@ -106,10 +118,31 @@ def _unpack(names: list, value: str) -> list:
     return [f"{', '.join(names)}, = {value}"] if names else []
 
 
-def _row_lines(n: int, s2: int, normalize: bool) -> tuple[list, list]:
+def _dot(a, b) -> float:
+    """a . b added left to right from 0.0, the order of a generated sum:
+    the Pi(x) dot products of a shape past ``_UNROLL`` terms."""
+    acc = 0.0
+    for ai, bi in zip(a, b):
+        acc += ai * bi
+    return acc
+
+
+def _dot_lines(name: str, row: str, pi) -> list:
+    """Lines setting ``name`` to the model row ``row`` times Pi(x): written
+    out over the terms ``pi``, or a :func:`_dot` of the lists when pi is None."""
+    if pi is None:
+        return [f"{name} = _dot({row}, pi)"]
+    return _sum(name, [_times(f"{row}_{h}", t) for h, t in enumerate(pi)])
+
+
+def _row_lines(n: int, s2: int, normalize: bool) -> tuple[list, list | None]:
     """Lines computing Pi(x) and c = K_w Pi(x) from the locals x0 .. x(n-1)
     with the operations of ``BasisConfig.pi_rows`` on one row, and the
-    Pi(x) terms (a local's name, or the literal 1.0)."""
+    Pi(x) terms (a local's name, or the literal 1.0).  Past ``_UNROLL``
+    terms the terms are None: Pi(x) is the list ``pi``, built by
+    comprehensions in the same order, and its dot products are
+    :func:`_dot` calls, so the source stays O(n s2 + s2^2) long."""
+    unrolled = s2 ** n <= _UNROLL
     lines, pi = [], None
     for i in range(n):
         a = f"x{i}"
@@ -120,6 +153,11 @@ def _row_lines(n: int, s2: int, normalize: bool) -> tuple[list, list]:
         for k in range(2, s2):
             lines.append(f"t{i}_{k} = 2.0 * {a} * {cheb[k - 1]} - {cheb[k - 2]}")
             cheb.append(f"t{i}_{k}")
+        if not unrolled:                        # the order below, on lists
+            lines.append(f"pi = [{', '.join(cheb)}]" if pi is None else
+                         f"pi = [t * ph for t in [{', '.join(cheb)}] for ph in pi]")
+            pi = []
+            continue
         if pi is None:
             pi = cheb
             continue
@@ -132,14 +170,21 @@ def _row_lines(n: int, s2: int, normalize: bool) -> tuple[list, list]:
                     term = f"e{i}_{k * len(pi) + h}"
                 terms.append(term)
         pi = terms
+    pi = pi if unrolled else None
     for k in range(s2):
-        lines += _sum(f"c{k}", [_times(f"kw{k}_{h}", t) for h, t in enumerate(pi)])
+        lines += _dot_lines(f"c{k}", f"kw{k}", pi)
     return lines, pi
 
 
-def _kernel_source(n: int, s2: int, normalize: bool) -> str:
+def _kernel_source(n: int, s2: int, normalize: bool, floats: bool = False) -> str:
     """Source of ``_factory``, which binds one model's constants and
-    returns its (step, design, row) kernels."""
+    returns its kernels (step, design, row); with ``floats``, it also
+    binds an observer and the constant plant maps fx and fu, and returns
+    the float step.
+
+    Both steps wrap the same observer body.  ``step`` is ``Hodo.step``,
+    with its checks, list inputs and calls of f_x and f_u; the float step
+    takes x and one control as floats and returns a tuple."""
     ks, ns, n_pi = range(s2), range(n), s2 ** n
     cs = [f"c{k}" for k in ks]
 
@@ -149,19 +194,90 @@ def _kernel_source(n: int, s2: int, normalize: bool) -> str:
     def scaled(expr):                           # w * expr; w = 1 when n = 1
         return f"wn * ({expr})" if n > 1 else expr
 
+    def rows(names, flat):                      # the model rows of a flat list
+        return _unpack(names, f"[{flat}[i:i + {n_pi}] for i in range(0, {len(names) * n_pi}, "
+                              f"{n_pi})]")
+
     row, pi = _row_lines(n, s2, normalize)
     xs = [f"x{i}" for i in ns]
-    src = ["def _factory(kw, K, A, q, f, lo, sp, wn):"]
-    body = (_unpack([f"kw{k}_{h}" for k in ks for h in range(n_pi)], "kw")
-            + _unpack([f"K{i}_{j}_{h}" for i in ns for j in ks for h in range(n_pi)]
-                      if n > 1 else [], "K")
-            + _unpack([f"A{k}" for k in range(1, s2)], "A")
-            + _unpack([f"q{i}_{j}" for i in ks for j in range(i + 1)], "q")
-            + _unpack([f"f{k}" for k in ks], "f")
-            + _unpack([f"lo{i}" for i in ns] if normalize else [], "lo")
-            + _unpack([f"sp{i}" for i in ns] if normalize else [], "sp")
-            + ["isfinite = math.isfinite"])
-    src += ["    " + line for line in body]
+    K_rows = [f"K{i}_{j}" for i in ns for j in ks] if n > 1 else []
+    src = [f"def _factory(kw, K, A, q, f, lo, sp, wn{', self, fx, fu' if floats else ''}):"]
+    if pi is None:
+        consts = rows([f"kw{k}" for k in ks], "kw") + rows(K_rows, "K")
+    else:
+        consts = (_unpack([f"kw{k}_{h}" for k in ks for h in range(n_pi)], "kw")
+                  + _unpack([f"{r}_{h}" for r in K_rows for h in range(n_pi)], "K"))
+    consts += (_unpack([f"A{k}" for k in range(1, s2)], "A")
+               + _unpack([f"q{i}_{j}" for i in ks for j in range(i + 1)], "q")
+               + _unpack([f"f{k}" for k in ks], "f")
+               + _unpack([f"lo{i}" for i in ns] if normalize else [], "lo")
+               + _unpack([f"sp{i}" for i in ns] if normalize else [], "sp")
+               + ["isfinite = math.isfinite"])
+    src += ["    " + line for line in consts]
+
+    # the observer body: from x0 .. x(n-1), fx0 .. and d_i = (f_u(x) u)_i to
+    # the new state on self and the estimate e0 .. e(n-1)
+    body = [f"xw = {scaled('0.0 + ' + ' + '.join(xs))}",
+            f"wd = {scaled('0.0 + ' + ' + '.join(f'(fx{i} + d{i})' for i in ns))}"]
+    body += row
+    body += [f"c = {vec('c{k}')}                     # frozen over the step",
+             "try:",
+             "    # the gain depends on the row alone: an unchanged row keeps it",
+             "    gain = self.gain if c == self._c else self._design(c)",
+             "    self._c = c",
+             "except UnobservableError:",
+             "    gain = self.gain",
+             "    self.gain_failures += 1",
+             f"{', '.join(f'g{k}' for k in ks)}, = gain",
+             f"{', '.join(f'zo{k}' for k in ks)}, = self.z",
+             f"{', '.join(f'go{k}' for k in ks)}, = self.gain",
+             "# sigma_hat is continuous across the gain switch: the output",
+             "# identity sigma = z + Gamma x holds with the new gain after it"]
+    body += [f"s{k} = zo{k} + go{k} * xw" for k in ks]
+    body += [f"cv = 0.0 + {' + '.join(f'c{k} * s{k}' for k in ks)} + wd",
+             "self.gain = gain",
+             "# v = M sigma - Gamma d with (M v)_k = A_k v_(k-1) - g_k (c . v), then",
+             "# w = v + h M w for h = dt/4, dt/3, dt/2; cw is c . w.  The loop form's",
+             "# first entry A_0 * 0.0 - g_0 (c . v) has A_0 = 0.0, so it reads 0.0 - ..."]
+    body += [f"v{k} = {f'A{k} * s{k - 1}' if k else '0.0'} - g{k} * cv" for k in ks]
+    body += _sum("cw", [f"c{k} * v{k}" for k in ks])
+    prev = [f"v{k}" for k in ks]
+    for j, h in enumerate(("0.25 * dt", "dt / 3.0", "0.5 * dt"), start=1):
+        body.append(f"h = {h}")
+        body += [f"w{j}_{k} = v{k} + h * ({f'A{k} * {prev[k - 1]}' if k else '0.0'}"
+                 f" - g{k} * cw)" for k in ks]
+        prev = [f"w{j}_{k}" for k in ks]
+        if j < 3:                               # the last pass's c . w is unused
+            body += _sum("cw", [f"c{k} * {w}" for k, w in enumerate(prev)])
+    for k in ks:
+        body += [f"gx = g{k} * xw",
+                 f"z{k} = s{k} + dt * w3_{k} - gx",
+                 f"sh{k} = z{k} + gx"]
+    body += [f"self.z, self.sigma_hat = {vec('z{k}')}, {vec('sh{k}')}",
+             "if not (" + " and ".join(f"isfinite(sh{k})" for k in ks) + "):",
+             "    raise NumericalError(\"observer state diverged to non-finite values\")"]
+    if n == 1:                                  # c . sigma_hat is the estimate
+        body += _sum("e0", [f"c{k} * sh{k}" for k in ks])
+    else:                                       # row i: sum_j (K_ij . Pi(x)) sigma_hat_j
+        for i in ns:
+            for j in ks:
+                body += _dot_lines(f"k{i}_{j}", f"K{i}_{j}", pi)
+            body += _sum(f"e{i}", [f"k{i}_{j} * sh{j}" for j in ks])
+    es = ", ".join(f"e{i}" for i in ns)
+
+    dt_check = ["if not 0 < dt < math.inf:",
+                "    raise ValueError(f\"dt must be > 0 and finite, got {dt}\")"]
+    if floats:                                  # one control: d_i = 0.0 + fu_i u, as step sums it
+        step = dt_check + [
+            "if not (" + " and ".join(f"isfinite({v})" for v in xs + ["u"]) + "):",
+            "    raise NumericalError(\"non-finite observer inputs\")"]
+        step += [f"d{i} = 0.0 + fu{i} * u" for i in ns]
+        src += ["    " + line for line in (_unpack([f"fx{i}" for i in ns], "fx")
+                                           + _unpack([f"fu{i}" for i in ns], "fu"))]
+        src += ["", f"    def float_step({', '.join(xs)}, u, dt):"]
+        src += ["        " + line for line in step + body + [f"return {es},"]]
+        src += ["", "    return float_step", ""]
+        return "\n".join(src)
 
     # the state's design row and w sum(x), for the constructor
     src += ["", "    def row(xs):", f"        {', '.join(xs)}, = xs"]
@@ -187,22 +303,21 @@ def _kernel_source(n: int, s2: int, normalize: bool) -> str:
     design.append(f"return {vec('g{k}')}")
     src += ["", "    def design(c):"] + ["        " + line for line in design]
 
-    step = ["if dt <= 0:",
-            "    raise ValueError(f\"dt must be > 0, got {dt}\")",
-            "xs, us = list(map(float, x)), list(map(float, u))",
-            "if not (all(map(isfinite, xs)) and all(map(isfinite, us))):",
-            "    raise NumericalError(\"non-finite observer inputs\")",
-            f"if len(xs) != {n}:",
-            f"    raise ValueError(f\"state must have {n} entries, got {{len(xs)}}\")",
-            f"{', '.join(xs)}, = xs",
-            "xa = np.array(xs)",
-            "fx = np.asarray(self.f_x(xa)).tolist()",
-            "fu = np.asarray(self.f_u(xa)).tolist()",
-            f"if len(fx) != {n} or len(fu) != {n}:",
-            f"    raise ValueError(f\"f_x and f_u must have {n} rows, \"",
-            "                     f\"got {len(fx)} and {len(fu)}\")",
-            f"{', '.join(f'fx{i}' for i in ns)}, = fx",
-            f"{', '.join(f'fu{i}' for i in ns)}, = fu"]
+    step = dt_check + [
+        "xs, us = list(map(float, x)), list(map(float, u))",
+        "if not (all(map(isfinite, xs)) and all(map(isfinite, us))):",
+        "    raise NumericalError(\"non-finite observer inputs\")",
+        f"if len(xs) != {n}:",
+        f"    raise ValueError(f\"state must have {n} entries, got {{len(xs)}}\")",
+        f"{', '.join(xs)}, = xs",
+        "xa = np.array(xs)",
+        "fx = np.asarray(self.f_x(xa)).tolist()",
+        "fu = np.asarray(self.f_u(xa)).tolist()",
+        f"if len(fx) != {n} or len(fu) != {n}:",
+        f"    raise ValueError(f\"f_x and f_u must have {n} rows, \"",
+        "                     f\"got {len(fx)} and {len(fu)}\")",
+        f"{', '.join(f'fx{i}' for i in ns)}, = fx",
+        f"{', '.join(f'fu{i}' for i in ns)}, = fu"]
     for i in ns:                                # d = f_x(x) + f_u(x) u, row by row
         step += [f"if len(fu{i}) != len(us):",
                  f"    raise ValueError(f\"control must have {{len(fu{i})}} entries, \"",
@@ -210,65 +325,21 @@ def _kernel_source(n: int, s2: int, normalize: bool) -> str:
                  f"d{i} = 0.0",
                  f"for fj, uj in zip(fu{i}, us):",
                  f"    d{i} += fj * uj"]
-    step += [f"xw = {scaled('0.0 + ' + ' + '.join(xs))}",
-             f"wd = {scaled('0.0 + ' + ' + '.join(f'(fx{i} + d{i})' for i in ns))}"]
-    step += row
-    step += [f"c = {vec('c{k}')}                     # frozen over the step",
-             "try:",
-             "    # the gain depends on the row alone: an unchanged row keeps it",
-             "    gain = self.gain if c == self._c else self._design(c)",
-             "    self._c = c",
-             "except UnobservableError:",
-             "    gain = self.gain",
-             "    self.gain_failures += 1",
-             f"{', '.join(f'g{k}' for k in ks)}, = gain",
-             f"{', '.join(f'zo{k}' for k in ks)}, = self.z",
-             f"{', '.join(f'go{k}' for k in ks)}, = self.gain",
-             "# sigma_hat is continuous across the gain switch: the output",
-             "# identity sigma = z + Gamma x holds with the new gain after it"]
-    step += [f"s{k} = zo{k} + go{k} * xw" for k in ks]
-    step += [f"cv = 0.0 + {' + '.join(f'c{k} * s{k}' for k in ks)} + wd",
-             "self.gain = gain",
-             "# v = M sigma - Gamma d with (M v)_k = A_k v_(k-1) - g_k (c . v), then",
-             "# w = v + h M w for h = dt/4, dt/3, dt/2; cw is c . w.  The loop form's",
-             "# first entry A_0 * 0.0 - g_0 (c . v) has A_0 = 0.0, so it reads 0.0 - ..."]
-    step += [f"v{k} = {f'A{k} * s{k - 1}' if k else '0.0'} - g{k} * cv" for k in ks]
-    step += _sum("cw", [f"c{k} * v{k}" for k in ks])
-    prev = [f"v{k}" for k in ks]
-    for j, h in enumerate(("0.25 * dt", "dt / 3.0", "0.5 * dt"), start=1):
-        step.append(f"h = {h}")
-        step += [f"w{j}_{k} = v{k} + h * ({f'A{k} * {prev[k - 1]}' if k else '0.0'}"
-                 f" - g{k} * cw)" for k in ks]
-        prev = [f"w{j}_{k}" for k in ks]
-        if j < 3:                               # the last pass's c . w is unused
-            step += _sum("cw", [f"c{k} * {w}" for k, w in enumerate(prev)])
-    for k in ks:
-        step += [f"gx = g{k} * xw",
-                 f"z{k} = s{k} + dt * w3_{k} - gx",
-                 f"sh{k} = z{k} + gx"]
-    step += [f"self.z, self.sigma_hat = {vec('z{k}')}, {vec('sh{k}')}",
-             "if not (" + " and ".join(f"isfinite(sh{k})" for k in ks) + "):",
-             "    raise NumericalError(\"observer state diverged to non-finite values\")"]
-    if n == 1:                                  # c . sigma_hat is the estimate
-        step += _sum("e0", [f"c{k} * sh{k}" for k in ks])
-    else:                                       # row i: sum_j (K_ij . Pi(x)) sigma_hat_j
-        for i in ns:
-            for j in ks:
-                step += _sum(f"k{i}_{j}", [_times(f"K{i}_{j}_{h}", t) for h, t in enumerate(pi)])
-            step += _sum(f"e{i}", [f"k{i}_{j} * sh{j}" for j in ks])
-    step.append(f"return [{', '.join(f'e{i}' for i in ns)}]")
-    src += ["", "    def step(self, x, u, dt):"] + ["        " + line for line in step]
+    src += ["", "    def step(self, x, u, dt):"]
+    src += ["        " + line for line in step + body + [f"return [{es}]"]]
     src += ["", "    return step, design, row", ""]
     return "\n".join(src)
 
 
 @functools.cache
-def _kernels(n: int, s2: int, normalize: bool) -> Callable:
-    """The compiled kernel factory of one model shape."""
+def _kernels(n: int, s2: int, normalize: bool, floats: bool = False) -> Callable:
+    """The compiled kernel factory of one model shape; the float step's
+    is compiled apart, at its first use, so an observer that only calls
+    ``step`` never pays for it."""
     namespace = {}
-    exec(compile(_kernel_source(n, s2, normalize),
-                 f"<coupled_do.observer kernels n={n} s2={s2} normalize={normalize}>",
-                 "exec"), globals(), namespace)
+    exec(compile(_kernel_source(n, s2, normalize, floats),
+                 f"<coupled_do.observer kernels n={n} s2={s2} normalize={normalize}"
+                 f"{' floats' if floats else ''}>", "exec"), globals(), namespace)
     return namespace["_factory"]
 
 
@@ -308,6 +379,8 @@ class Hodo:
     (module docstring).  ``step`` and ``_design`` stay methods that call
     them, and the step kernel calls ``self._design``, so a replacement
     of either on the class or on the instance is honoured.
+    :meth:`float_step` gives the same step on floats for constant plant
+    maps; it shares this observer's state.
     """
 
     def __init__(self, model: SeparatedModel, f_x: Callable, f_u: Callable,
@@ -340,9 +413,9 @@ class Hodo:
         q = [qij for i, row in enumerate(q_fact) for qij in row[:i + 1]]
         lo, hi = model.config.x_box.T.tolist()
         span = [h - l for l, h in zip(lo, hi)]
-        factory = _kernels(n, s2, bool(model.config.normalize))
-        self._step_kernel, self._design_kernel, row = factory(
-            kw, K, shift, q, fact.tolist(), lo, span, self.w)
+        self._constants = (kw, K, shift, q, fact.tolist(), lo, span, self.w)
+        self._shape = (n, s2, bool(model.config.normalize))
+        self._step_kernel, self._design_kernel, row = _kernels(*self._shape)(*self._constants)
 
         self.sigma_hat = sigma0.tolist()
         # the row ``gain`` was designed for, summed as ``step`` sums it
@@ -362,6 +435,25 @@ class Hodo:
         the gain and C(x), so that sigma obeys d(sigma)/dt = M sigma -
         Gamma d with d = f_x(x) + f_u(x) u, stepped in the closed RK4
         form of the module docstring.  The gain is redesigned at x; on
-        an unobservable output row the previous gain is kept.
+        an unobservable output row the previous gain is kept.  A dt that
+        is not finite and > 0 raises ValueError, and a non-finite x or u
+        NumericalError, before the state changes.
         """
         return self._step_kernel(self, x, u, dt)
+
+    def float_step(self, fx, fu) -> Callable:
+        """This observer's step on floats for the constant plant maps
+        f_x(x) = fx and f_u(x) = fu, n floats each (one control).
+
+        The returned ``float_step(x_1, ..., x_n, u, dt)`` advances the
+        observer as ``step([x_1, ..., x_n], [u], dt)`` does, to the bit
+        and with the same checks on dt and on finite inputs, and returns
+        the estimate as a tuple of n floats.  It is generated from the
+        same body lines, without the lists, the calls of f_x and f_u and
+        their NumPy round trip.
+        """
+        fx, fu = [float(f) for f in fx], [float(f) for f in fu]
+        if len(fx) != self.model.n or len(fu) != self.model.n:
+            raise ValueError(f"fx and fu must have {self.model.n} entries, "
+                             f"got {len(fx)} and {len(fu)}")
+        return _kernels(*self._shape, floats=True)(*self._constants, self, fx, fu)

@@ -81,9 +81,11 @@ def ackermann_gain(A: np.ndarray, c: np.ndarray, poles) -> np.ndarray:
 def rk4_step(f: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarray:
     """Classical fourth-order Runge-Kutta update of dstate/dt = f(t, state).
 
-    The generic reference integrator: the closed loop advances its plant
-    with :func:`coupled_do.sim.point_mass_step`, which must match this
-    bitwise, and the observer tests integrate their references with it.
+    The generic reference integrator: the closed loop of
+    :func:`coupled_do.sim.run_scenario` writes the point mass's RK4 step
+    out in its loop, and its reference form ``point_mass_step`` in
+    ``tests/loop_scenario.py`` is tested to match this bitwise; the
+    observer tests integrate their references with it.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")

@@ -7,11 +7,18 @@ The benchmark plant is a second-order point mass
 tracked with a PD controller plus feedforward disturbance compensation.
 The observers only see the velocity channel (n = 1, f_x = 0,
 f_u = 1/m), which is where the coupled disturbance enters.
+
+:func:`run_scenario` runs the closed loop of every mode as one straight
+loop on Python floats, which holds the only copy of the reference, the
+control law and the RK4 plant step; ``tests/loop_scenario.py`` keeps the
+loop with one call per part as the tests' ``==`` reference.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,40 +28,6 @@ from .basis import BasisConfig
 from .errors import ConfigError, NumericalError
 from .learner import SeparatedModel, TrajectoryDataset, check, rng_stream, synthesize_dataset
 from .observer import Hodo, check_poles
-
-
-def point_mass_step(fn: Callable, u: float, mass: float, eta: float, v: float,
-                    t: float, dt: float, delta: float) -> tuple[float, float]:
-    """One classical RK4 step of the point mass on Python floats.
-
-    Integrates d(eta)/dt = v, dv/dt = (u + fn(v, tau)) / mass over
-    [t, t + dt] with u held, where ``delta`` is fn(v, t), the first
-    stage's disturbance, which the caller has already evaluated.  The
-    operations run in the order of :func:`coupled_do.oracles.rk4_step`
-    applied to the state array (eta, v), so the result is bit-identical
-    to it.  The position stages are not needed: no stage reads them.
-    """
-    h = 0.5 * dt
-    a1 = (u + delta) / mass
-    v2 = v + h * a1
-    a2 = (u + fn(v2, t + h)) / mass
-    v3 = v + h * a2
-    a3 = (u + fn(v3, t + h)) / mass
-    v4 = v + dt * a3
-    a4 = (u + fn(v4, t + dt)) / mass
-    w = dt / 6.0
-    eta = eta + w * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    v = v + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    if not (math.isfinite(eta) and math.isfinite(v)):
-        raise NumericalError(f"integration produced non-finite state at t={t}")
-    return eta, v
-
-
-def pd_control(eta: float, v: float, eta_d: float, eta_d_dot: float,
-               k_eta: float, k_v: float, delta_hat: float = 0.0) -> float:
-    """PD tracking law with feedforward disturbance cancellation:
-    u = k_eta (eta_d - eta) + k_v (eta_d_dot - v) - delta_hat."""
-    return k_eta * (eta_d - eta) + k_v * (eta_d_dot - v) - delta_hat
 
 
 # --- disturbance registry ---------------------------------------------------
@@ -149,11 +122,6 @@ def generate_training_run(name: str, n_samples: int = 10000, seed: int = 0,
 
 
 # --- closed-loop scenario ---------------------------------------------------
-
-def _sin_half_reference(t: float) -> tuple[float, float]:
-    """eta_d(t) = sin(t/2) and its derivative, as Python floats."""
-    return math.sin(0.5 * t), 0.5 * math.cos(0.5 * t)
-
 
 MODES = ("none", "ndo", "hodo")
 
@@ -257,74 +225,117 @@ class ScenarioResult:
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Simulate the point-mass tracking loop under one compensation mode.
 
-    Per step: measure v (noisy), form the control from the current
-    disturbance estimate, log, advance the true plant with the held
-    control, then advance the observer with the held measurement and
-    control.  The loop runs on Python floats, the observer's estimate
-    included; :func:`point_mass_step` reuses the logged disturbance as
-    its first RK4 stage.  A non-finite plant state, or a disturbance
-    beyond the float range (logged as nan), ends the run and returns the
-    series up to that step, marked not completed.  NumPy's overflow
-    warnings are off over the loop: the finiteness checks alone report
-    a diverging run.  Deterministic for a fixed config including seed.
+    Per step: measure v (noisy), form the PD control u = k_eta (eta_d -
+    eta) + k_v (eta_d_dot - v_meas) - delta_hat from the current
+    disturbance estimate, log, advance the true plant by one classical
+    RK4 step with u held, then advance the observer with the held
+    measurement and control.
+
+    One straight loop on Python floats serves all three modes, and it
+    holds the only copy of the reference, the control law and the plant
+    step.  The plant step runs the operations of
+    :func:`coupled_do.oracles.rk4_step` on the state (eta, v), reusing
+    the logged disturbance as its first stage; no stage reads the
+    position stages, so they are skipped.  The loop walks the time grid
+    and the noise through memoryviews and logs into preallocated
+    ``array('d')`` buffers.  ``ndo`` advances its observer by
+    :meth:`Hodo.float_step`, generated from the lines of ``Hodo.step``,
+    with the velocity channel's f_x = 0 and f_u = 1/m bound as floats.
+    ``hodo`` still calls ``Hodo.step`` each step: the benchmark's layer
+    map times the observer there, and the float step has no traced
+    layer of its own yet.  ``tests/loop_scenario.py`` keeps the loop
+    with one call per part, which this one equals bit for bit.
+
+    A non-finite plant state, or a disturbance beyond the float range
+    (logged as nan), ends the run and returns the series up to that
+    step, marked not completed.  NumPy's overflow warnings are off over
+    the loop: the finiteness checks alone report a diverging run.  A
+    step count whose series do not fit in memory raises NumericalError
+    before the first step.  Deterministic for a fixed config including
+    seed.
     """
     n_steps = int(round(cfg.duration / cfg.dt))
     fn = disturbance(cfg.disturbance_name)
     f_x, f_u = newton_velocity_channel(cfg.mass)
-
-    observer = None
+    observer = float_step = None
     if cfg.mode == "hodo":
         observer = Hodo(cfg.model, f_x, f_u, cfg.poles, x0=[cfg.v0])
     elif cfg.mode == "ndo":
         unit = SeparatedModel(theta=[[1.0]], config=BasisConfig(p=0, n=1))
         observer = Hodo(unit, f_x, f_u, (-cfg.ndo_gain,), x0=[cfg.v0])
+        # the channel's maps do not depend on the state
+        float_step = observer.float_step(f_x(None), f_u(None)[:, 0])
 
-    rng = rng_stream(cfg.seed, "scenario", cfg.mode)
-    noise = (np.sqrt(cfg.sigma_v2) * rng.standard_normal(n_steps)
-             if cfg.sigma_v2 > 0 else np.zeros(n_steps))
-
-    t_grid = cfg.dt * np.arange(n_steps)
-    log = {k: np.empty(n_steps) for k in ("eta", "eta_d", "v", "u", "delta_true", "delta_hat")}
-    sig_log = (np.empty((n_steps, cfg.model.config.s2))
-               if cfg.log_sigma and cfg.mode == "hodo" else None)
+    unallocatable = NumericalError(f"the series of {n_steps} steps (scenario.duration / "
+                                   f"scenario.dt) do not fit in memory")
+    if n_steps > sys.maxsize // 8:      # past the address space NumPy raises ValueError
+        raise unallocatable
+    try:
+        # the grids are scaled in place, which keeps the bits and makes no
+        # temporary.  The logs come after them: allocated first, they left
+        # repeated runs in one process with a larger heap.
+        rng = rng_stream(cfg.seed, "scenario", cfg.mode)
+        noise = rng.standard_normal(n_steps) if cfg.sigma_v2 > 0 else np.zeros(n_steps)
+        noise *= math.sqrt(cfg.sigma_v2)
+        t_grid = np.arange(n_steps, dtype=float)
+        t_grid *= cfg.dt
+        logs = [array("d", [0.0]) * n_steps for _ in range(6)]
+        sig_log = (np.empty((n_steps, cfg.model.config.s2))
+                   if cfg.log_sigma and cfg.mode == "hodo" else None)
+    except MemoryError:
+        raise unallocatable from None
+    eta_log, eta_d_log, v_log, u_log, delta_log, delta_hat_log = logs
 
     eta, v = float(cfg.eta0), float(cfg.v0)
     delta_hat = 0.0
-    mass, dt = cfg.mass, cfg.dt
+    mass, dt, k_eta, k_v = cfg.mass, cfg.dt, cfg.k_eta, cfg.k_v
+    h, w = 0.5 * dt, dt / 6.0
+    sin, cos, isfinite, nan = math.sin, math.cos, math.isfinite, math.nan
     n_done, completed = n_steps, True
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            t = t_grid.item(k)          # Python floats, not NumPy scalars
-            v_meas = v + noise.item(k)
-            eta_d, eta_d_dot = _sin_half_reference(t)
-            u = pd_control(eta, v_meas, eta_d, eta_d_dot, cfg.k_eta, cfg.k_v, delta_hat)
+        for k, t, noise_k in zip(range(n_steps), memoryview(t_grid), memoryview(noise)):
+            v_meas = v + noise_k
+            eta_d, eta_d_dot = sin(0.5 * t), 0.5 * cos(0.5 * t)
+            u = k_eta * (eta_d - eta) + k_v * (eta_d_dot - v_meas) - delta_hat
             try:
                 delta = fn(v, t)
             except OverflowError:
-                delta = math.nan        # the plant step below fails on it
+                delta = nan             # the plant step below fails on it
 
-            log["eta"][k] = eta
-            log["eta_d"][k] = eta_d
-            log["v"][k] = v
-            log["u"][k] = u
-            log["delta_true"][k] = delta
-            log["delta_hat"][k] = delta_hat
+            eta_log[k] = eta
+            eta_d_log[k] = eta_d
+            v_log[k] = v
+            u_log[k] = u
+            delta_log[k] = delta
+            delta_hat_log[k] = delta_hat
             if sig_log is not None:
                 sig_log[k] = observer.sigma_hat
 
             try:
-                eta, v = point_mass_step(fn, u, mass, eta, v, t, dt, delta)
-            except (NumericalError, OverflowError):
+                th = t + h
+                a1 = (u + delta) / mass
+                v2 = v + h * a1
+                a2 = (u + fn(v2, th)) / mass
+                v3 = v + h * a2
+                a3 = (u + fn(v3, th)) / mass
+                v4 = v + dt * a3
+                a4 = (u + fn(v4, t + dt)) / mass
+                eta = eta + w * (v + 2.0 * v2 + 2.0 * v3 + v4)
+                v = v + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            except OverflowError:       # a later stage's disturbance
+                eta = nan
+            if not (isfinite(eta) and isfinite(v)):
                 # hard integration failure: return the partial series
                 n_done, completed = k + 1, False
                 break
 
-            if observer is not None:
+            if float_step is not None:
+                delta_hat = mass * float_step(v_meas, u, dt)[0]
+            elif observer is not None:
                 delta_hat = mass * observer.step([v_meas], [u], dt)[0]
 
     return ScenarioResult(
-        mode=cfg.mode, t=t_grid[:n_done],
-        **{key: arr[:n_done] for key, arr in log.items()},
+        cfg.mode, t_grid[:n_done], *(np.frombuffer(log)[:n_done] for log in logs),
         sigma_hat=None if sig_log is None else sig_log[:n_done],
         gain_failures=getattr(observer, "gain_failures", 0),
         completed=completed)

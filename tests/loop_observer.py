@@ -77,8 +77,8 @@ class LoopHodo:
         return gain
 
     def step(self, x, u, dt: float) -> list:
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be > 0 and finite, got {dt}")
         xs, us = list(map(float, x)), list(map(float, u))
         if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, us))):
             raise NumericalError("non-finite observer inputs")

@@ -407,6 +407,19 @@ class TestConfig:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_repeated_modes_run_once(self, config_file, tmp_path, capsys):
+        # a repeat would rerun the scenario, rewrite its CSV and append a second row
+        path = tmp_path / "repeats.ini"
+        path.write_text("[scenario]\nmodes = none, ndo, none\nduration = 0.05\n")
+        assert fileio.load_config(path)["modes"] == ["none", "ndo"]
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert cli.main(["simulate", "--config", str(config_file), "--out", str(out),
+                         "--modes", "ndo,ndo"]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            assert [row["mode"] for row in csv.DictReader(fh)] == ["none", "ndo", "ndo"]
+        assert capsys.readouterr().out.count("ndo: tracking MAE") == 2
+
     @pytest.mark.parametrize("modes", [",", " , ,"])
     def test_empty_mode_list_rejected(self, config_file, tmp_path, capsys, modes):
         out = tmp_path / "o"
@@ -640,6 +653,19 @@ class TestCliExitCodes:
                               f"the step from t = {float(rows[-1]['t']):g};")
         assert (out / "metrics.csv").exists()
         assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+
+    @pytest.mark.parametrize("modes", ["none", "ndo,none"])
+    def test_unallocatable_step_count_is_4(self, tmp_path, capsys, modes):
+        # 1e19 steps: the series would pass the address space, so nothing is allocated
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[scenario]\nduration = 1e16\n")
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                         "--modes", modes]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the series of 10000000000000000000 steps")
+        assert "Traceback" not in err
+        assert not list(out.glob("*.csv"))
 
     def test_overflowing_disturbance_is_4(self, tmp_path, capsys):
         # v0**2 overflows the float range in the first step's disturbance

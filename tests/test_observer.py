@@ -8,7 +8,7 @@ import scipy.signal
 from coupled_do.basis import BasisConfig, structure_matrices
 from coupled_do.errors import NumericalError
 from coupled_do.learner import SeparatedModel
-from coupled_do.observer import _MARGIN, Hodo, UnobservableError
+from coupled_do.observer import _MARGIN, _UNROLL, Hodo, UnobservableError, _kernel_source
 from coupled_do.oracles import ackermann_gain, placement_residual, rk4_step
 from coupled_do.sim import disturbance
 from loop_observer import LoopHodo
@@ -267,8 +267,9 @@ class TestHodoDynamics:
     def test_step_rejects_bad_inputs(self):
         obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                    poles=(-0.4,) * 3, x0=[0.0])
-        with pytest.raises(ValueError):
-            obs.step([0.0], [0.0], 0.0)
+        for dt in (0.0, -1e-3, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="dt must be > 0 and finite"):
+                obs.step([0.0], [0.0], dt)
         with pytest.raises(NumericalError):
             obs.step([np.nan], [0.0], 1e-3)
         with pytest.raises(ValueError):
@@ -283,8 +284,10 @@ class TestHodoDynamics:
         obs.f_x, obs.f_u = (lambda x: np.zeros(1)), (lambda x: np.ones((2, 1)))
         with pytest.raises(ValueError):
             obs.step([0.0], [0.0], 1e-3)
-        assert obs.z == Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                             poles=(-0.4,) * 3, x0=[0.0]).z
+        fresh = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
+                     poles=(-0.4,) * 3, x0=[0.0])
+        assert obs.z == fresh.z and obs.sigma_hat == fresh.sigma_hat
+        assert obs.gain == fresh.gain and obs.gain_failures == 0
 
     def test_gain_fallback_on_unobservable_state(self):
         # last output-map entry is proportional to x, so the design is
@@ -360,34 +363,46 @@ def step_outcome(obs, x, u, dt):
         return type(err), str(err)
 
 
+def float_outcome(float_step, x, u, dt):
+    """``step_outcome`` of a float step, its estimate as a list."""
+    try:
+        return list(float_step(*x.tolist(), u, dt))
+    except (ValueError, NumericalError) as err:
+        return type(err), str(err)
+
+
 def assert_same_bits(kernel: Hodo, loop: LoopHodo):
     assert kernel.z == loop.z and kernel.sigma_hat == loop.sigma_hat
     assert kernel.gain == loop.gain and kernel.gain_failures == loop.gain_failures
 
 
+def random_observers(n, p, normalize, seed, f_x, f_u, classes=(Hodo, LoopHodo)):
+    """Observers of each class on one random observable model of the shape,
+    their start state x, and the random generator, to draw the steps."""
+    rng = np.random.default_rng(seed)
+    cfg = BasisConfig(p=p, n=n, x_box=[(-2.0, 3.0)] * n, t_box=(0.0, 5.0),
+                      normalize=normalize)
+    poles = -np.linspace(0.5, 2.0, p + 1)
+    while True:
+        model = SeparatedModel(theta=rng.standard_normal((n, cfg.s1)), config=cfg)
+        x = rng.uniform(-1.0, 1.0, n)
+        sigma0 = rng.standard_normal(p + 1)
+        try:
+            Hodo(model, f_x, f_u, poles, x0=x, sigma0=sigma0)
+        except UnobservableError:
+            continue
+        return [cls(model, f_x, f_u, poles, x0=x, sigma0=sigma0) for cls in classes], x, rng
+
+
 class TestGeneratedKernels:
     # the straight-line kernels against the loop form, compared with ==
 
-    @pytest.mark.parametrize("normalize", (False, True))
-    @pytest.mark.parametrize("p", range(5))
-    @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_bit_identical_to_the_loop_form(self, n, p, normalize):
-        rng = np.random.default_rng(100 * n + 10 * p + normalize)
-        cfg = BasisConfig(p=p, n=n, x_box=[(-2.0, 3.0)] * n, t_box=(0.0, 5.0),
-                          normalize=normalize)
-        poles = -np.linspace(0.5, 2.0, p + 1)
+    @staticmethod
+    def assert_equals_loop_form(n, p, normalize):
         f_x = lambda x: 0.3 * x - 0.1
         f_u = lambda x: np.outer(x, [1.5, -0.5]) + 1.0
-        while True:
-            model = SeparatedModel(theta=rng.standard_normal((n, cfg.s1)), config=cfg)
-            x = rng.uniform(-1.0, 1.0, n)
-            sigma0 = rng.standard_normal(p + 1)
-            try:
-                kernel = Hodo(model, f_x, f_u, poles, x0=x, sigma0=sigma0)
-            except UnobservableError:
-                continue
-            break
-        loop = LoopHodo(model, f_x, f_u, poles, x0=x, sigma0=sigma0)
+        (kernel, loop), x, rng = random_observers(n, p, normalize,
+                                                  100 * n + 10 * p + normalize, f_x, f_u)
         assert_same_bits(kernel, loop)
         for k in range(200):
             if k % 5:                   # every fifth step repeats the state
@@ -396,6 +411,58 @@ class TestGeneratedKernels:
             dt = (1e-3, 0.04)[k % 2]
             assert step_outcome(kernel, x, u, dt) == step_outcome(loop, x, u, dt)
             assert_same_bits(kernel, loop)
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    @pytest.mark.parametrize("p", range(5))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_bit_identical_to_the_loop_form(self, n, p, normalize):
+        self.assert_equals_loop_form(n, p, normalize)
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    @pytest.mark.parametrize("n, p", [(3, 4), (4, 2)])
+    def test_bit_identical_past_the_unroll_cut(self, n, p, normalize):
+        # Pi(x) is a list and its dot products are loops in the same order
+        assert (p + 1) ** n > _UNROLL
+        assert "_dot(" in _kernel_source(n, p + 1, normalize)
+        self.assert_equals_loop_form(n, p, normalize)
+
+    def test_source_size_is_bounded_past_the_cut(self):
+        # n = 4, p = 6 wrote 3.2 MB of straight-line source (2401 Pi terms)
+        for floats in (False, True):
+            assert len(_kernel_source(4, 7, True, floats)) < 20_000
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    @pytest.mark.parametrize("n, p", [(1, 0), (1, 2), (1, 4), (2, 2), (3, 4)])
+    def test_float_step_equals_step(self, n, p, normalize):
+        # constant plant maps, bound as floats into the float step
+        fx, fu = np.linspace(-0.3, 0.2, n), np.linspace(0.5, 1.5, n)
+        (generic, floats), x, rng = random_observers(
+            n, p, normalize, 7 * n + p, lambda x: fx, lambda x: fu[:, None], (Hodo, Hodo))
+        float_step = floats.float_step(fx, fu)
+        for k in range(200):
+            if k % 5:                   # every fifth step repeats the state
+                x = x + rng.uniform(-0.05, 0.05, n)
+            u = float(rng.uniform(-1.0, 1.0))
+            dt = (1e-3, 0.04)[k % 2]
+            assert step_outcome(generic, x, [u], dt) == float_outcome(float_step, x, u, dt)
+            assert_same_bits(generic, floats)
+
+    def test_float_step_holds_the_gain_and_checks_as_step(self):
+        # C(x) = [1, 0, x] fails the pivot margin at x = 0
+        theta = np.zeros((1, 9))
+        theta[0, 0] = theta[0, 7] = 1.0
+        model = SeparatedModel(theta=theta, config=BasisConfig(**RAW_CFG))
+        generic, floats = (Hodo(model, ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[1.0]) for _ in range(2))
+        float_step = floats.float_step([0.0], [1.0])
+        for x, u, dt in [(0.0, 0.3, 1e-3), (0.5, 0.3, 1e-3), (0.0, 0.3, 1e-3),
+                         (np.nan, 0.3, 1e-3), (0.5, np.inf, 1e-3), (0.5, 0.3, np.nan),
+                         (0.5, 0.3, 0.0), (0.5, 0.3, np.inf), (0.2, -0.1, 0.04)]:
+            assert (step_outcome(generic, np.array([x]), [u], dt)
+                    == float_outcome(float_step, np.array([x]), u, dt))
+            assert_same_bits(generic, floats)
+        assert floats.gain_failures == 2
+        with pytest.raises(ValueError, match="fx and fu must have 1 entries"):
+            floats.float_step([0.0, 0.0], [1.0])
 
     def test_unobservable_row_holds_the_gain(self):
         # C(x) = [1, 0, x]: the row at x = 0 fails the pivot margin

@@ -12,8 +12,8 @@ from coupled_do.learner import SeparatedModel, fit_rls, rng_stream
 from coupled_do.oracles import rk4_step
 from coupled_do import sim
 from coupled_do.sim import (ScenarioConfig, disturbance, disturbance_box,
-                            generate_training_run, pd_control, point_mass_step,
-                            registered_disturbances, run_scenario)
+                            generate_training_run, registered_disturbances, run_scenario)
+from loop_scenario import pd_control, point_mass_step, run_scenario_reference
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +319,81 @@ class TestScenario:
         res = run_scenario(cfg)
         assert res.sigma_hat is not None
         assert res.sigma_hat.shape == (len(res.t), 3)
+
+
+SERIES = ("t", "eta", "eta_d", "v", "u", "delta_true", "delta_hat", "sigma_hat")
+
+
+def scenario_outcome(run, cfg):
+    """The bytes of every series of a run (sigma_hat None unless logged),
+    then its length, ``gain_failures`` and ``completed``; or the type and
+    message of its error.  Bytes compare every bit, nan and -0.0 included."""
+    try:
+        res = run(cfg)
+    except NumericalError as err:
+        return type(err), str(err)
+    series = [None if getattr(res, name) is None else getattr(res, name).tobytes()
+              for name in SERIES]
+    return (*series, len(res.t), res.gain_failures, res.completed)
+
+
+def assert_loop_equals_reference(cfg):
+    outcome = scenario_outcome(run_scenario_reference, cfg)
+    assert scenario_outcome(run_scenario, cfg) == outcome
+    return outcome
+
+
+class TestStraightLoop:
+    # run_scenario's straight loop against the loop with one call per part
+
+    @pytest.mark.parametrize("mode", ["none", "ndo", "hodo"])
+    @pytest.mark.parametrize("name", sorted(sim._REGISTRY))
+    def test_bit_identical_to_the_reference(self, newton_model, mode, name):
+        for seed in (1, 2, 3):
+            for sigma_v2 in (0.0, 0.1):
+                for v0 in (0.0, 0.7):
+                    cfg = ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
+                                         disturbance_name=name, seed=seed, sigma_v2=sigma_v2,
+                                         v0=v0, duration=0.3, log_sigma=True)
+                    assert assert_loop_equals_reference(cfg)[-3:] == (300, 0, True)
+
+    @pytest.mark.parametrize("mode", ["none", "ndo"])
+    def test_overflowing_disturbance(self, mode):
+        # -v**2 raises OverflowError: a one-step partial series
+        cfg = ScenarioConfig(mode=mode, v0=1e200, duration=1.0)
+        assert assert_loop_equals_reference(cfg)[-3:] == (1, 0, False)
+
+    @pytest.mark.parametrize("mode", ["none", "ndo", "hodo"])
+    def test_nonfinite_plant_state(self, newton_model, monkeypatch, mode):
+        base = disturbance("quad_drag_drift")
+        entry = dict(sim._REGISTRY["quad_drag_drift"],
+                     fn=lambda v, t: base(v, t) + (np.inf if t > 0.0105 else 0.0))
+        monkeypatch.setitem(sim._REGISTRY, "blows_up", entry)
+        cfg = ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
+                             disturbance_name="blows_up", seed=4, duration=1.0, log_sigma=True)
+        assert assert_loop_equals_reference(cfg)[-3:] == (11, 0, False)
+
+    def test_diverging_plant(self):
+        # G dt = 5 is outside RK4's stability interval; -v**2 overflows first
+        cfg = ScenarioConfig(mode="ndo", ndo_gain=5000.0, duration=2.0)
+        assert assert_loop_equals_reference(cfg)[-1] is False
+
+    @pytest.mark.parametrize("mode, gain", [("ndo", 1e4), ("hodo", 3000.0)])
+    def test_nonfinite_observer_state(self, newton_model, mode, gain):
+        # a bounded disturbance keeps the plant finite while the observer,
+        # unstable at these poles for dt = 1e-3, diverges
+        cfg = ScenarioConfig(mode=mode, model=newton_model, ndo_gain=gain, poles=(-gain,) * 3,
+                             disturbance_name="sine_product", duration=1.0, log_sigma=True)
+        assert assert_loop_equals_reference(cfg) == (
+            NumericalError, "observer state diverged to non-finite values")
+
+    def test_held_gains_counted(self):
+        # C(x) = [1e3, 0, x] fails the pivot margin wherever |x| <= 0.1
+        theta = np.zeros((1, 9))
+        theta[0, 0], theta[0, 7] = 1e3, 1.0
+        model = SeparatedModel(theta=theta, config=BasisConfig(p=2, n=1, normalize=False))
+        cfg = ScenarioConfig(mode="hodo", model=model, v0=2.0, duration=1.0, log_sigma=True)
+        assert assert_loop_equals_reference(cfg)[-2] > 0
 
 
 class TestDivergingRuns:
