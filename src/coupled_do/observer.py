@@ -21,9 +21,10 @@ iff c_(s2-1) != 0, and the gain is an O(s2^2) back-substitution.  A
 non-finite row or |c_(s2-1)| <= _MARGIN * max|c_i| counts as unobservable;
 :func:`coupled_do.oracles.ackermann_gain` is the generic reference route.
 
-With x, u, the gain and C(x) held over a step, dy/dt = M y + b is
-linear, and one classical RK4 step is exactly y+ = y + dt phi(dt M)
-(M y + b), phi(X) = I + X/2 + X^2/6 + X^3/24, evaluated by Horner's rule.
+With x, u, the gain and C(x) held over a step, sigma obeys the linear
+dy/dt = M y - Gamma b with b = f_x(x) + f_u(x) u, and one classical RK4
+step is exactly y+ = y + dt phi(dt M) (M y - Gamma b), phi(X) = I + X/2
++ X^2/6 + X^3/24, evaluated by Horner's rule.
 Since Gamma = g w^T for the design row c = w C(x), M = A - g c^T is a
 rank-one update of the weighted shift: (M v)_k = A_(k,k-1) v_(k-1) -
 g_k (c . v) costs O(s2), and M is never formed.
@@ -37,20 +38,18 @@ locals, and each sum is an explicit left-to-right chain that starts at
 IEEE addition and multiplication are deterministic, so the kernels give
 the loop form's bits, which the tests check with ``==``; and the bits
 do not depend on the Python version's built-in ``sum``.  The model's
-numbers enter as closure variables, never as source text.  Only the
-f_u(x) u product stays a loop, over the o controls, which the shape
-does not fix; and past ``_UNROLL`` terms of Pi(x), Pi(x) is a list and
-its dot products are loops in the same order, which bounds the source
-(2401 terms for n = 4, p = 6).
+numbers enter as closure variables, never as source text.  Past
+``_UNROLL`` terms of Pi(x), Pi(x) is a list and its dot products are
+loops in the same order, which bounds the source (2401 terms for n = 4,
+p = 6).
 
-One observer body serves two generated steps: ``Hodo.step``, the
-library's step with list inputs and callable f_x, f_u, and the float
-step of :meth:`Hodo.float_step`, which takes x and one control as
-floats with constant f_x and f_u bound as floats, and is compiled only
-when first asked for.  The closed loop's ``ndo`` mode runs on the float
-step; its ``hodo`` mode keeps calling ``Hodo.step``, the observer layer
-that the benchmark's trace times, until the float step has a traced
-layer of its own.
+The generated step is the only observer step.  It takes the state and
+b = f_x(x) + f_u(x) u as floats, so the plant maps and the controls
+stay outside it: ``Hodo.step`` calls f_x and f_u, sums b (the f_u(x) u
+products left to right from 0.0, then f_x(x) + that) and calls it once;
+:meth:`Hodo.float_step` does the same for constant maps bound as floats;
+and the closed loop of :func:`coupled_do.sim.run_scenario` calls it
+directly, once per step, in both observer modes.
 """
 
 from __future__ import annotations
@@ -176,15 +175,14 @@ def _row_lines(n: int, s2: int, normalize: bool) -> tuple[list, list | None]:
     return lines, pi
 
 
-def _kernel_source(n: int, s2: int, normalize: bool, floats: bool = False) -> str:
-    """Source of ``_factory``, which binds one model's constants and
-    returns its kernels (step, design, row); with ``floats``, it also
-    binds an observer and the constant plant maps fx and fu, and returns
-    the float step.
+def _kernel_source(n: int, s2: int, normalize: bool) -> str:
+    """Source of ``_factory``, which binds one observer and its model's
+    constants and returns its kernels (step, design, row).
 
-    Both steps wrap the same observer body.  ``step`` is ``Hodo.step``,
-    with its checks, list inputs and calls of f_x and f_u; the float step
-    takes x and one control as floats and returns a tuple."""
+    ``step(x0, .., x(n-1), b0, .., b(n-1), dt)`` is the observer step on
+    floats, with b = f_x(x) + f_u(x) u summed by the caller; it checks dt
+    and the finiteness of x and b, advances the observer's state and
+    returns the estimate as a tuple of n floats."""
     ks, ns, n_pi = range(s2), range(n), s2 ** n
     cs = [f"c{k}" for k in ks]
 
@@ -199,9 +197,9 @@ def _kernel_source(n: int, s2: int, normalize: bool, floats: bool = False) -> st
                               f"{n_pi})]")
 
     row, pi = _row_lines(n, s2, normalize)
-    xs = [f"x{i}" for i in ns]
+    xs, bs = [f"x{i}" for i in ns], [f"b{i}" for i in ns]
     K_rows = [f"K{i}_{j}" for i in ns for j in ks] if n > 1 else []
-    src = [f"def _factory(kw, K, A, q, f, lo, sp, wn{', self, fx, fu' if floats else ''}):"]
+    src = ["def _factory(self, kw, K, A, q, f, lo, sp, wn):"]
     if pi is None:
         consts = rows([f"kw{k}" for k in ks], "kw") + rows(K_rows, "K")
     else:
@@ -215,10 +213,10 @@ def _kernel_source(n: int, s2: int, normalize: bool, floats: bool = False) -> st
                + ["isfinite = math.isfinite"])
     src += ["    " + line for line in consts]
 
-    # the observer body: from x0 .. x(n-1), fx0 .. and d_i = (f_u(x) u)_i to
-    # the new state on self and the estimate e0 .. e(n-1)
+    # the observer body: from x0 .. x(n-1) and b0 .. b(n-1) to the new
+    # state on self and the estimate e0 .. e(n-1)
     body = [f"xw = {scaled('0.0 + ' + ' + '.join(xs))}",
-            f"wd = {scaled('0.0 + ' + ' + '.join(f'(fx{i} + d{i})' for i in ns))}"]
+            f"wd = {scaled('0.0 + ' + ' + '.join(bs))}"]
     body += row
     body += [f"c = {vec('c{k}')}                     # frozen over the step",
              "try:",
@@ -236,7 +234,7 @@ def _kernel_source(n: int, s2: int, normalize: bool, floats: bool = False) -> st
     body += [f"s{k} = zo{k} + go{k} * xw" for k in ks]
     body += [f"cv = 0.0 + {' + '.join(f'c{k} * s{k}' for k in ks)} + wd",
              "self.gain = gain",
-             "# v = M sigma - Gamma d with (M v)_k = A_k v_(k-1) - g_k (c . v), then",
+             "# v = M sigma - Gamma b with (M v)_k = A_k v_(k-1) - g_k (c . v), then",
              "# w = v + h M w for h = dt/4, dt/3, dt/2; cw is c . w.  The loop form's",
              "# first entry A_0 * 0.0 - g_0 (c . v) has A_0 = 0.0, so it reads 0.0 - ..."]
     body += [f"v{k} = {f'A{k} * s{k - 1}' if k else '0.0'} - g{k} * cv" for k in ks]
@@ -265,20 +263,6 @@ def _kernel_source(n: int, s2: int, normalize: bool, floats: bool = False) -> st
             body += _sum(f"e{i}", [f"k{i}_{j} * sh{j}" for j in ks])
     es = ", ".join(f"e{i}" for i in ns)
 
-    dt_check = ["if not 0 < dt < math.inf:",
-                "    raise ValueError(f\"dt must be > 0 and finite, got {dt}\")"]
-    if floats:                                  # one control: d_i = 0.0 + fu_i u, as step sums it
-        step = dt_check + [
-            "if not (" + " and ".join(f"isfinite({v})" for v in xs + ["u"]) + "):",
-            "    raise NumericalError(\"non-finite observer inputs\")"]
-        step += [f"d{i} = 0.0 + fu{i} * u" for i in ns]
-        src += ["    " + line for line in (_unpack([f"fx{i}" for i in ns], "fx")
-                                           + _unpack([f"fu{i}" for i in ns], "fu"))]
-        src += ["", f"    def float_step({', '.join(xs)}, u, dt):"]
-        src += ["        " + line for line in step + body + [f"return {es},"]]
-        src += ["", "    return float_step", ""]
-        return "\n".join(src)
-
     # the state's design row and w sum(x), for the constructor
     src += ["", "    def row(xs):", f"        {', '.join(xs)}, = xs"]
     src += ["        " + line for line in row]
@@ -303,43 +287,23 @@ def _kernel_source(n: int, s2: int, normalize: bool, floats: bool = False) -> st
     design.append(f"return {vec('g{k}')}")
     src += ["", "    def design(c):"] + ["        " + line for line in design]
 
-    step = dt_check + [
-        "xs, us = list(map(float, x)), list(map(float, u))",
-        "if not (all(map(isfinite, xs)) and all(map(isfinite, us))):",
-        "    raise NumericalError(\"non-finite observer inputs\")",
-        f"if len(xs) != {n}:",
-        f"    raise ValueError(f\"state must have {n} entries, got {{len(xs)}}\")",
-        f"{', '.join(xs)}, = xs",
-        "xa = np.array(xs)",
-        "fx = np.asarray(self.f_x(xa)).tolist()",
-        "fu = np.asarray(self.f_u(xa)).tolist()",
-        f"if len(fx) != {n} or len(fu) != {n}:",
-        f"    raise ValueError(f\"f_x and f_u must have {n} rows, \"",
-        "                     f\"got {len(fx)} and {len(fu)}\")",
-        f"{', '.join(f'fx{i}' for i in ns)}, = fx",
-        f"{', '.join(f'fu{i}' for i in ns)}, = fu"]
-    for i in ns:                                # d = f_x(x) + f_u(x) u, row by row
-        step += [f"if len(fu{i}) != len(us):",
-                 f"    raise ValueError(f\"control must have {{len(fu{i})}} entries, \"",
-                 "                     f\"got {len(us)}\")",
-                 f"d{i} = 0.0",
-                 f"for fj, uj in zip(fu{i}, us):",
-                 f"    d{i} += fj * uj"]
-    src += ["", "    def step(self, x, u, dt):"]
-    src += ["        " + line for line in step + body + [f"return [{es}]"]]
+    step = ["if not 0 < dt < math.inf:",
+            "    raise ValueError(f\"dt must be > 0 and finite, got {dt}\")",
+            "if not (" + " and ".join(f"isfinite({v})" for v in xs + bs) + "):",
+            "    raise NumericalError(\"non-finite observer inputs\")"]
+    src += ["", f"    def step({', '.join(xs + bs)}, dt):"]
+    src += ["        " + line for line in step + body + [f"return {es},"]]
     src += ["", "    return step, design, row", ""]
     return "\n".join(src)
 
 
 @functools.cache
-def _kernels(n: int, s2: int, normalize: bool, floats: bool = False) -> Callable:
-    """The compiled kernel factory of one model shape; the float step's
-    is compiled apart, at its first use, so an observer that only calls
-    ``step`` never pays for it."""
+def _kernels(n: int, s2: int, normalize: bool) -> Callable:
+    """The compiled kernel factory of one model shape."""
     namespace = {}
-    exec(compile(_kernel_source(n, s2, normalize, floats),
-                 f"<coupled_do.observer kernels n={n} s2={s2} normalize={normalize}"
-                 f"{' floats' if floats else ''}>", "exec"), globals(), namespace)
+    exec(compile(_kernel_source(n, s2, normalize),
+                 f"<coupled_do.observer kernels n={n} s2={s2} normalize={normalize}>", "exec"),
+         globals(), namespace)
     return namespace["_factory"]
 
 
@@ -371,16 +335,15 @@ class Hodo:
     counts it in ``gain_failures``.  ``sigma_hat``, the auxiliary ``z``
     and the gain column ``gain`` (g) are lists of s2 Python floats.
 
-    The constructor binds this model's constants (K_w = w sum_i K_i, K
-    when n > 1, the shift of A, the rows of q(A), the factorials and the
-    normalization box) into the straight-line step and design generated
-    for its shape (n, s2, normalize).  They add in the order of the loop
-    form in ``tests/loop_observer.py`` and so return its bits exactly
-    (module docstring).  ``step`` and ``_design`` stay methods that call
-    them, and the step kernel calls ``self._design``, so a replacement
-    of either on the class or on the instance is honoured.
-    :meth:`float_step` gives the same step on floats for constant plant
-    maps; it shares this observer's state.
+    The constructor binds this observer and its model's constants (K_w
+    = w sum_i K_i, K when n > 1, the shift of A, the rows of q(A), the
+    factorials and the normalization box) into the straight-line step
+    and design generated for its shape (n, s2, normalize).  They add in
+    the order of the loop form in ``tests/loop_observer.py`` and so
+    return its bits exactly (module docstring).  ``step`` and
+    :meth:`float_step` are plain Python around the step kernel, and the
+    kernel calls ``self._design``, so a replacement of ``_design`` on
+    the class or on the instance is honoured on every path.
     """
 
     def __init__(self, model: SeparatedModel, f_x: Callable, f_u: Callable,
@@ -397,7 +360,7 @@ class Hodo:
                              f"got shape {sigma0.shape}")
         self.gain_failures = 0
 
-        self.w = 1.0 / math.sqrt(n)
+        self._n, self.w = n, 1.0 / math.sqrt(n)
         # w folded into K: the design row is c = K_w Pi(x).  With one
         # output row w = 1, K_w = K, and c is C(x) itself.
         kw = (self.w * model.K.sum(axis=0)).ravel().tolist()
@@ -413,9 +376,9 @@ class Hodo:
         q = [qij for i, row in enumerate(q_fact) for qij in row[:i + 1]]
         lo, hi = model.config.x_box.T.tolist()
         span = [h - l for l, h in zip(lo, hi)]
-        self._constants = (kw, K, shift, q, fact.tolist(), lo, span, self.w)
-        self._shape = (n, s2, bool(model.config.normalize))
-        self._step_kernel, self._design_kernel, row = _kernels(*self._shape)(*self._constants)
+        self._step_kernel, self._design_kernel, row = _kernels(
+            n, s2, bool(model.config.normalize))(self, kw, K, shift, q, fact.tolist(), lo,
+                                                 span, self.w)
 
         self.sigma_hat = sigma0.tolist()
         # the row ``gain`` was designed for, summed as ``step`` sums it
@@ -433,13 +396,37 @@ class Hodo:
 
         x and u are held over the step (zero-order hold), together with
         the gain and C(x), so that sigma obeys d(sigma)/dt = M sigma -
-        Gamma d with d = f_x(x) + f_u(x) u, stepped in the closed RK4
+        Gamma b with b = f_x(x) + f_u(x) u, stepped in the closed RK4
         form of the module docstring.  The gain is redesigned at x; on
         an unobservable output row the previous gain is kept.  A dt that
-        is not finite and > 0 raises ValueError, and a non-finite x or u
-        NumericalError, before the state changes.
+        is not finite and > 0 raises ValueError, and a non-finite x, u
+        or b NumericalError, before the state changes.
+
+        This is the generated step kernel behind the checks, the calls of
+        f_x and f_u and the sums of b, added left to right from 0.0.
         """
-        return self._step_kernel(self, x, u, dt)
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be > 0 and finite, got {dt}")
+        xs, us = list(map(float, x)), list(map(float, u))
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, us))):
+            raise NumericalError("non-finite observer inputs")
+        n = self._n
+        if len(xs) != n:
+            raise ValueError(f"state must have {n} entries, got {len(xs)}")
+        xa = np.array(xs)
+        fx = np.asarray(self.f_x(xa)).tolist()
+        fu = np.asarray(self.f_u(xa)).tolist()
+        if len(fx) != n or len(fu) != n:
+            raise ValueError(f"f_x and f_u must have {n} rows, got {len(fx)} and {len(fu)}")
+        b = []
+        for f, row in zip(fx, fu):
+            if len(row) != len(us):
+                raise ValueError(f"control must have {len(row)} entries, got {len(us)}")
+            d = 0.0
+            for fj, uj in zip(row, us):
+                d += fj * uj
+            b.append(f + d)
+        return list(self._step_kernel(*xs, *b, dt))
 
     def float_step(self, fx, fu) -> Callable:
         """This observer's step on floats for the constant plant maps
@@ -447,13 +434,18 @@ class Hodo:
 
         The returned ``float_step(x_1, ..., x_n, u, dt)`` advances the
         observer as ``step([x_1, ..., x_n], [u], dt)`` does, to the bit
-        and with the same checks on dt and on finite inputs, and returns
-        the estimate as a tuple of n floats.  It is generated from the
-        same body lines, without the lists, the calls of f_x and f_u and
-        their NumPy round trip.
+        and with the same checks, and returns the estimate as a tuple of
+        n floats: it sums b_i = fx_i + fu_i u and calls the step kernel,
+        without the lists, the calls of f_x and f_u and their NumPy round
+        trip.
         """
         fx, fu = [float(f) for f in fx], [float(f) for f in fu]
         if len(fx) != self.model.n or len(fu) != self.model.n:
             raise ValueError(f"fx and fu must have {self.model.n} entries, "
                              f"got {len(fx)} and {len(fu)}")
-        return _kernels(*self._shape, floats=True)(*self._constants, self, fx, fu)
+        kernel = self._step_kernel
+
+        def float_step(*args):
+            *x, u, dt = args
+            return kernel(*x, *[f + (0.0 + g * u) for f, g in zip(fx, fu)], dt)
+        return float_step

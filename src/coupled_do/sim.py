@@ -10,8 +10,10 @@ f_u = 1/m), which is where the coupled disturbance enters.
 
 :func:`run_scenario` runs the closed loop of every mode as one straight
 loop on Python floats, which holds the only copy of the reference, the
-control law and the RK4 plant step; ``tests/loop_scenario.py`` keeps the
-loop with one call per part as the tests' ``==`` reference.
+control law and the RK4 plant step, and steps either observer by one
+call of its generated step kernel; ``tests/loop_scenario.py`` keeps the
+loop with one call per part, ``Hodo.step`` among them, as the tests'
+``==`` reference.
 """
 
 from __future__ import annotations
@@ -238,13 +240,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     the logged disturbance as its first stage; no stage reads the
     position stages, so they are skipped.  The loop walks the time grid
     and the noise through memoryviews and logs into preallocated
-    ``array('d')`` buffers.  ``ndo`` advances its observer by
-    :meth:`Hodo.float_step`, generated from the lines of ``Hodo.step``,
-    with the velocity channel's f_x = 0 and f_u = 1/m bound as floats.
-    ``hodo`` still calls ``Hodo.step`` each step: the benchmark's layer
-    map times the observer there, and the float step has no traced
-    layer of its own yet.  ``tests/loop_scenario.py`` keeps the loop
-    with one call per part, which this one equals bit for bit.
+    ``array('d')`` buffers.  ``ndo`` and ``hodo`` advance their observer
+    by one call per step of its generated step kernel, the one behind
+    ``Hodo.step``, on v_meas and b = f_x + f_u u, with the velocity
+    channel's f_x = 0 and f_u = 1/m read once as floats; the kernel
+    designs each gain through ``Hodo._design``.
+    ``tests/loop_scenario.py`` keeps the loop with one call per part,
+    which this one equals bit for bit.
 
     A non-finite plant state, or a disturbance beyond the float range
     (logged as nan), ends the run and returns the series up to that
@@ -257,14 +259,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     n_steps = int(round(cfg.duration / cfg.dt))
     fn = disturbance(cfg.disturbance_name)
     f_x, f_u = newton_velocity_channel(cfg.mass)
-    observer = float_step = None
+    observer = step = None
     if cfg.mode == "hodo":
         observer = Hodo(cfg.model, f_x, f_u, cfg.poles, x0=[cfg.v0])
     elif cfg.mode == "ndo":
         unit = SeparatedModel(theta=[[1.0]], config=BasisConfig(p=0, n=1))
         observer = Hodo(unit, f_x, f_u, (-cfg.ndo_gain,), x0=[cfg.v0])
-        # the channel's maps do not depend on the state
-        float_step = observer.float_step(f_x(None), f_u(None)[:, 0])
+    if observer is not None:
+        # the generated step itself, with no wrapper frame; the channel's
+        # maps do not depend on the state, so b = fx + fu u on floats
+        step = observer._step_kernel
+        fx, fu = float(f_x(None)[0]), float(f_u(None)[0, 0])
 
     unallocatable = NumericalError(f"the series of {n_steps} steps (scenario.duration / "
                                    f"scenario.dt) do not fit in memory")
@@ -329,10 +334,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 n_done, completed = k + 1, False
                 break
 
-            if float_step is not None:
-                delta_hat = mass * float_step(v_meas, u, dt)[0]
-            elif observer is not None:
-                delta_hat = mass * observer.step([v_meas], [u], dt)[0]
+            if step is not None:
+                delta_hat = mass * step(v_meas, fx + fu * u, dt)[0]
 
     return ScenarioResult(
         cfg.mode, t_grid[:n_done], *(np.frombuffer(log)[:n_done] for log in logs),

@@ -86,6 +86,7 @@ class LoopHodo:
             raise ValueError(f"state must have {self.model.n} entries, got {len(xs)}")
         xa = np.array(xs)
         xw = wd = 0.0
+        b = []
         for xi, f, row in zip(xs, np.asarray(self.f_x(xa)).tolist(),
                               np.asarray(self.f_u(xa)).tolist(), strict=True):
             if len(row) != len(us):
@@ -95,6 +96,9 @@ class LoopHodo:
                 acc += fj * uj
             xw += xi
             wd += f + acc
+            b.append(f + acc)
+        if not all(map(math.isfinite, b)):
+            raise NumericalError("non-finite observer inputs")
         xw, wd = self.w * xw, self.w * wd
 
         pi = self.model.config.pi_rows(np.array([xs]))[0].tolist()

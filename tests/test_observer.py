@@ -8,9 +8,10 @@ import scipy.signal
 from coupled_do.basis import BasisConfig, structure_matrices
 from coupled_do.errors import NumericalError
 from coupled_do.learner import SeparatedModel
-from coupled_do.observer import _MARGIN, _UNROLL, Hodo, UnobservableError, _kernel_source
+from coupled_do.observer import (_MARGIN, _UNROLL, Hodo, UnobservableError, _kernel_source,
+                                 _kernels)
 from coupled_do.oracles import ackermann_gain, placement_residual, rk4_step
-from coupled_do.sim import disturbance
+from coupled_do.sim import ScenarioConfig, disturbance, run_scenario
 from loop_observer import LoopHodo
 
 EXACT_THETA = np.array([[49.25, 0.0, -0.5, -10.0, 0.0, 0.0, -0.25, 0.0, 0.0]])
@@ -284,6 +285,9 @@ class TestHodoDynamics:
         obs.f_x, obs.f_u = (lambda x: np.zeros(1)), (lambda x: np.ones((2, 1)))
         with pytest.raises(ValueError):
             obs.step([0.0], [0.0], 1e-3)
+        obs.f_u = lambda x: np.full((1, 1), 1e300)      # b = f_u(x) u overflows
+        with pytest.raises(NumericalError, match="non-finite observer inputs"):
+            obs.step([0.0], [1e10], 1e-3)
         fresh = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
                      poles=(-0.4,) * 3, x0=[0.0])
         assert obs.z == fresh.z and obs.sigma_hat == fresh.sigma_hat
@@ -428,8 +432,7 @@ class TestGeneratedKernels:
 
     def test_source_size_is_bounded_past_the_cut(self):
         # n = 4, p = 6 wrote 3.2 MB of straight-line source (2401 Pi terms)
-        for floats in (False, True):
-            assert len(_kernel_source(4, 7, True, floats)) < 20_000
+        assert len(_kernel_source(4, 7, True)) < 20_000
 
     @pytest.mark.parametrize("normalize", (False, True))
     @pytest.mark.parametrize("n, p", [(1, 0), (1, 2), (1, 4), (2, 2), (3, 4)])
@@ -503,6 +506,14 @@ class TestGeneratedKernels:
                      ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[0.1]) for v in (1.0, 2.0))
         assert a._step_kernel.__code__ is b._step_kernel.__code__
         assert a._step_kernel is not b._step_kernel
+
+    def test_one_shape_compiles_once(self):
+        # the constructor, Hodo.step and the closed loop share one factory
+        _kernels.cache_clear()
+        obs = Hodo(exact_model(), ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[0.1])
+        obs.step([0.2], [0.5], 1e-3)
+        run_scenario(ScenarioConfig(mode="hodo", model=exact_model(), duration=0.01))
+        assert _kernels.cache_info().currsize == 1
 
 
 class TestZeroErrorManifold:

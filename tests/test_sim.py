@@ -9,6 +9,7 @@ import pytest
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError, NumericalError
 from coupled_do.learner import SeparatedModel, fit_rls, rng_stream
+from coupled_do.observer import Hodo
 from coupled_do.oracles import rk4_step
 from coupled_do import sim
 from coupled_do.sim import (ScenarioConfig, disturbance, disturbance_box,
@@ -394,6 +395,48 @@ class TestStraightLoop:
         model = SeparatedModel(theta=theta, config=BasisConfig(p=2, n=1, normalize=False))
         cfg = ScenarioConfig(mode="hodo", model=model, v0=2.0, duration=1.0, log_sigma=True)
         assert assert_loop_equals_reference(cfg)[-2] > 0
+
+
+class TestObserverHotPath:
+    # the closed loop makes one call into the observer per step, its
+    # generated step kernel, with no NumPy round trip
+
+    def test_one_gain_design_per_step(self, newton_model, monkeypatch):
+        # on the class, where the benchmark's trace wraps it
+        rows = []
+        design = Hodo._design
+        monkeypatch.setattr(Hodo, "_design", lambda self, c: rows.append(c) or design(self, c))
+        res = run_scenario(ScenarioConfig(mode="hodo", model=newton_model, duration=0.05, seed=1))
+        assert len(res.t) == 50 and res.completed
+        assert len(rows) == 50 + 1      # the constructor's row, then one per step
+
+    def test_modes_run_without_hodo_step(self, newton_model, monkeypatch):
+        cfgs = [ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
+                               duration=0.2, seed=3, log_sigma=True)
+                for mode in ("none", "ndo", "hodo")]
+        expected = [scenario_outcome(run_scenario_reference, cfg) for cfg in cfgs]
+
+        def refuse(self, x, u, dt):
+            raise AssertionError("the closed loop called Hodo.step")
+
+        monkeypatch.setattr(Hodo, "step", refuse)
+        assert [scenario_outcome(run_scenario, cfg) for cfg in cfgs] == expected
+
+    @pytest.mark.parametrize("mode", ["ndo", "hodo"])
+    def test_plant_maps_read_once_per_run(self, newton_model, monkeypatch, mode):
+        calls = []
+        channel = sim.newton_velocity_channel
+
+        def counting(mass=1.0):
+            return tuple(lambda x, f=f: calls.append(f) or f(x) for f in channel(mass))
+
+        monkeypatch.setattr(sim, "newton_velocity_channel", counting)
+        counts = []
+        for duration in (0.01, 0.1):
+            calls.clear()
+            run_scenario(ScenarioConfig(mode=mode, model=newton_model, duration=duration))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestDivergingRuns:
