@@ -15,8 +15,7 @@ from .learner import (FitReport, LearningConfig, SeparatedModel, SweepCell,
 from .observer import Hodo, UnobservableError
 from .oracles import ackermann_gain, rk4_step
 from .sim import (ScenarioConfig, ScenarioResult, disturbance, disturbance_box,
-                  generate_training_run, newton_velocity_channel,
-                  registered_disturbances, run_scenario)
+                  generate_training_run, newton_velocity_channel, run_scenario)
 
 __version__ = "0.1.0"
 
@@ -29,6 +28,6 @@ __all__ = [
     "Hodo", "UnobservableError", "ackermann_gain",
     "ScenarioConfig", "ScenarioResult", "disturbance",
     "disturbance_box", "generate_training_run", "newton_velocity_channel",
-    "registered_disturbances", "rk4_step", "run_scenario",
+    "rk4_step", "run_scenario",
     "__version__",
 ]

@@ -2,17 +2,19 @@
 
 It reconstructs the monomial time-feature vector varsigma(t) of an
 identified separable model, d/dt varsigma = A varsigma with
-delta = Theta B(x) D varsigma = C(x) varsigma, through
+delta = Theta B(x) D varsigma = C(x) varsigma, on the plant
+dx/dt = b + delta, where b holds the known plant terms (the drift plus
+the input map times u), through
 
-    dz/dt = A sigma_hat - Gamma (f_x(x) + f_u(x) u + C(x) sigma_hat),
+    dz/dt = A sigma_hat - Gamma (b + C(x) sigma_hat),
     sigma_hat = z + Gamma x,      delta_hat = C(x) sigma_hat,
 
 with Gamma redesigned at each step's state so that the error dynamics
 d/dt e = (A - Gamma C(x)) e have prescribed stable eigenvalues.  The
 classical first-order disturbance observer is its case s2 = 1: on the
 unit model Theta = [[1]] of order p = 0, C(x) = 1, A = 0 and the pole -G
-places Gamma = G, so dz/dt = -G (z + G x + f_x(x) + f_u(x) u); it
-recovers constant disturbances and lags a ramp of slope r by r / G.
+places Gamma = G, so dz/dt = -G (z + G x + b); it recovers constant
+disturbances and lags a ramp of slope r by r / G.
 
 A is a weighted shift (d/dt t^k = k t^(k-1)), so the observability
 matrix of an output row c, columns reversed, is upper triangular with
@@ -21,10 +23,10 @@ iff c_(s2-1) != 0, and the gain is an O(s2^2) back-substitution.  A
 non-finite row or |c_(s2-1)| <= _MARGIN * max|c_i| counts as unobservable;
 :func:`coupled_do.oracles.ackermann_gain` is the generic reference route.
 
-With x, u, the gain and C(x) held over a step, sigma obeys the linear
-dy/dt = M y - Gamma b with b = f_x(x) + f_u(x) u, and one classical RK4
-step is exactly y+ = y + dt phi(dt M) (M y - Gamma b), phi(X) = I + X/2
-+ X^2/6 + X^3/24, evaluated by Horner's rule.
+With x, b, the gain and C(x) held over a step, sigma obeys the linear
+dy/dt = M y - Gamma b, and one classical RK4 step is exactly y+ = y +
+dt phi(dt M) (M y - Gamma b), phi(X) = I + X/2 + X^2/6 + X^3/24,
+evaluated by Horner's rule.
 Since Gamma = g w^T for the design row c = w C(x), M = A - g c^T is a
 rank-one update of the weighted shift: (M v)_k = A_(k,k-1) v_(k-1) -
 g_k (c . v) costs O(s2), and M is never formed.
@@ -43,13 +45,12 @@ numbers enter as closure variables, never as source text.  Past
 loops in the same order, which bounds the source (2401 terms for n = 4,
 p = 6).
 
-The generated step is the only observer step.  It takes the state and
-b = f_x(x) + f_u(x) u as floats, so the plant maps and the controls
-stay outside it: ``Hodo.step`` calls f_x and f_u, sums b (the f_u(x) u
-products left to right from 0.0, then f_x(x) + that) and calls it once;
-:meth:`Hodo.float_step` does the same for constant maps bound as floats;
-and the closed loop of :func:`coupled_do.sim.run_scenario` calls it
-directly, once per step, in both observer modes.
+The generated step is the only observer step, bound on each observer
+as ``Hodo.step``.  As in the paper, it takes the plant terms as an
+input: the state and b as floats, summed by the caller, so the plant
+maps and the controls stay outside the observer.  The closed loop of
+:func:`coupled_do.sim.run_scenario` calls it once per step in both
+observer modes.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _kernel_source(n: int, s2: int, normalize: bool) -> str:
     constants and returns its kernels (step, design, row).
 
     ``step(x0, .., x(n-1), b0, .., b(n-1), dt)`` is the observer step on
-    floats, with b = f_x(x) + f_u(x) u summed by the caller; it checks dt
+    floats, with the plant terms b summed by the caller; it checks dt
     and the finiteness of x and b, advances the observer's state and
     returns the estimate as a tuple of n floats."""
     ks, ns, n_pi = range(s2), range(n), s2 ** n
@@ -315,9 +316,6 @@ class Hodo:
     model : SeparatedModel
         Identified coefficients and basis; supplies C(x) = Theta B(x) D
         and the exosystem matrix A.
-    f_x, f_u : callable
-        Plant mappings of the observed channel: f_x(x) -> (n,),
-        f_u(x) -> (n, o).
     poles : sequence of s2 values
         Desired eigenvalues of the error dynamics: finite, with negative
         real parts (:func:`check_poles`).
@@ -326,6 +324,12 @@ class Hodo:
     sigma0 : array_like, shape (s2,), optional
         Initial feature estimate; zeros by default (offline and online
         time domains are unrelated, so no warm start is attempted).
+
+    ``step(x_1, ..., x_n, b_1, ..., b_n, dt)`` advances the observer by
+    dt, with x, the plant terms b, the gain and C(x) held (module
+    docstring), and returns the estimate C(x) sigma_hat as a tuple of n
+    floats.  A dt that is not finite and > 0 raises ValueError, and a
+    non-finite x or b NumericalError, before the state changes.
 
     The design row is c = w C(x) with the uniform weights w = n^-1/2,
     and Gamma = g w^T.  On a normalized model A is scaled by
@@ -338,17 +342,16 @@ class Hodo:
     The constructor binds this observer and its model's constants (K_w
     = w sum_i K_i, K when n > 1, the shift of A, the rows of q(A), the
     factorials and the normalization box) into the straight-line step
-    and design generated for its shape (n, s2, normalize).  They add in
-    the order of the loop form in ``tests/loop_observer.py`` and so
-    return its bits exactly (module docstring).  ``step`` and
-    :meth:`float_step` are plain Python around the step kernel, and the
-    kernel calls ``self._design``, so a replacement of ``_design`` on
-    the class or on the instance is honoured on every path.
+    and design generated for its shape (n, s2, normalize), and ``step``
+    is that generated kernel itself.  They add in the order of the loop
+    form in ``tests/loop_observer.py`` and so return its bits exactly
+    (module docstring).  The kernel calls ``self._design``, so a
+    replacement of ``_design`` on the class or on the instance is
+    honoured.
     """
 
-    def __init__(self, model: SeparatedModel, f_x: Callable, f_u: Callable,
-                 poles, x0, sigma0=None):
-        self.model, self.f_x, self.f_u = model, f_x, f_u
+    def __init__(self, model: SeparatedModel, poles, x0, sigma0=None):
+        self.model = model
         n, s2 = model.n, model.config.s2
         self.poles = check_poles(poles, count=s2)
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -360,7 +363,7 @@ class Hodo:
                              f"got shape {sigma0.shape}")
         self.gain_failures = 0
 
-        self._n, self.w = n, 1.0 / math.sqrt(n)
+        self.w = 1.0 / math.sqrt(n)
         # w folded into K: the design row is c = K_w Pi(x).  With one
         # output row w = 1, K_w = K, and c is C(x) itself.
         kw = (self.w * model.K.sum(axis=0)).ravel().tolist()
@@ -376,7 +379,7 @@ class Hodo:
         q = [qij for i, row in enumerate(q_fact) for qij in row[:i + 1]]
         lo, hi = model.config.x_box.T.tolist()
         span = [h - l for l, h in zip(lo, hi)]
-        self._step_kernel, self._design_kernel, row = _kernels(
+        self.step, self._design_kernel, row = _kernels(
             n, s2, bool(model.config.normalize))(self, kw, K, shift, q, fact.tolist(), lo,
                                                  span, self.w)
 
@@ -389,63 +392,3 @@ class Hodo:
     def _design(self, c: list) -> list:
         """Gain column g (s2 floats) for the design row c (s2 floats)."""
         return self._design_kernel(c)
-
-    def step(self, x, u, dt: float) -> list:
-        """Advance by dt and return the estimate C(x) sigma_hat as a list
-        of n Python floats.
-
-        x and u are held over the step (zero-order hold), together with
-        the gain and C(x), so that sigma obeys d(sigma)/dt = M sigma -
-        Gamma b with b = f_x(x) + f_u(x) u, stepped in the closed RK4
-        form of the module docstring.  The gain is redesigned at x; on
-        an unobservable output row the previous gain is kept.  A dt that
-        is not finite and > 0 raises ValueError, and a non-finite x, u
-        or b NumericalError, before the state changes.
-
-        This is the generated step kernel behind the checks, the calls of
-        f_x and f_u and the sums of b, added left to right from 0.0.
-        """
-        if not 0 < dt < math.inf:
-            raise ValueError(f"dt must be > 0 and finite, got {dt}")
-        xs, us = list(map(float, x)), list(map(float, u))
-        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, us))):
-            raise NumericalError("non-finite observer inputs")
-        n = self._n
-        if len(xs) != n:
-            raise ValueError(f"state must have {n} entries, got {len(xs)}")
-        xa = np.array(xs)
-        fx = np.asarray(self.f_x(xa)).tolist()
-        fu = np.asarray(self.f_u(xa)).tolist()
-        if len(fx) != n or len(fu) != n:
-            raise ValueError(f"f_x and f_u must have {n} rows, got {len(fx)} and {len(fu)}")
-        b = []
-        for f, row in zip(fx, fu):
-            if len(row) != len(us):
-                raise ValueError(f"control must have {len(row)} entries, got {len(us)}")
-            d = 0.0
-            for fj, uj in zip(row, us):
-                d += fj * uj
-            b.append(f + d)
-        return list(self._step_kernel(*xs, *b, dt))
-
-    def float_step(self, fx, fu) -> Callable:
-        """This observer's step on floats for the constant plant maps
-        f_x(x) = fx and f_u(x) = fu, n floats each (one control).
-
-        The returned ``float_step(x_1, ..., x_n, u, dt)`` advances the
-        observer as ``step([x_1, ..., x_n], [u], dt)`` does, to the bit
-        and with the same checks, and returns the estimate as a tuple of
-        n floats: it sums b_i = fx_i + fu_i u and calls the step kernel,
-        without the lists, the calls of f_x and f_u and their NumPy round
-        trip.
-        """
-        fx, fu = [float(f) for f in fx], [float(f) for f in fu]
-        if len(fx) != self.model.n or len(fu) != self.model.n:
-            raise ValueError(f"fx and fu must have {self.model.n} entries, "
-                             f"got {len(fx)} and {len(fu)}")
-        kernel = self._step_kernel
-
-        def float_step(*args):
-            *x, u, dt = args
-            return kernel(*x, *[f + (0.0 + g * u) for f, g in zip(fx, fu)], dt)
-        return float_step

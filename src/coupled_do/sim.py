@@ -11,9 +11,9 @@ f_u = 1/m), which is where the coupled disturbance enters.
 :func:`run_scenario` runs the closed loop of every mode as one straight
 loop on Python floats, which holds the only copy of the reference, the
 control law and the RK4 plant step, and steps either observer by one
-call of its generated step kernel; ``tests/loop_scenario.py`` keeps the
-loop with one call per part, ``Hodo.step`` among them, as the tests'
-``==`` reference.
+call of ``Hodo.step``, the observer's generated kernel, on the plant
+terms b = f_x + f_u u that the loop sums; ``tests/loop_scenario.py``
+keeps the loop with one call per part as the tests' ``==`` reference.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ def disturbance_box(name: str, field: str = "learning.function") -> tuple[tuple,
     return _REGISTRY[name]["x_box"], _REGISTRY[name]["t_box"]
 
 
-def registered_disturbances() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 def newton_velocity_channel(mass: float = 1.0) -> tuple[Callable, Callable]:
     """Plant maps (f_x, f_u) of the point mass's velocity equation
     dv/dt = f_x(v) + f_u(v) u + delta/m = u/m + delta/m.
@@ -140,7 +136,8 @@ class ScenarioConfig:
     Gaussian noise of variance ``sigma_v2``; logged truth is clean.
     Every field but ``mode``, ``model`` and ``disturbance_name`` is an
     INI ``[scenario]``/``[observer]`` key; its only default and range
-    check are here, and each error names its ``section.field``.
+    check are here, and each error names its ``section.field``.  The
+    poles of the mode's observer must keep its RK4 step stable at ``dt``.
     """
 
     mode: str = "none"
@@ -179,6 +176,18 @@ class ScenarioConfig:
             raise ConfigError("scenario.mode: 'hodo' requires a model")
         if self.mode == "hodo" and len(poles) != self.model.config.s2:
             raise ConfigError(f"observer.poles: {len(poles)} given, model has s2 = {self.model.config.s2}")
+        if self.mode != "none":
+            # one RK4 step of the observer maps its frozen error e to R(dt M) e,
+            # and M has the poles as eigenvalues: each needs |R(pole * dt)| < 1
+            field, value = (("observer.ndo_gain", self.ndo_gain) if self.mode == "ndo"
+                            else ("observer.poles", self.poles))
+            z = (np.array([-self.ndo_gain]) if self.mode == "ndo" else poles) * self.dt
+            with np.errstate(all="ignore"):
+                r = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))     # R(z) - 1
+                if not (2.0 * r.real + abs(r) ** 2 < 0.0).all():         # |1 + r| < 1
+                    raise ConfigError(f"{field}: unstable in the observer's RK4 step at "
+                                      f"scenario.dt = {self.dt} (need |pole| * dt < 2.785 "
+                                      f"on the real axis), got {value}")
 
 
 @dataclass
@@ -241,8 +250,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     position stages, so they are skipped.  The loop walks the time grid
     and the noise through memoryviews and logs into preallocated
     ``array('d')`` buffers.  ``ndo`` and ``hodo`` advance their observer
-    by one call per step of its generated step kernel, the one behind
-    ``Hodo.step``, on v_meas and b = f_x + f_u u, with the velocity
+    by one call per step of ``Hodo.step``, the generated kernel bound
+    on the observer, on v_meas and b = f_x + f_u u, with the velocity
     channel's f_x = 0 and f_u = 1/m read once as floats; the kernel
     designs each gain through ``Hodo._design``.
     ``tests/loop_scenario.py`` keeps the loop with one call per part,
@@ -258,17 +267,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """
     n_steps = int(round(cfg.duration / cfg.dt))
     fn = disturbance(cfg.disturbance_name)
-    f_x, f_u = newton_velocity_channel(cfg.mass)
     observer = step = None
     if cfg.mode == "hodo":
-        observer = Hodo(cfg.model, f_x, f_u, cfg.poles, x0=[cfg.v0])
+        observer = Hodo(cfg.model, cfg.poles, x0=[cfg.v0])
     elif cfg.mode == "ndo":
         unit = SeparatedModel(theta=[[1.0]], config=BasisConfig(p=0, n=1))
-        observer = Hodo(unit, f_x, f_u, (-cfg.ndo_gain,), x0=[cfg.v0])
+        observer = Hodo(unit, (-cfg.ndo_gain,), x0=[cfg.v0])
     if observer is not None:
-        # the generated step itself, with no wrapper frame; the channel's
-        # maps do not depend on the state, so b = fx + fu u on floats
-        step = observer._step_kernel
+        # the channel's maps do not depend on the state, so b = fx + fu u on floats
+        step = observer.step
+        f_x, f_u = newton_velocity_channel(cfg.mass)
         fx, fu = float(f_x(None)[0]), float(f_u(None)[0, 0])
 
     unallocatable = NumericalError(f"the series of {n_steps} steps (scenario.duration / "

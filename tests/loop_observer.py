@@ -18,12 +18,25 @@ from coupled_do.errors import NumericalError
 from coupled_do.observer import _MARGIN, UnobservableError, _pole_polynomial_of_a
 
 
+def plant_terms(f_x, f_u, x, u) -> list:
+    """The plant terms b = f_x(x) + f_u(x) u that ``step`` takes, on Python
+    floats: each row's products added left to right from 0.0, then
+    f_x(x)_i + that."""
+    b = []
+    for f, row in zip(np.asarray(f_x(x)).tolist(), np.asarray(f_u(x)).tolist()):
+        acc = 0.0
+        for fj, uj in zip(row, np.asarray(u, dtype=float).tolist()):
+            acc += fj * uj
+        b.append(f + acc)
+    return b
+
+
 class LoopHodo:
     """``Hodo`` in loop form, with the same state (``z``, ``sigma_hat``,
     ``gain``, ``gain_failures``) and the same step contract."""
 
-    def __init__(self, model, f_x, f_u, poles, x0, sigma0=None):
-        self.model, self.f_x, self.f_u = model, f_x, f_u
+    def __init__(self, model, poles, x0, sigma0=None):
+        self.model = model
         s2 = model.config.s2
         self.poles = np.atleast_1d(np.asarray(poles, dtype=complex))
         self.gain_failures = 0
@@ -76,29 +89,20 @@ class LoopHodo:
             gain.append(acc)
         return gain
 
-    def step(self, x, u, dt: float) -> list:
+    def step(self, *args) -> tuple:
+        """``step(x_1, ..., x_n, b_1, ..., b_n, dt)``, as ``Hodo.step``."""
+        n = self.model.n
+        if len(args) != 2 * n + 1:
+            raise TypeError(f"step() takes {2 * n + 1} positional arguments, got {len(args)}")
+        xs, b, dt = list(args[:n]), list(args[n:-1]), args[-1]
         if not 0 < dt < math.inf:
             raise ValueError(f"dt must be > 0 and finite, got {dt}")
-        xs, us = list(map(float, x)), list(map(float, u))
-        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, us))):
+        if not all(map(math.isfinite, xs + b)):
             raise NumericalError("non-finite observer inputs")
-        if len(xs) != self.model.n:
-            raise ValueError(f"state must have {self.model.n} entries, got {len(xs)}")
-        xa = np.array(xs)
         xw = wd = 0.0
-        b = []
-        for xi, f, row in zip(xs, np.asarray(self.f_x(xa)).tolist(),
-                              np.asarray(self.f_u(xa)).tolist(), strict=True):
-            if len(row) != len(us):
-                raise ValueError(f"control must have {len(row)} entries, got {len(us)}")
-            acc = 0.0
-            for fj, uj in zip(row, us):
-                acc += fj * uj
+        for xi, bi in zip(xs, b):
             xw += xi
-            wd += f + acc
-            b.append(f + acc)
-        if not all(map(math.isfinite, b)):
-            raise NumericalError("non-finite observer inputs")
+            wd += bi
         xw, wd = self.w * xw, self.w * wd
 
         pi = self.model.config.pi_rows(np.array([xs]))[0].tolist()
@@ -146,7 +150,7 @@ class LoopHodo:
         if not all(map(math.isfinite, sigma_hat)):
             raise NumericalError("observer state diverged to non-finite values")
         if self._K is None:
-            return [cs]
+            return cs,
         estimate = []
         for rows in self._K:
             acc = 0.0
@@ -156,4 +160,4 @@ class LoopHodo:
                     cij += kj * pj
                 acc += cij * sj
             estimate.append(acc)
-        return estimate
+        return tuple(estimate)

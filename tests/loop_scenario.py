@@ -3,9 +3,11 @@
 :func:`run_scenario_reference` is :func:`coupled_do.sim.run_scenario`
 written as separate calls: the reference signal, the PD law
 :func:`pd_control`, the RK4 plant step :func:`point_mass_step`, NumPy
-log stores and, for both observer modes, ``Hodo.step``.  The straight
-loop of ``run_scenario`` keeps the order of every operation of this
-form, so the two agree bit for bit; the tests compare them with ``==``.
+log stores and, for both observer modes, ``Hodo.step`` on the plant
+terms b that ``loop_observer.plant_terms`` sums from the arrays of
+:func:`newton_velocity_channel`.  The straight loop of ``run_scenario``
+keeps the order of every operation of this form, so the two agree bit
+for bit; the tests compare them with ``==``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from coupled_do.errors import NumericalError
 from coupled_do.learner import SeparatedModel, rng_stream
 from coupled_do.observer import Hodo
 from coupled_do.sim import ScenarioConfig, ScenarioResult, disturbance, newton_velocity_channel
+from loop_observer import plant_terms
 
 
 def point_mass_step(fn: Callable, u: float, mass: float, eta: float, v: float,
@@ -69,10 +72,10 @@ def run_scenario_reference(cfg: ScenarioConfig) -> ScenarioResult:
 
     observer = None
     if cfg.mode == "hodo":
-        observer = Hodo(cfg.model, f_x, f_u, cfg.poles, x0=[cfg.v0])
+        observer = Hodo(cfg.model, cfg.poles, x0=[cfg.v0])
     elif cfg.mode == "ndo":
         unit = SeparatedModel(theta=[[1.0]], config=BasisConfig(p=0, n=1))
-        observer = Hodo(unit, f_x, f_u, (-cfg.ndo_gain,), x0=[cfg.v0])
+        observer = Hodo(unit, (-cfg.ndo_gain,), x0=[cfg.v0])
 
     rng = rng_stream(cfg.seed, "scenario", cfg.mode)
     noise = (np.sqrt(cfg.sigma_v2) * rng.standard_normal(n_steps)
@@ -115,7 +118,8 @@ def run_scenario_reference(cfg: ScenarioConfig) -> ScenarioResult:
                 break
 
             if observer is not None:
-                delta_hat = mass * observer.step([v_meas], [u], dt)[0]
+                b, = plant_terms(f_x, f_u, np.array([v_meas]), [u])
+                delta_hat = mass * observer.step(v_meas, b, dt)[0]
 
     return ScenarioResult(
         mode=cfg.mode, t=t_grid[:n_done],

@@ -634,11 +634,23 @@ class TestCliExitCodes:
         assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
         assert not (tmp_path / "o" / "model.txt").exists()
 
-    def test_diverging_closed_loop_is_4(self, tmp_path, capsys):
-        # G dt = 5 lies far outside RK4's stability interval: the loop
-        # diverges and the plant state goes non-finite within a few steps
+    def test_unstable_observer_pole_is_2(self, tmp_path, capsys):
+        # G dt = 3 lies outside the RK4 step's stability interval (2.785):
+        # refused before any scenario runs, so no series is written
         ini = tmp_path / "exp.ini"
-        ini.write_text("[scenario]\nduration = 2\n\n[observer]\nndo_gain = 5000\n")
+        ini.write_text("[scenario]\nduration = 2\n\n[observer]\nndo_gain = 3000\n")
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                         "--modes", "none,ndo"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: observer.ndo_gain: ")
+        assert not (out / "scenario_none.csv").exists()
+        assert not (out / "scenario_ndo.csv").exists()
+
+    def test_diverging_closed_loop_is_4(self, tmp_path, capsys):
+        # k_v dt = 5 makes the sampled PD loop unstable: the loop diverges
+        # and the plant state goes non-finite within a few steps
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[scenario]\nduration = 2\nk_v = 5000\n")
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -1,5 +1,7 @@
 """Gain synthesis and online estimation dynamics."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,24 +14,20 @@ from coupled_do.observer import (_MARGIN, _UNROLL, Hodo, UnobservableError, _ker
                                  _kernels)
 from coupled_do.oracles import ackermann_gain, placement_residual, rk4_step
 from coupled_do.sim import ScenarioConfig, disturbance, run_scenario
-from loop_observer import LoopHodo
+from loop_observer import LoopHodo, plant_terms
 
 EXACT_THETA = np.array([[49.25, 0.0, -0.5, -10.0, 0.0, 0.0, -0.25, 0.0, 0.0]])
 RAW_CFG = dict(p=2, n=1, x_box=(-10, 10), t_box=(0, 100), normalize=False)
-
-ZERO_FX = staticmethod(lambda x: np.zeros(1))
-UNIT_FU = staticmethod(lambda x: np.ones((1, 1)))
-
 
 def exact_model() -> SeparatedModel:
     return SeparatedModel(theta=EXACT_THETA.copy(), config=BasisConfig(**RAW_CFG))
 
 
-def first_order_observer(f_x, f_u, gain, x0=(0.0,)) -> Hodo:
+def first_order_observer(gain, x0=(0.0,)) -> Hodo:
     """The classical first-order observer as ``run_scenario``'s ndo mode
     builds it: the HODO of the order-zero unit model with the pole -gain."""
     unit = SeparatedModel(theta=[[1.0]], config=BasisConfig(p=0, n=1))
-    return Hodo(unit, f_x, f_u, (-gain,), x0=list(x0))
+    return Hodo(unit, (-gain,), x0=list(x0))
 
 
 class TestAckermannGain:
@@ -87,8 +85,7 @@ def order_observer(s2, poles, normalize=False) -> Hodo:
     normalized over t in [0, 3], its exosystem is (2/3) times the raw one."""
     cfg = BasisConfig(p=s2 - 1, n=1, t_box=(0.0, 3.0), normalize=normalize)
     model = SeparatedModel(theta=np.ones((1, cfg.s1)), config=cfg)
-    return Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                poles=poles, x0=[0.3])
+    return Hodo(model, poles=poles, x0=[0.3])
 
 
 class TestStructuredGain:
@@ -158,10 +155,9 @@ class TestStructuredGain:
         for x, held in ((x_edge * (1 - 1e-6), True), (x_edge * (1 + 1e-6), False)):
             c = model.output_map([x])[0]
             assert (abs(c[-1]) / np.abs(c).max() < _MARGIN) == held
-            obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                       poles=(-0.4,) * 3, x0=[1.0])
+            obs = Hodo(model, poles=(-0.4,) * 3, x0=[1.0])
             gain_before = obs.gain.copy()
-            obs.step([x], [0.0], 1e-3)
+            obs.step(x, 0.0, 1e-3)
             assert obs.gain_failures == int(held)
             assert (obs.gain == gain_before) == held
 
@@ -174,55 +170,47 @@ class TestStructuredGain:
 
 class TestHodoInit:
     def test_default_estimate_is_zero(self):
-        obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[2.0])
+        obs = Hodo(exact_model(), poles=(-0.4,) * 3, x0=[2.0])
         assert np.array_equal(obs.sigma_hat, np.zeros(3))
         # one output row: w = 1, Gamma x = gain * x
         assert np.allclose(np.add(obs.z, np.multiply(obs.gain, 2.0)), obs.sigma_hat)
 
     def test_custom_initial_estimate(self):
         sigma0 = np.array([1.0, 2.0, 3.0])
-        obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[-1.5], sigma0=sigma0)
+        obs = Hodo(exact_model(), poles=(-0.4,) * 3, x0=[-1.5], sigma0=sigma0)
         assert np.array_equal(obs.sigma_hat, sigma0)
         assert np.allclose(np.add(obs.z, np.multiply(obs.gain, -1.5)), sigma0)
 
     def test_output_invariant_after_steps(self):
-        obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[0.0])
+        obs = Hodo(exact_model(), poles=(-0.4,) * 3, x0=[0.0])
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.uniform(-3, 3)
-            obs.step([x], [rng.uniform(-1, 1)], 1e-2)
+            obs.step(x, rng.uniform(-1, 1), 1e-2)
             assert np.allclose(np.add(obs.z, np.multiply(obs.gain, x)), obs.sigma_hat,
                                atol=1e-13)
 
     def test_unstable_poles_rejected(self):
         with pytest.raises(ValueError):
-            Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                 poles=(0.4, -0.4, -0.4), x0=[0.0])
+            Hodo(exact_model(), poles=(0.4, -0.4, -0.4), x0=[0.0])
 
     @pytest.mark.parametrize("pole", [np.nan, -np.inf])
     def test_non_finite_poles_rejected(self, pole):
         # rejected at construction, not as a diverged state at the first step
         with pytest.raises(ValueError, match="poles: must be finite"):
-            Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                 poles=(pole, -1.0, -1.0), x0=[0.5])
+            Hodo(exact_model(), poles=(pole, -1.0, -1.0), x0=[0.5])
 
     def test_wrong_pole_count_rejected(self):
         with pytest.raises(ValueError, match="poles: need 3, got 2"):
-            Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                 poles=(-0.4, -0.4), x0=[0.0])
+            Hodo(exact_model(), poles=(-0.4, -0.4), x0=[0.0])
 
     def test_state_of_the_wrong_length_rejected(self):
         with pytest.raises(ValueError, match=r"n = 1 entries, got shape \(2,\)"):
-            Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                 poles=(-0.4,) * 3, x0=[0.0, 5.0])
+            Hodo(exact_model(), poles=(-0.4,) * 3, x0=[0.0, 5.0])
 
     def test_initial_estimate_of_the_wrong_length_rejected(self):
         with pytest.raises(ValueError, match=r"s2 = 3 entries, got shape \(2,\)"):
-            Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                 poles=(-0.4,) * 3, x0=[0.0], sigma0=[1.0, 2.0])
+            Hodo(exact_model(), poles=(-0.4,) * 3, x0=[0.0], sigma0=[1.0, 2.0])
 
 
 def constant_output_model() -> SeparatedModel:
@@ -241,12 +229,11 @@ class TestHodoDynamics:
         cfg = BasisConfig(p=0, n=1, normalize=False)
         value = 7.0
         model = SeparatedModel(theta=np.array([[value]]), config=cfg)
-        obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=[-2.0], x0=[0.0])
+        obs = Hodo(model, poles=[-2.0], x0=[0.0])
         dt, x, u = 1e-3, 0.0, -value    # holds the state still: dx/dt = u + delta = 0
         err0 = abs(value - float((model.output_map([x]) @ obs.sigma_hat)[0]))
         for k in range(2000):
-            d_hat = float(obs.step([x], [u], dt)[0])
+            d_hat = obs.step(x, u, dt)[0]
         err = abs(value - d_hat)
         assert err == pytest.approx(err0 * np.exp(-2.0 * 2.0), rel=1e-3)
 
@@ -254,42 +241,30 @@ class TestHodoDynamics:
         # with zero coefficients everywhere the designed route is
         # unobservable; force gamma to zero and check the predictor
         model = exact_model()
-        obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[0.0], sigma0=np.array([1.0, 0.5, 0.2]))
+        obs = Hodo(model, poles=(-0.4,) * 3, x0=[0.0], sigma0=np.array([1.0, 0.5, 0.2]))
         obs.gain = [0.0] * 3
         obs.z = obs.sigma_hat.copy()
         obs._design = lambda c: [0.0] * 3
         A = model.A
         expected = scipy.linalg.expm(A * 0.5) @ obs.sigma_hat
         for _ in range(500):
-            obs.step([3.0], [0.0], 1e-3)
+            obs.step(3.0, 0.0, 1e-3)
         assert np.allclose(obs.sigma_hat, expected, atol=1e-9)
 
     def test_step_rejects_bad_inputs(self):
-        obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[0.0])
+        obs = Hodo(exact_model(), poles=(-0.4,) * 3, x0=[0.0])
         for dt in (0.0, -1e-3, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="dt must be > 0 and finite"):
-                obs.step([0.0], [0.0], dt)
-        with pytest.raises(NumericalError):
-            obs.step([np.nan], [0.0], 1e-3)
-        with pytest.raises(ValueError):
-            obs.step([0.0, 1.0], [0.0], 1e-3)
-        with pytest.raises(ValueError):
-            obs.step([0.0], [0.0, 1.0], 1e-3)
-        with pytest.raises(NumericalError):
-            obs.step([0.0], [np.inf], 1e-3)
-        obs.f_x = lambda x: np.zeros(2)
-        with pytest.raises(ValueError):
-            obs.step([0.0], [0.0], 1e-3)
-        obs.f_x, obs.f_u = (lambda x: np.zeros(1)), (lambda x: np.ones((2, 1)))
-        with pytest.raises(ValueError):
-            obs.step([0.0], [0.0], 1e-3)
-        obs.f_u = lambda x: np.full((1, 1), 1e300)      # b = f_u(x) u overflows
-        with pytest.raises(NumericalError, match="non-finite observer inputs"):
-            obs.step([0.0], [1e10], 1e-3)
-        fresh = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                     poles=(-0.4,) * 3, x0=[0.0])
+                obs.step(0.0, 0.0, dt)
+        # b = f_u(x) u overflows at 1e300 * 1e10
+        for x, b in ((np.nan, 0.0), (0.0, np.inf), (0.0, 1e300 * 1e10), (0.0, np.nan)):
+            with pytest.raises(NumericalError, match="non-finite observer inputs"):
+                obs.step(x, b, 1e-3)
+        # n = 1: one state entry and one plant term before dt
+        for args in ((0.0, 1.0, 0.0, 1e-3), (0.0, 1e-3)):
+            with pytest.raises(TypeError):
+                obs.step(*args)
+        fresh = Hodo(exact_model(), poles=(-0.4,) * 3, x0=[0.0])
         assert obs.z == fresh.z and obs.sigma_hat == fresh.sigma_hat
         assert obs.gain == fresh.gain and obs.gain_failures == 0
 
@@ -300,13 +275,12 @@ class TestHodoDynamics:
         theta[0, 0] = 1.0
         theta[0, 7] = 1.0      # T_1(x) in the highest time block
         model = SeparatedModel(theta=theta, config=BasisConfig(**RAW_CFG))
-        obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[1.0])
+        obs = Hodo(model, poles=(-0.4,) * 3, x0=[1.0])
         gain_before = obs.gain.copy()
-        obs.step([0.0], [0.0], 1e-3)
+        obs.step(0.0, 0.0, 1e-3)
         assert obs.gain_failures == 1
         assert obs.gain == gain_before
-        obs.step([0.0], [0.0], 1e-3)          # the same row fails again
+        obs.step(0.0, 0.0, 1e-3)              # the same row fails again
         assert obs.gain_failures == 2
 
     def test_init_propagates_unobservable(self):
@@ -315,15 +289,13 @@ class TestHodoDynamics:
         theta[0, 7] = 1.0
         model = SeparatedModel(theta=theta, config=BasisConfig(**RAW_CFG))
         with pytest.raises(UnobservableError):
-            Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                 poles=(-0.4,) * 3, x0=[0.0])
+            Hodo(model, poles=(-0.4,) * 3, x0=[0.0])
 
     def test_placement_verified_each_step(self):
-        obs = Hodo(exact_model(), lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[0.5])
+        obs = Hodo(exact_model(), poles=(-0.4,) * 3, x0=[0.5])
         for k in range(20):
             x = [0.5 + 0.1 * k]
-            obs.step(x, [0.0], 1e-3)
+            obs.step(*x, 0.0, 1e-3)
             # the gain in use was designed at this step's state
             c = obs.model.output_map(x)[0]      # one output row: w = 1
             col = np.array(obs.gain)
@@ -334,43 +306,34 @@ class TestHodoDynamics:
 
 class TestFloatStep:
     @pytest.mark.parametrize("n", (1, 2))
-    def test_estimate_is_a_list_of_python_floats(self, n):
+    def test_estimate_is_a_tuple_of_python_floats(self, n):
         cfg = BasisConfig(p=2, n=n)
         model = SeparatedModel(theta=np.ones((n, cfg.s1)), config=cfg)
-        obs = Hodo(model, lambda x: np.zeros(n), lambda x: np.ones((n, 1)),
-                   poles=(-0.4,) * 3, x0=[0.1] * n)
-        out = obs.step([0.2] * n, [0.5], 1e-3)
-        assert type(out) is list and len(out) == n
+        obs = Hodo(model, poles=(-0.4,) * 3, x0=[0.1] * n)
+        out = obs.step(*[0.2] * n, *[0.5] * n, 1e-3)
+        assert type(out) is tuple and len(out) == n
         assert all(type(d) is float for d in out)
-        assert out == output_left_to_right(model, [0.2] * n, obs.sigma_hat).tolist()
+        assert list(out) == output_left_to_right(model, [0.2] * n, obs.sigma_hat).tolist()
 
     def test_sums_add_left_to_right(self):
         # 1e16 + 1 rounds to 1e16, so x = (1e16, 1, -1e16) sums to 0.0 left to
         # right, but to 1.0 compensated (Python >= 3.12's built-in sum): the
         # observer must then act exactly as at x = 0
         model = SeparatedModel(theta=np.ones((3, 1)), config=BasisConfig(p=0, n=3))
-        f_u = lambda x: np.zeros((3, 1))
         big = [1e16, 1.0, -1e16]
-        a = Hodo(model, lambda x: x, f_u, poles=(-0.4,), x0=big, sigma0=[2.0])
-        b = Hodo(model, lambda x: x, f_u, poles=(-0.4,), x0=[0.0] * 3, sigma0=[2.0])
+        a = Hodo(model, poles=(-0.4,), x0=big, sigma0=[2.0])
+        b = Hodo(model, poles=(-0.4,), x0=[0.0] * 3, sigma0=[2.0])
         assert a.z == b.z == [2.0]
-        for _ in range(3):
-            assert list(a.step(big, [0.0], 1e-3)) == list(b.step([0.0] * 3, [0.0], 1e-3))
+        for _ in range(3):      # the plant terms b = x sum the same way
+            assert a.step(*big, *big, 1e-3) == b.step(*[0.0] * 6, 1e-3)
             assert a.z == b.z and a.sigma_hat == b.sigma_hat
 
 
-def step_outcome(obs, x, u, dt):
-    """The estimate of one step, or the type and message of its error."""
+def step_outcome(obs, x, b, dt):
+    """The estimate of one step on the state x and the plant terms b, as a
+    list, or the type and message of its error."""
     try:
-        return obs.step(x, u, dt)
-    except (ValueError, NumericalError) as err:
-        return type(err), str(err)
-
-
-def float_outcome(float_step, x, u, dt):
-    """``step_outcome`` of a float step, its estimate as a list."""
-    try:
-        return list(float_step(*x.tolist(), u, dt))
+        return list(obs.step(*x, *b, dt))
     except (ValueError, NumericalError) as err:
         return type(err), str(err)
 
@@ -380,7 +343,7 @@ def assert_same_bits(kernel: Hodo, loop: LoopHodo):
     assert kernel.gain == loop.gain and kernel.gain_failures == loop.gain_failures
 
 
-def random_observers(n, p, normalize, seed, f_x, f_u, classes=(Hodo, LoopHodo)):
+def random_observers(n, p, normalize, seed, classes=(Hodo, LoopHodo)):
     """Observers of each class on one random observable model of the shape,
     their start state x, and the random generator, to draw the steps."""
     rng = np.random.default_rng(seed)
@@ -392,10 +355,10 @@ def random_observers(n, p, normalize, seed, f_x, f_u, classes=(Hodo, LoopHodo)):
         x = rng.uniform(-1.0, 1.0, n)
         sigma0 = rng.standard_normal(p + 1)
         try:
-            Hodo(model, f_x, f_u, poles, x0=x, sigma0=sigma0)
+            Hodo(model, poles, x0=x, sigma0=sigma0)
         except UnobservableError:
             continue
-        return [cls(model, f_x, f_u, poles, x0=x, sigma0=sigma0) for cls in classes], x, rng
+        return [cls(model, poles, x0=x, sigma0=sigma0) for cls in classes], x, rng
 
 
 class TestGeneratedKernels:
@@ -405,15 +368,17 @@ class TestGeneratedKernels:
     def assert_equals_loop_form(n, p, normalize):
         f_x = lambda x: 0.3 * x - 0.1
         f_u = lambda x: np.outer(x, [1.5, -0.5]) + 1.0
-        (kernel, loop), x, rng = random_observers(n, p, normalize,
-                                                  100 * n + 10 * p + normalize, f_x, f_u)
+        (kernel, loop), x, rng = random_observers(n, p, normalize, 100 * n + 10 * p + normalize)
         assert_same_bits(kernel, loop)
         for k in range(200):
             if k % 5:                   # every fifth step repeats the state
                 x = x + rng.uniform(-0.05, 0.05, n)
             u = rng.uniform(-1.0, 1.0, 2)
             dt = (1e-3, 0.04)[k % 2]
-            assert step_outcome(kernel, x, u, dt) == step_outcome(loop, x, u, dt)
+            b = plant_terms(f_x, f_u, x, u)
+            if k % 50 == 7:             # a non-finite plant term, refused before the step
+                b[-1] = (math.inf, -math.inf, math.nan)[k // 50 % 3]
+            assert step_outcome(kernel, x.tolist(), b, dt) == step_outcome(loop, x.tolist(), b, dt)
             assert_same_bits(kernel, loop)
 
     @pytest.mark.parametrize("normalize", (False, True))
@@ -437,81 +402,81 @@ class TestGeneratedKernels:
     @pytest.mark.parametrize("normalize", (False, True))
     @pytest.mark.parametrize("n, p", [(1, 0), (1, 2), (1, 4), (2, 2), (3, 4)])
     def test_float_step_equals_step(self, n, p, normalize):
-        # constant plant maps, bound as floats into the float step
+        # constant plant maps bound as floats, as the closed loop drives the
+        # step (b = fx + fu u), against b summed from the maps' arrays
+        # (0.0 + fu u, then fx + that) into the loop form: the same bits
         fx, fu = np.linspace(-0.3, 0.2, n), np.linspace(0.5, 1.5, n)
-        (generic, floats), x, rng = random_observers(
-            n, p, normalize, 7 * n + p, lambda x: fx, lambda x: fu[:, None], (Hodo, Hodo))
-        float_step = floats.float_step(fx, fu)
+        (floats, loop), x, rng = random_observers(n, p, normalize, 7 * n + p)
         for k in range(200):
             if k % 5:                   # every fifth step repeats the state
                 x = x + rng.uniform(-0.05, 0.05, n)
             u = float(rng.uniform(-1.0, 1.0))
             dt = (1e-3, 0.04)[k % 2]
-            assert step_outcome(generic, x, [u], dt) == float_outcome(float_step, x, u, dt)
-            assert_same_bits(generic, floats)
+            b = [f + g * u for f, g in zip(fx.tolist(), fu.tolist())]
+            generic = plant_terms(lambda x: fx, lambda x: fu[:, None], x, [u])
+            outcome = step_outcome(loop, x.tolist(), generic, dt)
+            assert step_outcome(floats, x.tolist(), b, dt) == outcome
+            assert_same_bits(floats, loop)
 
     def test_float_step_holds_the_gain_and_checks_as_step(self):
-        # C(x) = [1, 0, x] fails the pivot margin at x = 0
+        # C(x) = [1, 0, x] fails the pivot margin at x = 0; driven with
+        # b = fx + fu u on floats, the step holds the gain and makes the
+        # checks of the loop form
         theta = np.zeros((1, 9))
         theta[0, 0] = theta[0, 7] = 1.0
         model = SeparatedModel(theta=theta, config=BasisConfig(**RAW_CFG))
-        generic, floats = (Hodo(model, ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[1.0]) for _ in range(2))
-        float_step = floats.float_step([0.0], [1.0])
+        floats, loop = (cls(model, (-0.4,) * 3, x0=[1.0]) for cls in (Hodo, LoopHodo))
         for x, u, dt in [(0.0, 0.3, 1e-3), (0.5, 0.3, 1e-3), (0.0, 0.3, 1e-3),
                          (np.nan, 0.3, 1e-3), (0.5, np.inf, 1e-3), (0.5, 0.3, np.nan),
                          (0.5, 0.3, 0.0), (0.5, 0.3, np.inf), (0.2, -0.1, 0.04)]:
-            assert (step_outcome(generic, np.array([x]), [u], dt)
-                    == float_outcome(float_step, np.array([x]), u, dt))
-            assert_same_bits(generic, floats)
+            b = 0.0 + 1.0 * u
+            assert step_outcome(floats, [x], [b], dt) == step_outcome(loop, [x], [b], dt)
+            assert_same_bits(floats, loop)
         assert floats.gain_failures == 2
-        with pytest.raises(ValueError, match="fx and fu must have 1 entries"):
-            floats.float_step([0.0, 0.0], [1.0])
 
     def test_unobservable_row_holds_the_gain(self):
         # C(x) = [1, 0, x]: the row at x = 0 fails the pivot margin
         theta = np.zeros((1, 9))
         theta[0, 0] = theta[0, 7] = 1.0
         model = SeparatedModel(theta=theta, config=BasisConfig(**RAW_CFG))
-        kernel, loop = (cls(model, ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[1.0])
-                        for cls in (Hodo, LoopHodo))
+        kernel, loop = (cls(model, (-0.4,) * 3, x0=[1.0]) for cls in (Hodo, LoopHodo))
         for x in (0.0, 0.0, 0.5, 0.0):
-            assert kernel.step([x], [0.3], 1e-3) == loop.step([x], [0.3], 1e-3)
+            assert kernel.step(x, 0.3, 1e-3) == loop.step(x, 0.3, 1e-3)
             assert_same_bits(kernel, loop)
         assert kernel.gain_failures == 3
 
     def test_repeated_row_reuses_the_gain(self):
-        kernel, loop = (cls(exact_model(), ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[0.5])
-                        for cls in (Hodo, LoopHodo))
+        kernel, loop = (cls(exact_model(), (-0.4,) * 3, x0=[0.5]) for cls in (Hodo, LoopHodo))
         designs = []
         design = kernel._design
         kernel._design = lambda c: designs.append(c) or design(c)
         for x in (0.5, 0.7, 0.7, 0.7, 0.2):
-            assert kernel.step([x], [0.1], 1e-3) == loop.step([x], [0.1], 1e-3)
+            assert kernel.step(x, 0.1, 1e-3) == loop.step(x, 0.1, 1e-3)
             assert_same_bits(kernel, loop)
         assert len(designs) == 2        # x = 0.5 is the constructor's row
 
     def test_sums_add_left_to_right_as_the_loop_form(self):
         model = SeparatedModel(theta=np.ones((3, 1)), config=BasisConfig(p=0, n=3))
         big = [1e16, 1.0, -1e16]
-        kernel, loop = (cls(model, lambda x: x, lambda x: np.zeros((3, 1)), (-0.4,),
-                            x0=big, sigma0=[2.0]) for cls in (Hodo, LoopHodo))
+        kernel, loop = (cls(model, (-0.4,), x0=big, sigma0=[2.0]) for cls in (Hodo, LoopHodo))
         assert_same_bits(kernel, loop)
-        for _ in range(3):
-            assert kernel.step(big, [0.0], 1e-3) == loop.step(big, [0.0], 1e-3)
+        for _ in range(3):              # the plant terms b = x as well
+            assert kernel.step(*big, *big, 1e-3) == loop.step(*big, *big, 1e-3)
             assert_same_bits(kernel, loop)
 
     def test_one_compiled_step_per_shape(self):
+        # the step is the generated kernel, bound on each observer
         cfg = BasisConfig(p=2, n=1)
         a, b = (Hodo(SeparatedModel(theta=np.full((1, cfg.s1), v), config=cfg),
-                     ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[0.1]) for v in (1.0, 2.0))
-        assert a._step_kernel.__code__ is b._step_kernel.__code__
-        assert a._step_kernel is not b._step_kernel
+                     (-0.4,) * 3, x0=[0.1]) for v in (1.0, 2.0))
+        assert a.step.__code__ is b.step.__code__
+        assert a.step is not b.step and "step" not in vars(Hodo)
 
     def test_one_shape_compiles_once(self):
         # the constructor, Hodo.step and the closed loop share one factory
         _kernels.cache_clear()
-        obs = Hodo(exact_model(), ZERO_FX, UNIT_FU, (-0.4,) * 3, x0=[0.1])
-        obs.step([0.2], [0.5], 1e-3)
+        obs = Hodo(exact_model(), (-0.4,) * 3, x0=[0.1])
+        obs.step(0.2, 0.5, 1e-3)
         run_scenario(ScenarioConfig(mode="hodo", model=exact_model(), duration=0.01))
         assert _kernels.cache_info().currsize == 1
 
@@ -527,8 +492,7 @@ class TestZeroErrorManifold:
         dt, n_steps = 1e-3, 20000
         eta, v = 0.0, 0.0
         sigma0 = np.array([1.0, 0.0, 0.0])          # [1, t, t^2] at t = 0
-        obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[v], sigma0=sigma0)
+        obs = Hodo(model, poles=(-0.4,) * 3, x0=[v], sigma0=sigma0)
         z = np.array(obs.z)
         gamma = np.array(obs.gain)
 
@@ -563,8 +527,7 @@ class TestZeroErrorManifold:
         fn = disturbance("quad_drag_drift")
         dt, n_steps = 1e-3, 5000
         eta, v = 0.0, 0.0
-        obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4,) * 3, x0=[v], sigma0=np.array([1.0, 0.0, 0.0]))
+        obs = Hodo(model, poles=(-0.4,) * 3, x0=[v], sigma0=np.array([1.0, 0.0, 0.0]))
         d_hat = float((model.output_map([v]) @ obs.sigma_hat)[0])
         worst = 0.0
         for k in range(n_steps):
@@ -576,8 +539,8 @@ class TestZeroErrorManifold:
             def rhs(tau, y):
                 return np.array([y[1], u + fn(y[1], tau)])
 
-            eta, v = rk4_step(rhs, np.array([eta, v]), t, dt)
-            d_hat = float(obs.step([v], [u], dt)[0])
+            eta, v = rk4_step(rhs, np.array([eta, v]), t, dt).tolist()
+            d_hat = obs.step(v, float(u), dt)[0]
         assert worst < 5e-2
 
 
@@ -590,14 +553,12 @@ class TestStepSizeConvergence:
         x_const, u_const, horizon = 2.0, 1.0, 1.0
 
         def run(dt):
-            obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                       poles=(-0.4,) * 3, x0=[x_const])
+            obs = Hodo(model, poles=(-0.4,) * 3, x0=[x_const])
             for _ in range(int(round(horizon / dt))):
-                obs.step([x_const], [u_const], dt)
+                obs.step(x_const, u_const, dt)
             return np.array(obs.sigma_hat)
 
-        obs0 = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                    poles=(-0.4,) * 3, x0=[x_const])
+        obs0 = Hodo(model, poles=(-0.4,) * 3, x0=[x_const])
         cmap = model.output_map([x_const])
         gamma = np.array(obs0.gain)[:, None]
         M = model.A - gamma @ cmap
@@ -611,16 +572,16 @@ class TestStepSizeConvergence:
         assert 12.0 < errs[1] / errs[2] < 20.0
 
 
-def closure_rk4_hodo_step(obs, x, u, dt):
+def closure_rk4_hodo_step(obs, x, drive, dt):
     """Reference for Hodo.step: the rebase, then one generic RK4 step of the
-    auxiliary ODE written as a closure over the frozen (x, u, Gamma, C(x))."""
+    auxiliary ODE written as a closure over the frozen (x, b, Gamma, C(x)),
+    with the plant terms b = ``drive``."""
     cmap = obs.model.output_map(x)
     w = np.full(len(x), obs.w)
     gamma = np.outer(obs._design((w @ cmap).tolist()), w)
     gamma_old = np.outer(obs.gain, w)
     z_frozen = gamma @ x
     z0 = obs.z + gamma_old @ x - z_frozen
-    drive = obs.f_x(x) + obs.f_u(x) @ u
 
     def rhs(t, z):
         sig = z + z_frozen
@@ -669,14 +630,14 @@ class TestAffineRk4Step:
             x_prev, x = rng.uniform(-1.0, 1.0, (2, n))
             u = rng.uniform(-1.0, 1.0, 1)
             try:
-                obs = Hodo(model, lambda x: 0.3 * x - 0.1, lambda x: np.full((n, 1), 1.5),
-                           poles=poles, x0=x_prev)
+                obs = Hodo(model, poles=poles, x0=x_prev)
                 obs._design((np.full(n, obs.w) @ model.output_map(x)).tolist())
             except UnobservableError:
                 continue
             obs.z = rng.standard_normal(s2).tolist()
-            z_ref, sigma_ref, scale = closure_rk4_hodo_step(obs, x, u, dt)
-            out = obs.step(x, u, dt)
+            drive = 0.3 * x - 0.1 + np.full((n, 1), 1.5) @ u
+            z_ref, sigma_ref, scale = closure_rk4_hodo_step(obs, x, drive, dt)
+            out = obs.step(*x.tolist(), *drive.tolist(), dt)
             # one output row: plain relative error; with two rows the
             # gain can be large, so roundoff is relative to the terms' size
             tol = 1e-12 * (np.linalg.norm(sigma_ref) if n == 1 else scale)
@@ -689,17 +650,15 @@ class TestAffineRk4Step:
     @pytest.mark.parametrize("gain", (0.1, 0.4, 2.0, 25.0))
     def test_first_order_step_equals_closure_rk4(self, gain, dt):
         rng = np.random.default_rng(int(gain * 10))
-        f_x = lambda x: 0.3 * x - 0.1
-        f_u = lambda x: np.full((1, 1), 1.5)
         for _ in range(20):
             x_prev, x = rng.uniform(-1.0, 1.0, (2, 1))
-            obs = first_order_observer(f_x, f_u, gain, x0=x_prev)
+            obs = first_order_observer(gain, x0=x_prev)
             obs.z = rng.standard_normal(1).tolist()
             u = rng.uniform(-1.0, 1.0, 1)
-            drive = f_x(x) + f_u(x) @ u
+            drive = 0.3 * x - 0.1 + np.full((1, 1), 1.5) @ u
             z_ref = rk4_step(lambda t, z: -gain * z - gain * (gain * x + drive),
                              np.array(obs.z), 0.0, dt)
-            out = obs.step(x, u, dt)
+            out = obs.step(*x.tolist(), *drive.tolist(), dt)
             assert np.linalg.norm(obs.z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
             ref_out = z_ref + gain * x
             assert np.linalg.norm(out - ref_out) <= 1e-12 * np.linalg.norm(ref_out)
@@ -718,8 +677,7 @@ class TestConstantOutputConvergence:
         fn = lambda t: float(cmap @ [1.0, t, t * t])     # the model's own signal
         dt, n_steps = 1e-3, 14000
         v = 0.0
-        obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                   poles=(-0.4, -0.8, -1.6), x0=[v])
+        obs = Hodo(model, poles=(-0.4, -0.8, -1.6), x0=[v])
         ts, errs = [], []
         for k in range(n_steps):
             t = k * dt
@@ -729,7 +687,7 @@ class TestConstantOutputConvergence:
             u = -fn(t)
             v_new = rk4_step(lambda tau, y: np.array([u + fn(tau)]),
                              np.array([v]), t, dt)[0]
-            obs.step([v], [u], dt)      # measurement at the step start
+            obs.step(float(v), u, dt)   # measurement at the step start
             v = v_new
         ts, errs = np.array(ts), np.array(errs)
         window = (ts >= 4.0) & (ts <= 14.0)
@@ -751,15 +709,14 @@ class TestLinearityInTargets:
 
         def run(model, scale):
             v = 0.0
-            obs = Hodo(model, lambda x: np.zeros(1), lambda x: np.ones((1, 1)),
-                       poles=(-0.4,) * 3, x0=[v])
+            obs = Hodo(model, poles=(-0.4,) * 3, x0=[v])
             outs = []
             for k in range(n_steps):
                 t = k * dt
                 u = scale * 5.0 * np.sin(t)
                 v_next = rk4_step(lambda tau, y: np.array([u + scale * fn(tau)]),
                                   np.array([v]), t, dt)[0]
-                outs.append(float(obs.step([v], [u], dt)[0]))
+                outs.append(obs.step(float(v), float(u), dt)[0])
                 v = v_next
             return np.array(outs)
 
@@ -773,36 +730,36 @@ class TestFirstOrderDo:
     def test_constant_disturbance_converges(self):
         value = 4.0
         dt = 1e-3
-        obs = first_order_observer(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain=2.0)
+        obs = first_order_observer(gain=2.0)
         x = 0.0
         for k in range(8000):
             u = -value          # keeps dx/dt = u + delta = 0
-            d_hat = float(obs.step([x], [u], dt)[0])
+            d_hat = obs.step(x, u, dt)[0]
         assert d_hat == pytest.approx(value, abs=1e-6)
 
     def test_ramp_lag_equals_rate_over_gain(self):
         # the input cancels the ramp so the state never moves and the
         # measured lag is not polluted by the held-state approximation
         rate, gain, dt = 3.0, 2.0, 1e-3
-        obs = first_order_observer(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain=gain)
+        obs = first_order_observer(gain=gain)
         x, t = 0.0, 0.0
         for k in range(12000):
             t = k * dt
             u = -rate * t
             x_next = rk4_step(lambda tau, y: np.array([u + rate * tau]),
                               np.array([x]), t, dt)[0]
-            d_hat = float(obs.step([x], [u], dt)[0])
+            d_hat = obs.step(float(x), u, dt)[0]
             x = x_next
         # steady-state lag of a first-order observer chasing a ramp,
         # measured against the disturbance at the post-step time
         assert (rate * (t + dt) - d_hat) == pytest.approx(rate / gain, rel=1e-2)
 
     def test_rejects_bad_inputs(self):
-        obs = first_order_observer(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain=1.0)
+        obs = first_order_observer(gain=1.0)
         with pytest.raises(ValueError):
-            obs.step([0.0], [0.0], -1.0)
+            obs.step(0.0, 0.0, -1.0)
         with pytest.raises(NumericalError):
-            obs.step([0.0], [np.inf], 1e-3)
+            obs.step(0.0, np.inf, 1e-3)
         for gain in (0.0, -1.0):
             with pytest.raises(ValueError):
-                first_order_observer(lambda x: np.zeros(1), lambda x: np.ones((1, 1)), gain)
+                first_order_observer(gain)

@@ -12,8 +12,8 @@ from coupled_do.learner import SeparatedModel, fit_rls, rng_stream
 from coupled_do.observer import Hodo
 from coupled_do.oracles import rk4_step
 from coupled_do import sim
-from coupled_do.sim import (ScenarioConfig, disturbance, disturbance_box,
-                            generate_training_run, registered_disturbances, run_scenario)
+from coupled_do.sim import (ScenarioConfig, disturbance, disturbance_box, generate_training_run,
+                            run_scenario)
 from loop_scenario import pd_control, point_mass_step, run_scenario_reference
 
 
@@ -53,7 +53,7 @@ class TestRk4:
 
 
 class TestPointMassStep:
-    @pytest.mark.parametrize("name", registered_disturbances())
+    @pytest.mark.parametrize("name", sorted(sim._REGISTRY))
     @pytest.mark.parametrize("dt", [1e-3, 0.04])
     def test_bitwise_equal_to_reference_rk4(self, name, dt):
         # the float step against the generic integrator on the array closure
@@ -108,7 +108,7 @@ class TestPdControl:
 
 class TestRegistry:
     def test_known_functions(self):
-        assert set(registered_disturbances()) == {
+        assert set(sim._REGISTRY) == {
             "sine_product", "cubic_drift", "sine_cubic", "quad_drag_drift"}
 
     def test_values(self):
@@ -208,6 +208,25 @@ class TestScenario:
         model = SeparatedModel(theta=np.ones((1, 9)), config=BasisConfig(p=2, n=1))
         with pytest.raises(ConfigError, match=re.escape(field)):
             ScenarioConfig(model=model, **kwargs)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        pytest.param("observer.ndo_gain", dict(mode="ndo", ndo_gain=3000.0), id="ndo"),
+        pytest.param("observer.poles", dict(mode="hodo", poles=(-3000.0,) * 3), id="hodo"),
+        pytest.param("observer.poles", dict(mode="hodo", poles=(-1e300,) * 3), id="hodo-huge"),
+        pytest.param("observer.poles", dict(mode="hodo", poles=(-0.4, -2e3 + 2e3j, -2e3 - 2e3j)),
+                     id="hodo-complex"),
+    ])
+    def test_poles_unstable_in_the_observer_step_rejected(self, field, kwargs):
+        # one RK4 step maps the observer's error by R(pole * dt), R(z) = 1 + z
+        # + z^2/2 + z^3/6 + z^4/24; |R| >= 1 from |pole| * dt = 2.785 on the
+        # real axis, so these poles diverge at dt = 1e-3
+        model = SeparatedModel(theta=np.ones((1, 9)), config=BasisConfig(p=2, n=1))
+        with pytest.raises(ConfigError, match=re.escape(field) + ": unstable"):
+            ScenarioConfig(model=model, dt=1e-3, **kwargs)
+        # a mode that does not use them takes them, and poles inside the edge pass
+        ScenarioConfig(model=model, dt=1e-3, **dict(kwargs, mode="none"))
+        ScenarioConfig(model=model, dt=1e-3, mode=kwargs["mode"], ndo_gain=2780.0,
+                       poles=(-2780.0, -1e-20, -0.4))
 
     def test_determinism(self):
         cfg = dict(mode="ndo", sigma_v2=0.1, duration=0.5, seed=7)
@@ -375,16 +394,20 @@ class TestStraightLoop:
         assert assert_loop_equals_reference(cfg)[-3:] == (11, 0, False)
 
     def test_diverging_plant(self):
-        # G dt = 5 is outside RK4's stability interval; -v**2 overflows first
-        cfg = ScenarioConfig(mode="ndo", ndo_gain=5000.0, duration=2.0)
+        # G dt = 5 is outside RK4's stability interval; -v**2 overflows first.
+        # ScenarioConfig refuses the gain, so it is set after the checks.
+        cfg = ScenarioConfig(mode="ndo", duration=2.0)
+        cfg.ndo_gain = 5000.0
         assert assert_loop_equals_reference(cfg)[-1] is False
 
     @pytest.mark.parametrize("mode, gain", [("ndo", 1e4), ("hodo", 3000.0)])
     def test_nonfinite_observer_state(self, newton_model, mode, gain):
         # a bounded disturbance keeps the plant finite while the observer,
-        # unstable at these poles for dt = 1e-3, diverges
-        cfg = ScenarioConfig(mode=mode, model=newton_model, ndo_gain=gain, poles=(-gain,) * 3,
-                             disturbance_name="sine_product", duration=1.0, log_sigma=True)
+        # unstable at these poles for dt = 1e-3, diverges.  ScenarioConfig
+        # refuses the poles, so they are set after the checks.
+        cfg = ScenarioConfig(mode=mode, model=newton_model, disturbance_name="sine_product",
+                             duration=1.0, log_sigma=True)
+        cfg.ndo_gain, cfg.poles = gain, (-gain,) * 3
         assert assert_loop_equals_reference(cfg) == (
             NumericalError, "observer state diverged to non-finite values")
 
@@ -410,17 +433,28 @@ class TestObserverHotPath:
         assert len(res.t) == 50 and res.completed
         assert len(rows) == 50 + 1      # the constructor's row, then one per step
 
-    def test_modes_run_without_hodo_step(self, newton_model, monkeypatch):
+    def test_modes_call_the_observer_step_once_per_step(self, newton_model, monkeypatch):
+        # each observer built by the loop gets a counting wrapper around the
+        # kernel bound on it; the bytes stay the reference loop's
         cfgs = [ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
                                duration=0.2, seed=3, log_sigma=True)
                 for mode in ("none", "ndo", "hodo")]
         expected = [scenario_outcome(run_scenario_reference, cfg) for cfg in cfgs]
+        calls = []
 
-        def refuse(self, x, u, dt):
-            raise AssertionError("the closed loop called Hodo.step")
+        class Counted(Hodo):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                kernel = self.step
+                self.step = lambda *a: calls.append(len(a)) or kernel(*a)
 
-        monkeypatch.setattr(Hodo, "step", refuse)
-        assert [scenario_outcome(run_scenario, cfg) for cfg in cfgs] == expected
+        monkeypatch.setattr(sim, "Hodo", Counted)
+        counts = []
+        for cfg, outcome in zip(cfgs, expected):
+            calls.clear()
+            assert scenario_outcome(run_scenario, cfg) == outcome
+            counts.append(len(calls))
+        assert counts == [0, 200, 200] and set(calls) == {3}    # v_meas, b and dt
 
     @pytest.mark.parametrize("mode", ["ndo", "hodo"])
     def test_plant_maps_read_once_per_run(self, newton_model, monkeypatch, mode):
