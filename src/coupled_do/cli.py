@@ -3,20 +3,23 @@
 Subcommands
 -----------
 learn     identify a separated model from a dataset file or a synthesis
-          spec, write the model file, append a fit-report row, print the
-          train and test errors; the model file's ``dataset_digest`` is
-          the hash of the whole fitted dataset, targets included, taken
-          before the train/test split
+          spec, write the model file, append a row to fit_reports.csv,
+          print the train and test errors; the model file's
+          ``dataset_digest`` is the hash of the whole fitted dataset,
+          targets included, taken before the train/test split
 sweep     grid of fits over polynomial order and noise variance, one
-          CSV row per cell, resumable
+          row per cell in sweep.csv, resumable
 simulate  closed-loop tracking runs for the requested compensation
-          modes, per-step CSV plus a metrics summary
+          modes, per-step CSVs plus a row per mode in metrics.csv
 verify    run the independent oracle suites, which are also acceptance
           criteria 1, 2 and 4 at the same seeds, and report pass/fail;
           ``--level full`` places 1000 observer gains instead of 100
 
 Exit codes: 0 success, 1 ``verify`` with a failed check, 2 configuration
 error, 3 data error, 4 numerical failure.  Partial successes never exit 0.
+Results go to ``io.out_dir`` (or ``--out``), and so does the model file
+``model.txt`` unless ``io.model_file`` names another.  ``learn`` adds noise of
+variance ``learning.noise_variance`` to synthesized targets only.
 A command checks the header of each result file it appends to before it
 writes its first output, so one refused for that file writes nothing.
 """
@@ -47,10 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override the configured seed")
     common.add_argument("--out", type=Path, default=None, help="override io.out_dir")
 
-    learn = sub.add_parser("learn", parents=[common], help="fit a separated model")
-    learn.add_argument("--noisy", action="store_true",
-                       help="corrupt synthesized targets with learning.noise_variance")
-
+    sub.add_parser("learn", parents=[common], help="fit a separated model")
     sub.add_parser("sweep", parents=[common], help="order/noise learning sweep")
 
     simulate = sub.add_parser("simulate", parents=[common], help="closed-loop tracking runs")
@@ -62,10 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(typed, override) -> Path:
+def _paths(typed, override) -> tuple[Path, Path]:
+    """The output directory, made if missing, and io.model_file or model.txt in it."""
     out = Path(override) if override is not None else Path(typed["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out, Path(typed["model_file"] or out / "model.txt")
 
 
 def _seed(args, configured: int) -> int:
@@ -76,10 +77,9 @@ def cmd_learn(args) -> int:
     typed = fileio.load_config(args.config)
     cfg = typed["learning"]
     seed = _seed(args, cfg.seed)
-    out = _out_dir(typed, args.out)
-    sigma2 = cfg.noise_variance if args.noisy and not typed["dataset_file"] else 0.0
-    model_path = Path(typed["model_file"]) if typed["model_file"] else out / "model.txt"
-    results_path = Path(typed["results_file"]) if typed["results_file"] else out / "fit_reports.csv"
+    out, model_path = _paths(typed, args.out)
+    sigma2 = 0.0 if typed["dataset_file"] else cfg.noise_variance
+    results_path = out / "fit_reports.csv"
     # a learn refused for its report file must not have replaced the model file
     fileio.check_csv_header(results_path, fileio.REPORT_CSV_COLUMNS)
 
@@ -114,19 +114,18 @@ def cmd_sweep(args) -> int:
     typed = fileio.load_config(args.config)
     cfg = typed["learning"]
     seed = _seed(args, cfg.seed)
-    out = _out_dir(typed, args.out)
-    grid_path = Path(typed["results_file"]) if typed["results_file"] else out / "sweep.csv"
+    grid_path = _paths(typed, args.out)[0] / "sweep.csv"
     done = fileio.existing_sweep_keys(grid_path)
 
     rows = []
     for function in cfg.functions:
-        base = dataclasses.replace(cfg, function=function, seed=seed)
         # only the orders still missing at a noise level are computed
         for s2 in cfg.noise_variances:
-            todo = [p for p in cfg.p_values if (function, p, s2, seed) not in done]
+            todo = tuple(p for p in cfg.p_values if (function, p, s2, seed) not in done)
             if not todo:
                 continue
-            for cell in sweep(base, todo, [s2]):
+            for cell in sweep(dataclasses.replace(cfg, function=function, seed=seed,
+                                                  p_values=todo, noise_variances=(s2,))):
                 ok = cell.report is not None
                 rows.append([function, cell.p, fileio.fmt(cell.noise_variance), seed,
                              fileio.fmt(cell.report.test_mae) if ok else "",
@@ -146,14 +145,12 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     typed = fileio.load_config(args.config)
     seed = _seed(args, typed["scenario"].seed)
-    out = _out_dir(typed, args.out)
+    out, model_path = _paths(typed, args.out)
     modes = fileio.parse_modes(args.modes, "--modes") if args.modes else typed["modes"]
 
     model = None
     if "hodo" in modes:
-        if not typed["model_file"]:
-            raise ConfigError("io.model_file: required when simulating mode 'hodo'")
-        model = fileio.load_model(typed["model_file"])
+        model = fileio.load_model(model_path)
         if model.config.n != 1:
             raise ConfigError(f"io.model_file: model has n = {model.config.n}, "
                               "the point-mass velocity channel has n = 1")

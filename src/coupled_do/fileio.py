@@ -7,9 +7,9 @@ and the ``[scenario]``/``[observer]`` keys a :class:`ScenarioConfig`.  Each
 error names its ``section.field``.
 
 All numeric fields are serialized with 17 significant digits so that a
-load of a save reproduces every value bit-exactly.  CSV files are plain
-RFC-4180 with a header row; the column sets below are versioned and
-covered by golden-file tests.
+load of a save reproduces every value bit-exactly.  Model files carry a
+format version; CSV files are plain RFC-4180 with a header row, whose
+column sets below are pinned by golden-file tests.
 
 The series writers (dataset, scenario, sigma) format one ``%.17g`` row
 template over blocks of ``_BLOCK_ROWS`` rows at a time, which gives the
@@ -40,8 +40,6 @@ from .learner import FitReport, LearningConfig, SeparatedModel, TrajectoryDatase
 from .sim import MODES, ScenarioConfig, ScenarioResult
 
 MODEL_FORMAT_VERSION = 1
-DATASET_CSV_VERSION = 1
-SCENARIO_CSV_VERSION = 1
 
 SCENARIO_CSV_COLUMNS = ["t", "eta", "eta_d", "v", "u", "delta_true", "delta_hat", "mode"]
 REPORT_CSV_COLUMNS = ["function", "p", "noise_variance", "delta", "seed", "n_train",
@@ -320,7 +318,7 @@ def existing_sweep_keys(path) -> set[tuple]:
 # the keys that are not dataclass fields, with their defaults
 _DEFAULTS = {
     "scenario": {"modes": ", ".join(MODES)},
-    "io": {"out_dir": "out", "model_file": "", "dataset_file": "", "results_file": ""},
+    "io": {"out_dir": "out", "model_file": "", "dataset_file": ""},
 }
 
 # the keys that are fields of each dataclass, with their kind; an absent key keeps the default

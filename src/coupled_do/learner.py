@@ -21,15 +21,15 @@ Cholesky factors of NumPy and SciPy move Theta by 2.7e-11 relative
 through the same solves, and other solve routes by up to 5.0e-9.
 
 :class:`LearningConfig` holds the settings of ``learn`` and ``sweep``, and
-:func:`sweep` runs on it directly: the function, the seed, the sampling
-boxes and the fit settings of a grid are its fields.  Its range checks are
-the ones that the functions here apply to their arguments.
+:func:`sweep` takes only it: the function, the seed, the grid of orders and
+noise levels, the sampling boxes and the fit settings are its fields.  Its
+range checks are the ones that the functions here apply to their arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -397,7 +397,7 @@ class LearningConfig:
     window: int = 9
     fit_order: int = 3
     seed: int = 0
-    noise_variance: float = 0.1
+    noise_variance: float = 0.0
     functions: tuple = ("sine_product", "cubic_drift", "sine_cubic")
     p_values: tuple = (1, 2, 3, 4, 5, 6)
     noise_variances: tuple = (0.0, 0.01, 0.05, 0.1)
@@ -452,21 +452,21 @@ def _run_cell(cfg: LearningConfig, p: int, sigma2: float, train: TrajectoryDatas
         return SweepCell(p=p, noise_variance=sigma2, error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(cfg: LearningConfig, p_values: Sequence[int],
-          noise_variances: Sequence[float]) -> list[SweepCell]:
-    """Grid of identification runs of ``cfg.function`` over polynomial
-    order and noise level.
+def sweep(cfg: LearningConfig) -> list[SweepCell]:
+    """Grid of identification runs of ``cfg.function`` over the orders
+    ``cfg.p_values`` and the noise levels ``cfg.noise_variances``.
 
     Each noise level draws ``cfg.n_samples`` points from
     ``cfg.boxes(cfg.function)`` and splits them by ``cfg.train_fraction``,
     from a generator stream keyed by (``cfg.seed``, noise variance); every
     order is fitted with ``cfg.delta`` and ``cfg.normalize`` and scored on
-    that one draw, so a cell depends only on (``cfg``, p, noise variance),
-    not on the grid around it.  Cells are returned p-major.
+    that one draw, so a cell depends only on its p, its noise variance and
+    the fields of ``cfg`` outside the grid.  Cells are returned p-major.
     """
     from .sim import disturbance        # sim imports this module
-    if not p_values or not len(noise_variances):
-        raise ConfigError("p_values and noise_variances must be non-empty")
+    p_values, noise_variances = cfg.p_values, cfg.noise_variances
+    if not p_values or not noise_variances:
+        raise ConfigError("sweep.p_values and sweep.noise_variances must be non-empty")
     fn = disturbance(cfg.function)
     x_box, t_box = cfg.boxes(cfg.function)
     by_level = []

@@ -124,7 +124,7 @@ def generate_training_run(name: str, n_samples: int = 10000, seed: int = 0,
 MODES = ("none", "ndo", "hodo")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Closed-loop tracking run description.
 
@@ -136,8 +136,9 @@ class ScenarioConfig:
     Gaussian noise of variance ``sigma_v2``; logged truth is clean.
     Every field but ``mode``, ``model`` and ``disturbance_name`` is an
     INI ``[scenario]``/``[observer]`` key; its only default and range
-    check are here, and each error names its ``section.field``.  The
-    poles of the mode's observer must keep its RK4 step stable at ``dt``.
+    check are here, and each error names its ``section.field``; it is
+    frozen, so that no assignment skips them.  The poles of the mode's
+    observer must keep its RK4 step stable at ``dt``.
     """
 
     mode: str = "none"

@@ -7,6 +7,7 @@ cache so each runtime budget covers its own work.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def test_criterion_7_sweep_shape(acceptance):
     for name in functions:
         base = LearningConfig(function=name, n_samples=10000,
                               delta=0.01, normalize=True, seed=7)
-        cells = sweep(base, p_values, noise)
+        cells = sweep(replace(base, p_values=p_values, noise_variances=noise))
         for sigma2 in noise:
             maes = [c.report.test_mae for c in cells if c.noise_variance == sigma2]
             arg = p_values[int(np.argmin(maes))]
@@ -138,10 +139,12 @@ def test_criterion_7_sweep_shape(acceptance):
 
     base = LearningConfig(function="cubic_drift", n_samples=10000,
                           delta=1e-9, normalize=True, seed=7)
-    inspan = [c.report.test_mae for c in sweep(base, [3, 4, 5, 6], [0.0])]
+    inspan = [c.report.test_mae
+              for c in sweep(replace(base, p_values=[3, 4, 5, 6], noise_variances=[0.0]))]
     base_ridge = LearningConfig(function="cubic_drift", n_samples=10000,
                                 delta=0.01, normalize=True, seed=7)
-    ridge_floor = sweep(base_ridge, [3], [0.0])[0].report.test_mae
+    ridge_floor = sweep(replace(base_ridge, p_values=[3],
+                                noise_variances=[0.0]))[0].report.test_mae
     inspan_ok = max(inspan) < 1e-6
 
     elapsed = time.perf_counter() - start

@@ -545,6 +545,16 @@ class TestConfig:
         assert cli.main(["learn", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "configuration error: scenario.plant: unknown field\n"
 
+    def test_results_file_key_is_unknown(self, tmp_path, capsys):
+        # each result file has one place, its name in the output directory
+        out = tmp_path / "o"
+        path = tmp_path / "results.ini"
+        path.write_text(f"[io]\nout_dir = {out}\nresults_file = {tmp_path / 'r.csv'}\n")
+        for command in (["learn"], ["sweep"], ["simulate", "--modes", "none"]):
+            assert cli.main([command[0], "--config", str(path)] + command[1:]) == 2
+            assert capsys.readouterr().err == "configuration error: io.results_file: unknown field\n"
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestCliExitCodes:
     def test_learn_success(self, config_file, tmp_path, capsys):
@@ -571,9 +581,13 @@ class TestCliExitCodes:
     def test_missing_config_is_2(self, tmp_path):
         assert cli.main(["learn", "--config", str(tmp_path / "absent.ini")]) == 2
 
-    def test_simulate_requires_model_for_hodo(self, config_file, tmp_path):
+    def test_simulate_requires_model_for_hodo(self, config_file, tmp_path, capsys):
+        # without io.model_file, hodo reads the model.txt that learn writes
+        out = tmp_path / "o"
         assert cli.main(["simulate", "--config", str(config_file),
-                         "--out", str(tmp_path / "o"), "--modes", "hodo"]) == 2
+                         "--out", str(out), "--modes", "none,hodo"]) == 3
+        assert capsys.readouterr().err == f"data error: model file not found: {out / 'model.txt'}\n"
+        assert not (out / "scenario_none.csv").exists()
 
     def test_simulate_pole_count_must_match_model(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -897,6 +911,20 @@ class TestCliPipelines:
         assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "scipy": []}
         assert len((out / "metrics.csv").read_text().splitlines()) == 4
 
+    def test_one_config_learn_simulate_sweep(self, tmp_path, capsys):
+        # learn writes the model where simulate reads it, and the fit reports
+        # and the sweep grid each have their own file in io.out_dir
+        out = tmp_path / "out"
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[io]\nout_dir = {out}\n")
+        for command in (["learn"], ["simulate", "--modes", "none,ndo,hodo"], ["sweep"]):
+            assert cli.main([command[0], "--config", str(ini)] + command[1:]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fit_reports.csv", "metrics.csv", "model.txt", "scenario_hodo.csv",
+            "scenario_ndo.csv", "scenario_none.csv", "sweep.csv"]
+        assert len((out / "metrics.csv").read_text().splitlines()) == 4
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 3 * 6 * 4
+
     def test_sweep_writes_and_resumes(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
@@ -1010,18 +1038,27 @@ class TestCliPipelines:
         assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
 
     def test_learn_noisy_flag(self, config_file, tmp_path, capsys):
-        out = tmp_path / "noisy"
-        assert cli.main(["learn", "--config", str(config_file), "--out", str(out),
-                         "--noisy"]) == 0
-        report = (out / "fit_reports.csv").read_text().splitlines()
+        # learning.noise_variance alone corrupts the synthesized targets
+        ini = tmp_path / "noisy.ini"
+        ini.write_text(BASE_CONFIG.replace("seed = 11", "seed = 11\nnoise_variance = 0.25", 1))
+        for name, config in (("clean", config_file), ("noisy", ini)):
+            assert cli.main(["learn", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        report = (tmp_path / "noisy" / "fit_reports.csv").read_text().splitlines()
         assert report[0] == ",".join(fileio.REPORT_CSV_COLUMNS)
+        clean, noisy = (fileio.load_model(tmp_path / name / "model.txt").theta
+                        for name in ("clean", "noisy"))
+        assert not np.array_equal(clean, noisy)
 
     def test_fit_report_records_applied_noise_variance(self, tmp_path, capsys):
-        ini = tmp_path / "exp.ini"
-        ini.write_text(BASE_CONFIG.replace("seed = 11", "seed = 11\nnoise_variance = 0.25", 1))
+        # a dataset file's targets are not corrupted, so its row records 0
+        data = tmp_path / "data.csv"
+        fileio.save_dataset(data, generate_training_run("quad_drag_drift", 500, seed=3))
+        noisy = BASE_CONFIG.replace("seed = 11", "seed = 11\nnoise_variance = 0.25", 1)
         out = tmp_path / "out"
-        for flags in (["--noisy"], []):
-            assert cli.main(["learn", "--config", str(ini), "--out", str(out)] + flags) == 0
+        for name, text in (("synth", noisy), ("dataset", noisy + f"\n[io]\ndataset_file = {data}\n")):
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(text)
+            assert cli.main(["learn", "--config", str(ini), "--out", str(out)]) == 0
         with open(out / "fit_reports.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["noise_variance"] for r in rows] == ["0.25", "0"]

@@ -1,5 +1,7 @@
 """Identification: target recovery, ridge fit, evaluation, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -360,7 +362,7 @@ class TestSweep:
     def test_inspan_cell_exact(self):
         base = LearningConfig(function="cubic_drift",
                               n_samples=4000, delta=1e-9, normalize=True, seed=1)
-        cells = sweep(base, [3], [0.0])
+        cells = sweep(replace(base, p_values=[3], noise_variances=[0.0]))
         assert cells[0].report.test_mae < 1e-6
 
     def test_noise_trend(self):
@@ -371,7 +373,8 @@ class TestSweep:
             for seed in range(5):
                 base = LearningConfig(function="cubic_drift", n_samples=2000,
                                       normalize=True, seed=seed)
-                maes.append(sweep(base, [3], [sigma2])[0].report.test_mae)
+                cell = sweep(replace(base, p_values=[3], noise_variances=[sigma2]))[0]
+                maes.append(cell.report.test_mae)
             means.append(np.mean(maes))
         assert means[0] < means[1]
 
@@ -385,7 +388,7 @@ class TestSweep:
         for seed in range(5):
             base = LearningConfig(function="sine_cubic", n_samples=10000,
                                   normalize=True, seed=seed)
-            cells = sweep(base, p_values, noise)
+            cells = sweep(replace(base, p_values=p_values, noise_variances=noise))
             for sigma2 in noise:
                 maes = [c.report.test_mae for c in cells if c.noise_variance == sigma2]
                 arg = p_values[int(np.argmin(maes))]
@@ -396,8 +399,8 @@ class TestSweep:
     def test_cell_independent_of_grid(self):
         base = LearningConfig(function="sine_cubic", n_samples=2000,
                               normalize=True, seed=2)
-        grid = sweep(base, [1, 2, 3, 4], [0.01, 0.05])
-        alone = sweep(base, [3], [0.05])[0]
+        grid = sweep(replace(base, p_values=[1, 2, 3, 4], noise_variances=[0.01, 0.05]))
+        alone = sweep(replace(base, p_values=[3], noise_variances=[0.05]))[0]
         cell = next(c for c in grid if c.p == 3 and c.noise_variance == 0.05)
         assert cell.report.test_mae == alone.report.test_mae
 
@@ -406,11 +409,12 @@ class TestSweep:
                      fn=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan))
         monkeypatch.setitem(sim._REGISTRY, "all_nan", entry)
         base = LearningConfig(function="all_nan", n_samples=100, seed=0)
-        cells = sweep(base, [1], [0.0])
+        cells = sweep(replace(base, p_values=[1], noise_variances=[0.0]))
         assert cells[0].report is None
         assert "DataError" in cells[0].error
 
     def test_empty_grid_rejected(self):
         base = LearningConfig(function="cubic_drift")
-        with pytest.raises(ConfigError):
-            sweep(base, [], [0.0])
+        for grid in (dict(p_values=()), dict(noise_variances=())):
+            with pytest.raises(ConfigError, match="must be non-empty"):
+                sweep(replace(base, **grid))

@@ -1,5 +1,6 @@
 """Integrator, controller, dataset synthesis, and closed-loop scenarios."""
 
+import dataclasses
 import re
 import warnings
 
@@ -228,6 +229,16 @@ class TestScenario:
         ScenarioConfig(model=model, dt=1e-3, mode=kwargs["mode"], ndo_gain=2780.0,
                        poles=(-2780.0, -1e-20, -0.4))
 
+    def test_assignment_cannot_skip_the_checks(self):
+        # the checks run at construction only: a field is never assigned,
+        # and a variant made with replace is checked again
+        cfg = ScenarioConfig(mode="ndo")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.ndo_gain = 5000.0
+        assert cfg.ndo_gain == 0.4
+        with pytest.raises(ConfigError, match="observer.ndo_gain: unstable"):
+            dataclasses.replace(cfg, ndo_gain=5000.0)
+
     def test_determinism(self):
         cfg = dict(mode="ndo", sigma_v2=0.1, duration=0.5, seed=7)
         a = run_scenario(ScenarioConfig(**cfg))
@@ -395,19 +406,20 @@ class TestStraightLoop:
 
     def test_diverging_plant(self):
         # G dt = 5 is outside RK4's stability interval; -v**2 overflows first.
-        # ScenarioConfig refuses the gain, so it is set after the checks.
+        # ScenarioConfig refuses the gain, so it is forced in after the checks.
         cfg = ScenarioConfig(mode="ndo", duration=2.0)
-        cfg.ndo_gain = 5000.0
+        object.__setattr__(cfg, "ndo_gain", 5000.0)
         assert assert_loop_equals_reference(cfg)[-1] is False
 
     @pytest.mark.parametrize("mode, gain", [("ndo", 1e4), ("hodo", 3000.0)])
     def test_nonfinite_observer_state(self, newton_model, mode, gain):
         # a bounded disturbance keeps the plant finite while the observer,
         # unstable at these poles for dt = 1e-3, diverges.  ScenarioConfig
-        # refuses the poles, so they are set after the checks.
+        # refuses the poles, so they are forced in after the checks.
         cfg = ScenarioConfig(mode=mode, model=newton_model, disturbance_name="sine_product",
                              duration=1.0, log_sigma=True)
-        cfg.ndo_gain, cfg.poles = gain, (-gain,) * 3
+        object.__setattr__(cfg, "ndo_gain", gain)
+        object.__setattr__(cfg, "poles", (-gain,) * 3)
         assert assert_loop_equals_reference(cfg) == (
             NumericalError, "observer state diverged to non-finite values")
 
