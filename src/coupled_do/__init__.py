@@ -5,17 +5,23 @@ coefficients and known Chebyshev tensor structures, identifies the
 coefficients by regularized least squares on trajectory data, and
 estimates the disturbance online with a higher-order observer whose
 error dynamics carry prescribed eigenvalues.
+
+Each module imports only modules listed before it: ``errors``, ``basis``,
+``learner`` (with the disturbance registry), ``observer`` (on ``errors``
+alone), ``sim``, ``fileio``, ``cli``.  ``oracles``, the reference checks
+that ``verify`` loads, is imported by no other module: take
+``ackermann_gain`` and ``rk4_step`` from :mod:`coupled_do.oracles`.
 """
 
 from .basis import BasisConfig, cheb_series, flat_to_multi, structure_matrices
 from .errors import ConfigError, CoupledDoError, DataError, NumericalError
 from .learner import (FitReport, LearningConfig, SeparatedModel, SweepCell,
-                      TrajectoryDataset, evaluate, fit_rls, rng_stream, split_dataset,
-                      sweep, synthesize_dataset, targets_from_trajectory)
+                      TrajectoryDataset, disturbance, disturbance_box, evaluate, fit_rls,
+                      rng_stream, split_dataset, sweep, synthesize_dataset,
+                      targets_from_trajectory)
 from .observer import Hodo, UnobservableError
-from .oracles import ackermann_gain, rk4_step
-from .sim import (ScenarioConfig, ScenarioResult, disturbance, disturbance_box,
-                  generate_training_run, newton_velocity_channel, run_scenario)
+from .sim import (ScenarioConfig, ScenarioResult, generate_training_run,
+                  newton_velocity_channel, run_scenario)
 
 __version__ = "0.1.0"
 
@@ -23,11 +29,11 @@ __all__ = [
     "BasisConfig", "cheb_series", "flat_to_multi", "structure_matrices",
     "ConfigError", "CoupledDoError", "DataError", "NumericalError",
     "FitReport", "LearningConfig", "SeparatedModel", "SweepCell",
-    "TrajectoryDataset", "evaluate", "fit_rls", "rng_stream",
-    "split_dataset", "sweep", "synthesize_dataset", "targets_from_trajectory",
-    "Hodo", "UnobservableError", "ackermann_gain",
-    "ScenarioConfig", "ScenarioResult", "disturbance",
-    "disturbance_box", "generate_training_run", "newton_velocity_channel",
-    "rk4_step", "run_scenario",
+    "TrajectoryDataset", "disturbance", "disturbance_box", "evaluate", "fit_rls",
+    "rng_stream", "split_dataset", "sweep", "synthesize_dataset",
+    "targets_from_trajectory",
+    "Hodo", "UnobservableError",
+    "ScenarioConfig", "ScenarioResult", "generate_training_run",
+    "newton_velocity_channel", "run_scenario",
     "__version__",
 ]

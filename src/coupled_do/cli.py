@@ -20,8 +20,10 @@ error, 3 data error, 4 numerical failure.  Partial successes never exit 0.
 Results go to ``io.out_dir`` (or ``--out``), and so does the model file
 ``model.txt`` unless ``io.model_file`` names another.  ``learn`` adds noise of
 variance ``learning.noise_variance`` to synthesized targets only.
-A command checks the header of each result file it appends to before it
-writes its first output, so one refused for that file writes nothing.
+A command checks the header of each result file it appends to, and
+makes the output directory, just before its first write, so a refused
+command writes nothing.  The module tops the package's import graph;
+only ``verify`` imports :mod:`coupled_do.oracles`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, oracles
+from . import fileio
 from .errors import ConfigError, DataError, NumericalError
 from .learner import check, fit_rls, rng_stream, split_dataset, sweep, targets_from_trajectory
 from .sim import generate_training_run, newton_velocity_channel, run_scenario
@@ -63,9 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _paths(typed, override) -> tuple[Path, Path]:
-    """The output directory, made if missing, and io.model_file or model.txt in it."""
+    """The output directory and io.model_file or model.txt in it; a command
+    makes the directory just before its first write."""
     out = Path(override) if override is not None else Path(typed["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     return out, Path(typed["model_file"] or out / "model.txt")
 
 
@@ -99,6 +101,7 @@ def cmd_learn(args) -> int:
     del data
     model, report = fit_rls(train, cfg.basis(), cfg.delta, test=test)
 
+    out.mkdir(parents=True, exist_ok=True)
     fileio.save_model(model_path, model, seed=seed, delta=cfg.delta, digest=digest)
     fileio.append_csv_row(results_path, fileio.REPORT_CSV_COLUMNS,
                           fileio.report_row(cfg.function, cfg.p, sigma2, cfg.delta,
@@ -131,6 +134,7 @@ def cmd_sweep(args) -> int:
                              fileio.fmt(cell.report.test_mae) if ok else "",
                              "ok" if ok else f"error: {cell.error}"])
     rows.sort(key=lambda r: (r[0], int(r[1]), float(r[2])))
+    grid_path.parent.mkdir(parents=True, exist_ok=True)
     for row in rows:
         fileio.append_csv_row(grid_path, fileio.SWEEP_CSV_COLUMNS, row)
     skipped = " (resume: existing cells skipped)" if any(k[3] == seed for k in done) else ""
@@ -162,6 +166,7 @@ def cmd_simulate(args) -> int:
                  for mode in modes]
     for mode, scenario in zip(modes, scenarios):
         result = run_scenario(scenario)
+        out.mkdir(parents=True, exist_ok=True)
         series_path = out / f"scenario_{mode}.csv"
         fileio.save_scenario(series_path, result)
         if result.sigma_hat is not None:
@@ -182,6 +187,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracles       # the one command that needs the reference checks
     results, elapsed = oracles.run_suites(level=args.level)
     for res in results:
         print(res.line())

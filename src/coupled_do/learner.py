@@ -24,10 +24,16 @@ through the same solves, and other solve routes by up to 5.0e-9.
 :func:`sweep` takes only it: the function, the seed, the grid of orders and
 noise levels, the sampling boxes and the fit settings are its fields.  Its
 range checks are the ones that the functions here apply to their arguments.
+
+The registry of named disturbances (:func:`disturbance`,
+:func:`disturbance_box`) lives here, the lowest module that needs it; the
+module imports only ``basis`` and ``errors``, and ``sim`` imports the
+registry from here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -100,21 +106,16 @@ class TrajectoryDataset:
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
-        self.x = np.asarray(self.x, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        if self.x.ndim == 1:
-            self.x = self.x[:, None]
-        if self.u.ndim == 1:
-            self.u = self.u[:, None]
+        for name in ("x", "u", "delta"):        # a 1-D column is one of shape (N, 1)
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = np.asarray(arr, dtype=float)
+                setattr(self, name, arr[:, None] if arr.ndim == 1 else arr)
         n = len(self.t)
         if self.x.shape[0] != n or self.u.shape[0] != n:
             raise DataError(f"record counts differ: t={n}, x={self.x.shape[0]}, u={self.u.shape[0]}")
-        if self.delta is not None:
-            self.delta = np.asarray(self.delta, dtype=float)
-            if self.delta.ndim == 1:
-                self.delta = self.delta[:, None]
-            if self.delta.shape != self.x.shape:
-                raise DataError(f"delta shape {self.delta.shape} must match x shape {self.x.shape}")
+        if self.delta is not None and self.delta.shape != self.x.shape:
+            raise DataError(f"delta shape {self.delta.shape} must match x shape {self.x.shape}")
         for name, arr in (("t", self.t), ("x", self.x), ("u", self.u), ("delta", self.delta)):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise DataError(f"non-finite values in {name}")
@@ -379,6 +380,56 @@ def synthesize_dataset(disturbance: Callable, x_box, t_box, n_samples: int,
     return TrajectoryDataset(t=t, x=x, u=np.zeros((n_samples, 1)), delta=delta)
 
 
+# --- disturbance registry ---------------------------------------------------
+#
+# Each entry is a vectorized delta(x, t) with its natural sampling box.
+# quad_drag_drift is the closed-loop benchmark: quadratic drag in the
+# velocity plus a quadratic-in-time drift.
+
+def _sin(v):
+    """sin(v): ``math.sin`` on a Python float, so that closed loops stay on
+    floats, and ``np.sin`` otherwise, so that arrays keep NumPy's bits.
+    An infinite float gives nan, as ``np.sin`` does, not ``ValueError``."""
+    if isinstance(v, float):
+        try:
+            return math.sin(v)
+        except ValueError:
+            return math.nan
+    return np.sin(v)
+
+
+NEWTON_V_BOX = (-10.0, 10.0)
+NEWTON_T_BOX = (0.0, 100.0)
+
+_REGISTRY: dict[str, dict] = {
+    "sine_product": dict(
+        fn=lambda x, t: _sin(x) * _sin(t),
+        x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
+    "cubic_drift": dict(
+        fn=lambda x, t: x - x**3 / 12.0 - t**2 / 4.0,
+        x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
+    "sine_cubic": dict(
+        fn=lambda x, t: -_sin(x) * t**3 / 9.0,
+        x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
+    "quad_drag_drift": dict(
+        fn=lambda v, t: -v**2 + 50.0 - 10.0 * t - 0.5 * t**2,
+        x_box=NEWTON_V_BOX, t_box=NEWTON_T_BOX),
+}
+
+
+def disturbance(name: str, field: str = "learning.function") -> Callable:
+    """A registered disturbance by name; an unknown one raises ConfigError naming ``field``."""
+    if name not in _REGISTRY:
+        raise ConfigError(f"{field}: unknown disturbance {name!r}; known: {sorted(_REGISTRY)}")
+    return _REGISTRY[name]["fn"]
+
+
+def disturbance_box(name: str, field: str = "learning.function") -> tuple[tuple, tuple]:
+    """Default (x_box, t_box) of a registered disturbance."""
+    disturbance(name, field)
+    return _REGISTRY[name]["x_box"], _REGISTRY[name]["t_box"]
+
+
 @dataclass(frozen=True)
 class LearningConfig:
     """The ``[basis]``, ``[learning]`` and ``[sweep]`` settings, each field
@@ -403,7 +454,6 @@ class LearningConfig:
     noise_variances: tuple = (0.0, 0.01, 0.05, 0.1)
 
     def __post_init__(self):
-        from .sim import disturbance_box        # sim imports this module
         self.basis()            # checks learning.function, basis.p and the boxes
         for key in ("delta", "n_samples", "train_fraction", "noise_variance"):
             check(f"learning.{key}", getattr(self, key))
@@ -423,7 +473,6 @@ class LearningConfig:
 
     def boxes(self, function: str) -> tuple:
         """(x_box, t_box) of ``function``: each box set here, else the registered one."""
-        from .sim import disturbance_box
         x_box, t_box = disturbance_box(function)
         return self.x_box or x_box, self.t_box or t_box
 
@@ -463,7 +512,6 @@ def sweep(cfg: LearningConfig) -> list[SweepCell]:
     that one draw, so a cell depends only on its p, its noise variance and
     the fields of ``cfg`` outside the grid.  Cells are returned p-major.
     """
-    from .sim import disturbance        # sim imports this module
     p_values, noise_variances = cfg.p_values, cfg.noise_variances
     if not p_values or not noise_variances:
         raise ConfigError("sweep.p_values and sweep.noise_variances must be non-empty")

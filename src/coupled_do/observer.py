@@ -45,12 +45,11 @@ numbers enter as closure variables, never as source text.  Past
 loops in the same order, which bounds the source (2401 terms for n = 4,
 p = 6).
 
-The generated step is the only observer step, bound on each observer
-as ``Hodo.step``.  As in the paper, it takes the plant terms as an
-input: the state and b as floats, summed by the caller, so the plant
-maps and the controls stay outside the observer.  The closed loop of
-:func:`coupled_do.sim.run_scenario` calls it once per step in both
-observer modes.
+The generated step is the only observer step, ``Hodo.step``.  As in
+the paper, it takes the plant terms b as an input, summed by the
+caller, so the plant maps and the controls stay outside the observer.
+The module imports only :mod:`coupled_do.errors`: the model, a
+:class:`coupled_do.learner.SeparatedModel`, is named in annotations only.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .learner import SeparatedModel
 
 
 _MARGIN = 1e-4     # |c_(s2-1)| / max|c_i| at or below which a row is unobservable
@@ -77,20 +75,22 @@ class UnobservableError(NumericalError):
 
 def check_poles(poles, name: str = "poles", count: int = 0) -> np.ndarray:
     """``poles`` as a complex array of ``count`` entries if nonzero; ConfigError
-    naming ``name`` unless each is finite with a negative real part."""
+    naming ``name`` unless each is finite with a negative real part and the
+    complex ones come in conjugate pairs, so that their polynomial is real."""
     arr = np.atleast_1d(np.asarray(poles, dtype=complex))
     if not (arr.ndim == 1 and np.isfinite(arr).all() and (arr.real < 0).all()):
         raise ConfigError(f"{name}: must be finite and negative, got {poles}")
     if count and arr.shape != (count,):
         raise ConfigError(f"{name}: need {count}, got {arr.shape[0]}")
+    if np.abs(np.poly(arr).imag).max() > 1e-9:
+        raise ConfigError(f"{name}: must be real or come in conjugate pairs, got {poles}")
     return arr
 
 
 def _pole_polynomial_of_a(A: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """Evaluate the monic polynomial with the given roots at the matrix A."""
+    """Evaluate the monic polynomial with the given roots, checked by
+    :func:`check_poles`, at the matrix A."""
     q_coef = np.poly(poles)
-    if np.abs(q_coef.imag).max() > 1e-9:
-        raise ValueError("poles must be real or come in conjugate pairs")
     q_of_a = np.zeros_like(A)
     eye = np.eye(A.shape[0])
     for coef in q_coef.real:

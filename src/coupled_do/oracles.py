@@ -25,7 +25,9 @@ import numpy as np
 
 from .basis import BasisConfig, flat_to_multi, structure_matrices
 from .errors import NumericalError
+from .learner import NEWTON_T_BOX, NEWTON_V_BOX, TrajectoryDataset, disturbance, fit_rls
 from .observer import UnobservableError, _pole_polynomial_of_a, check_poles
+from .sim import NEWTON_REFERENCE_THETA
 
 _COND_LIMIT = 1e8       # cond(O) above which ackermann_gain calls a row unobservable
 _GRID = 101             # points per axis of the projection grid
@@ -48,8 +50,7 @@ def placement_residual(A: np.ndarray, c: np.ndarray, gamma: np.ndarray, poles) -
     A = np.asarray(A, dtype=float)
     lam = A - np.outer(np.asarray(gamma, dtype=float).ravel(),
                        np.asarray(c, dtype=float).ravel())
-    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-    return float(np.linalg.norm(_pole_polynomial_of_a(lam, poles)))
+    return float(np.linalg.norm(_pole_polynomial_of_a(lam, check_poles(poles, count=A.shape[0]))))
 
 
 def ackermann_gain(A: np.ndarray, c: np.ndarray, poles) -> np.ndarray:
@@ -186,25 +187,20 @@ def basis_identity_checks(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results = []
 
-    worst = 0.0
-    for s2 in range(1, 9):
-        D, _ = structure_matrices(s2)
-        for t in rng.uniform(-1.0, 1.0, 100):
-            xi = np.array([_cheb(k, t) for k in range(s2)])
-            mono = t ** np.arange(s2, dtype=float)
-            worst = max(worst, np.abs(xi - D @ mono).max())
-    results.append(_check("chebyshev identity xi = D @ monomials (s2 <= 8)",
-                          worst < 1e-12, f"max |xi - D sigma| = {worst:.3e}"))
-
+    # for each s2 <= 8: the identity at 100 random t, nilpotency, and the
     # central difference of the monomial vector vs A @ monomials.  The
     # difference is exact on degrees <= 2, so the O(h^2) halving ratio
     # is only observable for s2 >= 4; below that the error must sit at
     # the roundoff floor.
-    ratios = []
-    small_ok = True
+    worst, ratios = 0.0, []
+    small_ok = nil_ok = True
     for s2 in range(1, 9):
-        _, A = structure_matrices(s2)
+        D, A = structure_matrices(s2)
         powers = np.arange(s2, dtype=float)
+        for t in rng.uniform(-1.0, 1.0, 100):
+            xi = np.array([_cheb(k, t) for k in range(s2)])
+            worst = max(worst, np.abs(xi - D @ t ** powers).max())
+        nil_ok &= not np.any(np.linalg.matrix_power(A, s2))
         t0 = 0.37
         errs = []
         for h in (1e-2, 5e-3):
@@ -214,15 +210,12 @@ def basis_identity_checks(seed: int = 0) -> list[CheckResult]:
             ratios.append(errs[0] / errs[1])
         else:
             small_ok &= errs[0] < 1e-11
+    results.append(_check("chebyshev identity xi = D @ monomials (s2 <= 8)",
+                          worst < 1e-12, f"max |xi - D sigma| = {worst:.3e}"))
     ok = small_ok and all(3.0 < r < 5.0 for r in ratios)
     results.append(_check("exosystem derivative is O(h^2)",
                           ok, f"halving ratios {['%.2f' % r for r in ratios]} (expect ~4), "
                               f"exact below cubic degree: {small_ok}"))
-
-    nil_ok = True
-    for s2 in range(1, 9):
-        _, A = structure_matrices(s2)
-        nil_ok &= not np.any(np.linalg.matrix_power(A, s2))
     results.append(_check("companion matrix nilpotency A^s2 == 0", nil_ok, "exact zero"))
 
     # 100 raw draws on [-1, 1], then 100 normalized ones on random boxes
@@ -250,8 +243,6 @@ def basis_identity_checks(seed: int = 0) -> list[CheckResult]:
 def rls_checks(seed: int = 1) -> list[CheckResult]:
     """Closed-form optimality and recovery checks for the ridge fit, on
     in-span data and on the same data with noise of deviation 0.3."""
-    from .learner import TrajectoryDataset, fit_rls
-
     rng = np.random.default_rng(seed)
     cfg = BasisConfig(p=2, n=1)
     theta_true = rng.standard_normal((1, cfg.s1))
@@ -356,12 +347,10 @@ def newton_projection_check() -> list[CheckResult]:
     """Derive the benchmark disturbance coefficients independently.
 
     Prints the dense-grid projection next to the reference vector
-    recorded with the disturbance registry entry; the two disagree in
-    the constant and the second time-order entry, and the projection is
-    authoritative (the fit reproduces it, not the reference).
+    recorded in :mod:`coupled_do.sim`; the two disagree in the constant
+    and the second time-order entry, and the projection is authoritative
+    (the fit reproduces it, not the reference).
     """
-    from .sim import NEWTON_REFERENCE_THETA, NEWTON_T_BOX, NEWTON_V_BOX, disturbance
-
     fn = disturbance("quad_drag_drift")
     proj = projection_oracle(fn, 2, NEWTON_V_BOX, NEWTON_T_BOX)
     # residual of the projection on a grid unrelated to the fitting grid

@@ -6,14 +6,9 @@ The benchmark plant is a second-order point mass
 
 tracked with a PD controller plus feedforward disturbance compensation.
 The observers only see the velocity channel (n = 1, f_x = 0,
-f_u = 1/m), which is where the coupled disturbance enters.
-
-:func:`run_scenario` runs the closed loop of every mode as one straight
-loop on Python floats, which holds the only copy of the reference, the
-control law and the RK4 plant step, and steps either observer by one
-call of ``Hodo.step``, the observer's generated kernel, on the plant
-terms b = f_x + f_u u that the loop sums; ``tests/loop_scenario.py``
-keeps the loop with one call per part as the tests' ``==`` reference.
+f_u = 1/m), which is where the coupled disturbance enters.  The plant's
+disturbances are the registry in :mod:`coupled_do.learner`; this module
+imports it and :mod:`coupled_do.observer`, and neither imports it back.
 """
 
 from __future__ import annotations
@@ -28,64 +23,18 @@ import numpy as np
 
 from .basis import BasisConfig
 from .errors import ConfigError, NumericalError
-from .learner import SeparatedModel, TrajectoryDataset, check, rng_stream, synthesize_dataset
+from .learner import (SeparatedModel, TrajectoryDataset, check, disturbance, disturbance_box,
+                      rng_stream, synthesize_dataset)
 from .observer import Hodo, check_poles
 
 
-# --- disturbance registry ---------------------------------------------------
-#
-# Each entry is a vectorized delta(x, t) with its natural sampling box.
-# quad_drag_drift is the closed-loop benchmark: quadratic drag in the
-# velocity plus a quadratic-in-time drift.
+# --- plant and training data ------------------------------------------------
 
-def _sin(v):
-    """sin(v): ``math.sin`` on a Python float, so that closed loops stay on
-    floats, and ``np.sin`` otherwise, so that arrays keep NumPy's bits.
-    An infinite float gives nan, as ``np.sin`` does, not ``ValueError``."""
-    if isinstance(v, float):
-        try:
-            return math.sin(v)
-        except ValueError:
-            return math.nan
-    return np.sin(v)
-
-
-NEWTON_V_BOX = (-10.0, 10.0)
-NEWTON_T_BOX = (0.0, 100.0)
-
-# Coefficient vector reported alongside this benchmark; kept for
-# comparison only.  The direct basis projection (oracles module) gives
-# 49.25 and -0.25 in the first and seventh entries instead, and fits
-# reproduce the projection, so the projection is authoritative.
+# Coefficient vector reported alongside the quad_drag_drift benchmark;
+# kept for comparison only.  The direct basis projection (oracles module)
+# gives 49.25 and -0.25 in the first and seventh entries instead, and
+# fits reproduce the projection, so the projection is authoritative.
 NEWTON_REFERENCE_THETA = np.array([49.75, 0.0, -0.5, -10.0, 0.0, 0.0, 0.25, 0.0, 0.0])
-
-_REGISTRY: dict[str, dict] = {
-    "sine_product": dict(
-        fn=lambda x, t: _sin(x) * _sin(t),
-        x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
-    "cubic_drift": dict(
-        fn=lambda x, t: x - x**3 / 12.0 - t**2 / 4.0,
-        x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
-    "sine_cubic": dict(
-        fn=lambda x, t: -_sin(x) * t**3 / 9.0,
-        x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
-    "quad_drag_drift": dict(
-        fn=lambda v, t: -v**2 + 50.0 - 10.0 * t - 0.5 * t**2,
-        x_box=NEWTON_V_BOX, t_box=NEWTON_T_BOX),
-}
-
-
-def disturbance(name: str, field: str = "learning.function") -> Callable:
-    """A registered disturbance by name; an unknown one raises ConfigError naming ``field``."""
-    if name not in _REGISTRY:
-        raise ConfigError(f"{field}: unknown disturbance {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name]["fn"]
-
-
-def disturbance_box(name: str, field: str = "learning.function") -> tuple[tuple, tuple]:
-    """Default (x_box, t_box) of a registered disturbance."""
-    disturbance(name, field)
-    return _REGISTRY[name]["x_box"], _REGISTRY[name]["t_box"]
 
 
 def newton_velocity_channel(mass: float = 1.0) -> tuple[Callable, Callable]:

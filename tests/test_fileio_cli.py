@@ -729,14 +729,16 @@ class TestCliExitCodes:
                          "--modes", "hodo"]) == 3
         assert str(model) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("old, new", [
-        ("format_version = 1\n", "format_version = 2\n"),
-        ("theta_cols = 9\n", ""),
-        ("p = 2\n", "p = two\n"),
-        ("theta_cols = 9\n", "theta_cols = 8\n"),
-        ("normalize = false\n", "normalize = True\n"),
-    ], ids=["version", "missing_field", "malformed_number", "theta_size", "normalize"])
-    def test_bad_model_file_is_3_and_named(self, tmp_path, capsys, old, new):
+    @pytest.mark.parametrize("old, new, message", [
+        ("format_version = 1\n", "format_version = 2\n", "unsupported model format version 2"),
+        ("theta_cols = 9\n", "", "missing field 'theta_cols'"),
+        ("p = 2\n", "p = two\n", "malformed: invalid literal for int() with base 10: 'two'"),
+        ("theta_cols = 9\n", "theta_cols = 8\n", "theta block is (1, 9), header says (1, 8)"),
+        ("normalize = false\n", "normalize = True\n", "normalize = True, expected true or false"),
+        ("\nn = 1\n", "\nn 1\n", "line not key = value: 'n 1'"),
+    ], ids=["version", "missing_field", "malformed_number", "theta_size", "normalize",
+            "not_key_value"])
+    def test_bad_model_file_is_3_and_named(self, tmp_path, capsys, old, new, message):
         model = tmp_path / "model.txt"
         fileio.save_model(model, random_model(np.random.default_rng(5)))
         text = model.read_text()
@@ -745,8 +747,9 @@ class TestCliExitCodes:
         ini = tmp_path / "sim.ini"
         ini.write_text(BASE_CONFIG + f"\n[io]\nmodel_file = {model}\n")
         assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
-                         "--modes", "hodo"]) == 3
-        assert str(model) in capsys.readouterr().err
+                         "--modes", "none,hodo"]) == 3
+        assert capsys.readouterr().err == f"data error: model file {model}: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [model, ini]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_theta_is_3_and_named(self, tmp_path, capsys, value):
@@ -802,7 +805,7 @@ class TestCliExitCodes:
             fileio.load_config(ini)
         assert cli.main(argv + ["--config", str(ini)]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_order_that_cannot_be_allocated_is_4(self, tmp_path, capsys):
         # p = 1e12 over 5000 training rows asks for 36 PiB, beyond any address
@@ -840,6 +843,44 @@ class TestCliExitCodes:
         assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
                          "--modes", "hodo"]) == 2
         assert "io.model_file" in capsys.readouterr().err
+
+    def test_refused_simulate_leaves_no_out_dir(self, tmp_path, capsys):
+        # the output directory is made just before the first write: a hodo
+        # run refused for a missing model leaves none behind
+        out = tmp_path / "out"
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[io]\nout_dir = {out}\n")
+        assert cli.main(["simulate", "--config", str(ini), "--modes", "hodo"]) == 3
+        assert capsys.readouterr().err == f"data error: model file not found: {out / 'model.txt'}\n"
+        assert not out.exists()
+
+    def test_empty_dataset_is_3(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("")
+        out = tmp_path / "out"
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[io]\nout_dir = {out}\ndataset_file = {data}\n")
+        assert cli.main(["learn", "--config", str(ini)]) == 3
+        assert capsys.readouterr().err == f"data error: dataset file is empty: {data}\n"
+        assert sorted(tmp_path.iterdir()) == [data, ini]
+
+    def test_normalize_not_a_bool_is_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[basis]\nnormalize = yes\n\n[io]\nout_dir = {out}\n")
+        assert cli.main(["learn", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err == ("configuration error: basis.normalize: "
+                                           "cannot parse 'yes' (expected true or false)\n")
+        assert sorted(tmp_path.iterdir()) == [ini]
+
+    def test_ini_without_section_header_is_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"out_dir = {out}\n")
+        assert cli.main(["learn", "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: config file malformed: File contains no section headers.")
+        assert sorted(tmp_path.iterdir()) == [ini]
 
     def test_verify_full(self, capsys):
         assert cli.main(["verify", "--level", "full"]) == 0
@@ -910,6 +951,25 @@ class TestCliPipelines:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "scipy": []}
         assert len((out / "metrics.csv").read_text().splitlines()) == 4
+
+    def test_only_verify_loads_the_oracles(self):
+        # the reference checks are off the start-up path of every command
+        # but verify, which imports them when it runs
+        script = (
+            "import json, sys\n"
+            "from coupled_do import cli\n"
+            "before = 'coupled_do.oracles' in sys.modules\n"
+            "code = cli.main(['verify', '--level', 'fast'])\n"
+            "print(json.dumps({'before': before, 'code': code,\n"
+            "                  'after': 'coupled_do.oracles' in sys.modules}))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "before": False, "code": 0, "after": True}
 
     def test_one_config_learn_simulate_sweep(self, tmp_path, capsys):
         # learn writes the model where simulate reads it, and the fit reports

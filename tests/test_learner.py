@@ -7,7 +7,7 @@ import pytest
 
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError, NumericalError
-from coupled_do import sim
+from coupled_do import learner
 from coupled_do.learner import (LearningConfig, SeparatedModel, TrajectoryDataset,
                                 _poly_derivative_window, evaluate, fit_rls, rng_stream,
                                 split_dataset, sweep, synthesize_dataset, targets_from_trajectory)
@@ -405,9 +405,9 @@ class TestSweep:
         assert cell.report.test_mae == alone.report.test_mae
 
     def test_failed_cell_reported_not_raised(self, monkeypatch):
-        entry = dict(sim._REGISTRY["cubic_drift"],
+        entry = dict(learner._REGISTRY["cubic_drift"],
                      fn=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan))
-        monkeypatch.setitem(sim._REGISTRY, "all_nan", entry)
+        monkeypatch.setitem(learner._REGISTRY, "all_nan", entry)
         base = LearningConfig(function="all_nan", n_samples=100, seed=0)
         cells = sweep(replace(base, p_values=[1], noise_variances=[0.0]))
         assert cells[0].report is None

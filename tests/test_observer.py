@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.signal
 
 from coupled_do.basis import BasisConfig, structure_matrices
-from coupled_do.errors import NumericalError
+from coupled_do.errors import ConfigError, NumericalError
 from coupled_do.learner import SeparatedModel
 from coupled_do.observer import (_MARGIN, _UNROLL, Hodo, UnobservableError, _kernel_source,
                                  _kernels)
@@ -78,6 +78,33 @@ class TestAckermannGain:
         _, A = structure_matrices(3)
         with pytest.raises(ValueError, match="poles: must be finite"):
             ackermann_gain(A, np.ones(3), [pole, -1.0, -1.0])
+
+
+class TestUnpairedComplexPoles:
+    # a complex pole without its conjugate has no real polynomial: every
+    # route refuses it, as a ConfigError that names the field
+    UNPAIRED = (-1 + 1j, -2.0, -3.0)
+
+    def test_scenario_config_names_the_field(self):
+        with pytest.raises(ConfigError, match=r"^observer\.poles: must be real or come in "
+                                              r"conjugate pairs"):
+            ScenarioConfig(mode="hodo", model=exact_model(), poles=self.UNPAIRED)
+
+    def test_observer_and_oracles_refuse_it(self):
+        _, A = structure_matrices(3)
+        for call in (lambda: Hodo(exact_model(), self.UNPAIRED, x0=[0.0]),
+                     lambda: ackermann_gain(A, np.ones(3), self.UNPAIRED),
+                     lambda: placement_residual(A, np.ones(3), np.zeros(3), self.UNPAIRED)):
+            with pytest.raises(ConfigError, match="conjugate pairs"):
+                call()
+
+    def test_conjugate_pair_is_placed(self):
+        poles = (-1 + 1j, -2.0, -1 - 1j)
+        obs = order_observer(3, poles)
+        c = np.array([0.3, -0.7, 1.1])
+        gamma = np.array(obs._design(c.tolist()))
+        assert np.linalg.norm(gamma - ackermann_gain(obs.model.A, c, poles)) < 1e-10
+        assert placement_residual(obs.model.A, c, gamma, poles) < 1e-10
 
 
 def order_observer(s2, poles, normalize=False) -> Hodo:

@@ -12,7 +12,7 @@ from coupled_do.errors import ConfigError, DataError, NumericalError
 from coupled_do.learner import SeparatedModel, fit_rls, rng_stream
 from coupled_do.observer import Hodo
 from coupled_do.oracles import rk4_step
-from coupled_do import sim
+from coupled_do import learner, sim
 from coupled_do.sim import (ScenarioConfig, disturbance, disturbance_box, generate_training_run,
                             run_scenario)
 from loop_scenario import pd_control, point_mass_step, run_scenario_reference
@@ -54,7 +54,7 @@ class TestRk4:
 
 
 class TestPointMassStep:
-    @pytest.mark.parametrize("name", sorted(sim._REGISTRY))
+    @pytest.mark.parametrize("name", sorted(learner._REGISTRY))
     @pytest.mark.parametrize("dt", [1e-3, 0.04])
     def test_bitwise_equal_to_reference_rk4(self, name, dt):
         # the float step against the generic integrator on the array closure
@@ -109,7 +109,7 @@ class TestPdControl:
 
 class TestRegistry:
     def test_known_functions(self):
-        assert set(sim._REGISTRY) == {
+        assert set(learner._REGISTRY) == {
             "sine_product", "cubic_drift", "sine_cubic", "quad_drag_drift"}
 
     def test_values(self):
@@ -120,9 +120,9 @@ class TestRegistry:
 
     def test_sine_takes_math_on_floats_and_numpy_on_arrays(self):
         x = np.linspace(-2.0, 2.0, 101)
-        assert np.array_equal(sim._sin(x), np.sin(x))
-        assert type(sim._sin(0.5)) is float
-        assert np.isnan(sim._sin(float("inf")))
+        assert np.array_equal(learner._sin(x), np.sin(x))
+        assert type(learner._sin(0.5)) is float
+        assert np.isnan(learner._sin(float("inf")))
         fn = disturbance("sine_product")
         assert np.array_equal(fn(x, x[::-1]), np.sin(x) * np.sin(x[::-1]))
 
@@ -293,9 +293,9 @@ class TestScenario:
         # a disturbance that is infinite from t = 0.0105 on: the step from
         # t = 0.010 reaches it in its last stage, so that step is the last logged
         base = disturbance("quad_drag_drift")
-        entry = dict(sim._REGISTRY["quad_drag_drift"],
+        entry = dict(learner._REGISTRY["quad_drag_drift"],
                      fn=lambda v, t: base(v, t) + (np.inf if t > 0.0105 else 0.0))
-        monkeypatch.setitem(sim._REGISTRY, "blows_up", entry)
+        monkeypatch.setitem(learner._REGISTRY, "blows_up", entry)
         cfg = dict(mode=mode, model=newton_model if mode == "hodo" else None,
                    sigma_v2=0.1, seed=4, log_sigma=True)
         cut = run_scenario(ScenarioConfig(disturbance_name="blows_up", duration=1.0, **cfg))
@@ -327,7 +327,7 @@ class TestScenario:
             seen.update((type(v), type(t)))
             return base(v, t)
 
-        monkeypatch.setitem(sim._REGISTRY[name], "fn", recording)
+        monkeypatch.setitem(learner._REGISTRY[name], "fn", recording)
         res = run_scenario(ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
                                           disturbance_name=name, duration=0.01, seed=1))
         assert len(res.t) == 10 and res.completed
@@ -378,7 +378,7 @@ class TestStraightLoop:
     # run_scenario's straight loop against the loop with one call per part
 
     @pytest.mark.parametrize("mode", ["none", "ndo", "hodo"])
-    @pytest.mark.parametrize("name", sorted(sim._REGISTRY))
+    @pytest.mark.parametrize("name", sorted(learner._REGISTRY))
     def test_bit_identical_to_the_reference(self, newton_model, mode, name):
         for seed in (1, 2, 3):
             for sigma_v2 in (0.0, 0.1):
@@ -397,9 +397,9 @@ class TestStraightLoop:
     @pytest.mark.parametrize("mode", ["none", "ndo", "hodo"])
     def test_nonfinite_plant_state(self, newton_model, monkeypatch, mode):
         base = disturbance("quad_drag_drift")
-        entry = dict(sim._REGISTRY["quad_drag_drift"],
+        entry = dict(learner._REGISTRY["quad_drag_drift"],
                      fn=lambda v, t: base(v, t) + (np.inf if t > 0.0105 else 0.0))
-        monkeypatch.setitem(sim._REGISTRY, "blows_up", entry)
+        monkeypatch.setitem(learner._REGISTRY, "blows_up", entry)
         cfg = ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
                              disturbance_name="blows_up", seed=4, duration=1.0, log_sigma=True)
         assert assert_loop_equals_reference(cfg)[-3:] == (11, 0, False)
