@@ -20,9 +20,12 @@ error, 3 data error, 4 numerical failure.  Partial successes never exit 0.
 Results go to ``io.out_dir`` (or ``--out``), and so does the model file
 ``model.txt`` unless ``io.model_file`` names another.  ``learn`` adds noise of
 variance ``learning.noise_variance`` to synthesized targets only.
-A command checks the header of each result file it appends to, and
-makes the output directory, just before its first write, so a refused
-command writes nothing.  The module tops the package's import graph;
+A command checks its output paths with its inputs: the output directory,
+or its first existing ancestor, must be a directory, and ``learn``'s model
+file must go into an existing directory or the output directory.  It checks
+the header of each result file it appends to, and makes the output
+directory, just before its first write, so a refused command writes
+nothing.  The module tops the package's import graph;
 only ``verify`` imports :mod:`coupled_do.oracles`.
 """
 
@@ -65,9 +68,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _paths(typed, override) -> tuple[Path, Path]:
-    """The output directory and io.model_file or model.txt in it; a command
-    makes the directory just before its first write."""
+    """The output directory and io.model_file or model.txt in it; ConfigError,
+    naming ``--out`` or ``io.out_dir``, unless the output directory or its
+    first existing ancestor is a directory."""
     out = Path(override) if override is not None else Path(typed["out_dir"])
+    found = next((d for d in (out, *out.parents) if d.exists()), out)
+    if not found.is_dir():
+        name = "--out" if override is not None else "io.out_dir"
+        raise ConfigError(f"{name}: {found} is not a directory")
     return out, Path(typed["model_file"] or out / "model.txt")
 
 
@@ -80,6 +88,8 @@ def cmd_learn(args) -> int:
     cfg = typed["learning"]
     seed = _seed(args, cfg.seed)
     out, model_path = _paths(typed, args.out)
+    if model_path.parent != out and not model_path.parent.is_dir():
+        raise ConfigError(f"io.model_file: {model_path.parent} is not a directory")
     sigma2 = 0.0 if typed["dataset_file"] else cfg.noise_variance
     results_path = out / "fit_reports.csv"
     # a learn refused for its report file must not have replaced the model file
@@ -171,14 +181,14 @@ def cmd_simulate(args) -> int:
         fileio.save_scenario(series_path, result)
         if result.sigma_hat is not None:
             fileio.save_sigma_series(out / f"scenario_{mode}_sigma.csv", result)
+        tracking, estimation = result.tracking_mae(), result.estimation_mae()
         fileio.append_csv_row(metrics_path, fileio.METRICS_CSV_COLUMNS,
-                              [mode, seed, fileio.fmt(result.tracking_mae()),
-                               fileio.fmt(result.estimation_mae()),
+                              [mode, seed, fileio.fmt(tracking), fileio.fmt(estimation),
                                fileio.fmt(result.estimation_tail_mae()),
                                fileio.fmt(result.estimation_decay_slope()),
                                result.gain_failures])
-        print(f"{mode}: tracking MAE = {result.tracking_mae():.4f}  "
-              f"estimation MAE = {result.estimation_mae():.4f}  series -> {series_path}")
+        print(f"{mode}: tracking MAE = {tracking:.4f}  "
+              f"estimation MAE = {estimation:.4f}  series -> {series_path}")
         if not result.completed:
             raise NumericalError(f"mode {mode}: plant state non-finite after the step from "
                                  f"t = {result.t[-1]:g}; partial series in {series_path}")

@@ -11,14 +11,15 @@ load of a save reproduces every value bit-exactly.  Model files carry a
 format version; CSV files are plain RFC-4180 with a header row, whose
 column sets below are pinned by golden-file tests.
 
-The series writers (dataset, scenario, sigma) format one ``%.17g`` row
-template over blocks of ``_BLOCK_ROWS`` rows at a time, which gives the
-bytes of ``csv.writer`` with :func:`fmt` per value at a bounded memory
-cost.  :func:`load_dataset` parses with :func:`numpy.loadtxt` and falls
-back to a per-line ``csv`` parser when ``loadtxt`` rejects the file or
-reads a width other than the header's.  The fallback also accepts the
-quoted and underscored numbers that ``loadtxt`` rejects, and it names
-the file line of a bad record.
+One writer gives every per-step series (dataset, scenario, sigma) the
+bytes of ``csv.writer`` with :func:`fmt` per value, each line ended by
+CRLF on every platform: a ``csv.writer`` header, then one ``%.17g`` row
+template over blocks of ``_BLOCK_ROWS`` rows, at a bounded memory cost.
+:func:`load_dataset` parses with :func:`numpy.loadtxt` and falls back to
+a per-line ``csv`` parser when ``loadtxt`` rejects the file or reads a
+width other than the header's.  The fallback also accepts the quoted and
+underscored numbers that ``loadtxt`` rejects, and it names the file line
+of a bad record.
 """
 
 from __future__ import annotations
@@ -50,18 +51,19 @@ METRICS_CSV_COLUMNS = ["mode", "seed", "tracking_mae", "estimation_mae",
                        "estimation_tail_mae", "decay_slope", "gain_failures"]
 
 
-# rows per formatted string in the series writers
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 1024      # rows per formatted string in the series writer
+_FLOAT_SPEC = ".17g"    # the format of every written float
 
 
 def fmt(value: float) -> str:
     """Decimal form that round-trips float64 exactly."""
-    return format(float(value), ".17g")
+    return format(float(value), _FLOAT_SPEC)
 
 
-def _write_float_rows(fh, columns, tail: str) -> None:
-    """Write the rows of side-by-side float columns, each cell as
-    :func:`fmt` gives it, comma-separated and followed by ``tail``.
+def _write_float_rows(path, header: list[str], columns, tail: str = "") -> None:
+    """Write a series CSV: ``header`` as ``csv.writer`` writes it, then the
+    rows of side-by-side float columns, each cell as :func:`fmt` gives it,
+    comma-separated and followed by ``tail`` and CRLF.
 
     ``columns`` holds arrays of shape (N,) or (N, k).  Each block of
     ``_BLOCK_ROWS`` rows is formatted by one ``%`` over its values.
@@ -69,10 +71,12 @@ def _write_float_rows(fh, columns, tail: str) -> None:
     cols = [c[:, None] if c.ndim == 1 else c
             for c in (np.asarray(c, dtype=float) for c in columns)]
     width = sum(c.shape[1] for c in cols)
-    line = ",".join(["%.17g"] * width) + tail.replace("%", "%%")
-    for lo in range(0, len(cols[0]), _BLOCK_ROWS):
-        block = np.hstack([c[lo:lo + _BLOCK_ROWS] for c in cols])
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    line = ",".join(["%" + _FLOAT_SPEC] * width) + tail.replace("%", "%%") + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(cols[0]), _BLOCK_ROWS):
+            block = np.hstack([c[lo:lo + _BLOCK_ROWS] for c in cols])
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def dataset_digest(data: TrajectoryDataset) -> str:
@@ -173,11 +177,7 @@ def _parse_model(text: str) -> SeparatedModel:
 
 
 def _parse_box(text: str) -> list[list[float]]:
-    out = []
-    for pair in text.split(";"):
-        lo, hi = pair.split(",")
-        out.append([float(lo), float(hi)])
-    return out
+    return [[float(lo), float(hi)] for lo, hi in (pair.split(",") for pair in text.split(";"))]
 
 
 # --- dataset CSV --------------------------------------------------------------
@@ -190,12 +190,9 @@ def dataset_columns(n: int, o: int, with_delta: bool) -> list[str]:
 
 
 def save_dataset(path, data: TrajectoryDataset) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(dataset_columns(data.n, data.o, data.delta is not None))
-        columns = [data.t, data.x, data.u]
-        if data.delta is not None:
-            columns.append(data.delta)
-        _write_float_rows(fh, columns, "\r\n")
+    with_delta = data.delta is not None
+    _write_float_rows(path, dataset_columns(data.n, data.o, with_delta),
+                      [data.t, data.x, data.u] + ([data.delta] if with_delta else []))
 
 
 def load_dataset(path) -> TrajectoryDataset:
@@ -248,30 +245,22 @@ def _parse_dataset_rows(path: Path, width: int) -> np.ndarray:
 # --- scenario CSV -------------------------------------------------------------
 
 def save_scenario(path, result: ScenarioResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCENARIO_CSV_COLUMNS)
-        # every row ends in the same mode cell: let csv quote it once
-        tail = io.StringIO()
-        csv.writer(tail).writerow(["", result.mode])
-        _write_float_rows(fh, [result.t, result.eta, result.eta_d, result.v, result.u,
-                               result.delta_true, result.delta_hat], tail.getvalue())
+    # every row ends in the same mode cell: let csv quote it once
+    tail = io.StringIO()
+    csv.writer(tail).writerow(["", result.mode])
+    _write_float_rows(path, SCENARIO_CSV_COLUMNS,
+                      [result.t, result.eta, result.eta_d, result.v, result.u,
+                       result.delta_true, result.delta_hat],
+                      tail.getvalue().removesuffix("\r\n"))
 
 
 def save_sigma_series(path, result: ScenarioResult) -> None:
     """Write the logged HODO feature estimates: columns t, sigma_1..sigma_s2."""
-    with open(path, "w") as fh:
-        cols = ["t"] + [f"sigma_{i+1}" for i in range(result.sigma_hat.shape[1])]
-        fh.write(",".join(cols) + "\n")
-        _write_float_rows(fh, [result.t, result.sigma_hat], "\n")
+    _write_float_rows(path, ["t"] + [f"sigma_{i+1}" for i in range(result.sigma_hat.shape[1])],
+                      [result.t, result.sigma_hat])
 
 
 # --- append-style result CSVs --------------------------------------------------
-
-def _check_header(path, header: Optional[list], columns: list[str]) -> None:
-    if header not in (None, columns):
-        raise DataError(f"{path}: columns {header} do not match schema {columns}")
-
 
 def check_csv_header(path, columns: list[str]) -> None:
     """DataError unless ``path`` is missing, empty or headed by ``columns``:
@@ -279,18 +268,18 @@ def check_csv_header(path, columns: list[str]) -> None:
     writes its first output."""
     if Path(path).exists():
         with open(path, newline="") as fh:
-            _check_header(path, next(csv.reader(fh), None), columns)
+            header = next(csv.reader(fh), None)
+        if header not in (None, columns):
+            raise DataError(f"{path}: columns {header} do not match schema {columns}")
 
 
 def append_csv_row(path, columns: list[str], row: list) -> None:
     """Append one row, writing the header first into a new or empty file;
     a file with another header raises DataError."""
-    with open(path, "a+", newline="") as fh:
-        fh.seek(0)
-        header = next(csv.reader(fh), None)
-        _check_header(path, header, columns)
+    check_csv_header(path, columns)
+    with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
-        if header is None:
+        if fh.tell() == 0:
             writer.writerow(columns)
         writer.writerow(row)
 

@@ -341,13 +341,7 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     # first keeps the fit's peak at one design, the size that bounds N
     del feats
     test_mae, residual_sup = evaluate(model, test if test is not None else data)
-    report = FitReport(
-        train_mae=train_mae,
-        test_mae=test_mae,
-        gram_condition=cond,
-        residual_sup=residual_sup,
-    )
-    return model, report
+    return model, FitReport(train_mae, test_mae, cond, residual_sup)
 
 
 def evaluate(model: SeparatedModel, data: TrajectoryDataset) -> tuple[float, float]:

@@ -30,13 +30,6 @@ from .observer import Hodo, check_poles
 
 # --- plant and training data ------------------------------------------------
 
-# Coefficient vector reported alongside the quad_drag_drift benchmark;
-# kept for comparison only.  The direct basis projection (oracles module)
-# gives 49.25 and -0.25 in the first and seventh entries instead, and
-# fits reproduce the projection, so the projection is authoritative.
-NEWTON_REFERENCE_THETA = np.array([49.75, 0.0, -0.5, -10.0, 0.0, 0.0, 0.25, 0.0, 0.0])
-
-
 def newton_velocity_channel(mass: float = 1.0) -> tuple[Callable, Callable]:
     """Plant maps (f_x, f_u) of the point mass's velocity equation
     dv/dt = f_x(v) + f_u(v) u + delta/m = u/m + delta/m.

@@ -14,10 +14,9 @@ import numpy as np
 from coupled_do import fileio
 from coupled_do.basis import BasisConfig
 from coupled_do.learner import LearningConfig, fit_rls, sweep
-from coupled_do.oracles import (basis_identity_checks, gain_placement_checks,
-                                projection_oracle, rls_checks)
-from coupled_do.sim import (NEWTON_REFERENCE_THETA, ScenarioConfig, disturbance,
-                            generate_training_run, run_scenario)
+from coupled_do.oracles import (NEWTON_REFERENCE_THETA, basis_identity_checks,
+                                gain_placement_checks, projection_oracle, rls_checks)
+from coupled_do.sim import ScenarioConfig, disturbance, generate_training_run, run_scenario
 
 _cache: dict = {}
 

@@ -267,14 +267,14 @@ class TestSeriesWriters:
         sigma = _special_values(rng, (rows, 3))
         result = ScenarioResult("hodo", t, *[t] * 6, sigma_hat=sigma)
         ref = tmp_path / "ref.csv"
-        with open(ref, "w") as fh:
-            fh.write("t,sigma_1,sigma_2,sigma_3\n")
-            for row in _fmt_rows_reference([t, sigma]):
-                fh.write(",".join(row) + "\n")
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "sigma_1", "sigma_2", "sigma_3"])
+            writer.writerows(_fmt_rows_reference([t, sigma]))
         path = tmp_path / "sigma.csv"
         fileio.save_sigma_series(path, result)
         assert path.read_bytes() == ref.read_bytes()
-        assert b"\r" not in path.read_bytes()
+        assert path.read_bytes().count(b"\r\n") == rows + 1
 
     def test_written_dataset_loads_bit_exactly(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -853,6 +853,51 @@ class TestCliExitCodes:
         assert cli.main(["simulate", "--config", str(ini), "--modes", "hodo"]) == 3
         assert capsys.readouterr().err == f"data error: model file not found: {out / 'model.txt'}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["learn", "sweep", "simulate"])
+    @pytest.mark.parametrize("source", ["--out", "io.out_dir"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+    def test_output_path_through_a_file_is_2(self, tmp_path, capsys, monkeypatch,
+                                             command, source, below):
+        # the output path is checked with the inputs: no fit, sweep cell or
+        # scenario runs, and nothing is written
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+        for name in ("fit_rls", "sweep", "run_scenario"):
+            monkeypatch.setattr(cli, name, work)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / below
+        ini = tmp_path / "exp.ini"
+        section = f"\n[io]\nout_dir = {out}\n" if source == "io.out_dir" else ""
+        ini.write_text(BASE_CONFIG + section)
+        argv = [command, "--config", str(ini)] + (["--out", str(out)] if source == "--out" else [])
+        modes = ["--modes", "none"] if command == "simulate" else []
+        assert cli.main(argv + modes) == 2
+        assert capsys.readouterr().err == (f"configuration error: {source}: "
+                                           f"{afile} is not a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "exp.ini"]
+        assert afile.read_text() == "kept\n"
+
+    def test_model_file_directory_checked_before_the_fit(self, tmp_path, capsys, monkeypatch):
+        fits = []
+        fit = cli.fit_rls
+        monkeypatch.setattr(cli, "fit_rls", lambda *args, **kw: fits.append(1) or fit(*args, **kw))
+        out = tmp_path / "out"
+        model = tmp_path / "nodir" / "model.txt"
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BASE_CONFIG + f"\n[io]\nout_dir = {out}\nmodel_file = {model}\n")
+        assert cli.main(["learn", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err == (f"configuration error: io.model_file: "
+                                           f"{model.parent} is not a directory\n")
+        assert not fits and not out.exists()
+        # an existing directory, or the output directory still to be made, holds it
+        model.parent.mkdir()
+        assert cli.main(["learn", "--config", str(ini)]) == 0
+        in_out = out / "later" / "model.txt"
+        ini.write_text(BASE_CONFIG + f"\n[io]\nout_dir = {in_out.parent}\nmodel_file = {in_out}\n")
+        assert cli.main(["learn", "--config", str(ini)]) == 0
+        assert model.exists() and in_out.exists() and len(fits) == 2
 
     def test_empty_dataset_is_3(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
