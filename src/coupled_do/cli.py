@@ -7,8 +7,11 @@ learn     identify a separated model from a dataset file or a synthesis
           print the train and test errors; the model file's
           ``dataset_digest`` is the hash of the whole fitted dataset,
           targets included, taken before the train/test split
-sweep     grid of fits over polynomial order and noise variance, one
-          row per cell in sweep.csv, resumable
+sweep     grid of fits over function, polynomial order and noise
+          variance, one row per cell in sweep.csv, resumable: one
+          ``learner.sweep`` call computes the cells that sweep.csv lacks
+          for the seed, and functions that share a sampling box share
+          each noise level's draw and each order's factored design
 simulate  closed-loop tracking runs for the requested compensation
           modes, per-step CSVs plus a row per mode in metrics.csv
 verify    run the independent oracle suites, which are also acceptance
@@ -16,7 +19,10 @@ verify    run the independent oracle suites, which are also acceptance
           ``--level full`` places 1000 observer gains instead of 100
 
 Exit codes: 0 success, 1 ``verify`` with a failed check, 2 configuration
-error, 3 data error, 4 numerical failure.  Partial successes never exit 0.
+error, 3 data error, 4 numerical failure, 5 stdout could not be written
+(closed early, as by ``| head``, or on a full device): the command stops at
+that report line with one line on stderr, and the files it wrote before
+stay.  Partial successes never exit 0.
 Results go to ``io.out_dir`` (or ``--out``), and so does the model file
 ``model.txt`` unless ``io.model_file`` names another.  ``learn`` adds noise of
 variance ``learning.noise_variance`` to synthesized targets only.
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -117,9 +124,9 @@ def cmd_learn(args) -> int:
                           fileio.report_row(cfg.function, cfg.p, sigma2, cfg.delta,
                                             seed, len(train), len(test), report))
 
-    print(f"model written to {model_path}")
-    print(f"train MAE = {report.train_mae:.6e}  test MAE = {report.test_mae:.6e}  "
-          f"gram condition = {report.gram_condition:.3e}")
+    _say(f"model written to {model_path}")
+    _say(f"train MAE = {report.train_mae:.6e}  test MAE = {report.test_mae:.6e}  "
+         f"gram condition = {report.gram_condition:.3e}")
     return 0
 
 
@@ -128,27 +135,21 @@ def cmd_sweep(args) -> int:
     cfg = typed["learning"]
     seed = _seed(args, cfg.seed)
     grid_path = _paths(typed, args.out)[0] / "sweep.csv"
-    done = fileio.existing_sweep_keys(grid_path)
+    # only the cells this seed has not written yet are computed
+    done = {key[:3] for key in fileio.existing_sweep_keys(grid_path) if key[3] == seed}
 
     rows = []
-    for function in cfg.functions:
-        # only the orders still missing at a noise level are computed
-        for s2 in cfg.noise_variances:
-            todo = tuple(p for p in cfg.p_values if (function, p, s2, seed) not in done)
-            if not todo:
-                continue
-            for cell in sweep(dataclasses.replace(cfg, function=function, seed=seed,
-                                                  p_values=todo, noise_variances=(s2,))):
-                ok = cell.report is not None
-                rows.append([function, cell.p, fileio.fmt(cell.noise_variance), seed,
-                             fileio.fmt(cell.report.test_mae) if ok else "",
-                             "ok" if ok else f"error: {cell.error}"])
+    for cell in sweep(dataclasses.replace(cfg, seed=seed), done):
+        ok = cell.report is not None
+        rows.append([cell.function, cell.p, fileio.fmt(cell.noise_variance), seed,
+                     fileio.fmt(cell.report.test_mae) if ok else "",
+                     "ok" if ok else f"error: {cell.error}"])
     rows.sort(key=lambda r: (r[0], int(r[1]), float(r[2])))
     grid_path.parent.mkdir(parents=True, exist_ok=True)
     for row in rows:
         fileio.append_csv_row(grid_path, fileio.SWEEP_CSV_COLUMNS, row)
-    skipped = " (resume: existing cells skipped)" if any(k[3] == seed for k in done) else ""
-    print(f"sweep grid written to {grid_path}: {len(rows)} new rows{skipped}")
+    skipped = " (resume: existing cells skipped)" if done else ""
+    _say(f"sweep grid written to {grid_path}: {len(rows)} new rows{skipped}")
     failed = [r for r in rows if r[5] != "ok"]
     if failed:
         print(f"{len(failed)} cells failed", file=sys.stderr)
@@ -187,12 +188,12 @@ def cmd_simulate(args) -> int:
                                fileio.fmt(result.estimation_tail_mae()),
                                fileio.fmt(result.estimation_decay_slope()),
                                result.gain_failures])
-        print(f"{mode}: tracking MAE = {tracking:.4f}  "
-              f"estimation MAE = {estimation:.4f}  series -> {series_path}")
+        _say(f"{mode}: tracking MAE = {tracking:.4f}  "
+             f"estimation MAE = {estimation:.4f}  series -> {series_path}")
         if not result.completed:
             raise NumericalError(f"mode {mode}: plant state non-finite after the step from "
                                  f"t = {result.t[-1]:g}; partial series in {series_path}")
-    print(f"metrics appended to {metrics_path}")
+    _say(f"metrics appended to {metrics_path}")
     return 0
 
 
@@ -200,10 +201,23 @@ def cmd_verify(args) -> int:
     from . import oracles       # the one command that needs the reference checks
     results, elapsed = oracles.run_suites(level=args.level)
     for res in results:
-        print(res.line())
+        _say(res.line())
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed in {elapsed:.1f} s")
+    _say(f"{len(results) - len(failed)}/{len(results)} checks passed in {elapsed:.1f} s")
     return 1 if failed else 0
+
+
+class _StdoutFailed(Exception):
+    """A line of a command's report could not be written to stdout."""
+
+
+def _say(text: str) -> None:
+    """One report line on stdout, flushed, so that a closed or full stdout
+    stops the command at this line instead of at the exit's flush."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        raise _StdoutFailed(exc) from None
 
 
 def main(argv=None) -> int:
@@ -221,6 +235,13 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except _StdoutFailed as exc:
+        if sys.stdout is sys.__stdout__:
+            # Python flushes stdout again at exit: with the descriptor on devnull
+            # that flush cannot fail a second time (the signal module's SIGPIPE note)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: stdout: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

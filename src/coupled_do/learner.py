@@ -21,9 +21,12 @@ Cholesky factors of NumPy and SciPy move Theta by 2.7e-11 relative
 through the same solves, and other solve routes by up to 5.0e-9.
 
 :class:`LearningConfig` holds the settings of ``learn`` and ``sweep``, and
-:func:`sweep` takes only it: the function, the seed, the grid of orders and
-noise levels, the sampling boxes and the fit settings are its fields.  Its
-range checks are the ones that the functions here apply to their arguments.
+:func:`sweep` takes only it, with the cells already done: the seed, the grid
+of functions, orders and noise levels, the sampling boxes and the fit
+settings are its fields.  Its range checks are the ones that the functions
+here apply to their arguments.  :func:`fit_rls` and :func:`sweep` share one
+factor (design, Gram, Cholesky) and one solve, so a sweep cell has the bits
+of the ``fit_rls`` call on its data.
 
 The registry of named disturbances (:func:`disturbance`,
 :func:`disturbance_box`) lives here, the lowest module that needs it; the
@@ -140,10 +143,16 @@ class TrajectoryDataset:
 def split_dataset(data: TrajectoryDataset, train_fraction: float,
                   rng: np.random.Generator) -> tuple[TrajectoryDataset, TrajectoryDataset]:
     """Global shuffle followed by a train/test split."""
+    train, test = _split_index(len(data), train_fraction, rng)
+    return data.subset(train), data.subset(test)
+
+
+def _split_index(n: int, train_fraction: float, rng: np.random.Generator):
+    """The train and test positions of :func:`split_dataset` over n records."""
     check("learning.train_fraction", train_fraction)
-    idx = rng.permutation(len(data))
-    cut = int(round(train_fraction * len(data)))
-    return data.subset(idx[:cut]), data.subset(idx[cut:])
+    idx = rng.permutation(n)
+    cut = int(round(train_fraction * n))
+    return idx[:cut], idx[cut:]
 
 
 @dataclass
@@ -302,25 +311,41 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     Memory: one N x s1 design is alive at a time.  The training design
     is released once Theta and the training residuals are computed, and
     only then are the held-out rows featurized and scored.
+
+    The fit is the factor of :func:`sweep` (design, Gram, equilibration,
+    Cholesky factor and condition) and its solve on the one target block,
+    so ``learn`` and each sweep cell take the same arithmetic path.
     """
     check("learning.delta", delta)
-    if len(data) < 1:
-        raise DataError("cannot fit on an empty dataset")
     if data.delta is None:
         raise DataError("training data carries no disturbance targets")
     if data.n != config.n:
         raise ConfigError(f"data has n={data.n}, basis expects n={config.n}")
 
+    feats, scale, chol, cond = _factor(data.x, data.t, config, delta)
+    model, train_mae = _solve(feats, scale, chol, config, data.delta)
+    # evaluate builds a second design of the held-out rows: freeing this one
+    # first keeps the fit's peak at one design, the size that bounds N
+    del feats
+    test_mae, residual_sup = evaluate(model, test if test is not None else data)
+    return model, FitReport(train_mae, test_mae, cond, residual_sup)
+
+
+def _factor(x: np.ndarray, t: np.ndarray, config: BasisConfig, delta: float):
+    """The part of a ridge fit on the rows (x, t) that no target enters:
+    (design, equilibration scale, Cholesky factor of the equilibrated
+    regularized Gram, that Gram's condition number)."""
+    if len(t) < 1:
+        raise DataError("cannot fit on an empty dataset")
     # features that overflow are reported by the finite-Gram check below,
     # not by NumPy warnings; cholesky would factor them into NaN
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            feats = config.design_rows(data.x, data.t)      # rows are B_n @ xi_n
+            feats = config.design_rows(x, t)                # rows are B_n @ xi_n
             gram = feats.T @ feats + delta * np.eye(config.s1)
-            rhs = feats.T @ data.delta                      # = (sum delta_n xi_n^T B_n^T)^T
     except MemoryError as exc:
         raise NumericalError(f"the N x s1 design and s1 x s1 Gram arrays do not fit in "
-                             f"memory, N = {len(data)}, s1 = {config.s1} ({exc})") from None
+                             f"memory, N = {len(t)}, s1 = {config.s1} ({exc})") from None
     if not np.isfinite(gram).all():
         raise NumericalError("regularized Gram has non-finite entries (features overflow)")
     # symmetric diagonal equilibration keeps the Cholesky solve accurate
@@ -331,28 +356,33 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
         chol = np.linalg.cholesky(gram_eq)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
+    return feats, scale, chol, float(np.linalg.cond(gram_eq))
+
+
+def _solve(feats: np.ndarray, scale: np.ndarray, chol: np.ndarray, config: BasisConfig,
+           targets: np.ndarray) -> tuple[SeparatedModel, float]:
+    """The model fitted to ``targets`` (N, n) on a factored design, and its train MAE."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = feats.T @ targets                             # = (sum delta_n xi_n^T B_n^T)^T
     half = np.linalg.solve(chol, scale[:, None] * rhs)
     theta = (scale[:, None] * np.linalg.solve(chol.T, half)).T
-    cond = float(np.linalg.cond(gram_eq))
-
     model = SeparatedModel(theta=theta, config=config)
-    train_mae = float(np.linalg.norm(data.delta - feats @ theta.T, axis=1).mean())
-    # evaluate builds a second design of the held-out rows: freeing this one
-    # first keeps the fit's peak at one design, the size that bounds N
-    del feats
-    test_mae, residual_sup = evaluate(model, test if test is not None else data)
-    return model, FitReport(train_mae, test_mae, cond, residual_sup)
+    return model, _residuals(targets, feats @ theta.T)[0]
+
+
+def _residuals(targets: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
+    """(mean, sup) of the row norms of targets - pred."""
+    if len(targets) == 0:
+        raise DataError("cannot evaluate on an empty dataset")
+    resid = np.linalg.norm(targets - pred, axis=1)
+    return float(resid.mean()), float(resid.max())
 
 
 def evaluate(model: SeparatedModel, data: TrajectoryDataset) -> tuple[float, float]:
     """(mean, sup) of ||delta_i - Theta B(x_i) xi(t_i)|| over a dataset."""
-    if len(data) == 0:
-        raise DataError("cannot evaluate on an empty dataset")
     if data.delta is None:
         raise DataError("evaluation data carries no disturbance targets")
-    pred = model.config.design_rows(data.x, data.t) @ model.theta.T
-    resid = np.linalg.norm(data.delta - pred, axis=1)
-    return float(resid.mean()), float(resid.max())
+    return _residuals(data.delta, model.config.design_rows(data.x, data.t) @ model.theta.T)
 
 
 def synthesize_dataset(disturbance: Callable, x_box, t_box, n_samples: int,
@@ -365,13 +395,24 @@ def synthesize_dataset(disturbance: Callable, x_box, t_box, n_samples: int,
     noise of standard deviation ``noise_std`` is added to delta.
     """
     check("learning.n_samples", n_samples, error=DataError)
-    x_box, t_box = check_box(x_box, "basis.x_box"), check_box(t_box, "basis.t_box")[0]
-    x = rng.uniform(x_box[:, 0], x_box[:, 1], size=(n_samples, x_box.shape[0]))
-    t = rng.uniform(t_box[0], t_box[1], size=n_samples)
-    delta = np.asarray(disturbance(x[:, 0] if x.shape[1] == 1 else x, t), dtype=float)
+    x, t = _draw(x_box, t_box, n_samples, rng)
+    delta = _targets(disturbance, x, t)
     if noise_std > 0:
         delta = delta + rng.normal(0.0, noise_std, size=delta.shape)
     return TrajectoryDataset(t=t, x=x, u=np.zeros((n_samples, 1)), delta=delta)
+
+
+def _draw(x_box, t_box, n_samples: int, rng: np.random.Generator):
+    """(x, t) of :func:`synthesize_dataset`: n_samples points uniform over the box."""
+    x_box, t_box = check_box(x_box, "basis.x_box"), check_box(t_box, "basis.t_box")[0]
+    x = rng.uniform(x_box[:, 0], x_box[:, 1], size=(n_samples, x_box.shape[0]))
+    t = rng.uniform(t_box[0], t_box[1], size=n_samples)
+    return x, t
+
+
+def _targets(disturbance: Callable, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The disturbance on the rows (x, t), a 1-D state passed as a column."""
+    return np.asarray(disturbance(x[:, 0] if x.shape[1] == 1 else x, t), dtype=float)
 
 
 # --- disturbance registry ---------------------------------------------------
@@ -479,52 +520,149 @@ class LearningConfig:
 class SweepCell:
     """One grid cell of a sweep; ``error`` is set when the fit failed."""
 
+    function: str
     p: int
     noise_variance: float
     report: Optional[FitReport] = None
     error: Optional[str] = None
 
 
-def _run_cell(cfg: LearningConfig, p: int, sigma2: float, train: TrajectoryDataset,
-              test: TrajectoryDataset) -> SweepCell:
-    try:
-        basis = BasisConfig(p, train.n, *cfg.boxes(cfg.function), cfg.normalize)
-        _, report = fit_rls(train, basis, cfg.delta, test=test)
-        return SweepCell(p=p, noise_variance=sigma2, report=report)
-    except Exception as exc:  # a failed cell must not abort the grid
-        return SweepCell(p=p, noise_variance=sigma2, error=f"{type(exc).__name__}: {exc}")
+def sweep(cfg: LearningConfig, done=frozenset()) -> list[SweepCell]:
+    """Grid of identification runs over ``cfg.functions`` x ``cfg.p_values``
+    x ``cfg.noise_variances``, without the (function, p, noise variance)
+    keys in ``done``; cells are returned function-, then p-major.
 
+    Each noise level draws ``cfg.n_samples`` points from a function's
+    ``cfg.boxes`` and splits them by ``cfg.train_fraction``, from a
+    generator stream keyed by (``cfg.seed``, noise variance); the targets
+    get noise of their own shape, as in :func:`synthesize_dataset`.  Every
+    order is fitted with ``cfg.delta`` and ``cfg.normalize`` and scored
+    against the clean disturbance on that one draw, so a cell depends only
+    on its function, p and noise variance and the fields of ``cfg`` outside
+    the grid.
 
-def sweep(cfg: LearningConfig) -> list[SweepCell]:
-    """Grid of identification runs of ``cfg.function`` over the orders
-    ``cfg.p_values`` and the noise levels ``cfg.noise_variances``.
-
-    Each noise level draws ``cfg.n_samples`` points from
-    ``cfg.boxes(cfg.function)`` and splits them by ``cfg.train_fraction``,
-    from a generator stream keyed by (``cfg.seed``, noise variance); every
-    order is fitted with ``cfg.delta`` and ``cfg.normalize`` and scored on
-    that one draw, so a cell depends only on its p, its noise variance and
-    the fields of ``cfg`` outside the grid.  Cells are returned p-major.
+    Functions whose box and target shape agree draw the same points, noise
+    and split, so they share them: per (noise variance, p) one factor
+    (design, Gram, Cholesky factor, condition) serves all of them, each
+    function adds only its right-hand side, solves and scores, and one
+    test design, built after the training design is freed, scores them
+    all.  A failure fails only the cells it reaches.
     """
-    p_values, noise_variances = cfg.p_values, cfg.noise_variances
-    if not p_values or not noise_variances:
-        raise ConfigError("sweep.p_values and sweep.noise_variances must be non-empty")
-    fn = disturbance(cfg.function)
-    x_box, t_box = cfg.boxes(cfg.function)
-    by_level = []
-    for s2 in noise_variances:
-        # keyed by the exact bits of s2, so all orders at one noise level
-        # share one dataset and split, whatever grid the cell sits in
-        rng = rng_stream(cfg.seed, "sweep", int(np.float64(s2).view(np.uint64)))
+    if not (cfg.functions and cfg.p_values and cfg.noise_variances):
+        raise ConfigError("sweep.functions, sweep.p_values and sweep.noise_variances "
+                          "must be non-empty")
+    todo = [(f, p, s2) for f in cfg.functions for p in cfg.p_values
+            for s2 in cfg.noise_variances if (f, p, s2) not in done]
+    by_box: dict[tuple, list[str]] = {}
+    for f in cfg.functions:
+        by_box.setdefault(cfg.boxes(f), []).append(f)
+    cells = {}
+    for boxes, functions in by_box.items():
+        for s2 in cfg.noise_variances:
+            orders = {f: [p for p in cfg.p_values if (f, p, s2) not in done]
+                      for f in functions}
+            orders = {f: ps for f, ps in orders.items() if ps}
+            if orders:
+                cells.update(_sweep_level(cfg, boxes, s2, orders))
+    return [cells[key] for key in todo]
+
+
+def _sweep_level(cfg: LearningConfig, boxes: tuple, s2: float,
+                 orders: dict[str, list[int]]) -> dict[tuple, SweepCell]:
+    """The cells at noise level ``s2`` of the functions in ``orders`` (name:
+    the orders to fit), which share the sampling box ``boxes``."""
+    cells = {}
+
+    def fail(f, ps, exc):       # a failed cell must not abort the grid
+        error = f"{type(exc).__name__}: {exc}"
+        cells.update({(f, p, s2): SweepCell(f, p, s2, error=error) for p in ps})
+
+    try:
+        failed, groups = _level_splits(cfg, boxes, s2, list(orders))
+    except Exception as exc:    # a failed draw fails the cells of its own level only
+        for f, ps in orders.items():
+            fail(f, ps, exc)
+        return cells
+    for f, exc in failed.items():
+        fail(f, orders[f], exc)
+    for train_x, train_t, test_x, test_t, targets in groups:
+        for p in cfg.p_values:
+            names = [f for f in targets if p in orders[f]]
+            if not names:
+                continue
+            try:
+                basis = BasisConfig(p, train_x.shape[1], *boxes, cfg.normalize)
+                feats, scale, chol, cond = _factor(train_x, train_t, basis, cfg.delta)
+            except Exception as exc:
+                for f in names:
+                    fail(f, [p], exc)
+                continue
+            fitted = {}
+            for f in names:
+                try:
+                    fitted[f] = _solve(feats, scale, chol, basis, targets[f][0])
+                except Exception as exc:
+                    fail(f, [p], exc)
+            # one N x s1 design at a time: the test design follows the freed training one
+            del feats
+            try:
+                design = basis.design_rows(test_x, test_t)
+            except Exception as exc:
+                for f in fitted:
+                    fail(f, [p], exc)
+                continue
+            for f, (model, train_mae) in fitted.items():
+                try:
+                    test_mae, residual_sup = _residuals(targets[f][1], design @ model.theta.T)
+                    cells[f, p, s2] = SweepCell(f, p, s2, report=FitReport(
+                        train_mae, test_mae, cond, residual_sup))
+                except Exception as exc:
+                    fail(f, [p], exc)
+            del design
+    return cells
+
+
+def _level_splits(cfg: LearningConfig, boxes: tuple, s2: float, names: list[str]):
+    """The draw of :func:`sweep` at noise level ``s2`` over ``boxes``, split for
+    each function in ``names`` as :func:`synthesize_dataset` and
+    :func:`split_dataset` would: ({name: the exception that fails it},
+    [(train x, train t, test x, test t, {name: (train targets, clean test
+    targets)})], one entry per target shape).  The full draw is freed on
+    return, before any design is built."""
+    # keyed by the exact bits of s2, so all cells at one noise level share
+    # one dataset and split, whatever grid they sit in
+    rng = rng_stream(cfg.seed, "sweep", int(np.float64(s2).view(np.uint64)))
+    x, t = _draw(*boxes, cfg.n_samples, rng)
+    drawn = rng.bit_generator.state
+    u = np.zeros((cfg.n_samples, 1))
+    noise_std = float(np.sqrt(s2))
+    failed, by_shape = {}, {}
+    for f in names:
         try:
-            data = synthesize_dataset(fn, x_box, t_box, cfg.n_samples, rng,
-                                      noise_std=float(np.sqrt(s2)))
-            train, test = split_dataset(data, cfg.train_fraction, rng)
-            # test error is measured against the clean disturbance values
-            clean = fn(test.x[:, 0] if test.x.shape[1] == 1 else test.x, test.t)
-            test = TrajectoryDataset(t=test.t, x=test.x, u=test.u, delta=clean)
-            by_level.append([_run_cell(cfg, p, s2, train, test) for p in p_values])
-        except Exception as exc:  # a failed draw fails the cells of its own level only
-            error = f"{type(exc).__name__}: {exc}"
-            by_level.append([SweepCell(p=p, noise_variance=s2, error=error) for p in p_values])
-    return [level[i] for i in range(len(p_values)) for level in by_level]
+            delta = _targets(disturbance(f), x, t)
+            by_shape.setdefault(delta.shape, {})[f] = delta
+        except Exception as exc:
+            failed[f] = exc
+    groups = []
+    for shape, deltas in by_shape.items():
+        rng.bit_generator.state = drawn     # the noise and split of this target shape
+        noise = rng.normal(0.0, noise_std, size=shape) if noise_std > 0 else None
+        for f, delta in list(deltas.items()):
+            try:       # the checks of synthesize_dataset, with their messages
+                deltas[f] = TrajectoryDataset(
+                    t=t, x=x, u=u, delta=delta if noise is None else delta + noise).delta
+            except Exception as exc:
+                failed[f] = exc
+                del deltas[f]
+        train, test = _split_index(cfg.n_samples, cfg.train_fraction, rng)
+        test_x, test_t = x[test], t[test]
+        targets = {}
+        for f, delta in deltas.items():
+            try:       # test errors are measured against the clean disturbance
+                clean = TrajectoryDataset(t=test_t, x=test_x, u=u[test],
+                                          delta=_targets(disturbance(f), test_x, test_t))
+                targets[f] = (delta[train], clean.delta)
+            except Exception as exc:
+                failed[f] = exc
+        groups.append((x[train], t[train], test_x, test_t, targets))
+    return failed, groups

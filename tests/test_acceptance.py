@@ -127,7 +127,7 @@ def test_criterion_7_sweep_shape(acceptance):
     interior = True
     details = []
     for name in functions:
-        base = LearningConfig(function=name, n_samples=10000,
+        base = LearningConfig(functions=(name,), n_samples=10000,
                               delta=0.01, normalize=True, seed=7)
         cells = sweep(replace(base, p_values=p_values, noise_variances=noise))
         for sigma2 in noise:
@@ -136,11 +136,11 @@ def test_criterion_7_sweep_shape(acceptance):
             interior &= p_values[0] < arg < p_values[-1]
             details.append(f"{name}@{sigma2}:p{arg}")
 
-    base = LearningConfig(function="cubic_drift", n_samples=10000,
+    base = LearningConfig(functions=("cubic_drift",), n_samples=10000,
                           delta=1e-9, normalize=True, seed=7)
     inspan = [c.report.test_mae
               for c in sweep(replace(base, p_values=[3, 4, 5, 6], noise_variances=[0.0]))]
-    base_ridge = LearningConfig(function="cubic_drift", n_samples=10000,
+    base_ridge = LearningConfig(functions=("cubic_drift",), n_samples=10000,
                                 delta=0.01, normalize=True, seed=7)
     ridge_floor = sweep(replace(base_ridge, p_values=[3],
                                 noise_variances=[0.0]))[0].report.test_mae

@@ -937,6 +937,53 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
+    @pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"),
+                                       OSError(28, "No space left on device")],
+                             ids=["closed", "full"])
+    def test_failed_stdout_is_one_stderr_line_and_5(self, config_file, tmp_path, capsys,
+                                                    monkeypatch, error):
+        class FailingStdout:
+            def write(self, text):
+                raise error
+
+            def flush(self):
+                raise error
+
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", FailingStdout())
+            code = cli.main(["learn", "--config", str(config_file), "--out", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err == f"output error: stdout: {error}\n"
+        # the report line comes after the results, which stay written
+        assert (out / "model.txt").exists()
+        assert len((out / "fit_reports.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("stream", ["closed", "full"])
+    def test_failed_stdout_of_the_process(self, stream):
+        # the real streams: a pipe closed before the first line, and a full
+        # device; Python's exit-time flush must not add a second message
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "coupled_do.cli", "verify", "--level", "fast"]
+        if stream == "full":
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                      env=env, timeout=300)
+            code, err = proc.returncode, proc.stderr
+        else:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, env=env)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=300)
+            proc.stderr.close()
+        errno = {"closed": "[Errno 32] Broken pipe",
+                 "full": "[Errno 28] No space left on device"}[stream]
+        assert (code, err) == (5, f"output error: stdout: {errno}\n")
+
 
 class TestCliPipelines:
     def test_learn_then_simulate(self, config_file, tmp_path, capsys):
@@ -1058,15 +1105,38 @@ class TestCliPipelines:
         grid = out / "sweep.csv"
         first = grid.read_text()
         computed = []
-        run_cell = learner._run_cell
+        factor = learner._factor
 
         def counting(*args):
-            computed.append(args[1:3])            # (p, noise variance)
-            return run_cell(*args)
-        monkeypatch.setattr(learner, "_run_cell", counting)
+            computed.append(args[2].p)            # the basis of the factored design
+            return factor(*args)
+        monkeypatch.setattr(learner, "_factor", counting)
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
         assert computed == []
         assert grid.read_text() == first
+
+    def test_sweep_partly_resumed_ends_as_one_shot(self, tmp_path, capsys):
+        # functions that share a box share a fit, but each resumes its own
+        # missing orders: the rows equal a one-shot run's, up to line order
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[learning]\nn_samples = 1000\nseed = 5\n"
+                       "[sweep]\nfunctions = sine_product, cubic_drift, sine_cubic\n"
+                       "p_values = 1, 2, 3\nnoise_variances = 0, 0.05\n")
+        fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+        assert cli.main(["sweep", "--config", str(ini), "--out", str(fresh)]) == 0
+        rows = (fresh / "sweep.csv").read_text().splitlines(keepends=True)
+        missing = {("cubic_drift", "1", 0.0), ("cubic_drift", "3", 0.05),
+                   ("sine_cubic", "2", 0.0), ("sine_cubic", "2", 0.05),
+                   ("sine_product", "3", 0.0)}
+        kept = rows[:1] + [r for r in rows[1:]
+                           if (*r.split(",")[:2], float(r.split(",")[2])) not in missing]
+        assert len(kept) == len(rows) - len(missing)
+        resumed.mkdir()
+        (resumed / "sweep.csv").write_text("".join(kept))
+        assert cli.main(["sweep", "--config", str(ini), "--out", str(resumed)]) == 0
+        assert f": {len(missing)} new rows (resume" in capsys.readouterr().out
+        assert sorted((resumed / "sweep.csv").read_text().splitlines()) == sorted(
+            r.rstrip("\r\n") for r in rows)
 
     def test_sweep_resume_keys_include_the_seed(self, tmp_path, capsys):
         # another seed into the same sweep.csv computes its own cells

@@ -360,7 +360,7 @@ class TestEvaluate:
 
 class TestSweep:
     def test_inspan_cell_exact(self):
-        base = LearningConfig(function="cubic_drift",
+        base = LearningConfig(functions=("cubic_drift",),
                               n_samples=4000, delta=1e-9, normalize=True, seed=1)
         cells = sweep(replace(base, p_values=[3], noise_variances=[0.0]))
         assert cells[0].report.test_mae < 1e-6
@@ -371,7 +371,7 @@ class TestSweep:
         for sigma2 in (0.01, 0.25):
             maes = []
             for seed in range(5):
-                base = LearningConfig(function="cubic_drift", n_samples=2000,
+                base = LearningConfig(functions=("cubic_drift",), n_samples=2000,
                                       normalize=True, seed=seed)
                 cell = sweep(replace(base, p_values=[3], noise_variances=[sigma2]))[0]
                 maes.append(cell.report.test_mae)
@@ -386,7 +386,7 @@ class TestSweep:
         noise = (0.01, 0.05, 0.1)
         edges = []
         for seed in range(5):
-            base = LearningConfig(function="sine_cubic", n_samples=10000,
+            base = LearningConfig(functions=("sine_cubic",), n_samples=10000,
                                   normalize=True, seed=seed)
             cells = sweep(replace(base, p_values=p_values, noise_variances=noise))
             for sigma2 in noise:
@@ -397,7 +397,7 @@ class TestSweep:
         assert edges == []
 
     def test_cell_independent_of_grid(self):
-        base = LearningConfig(function="sine_cubic", n_samples=2000,
+        base = LearningConfig(functions=("sine_cubic",), n_samples=2000,
                               normalize=True, seed=2)
         grid = sweep(replace(base, p_values=[1, 2, 3, 4], noise_variances=[0.01, 0.05]))
         alone = sweep(replace(base, p_values=[3], noise_variances=[0.05]))[0]
@@ -408,10 +408,71 @@ class TestSweep:
         entry = dict(learner._REGISTRY["cubic_drift"],
                      fn=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan))
         monkeypatch.setitem(learner._REGISTRY, "all_nan", entry)
-        base = LearningConfig(function="all_nan", n_samples=100, seed=0)
+        base = LearningConfig(functions=("all_nan",), n_samples=100, seed=0)
         cells = sweep(replace(base, p_values=[1], noise_variances=[0.0]))
         assert cells[0].report is None
         assert "DataError" in cells[0].error
+
+    @staticmethod
+    def per_function_cell(cfg, name, p, sigma2):
+        # one (function, p, noise variance) cell by the route that fits it
+        # alone: draw, split, clean test targets, fit_rls
+        fn, (x_box, t_box) = disturbance(name), cfg.boxes(name)
+        rng = rng_stream(cfg.seed, "sweep", int(np.float64(sigma2).view(np.uint64)))
+        data = synthesize_dataset(fn, x_box, t_box, cfg.n_samples, rng,
+                                  noise_std=float(np.sqrt(sigma2)))
+        train, test = split_dataset(data, cfg.train_fraction, rng)
+        test = TrajectoryDataset(t=test.t, x=test.x, u=test.u, delta=fn(test.x[:, 0], test.t))
+        basis = BasisConfig(p, 1, x_box, t_box, cfg.normalize)
+        return fit_rls(train, basis, cfg.delta, test=test)[1]
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_shared_sweep_equals_the_per_function_route(self, normalize, seed):
+        # the three functions share one box, so one draw and one factor per
+        # (noise, p) serve them all; every figure keeps its bits
+        cfg = LearningConfig(n_samples=2000, normalize=normalize, seed=seed,
+                             functions=("sine_product", "cubic_drift", "sine_cubic"),
+                             p_values=(1, 2, 3, 4, 5, 6), noise_variances=(0.0, 0.05))
+        cells = sweep(cfg)
+        assert [(c.function, c.p, c.noise_variance) for c in cells] == [
+            (f, p, s2) for f in cfg.functions for p in cfg.p_values
+            for s2 in cfg.noise_variances]
+        for cell in cells:
+            assert cell.error is None
+            assert cell.report == self.per_function_cell(cfg, cell.function, cell.p,
+                                                         cell.noise_variance)
+
+    def test_one_shared_level_keeps_one_design_alive(self, traced_peak):
+        # three functions at p = 6: the draw is freed before the training
+        # design, and the test design is built after the training one is freed
+        cfg = LearningConfig(n_samples=20_000, p_values=(6,), noise_variances=(0.05,),
+                             functions=("sine_product", "cubic_drift", "sine_cubic"))
+        cells, peak = traced_peak(lambda: sweep(cfg))
+        assert [c.error for c in cells] == [None] * 3
+        n_train, s1 = 10_000, BasisConfig(p=6, n=1).s1
+        assert peak < 2 * n_train * s1 * 8
+
+    def test_failing_function_fails_only_its_own_cells(self, monkeypatch):
+        entry = dict(learner._REGISTRY["cubic_drift"],
+                     fn=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan))
+        monkeypatch.setitem(learner._REGISTRY, "all_nan", entry)
+        base = LearningConfig(n_samples=500, seed=3, p_values=(1, 2, 3),
+                              noise_variances=(0.0, 0.05))
+        mixed = sweep(replace(base, functions=("all_nan", "cubic_drift")))
+        alone = sweep(replace(base, functions=("cubic_drift",)))
+        assert [c.error for c in mixed if c.function == "all_nan"] == [
+            "DataError: non-finite values in delta"] * 6
+        assert [c for c in mixed if c.function == "cubic_drift"] == alone
+        assert all(c.error is None for c in alone)
+
+    def test_done_cells_are_left_out(self):
+        base = LearningConfig(n_samples=500, seed=3, functions=("cubic_drift", "sine_cubic"),
+                              p_values=(1, 2), noise_variances=(0.0, 0.05))
+        whole = sweep(base)
+        done = {("cubic_drift", 1, 0.0), ("sine_cubic", 2, 0.05), ("sine_cubic", 2, 0.0)}
+        rest = sweep(base, done)
+        assert rest == [c for c in whole if (c.function, c.p, c.noise_variance) not in done]
 
     def test_empty_grid_rejected(self):
         base = LearningConfig(function="cubic_drift")
