@@ -13,7 +13,9 @@ sweep     grid of fits over function, polynomial order and noise
           for the seed, and functions that share a sampling box share
           each noise level's draw and each order's factored design
 simulate  closed-loop tracking runs for the requested compensation
-          modes, per-step CSVs plus a row per mode in metrics.csv
+          modes, per-step CSVs plus a row per mode in metrics.csv; one
+          mode's results are alive at a time, and the ``t`` and ``eta_d``
+          cells that every mode shares are formatted once per command
 verify    run the independent oracle suites, which are also acceptance
           criteria 1, 2 and 4 at the same seeds, and report pass/fail;
           ``--level full`` places 1000 observer gains instead of 100
@@ -175,11 +177,13 @@ def cmd_simulate(args) -> int:
     fileio.check_csv_header(metrics_path, fileio.METRICS_CSV_COLUMNS)
     scenarios = [dataclasses.replace(typed["scenario"], mode=mode, model=model, seed=seed)
                  for mode in modes]
+    # the formatted cells the modes share; a single mode has nothing to share
+    shared = {} if len(modes) > 1 else None
     for mode, scenario in zip(modes, scenarios):
         result = run_scenario(scenario)
         out.mkdir(parents=True, exist_ok=True)
         series_path = out / f"scenario_{mode}.csv"
-        fileio.save_scenario(series_path, result)
+        fileio.save_scenario(series_path, result, shared)
         if result.sigma_hat is not None:
             fileio.save_sigma_series(out / f"scenario_{mode}_sigma.csv", result)
         tracking, estimation = result.tracking_mae(), result.estimation_mae()
@@ -193,6 +197,7 @@ def cmd_simulate(args) -> int:
         if not result.completed:
             raise NumericalError(f"mode {mode}: plant state non-finite after the step from "
                                  f"t = {result.t[-1]:g}; partial series in {series_path}")
+        del result      # freed before the next mode allocates its own series
     _say(f"metrics appended to {metrics_path}")
     return 0
 

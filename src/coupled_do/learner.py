@@ -155,6 +155,13 @@ def _split_index(n: int, train_fraction: float, rng: np.random.Generator):
     return idx[:cut], idx[cut:]
 
 
+def _finite_theta(theta: np.ndarray) -> np.ndarray:
+    """``theta``, or DataError if it has a non-finite coefficient."""
+    if not np.isfinite(theta).all():
+        raise DataError("theta has non-finite coefficients")
+    return theta
+
+
 @dataclass
 class SeparatedModel:
     """Identified coefficients Theta with their basis configuration.
@@ -186,8 +193,7 @@ class SeparatedModel:
         if self.theta.shape[0] != self.config.n:
             raise ConfigError(
                 f"theta has {self.theta.shape[0]} rows, basis requires n={self.config.n}")
-        if not np.isfinite(self.theta).all():
-            raise DataError("theta has non-finite coefficients")
+        _finite_theta(self.theta)
         lo, hi = self.config.t_box
         self.time_scale = 2.0 / (hi - lo) if self.config.normalize else 1.0
         self.D, A = structure_matrices(self.config.s2)
@@ -323,7 +329,8 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
         raise ConfigError(f"data has n={data.n}, basis expects n={config.n}")
 
     feats, scale, chol, cond = _factor(data.x, data.t, config, delta)
-    model, train_mae = _solve(feats, scale, chol, config, data.delta)
+    theta, train_mae = _solve(feats, scale, chol, data.delta)
+    model = SeparatedModel(theta=theta, config=config)
     # evaluate builds a second design of the held-out rows: freeing this one
     # first keeps the fit's peak at one design, the size that bounds N
     del feats
@@ -359,15 +366,15 @@ def _factor(x: np.ndarray, t: np.ndarray, config: BasisConfig, delta: float):
     return feats, scale, chol, float(np.linalg.cond(gram_eq))
 
 
-def _solve(feats: np.ndarray, scale: np.ndarray, chol: np.ndarray, config: BasisConfig,
-           targets: np.ndarray) -> tuple[SeparatedModel, float]:
-    """The model fitted to ``targets`` (N, n) on a factored design, and its train MAE."""
+def _solve(feats: np.ndarray, scale: np.ndarray, chol: np.ndarray,
+           targets: np.ndarray) -> tuple[np.ndarray, float]:
+    """Theta (n, s1) fitted to ``targets`` (N, n) on a factored design, and
+    its train MAE; DataError if Theta is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = feats.T @ targets                             # = (sum delta_n xi_n^T B_n^T)^T
     half = np.linalg.solve(chol, scale[:, None] * rhs)
-    theta = (scale[:, None] * np.linalg.solve(chol.T, half)).T
-    model = SeparatedModel(theta=theta, config=config)
-    return model, _residuals(targets, feats @ theta.T)[0]
+    theta = _finite_theta((scale[:, None] * np.linalg.solve(chol.T, half)).T)
+    return theta, _residuals(targets, feats @ theta.T)[0]
 
 
 def _residuals(targets: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
@@ -537,16 +544,18 @@ def sweep(cfg: LearningConfig, done=frozenset()) -> list[SweepCell]:
     generator stream keyed by (``cfg.seed``, noise variance); the targets
     get noise of their own shape, as in :func:`synthesize_dataset`.  Every
     order is fitted with ``cfg.delta`` and ``cfg.normalize`` and scored
-    against the clean disturbance on that one draw, so a cell depends only
-    on its function, p and noise variance and the fields of ``cfg`` outside
-    the grid.
+    against the clean targets of that one draw, the disturbance's values
+    before the noise, so a cell depends only on its function, p and noise
+    variance and the fields of ``cfg`` outside the grid.  Each function's
+    disturbance is evaluated once per noise level.
 
     Functions whose box and target shape agree draw the same points, noise
     and split, so they share them: per (noise variance, p) one factor
     (design, Gram, Cholesky factor, condition) serves all of them, each
     function adds only its right-hand side, solves and scores, and one
     test design, built after the training design is freed, scores them
-    all.  A failure fails only the cells it reaches.
+    all with each Theta as it is solved: no cell builds a
+    :class:`SeparatedModel`.  A failure fails only the cells it reaches.
     """
     if not (cfg.functions and cfg.p_values and cfg.noise_variances):
         raise ConfigError("sweep.functions, sweep.p_values and sweep.noise_variances "
@@ -600,7 +609,7 @@ def _sweep_level(cfg: LearningConfig, boxes: tuple, s2: float,
             fitted = {}
             for f in names:
                 try:
-                    fitted[f] = _solve(feats, scale, chol, basis, targets[f][0])
+                    fitted[f] = _solve(feats, scale, chol, targets[f][0])
                 except Exception as exc:
                     fail(f, [p], exc)
             # one N x s1 design at a time: the test design follows the freed training one
@@ -611,9 +620,9 @@ def _sweep_level(cfg: LearningConfig, boxes: tuple, s2: float,
                 for f in fitted:
                     fail(f, [p], exc)
                 continue
-            for f, (model, train_mae) in fitted.items():
+            for f, (theta, train_mae) in fitted.items():
                 try:
-                    test_mae, residual_sup = _residuals(targets[f][1], design @ model.theta.T)
+                    test_mae, residual_sup = _residuals(targets[f][1], design @ theta.T)
                     cells[f, p, s2] = SweepCell(f, p, s2, report=FitReport(
                         train_mae, test_mae, cond, residual_sup))
                 except Exception as exc:
@@ -647,22 +656,17 @@ def _level_splits(cfg: LearningConfig, boxes: tuple, s2: float, names: list[str]
     for shape, deltas in by_shape.items():
         rng.bit_generator.state = drawn     # the noise and split of this target shape
         noise = rng.normal(0.0, noise_std, size=shape) if noise_std > 0 else None
-        for f, delta in list(deltas.items()):
+        train, test = _split_index(cfg.n_samples, cfg.train_fraction, rng)
+        targets = {}
+        for f, delta in deltas.items():
             try:       # the checks of synthesize_dataset, with their messages
-                deltas[f] = TrajectoryDataset(
+                noisy = TrajectoryDataset(
                     t=t, x=x, u=u, delta=delta if noise is None else delta + noise).delta
             except Exception as exc:
                 failed[f] = exc
-                del deltas[f]
-        train, test = _split_index(cfg.n_samples, cfg.train_fraction, rng)
-        test_x, test_t = x[test], t[test]
-        targets = {}
-        for f, delta in deltas.items():
-            try:       # test errors are measured against the clean disturbance
-                clean = TrajectoryDataset(t=test_t, x=test_x, u=u[test],
-                                          delta=_targets(disturbance(f), test_x, test_t))
-                targets[f] = (delta[train], clean.delta)
-            except Exception as exc:
-                failed[f] = exc
-        groups.append((x[train], t[train], test_x, test_t, targets))
+                continue
+            # test errors are measured against the clean draw: finite noisy
+            # targets have finite clean ones of the same shape
+            targets[f] = noisy[train], delta.reshape(noisy.shape)[test]
+        groups.append((x[train], t[train], x[test], t[test], targets))
     return failed, groups

@@ -1,12 +1,14 @@
 """File formats, configuration handling, and the command-line surface."""
 
 import csv
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -259,6 +261,45 @@ class TestSeriesWriters:
         path = tmp_path / "scenario.csv"
         fileio.save_scenario(path, result)
         assert path.read_bytes() == ref.read_bytes()
+
+    def test_shared_cells_reused_only_on_equal_bits(self, tmp_path):
+        # the second write shares block 0's t and eta_d bits with the first;
+        # block 1 flips a 0.0 to -0.0, block 2 changes a NaN's payload, and
+        # the final block is shorter
+        rng = np.random.default_rng(27)
+
+        def result(mode, t, eta_d):
+            eta, *rest = (_special_values(rng, len(t)) for _ in range(5))
+            return ScenarioResult(mode, t, eta, eta_d, *rest)
+        rows = 3 * BLOCK + 10
+        t, eta_d = _special_values(rng, rows), _special_values(rng, rows)
+        t[BLOCK + 5], eta_d[2 * BLOCK + 7] = 0.0, np.nan
+        shared = {}
+        first = result("none", t, eta_d)
+        fileio.save_scenario(tmp_path / "first.csv", first, shared)
+        assert sorted(shared) == [0, BLOCK, 2 * BLOCK, 3 * BLOCK]
+        # a reused block shows as the mark before its rows' tail
+        for lo, (cells, text) in shared.items():
+            shared[lo] = cells, text.replace("%s\r\n", "#%s\r\n")
+
+        t2, eta_d2 = t[:rows - 3].copy(), eta_d[:rows - 3].copy()
+        t2[BLOCK + 5] = -0.0
+        eta_d2[2 * BLOCK + 7] = np.array(0x7FF8000000000001, dtype=np.uint64).view(float)
+        second = result("a,b%s", t2, eta_d2)
+        fileio.save_scenario(tmp_path / "second.csv", second, shared)
+
+        for written, name in ((first, "first.csv"), (second, "second.csv")):
+            table = _fmt_rows_reference([written.t, written.eta, written.eta_d, written.v,
+                                         written.u, written.delta_true, written.delta_hat])
+            if written is second:      # block 0 alone was reused
+                for row in table[:BLOCK]:
+                    row[-1] += "#"
+            ref = tmp_path / "ref.csv"
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(fileio.SCENARIO_CSV_COLUMNS)
+                writer.writerows(row + [written.mode] for row in table)
+            assert (tmp_path / name).read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("rows", [0, 1, BLOCK, BLOCK + 1])
     def test_sigma_bytes(self, tmp_path, rows):
@@ -999,6 +1040,51 @@ class TestCliPipelines:
         assert metrics[0] == ",".join(fileio.METRICS_CSV_COLUMNS)
         assert len(metrics) == 4
 
+    def test_modes_of_one_run_write_the_bytes_of_each_mode_alone(self, config_file, tmp_path,
+                                                                 capsys):
+        # the modes share their formatted t and eta_d cells (three blocks, the
+        # last one short), and each file keeps the bytes of its own run
+        together, alone = tmp_path / "together", tmp_path / "alone"
+        assert cli.main(["learn", "--config", str(config_file), "--out", str(together)]) == 0
+        ini = tmp_path / "sim.ini"
+        ini.write_text(BASE_CONFIG.replace("duration = 0.5", "duration = 2.5")
+                       + f"\n[io]\nmodel_file = {together / 'model.txt'}\n")
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(together),
+                         "--modes", "none,ndo,hodo"]) == 0
+        for mode in ("none", "ndo", "hodo"):
+            assert cli.main(["simulate", "--config", str(ini), "--out", str(alone),
+                             "--modes", mode]) == 0
+            digests = [hashlib.sha256((d / f"scenario_{mode}.csv").read_bytes()).hexdigest()
+                       for d in (together, alone)]
+            assert digests[0] == digests[1]
+        lines = (alone / "scenario_hodo.csv").read_bytes().count(b"\r\n")
+        assert lines == 2501 and lines > 2 * BLOCK + 1
+
+    def test_one_mode_result_alive_at_a_time(self, config_file, tmp_path, capsys, monkeypatch,
+                                             traced_peak):
+        out = tmp_path / "out"
+        assert cli.main(["learn", "--config", str(config_file), "--out", str(out)]) == 0
+        ini = tmp_path / "sim.ini"
+        ini.write_text(BASE_CONFIG.replace("duration = 0.5", "duration = 1")
+                       + f"\n[io]\nmodel_file = {out / 'model.txt'}\n")
+        # each run meets no result of an earlier mode
+        results = []
+
+        def run(cfg):
+            assert [ref() for ref in results] == [None] * len(results)
+            result = run_scenario(cfg)
+            results.append(weakref.ref(result))
+            return result
+        monkeypatch.setattr(cli, "run_scenario", run)
+        argv = ["simulate", "--config", str(ini), "--out", str(out), "--modes"]
+        assert cli.main(argv + ["hodo"]) == 0        # the observer's kernels are built once
+        peaks = {}
+        for modes in ("none,ndo", "none,ndo,hodo"):
+            results.clear()
+            code, peaks[modes] = traced_peak(lambda: cli.main(argv + [modes]))
+            assert code == 0
+        assert peaks["none,ndo,hodo"] < 1.05 * peaks["none,ndo"]
+
     def test_simulate_logs_sigma_series(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["learn", "--config", str(config_file), "--out", str(out)]) == 0
@@ -1153,6 +1239,33 @@ class TestCliPipelines:
         assert [r.split(",")[3] for r in rows[1:]] == ["1", "2"]
         assert fileio.existing_sweep_keys(out / "sweep.csv") == {
             ("cubic_drift", 2, 0.01, 1), ("cubic_drift", 2, 0.01, 2)}
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("cubic_drift,abc,0.01,1,0.5,ok", "invalid literal for int()"),
+        ("cubic_drift,2,0.01", "3 fields, header has 6"),
+    ])
+    def test_malformed_sweep_row_is_3_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                     bad_row, message):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[learning]\nn_samples = 1000\nseed = 1\n"
+                       "[sweep]\nfunctions = cubic_drift\np_values = 1, 2\n"
+                       "noise_variances = 0.01\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        grid = out / "sweep.csv"
+        grid.write_text(",".join(fileio.SWEEP_CSV_COLUMNS) + "\r\n"
+                        "cubic_drift,1,0.01,1,0.25,ok\r\n" + bad_row + "\r\n")
+        before = grid.read_bytes()
+
+        def no_fit(*args):
+            raise AssertionError("fitted before the resume keys were read")
+        monkeypatch.setattr(learner, "_factor", no_fit)
+        assert cli.main(["sweep", "--config", str(ini), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {grid}, line 3: ")
+        assert message in err and "Traceback" not in err
+        assert grid.read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
 
     def test_sweep_resume_after_grid_grows(self, tmp_path, capsys):
         # a resumed run appends only the new cells; its rows must be those

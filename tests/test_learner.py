@@ -466,6 +466,21 @@ class TestSweep:
         assert [c for c in mixed if c.function == "cubic_drift"] == alone
         assert all(c.error is None for c in alone)
 
+    def test_disturbance_evaluated_once_per_noise_level(self, monkeypatch):
+        # the clean test targets come from the draw, not from a second call
+        calls = []
+        for name in ("cubic_drift", "sine_cubic"):
+            entry = learner._REGISTRY[name]
+
+            def counting(x, t, fn=entry["fn"], name=name):
+                calls.append((name, len(t)))
+                return fn(x, t)
+            monkeypatch.setitem(learner._REGISTRY, name, dict(entry, fn=counting))
+        cfg = LearningConfig(n_samples=500, seed=3, functions=("cubic_drift", "sine_cubic"),
+                             p_values=(1, 2, 3), noise_variances=(0.0, 0.05))
+        assert all(c.error is None for c in sweep(cfg))
+        assert sorted(calls) == [("cubic_drift", 500)] * 2 + [("sine_cubic", 500)] * 2
+
     def test_done_cells_are_left_out(self):
         base = LearningConfig(n_samples=500, seed=3, functions=("cubic_drift", "sine_cubic"),
                               p_values=(1, 2), noise_variances=(0.0, 0.05))
