@@ -14,8 +14,7 @@ sweep     grid of fits over function, polynomial order and noise
           each noise level's draw and each order's factored design
 simulate  closed-loop tracking runs for the requested compensation
           modes, per-step CSVs plus a row per mode in metrics.csv; one
-          mode's results are alive at a time, and the ``t`` and ``eta_d``
-          cells that every mode shares are formatted once per command
+          mode's results are alive at a time
 verify    run the independent oracle suites, which are also acceptance
           criteria 1, 2 and 4 at the same seeds, and report pass/fail;
           ``--level full`` places 1000 observer gains instead of 100
@@ -148,9 +147,10 @@ def cmd_sweep(args) -> int:
                      "ok" if ok else f"error: {cell.error}"])
     rows.sort(key=lambda r: (r[0], int(r[1]), float(r[2])))
     grid_path.parent.mkdir(parents=True, exist_ok=True)
-    for row in rows:
-        fileio.append_csv_row(grid_path, fileio.SWEEP_CSV_COLUMNS, row)
-    skipped = " (resume: existing cells skipped)" if done else ""
+    fileio.append_csv_rows(grid_path, fileio.SWEEP_CSV_COLUMNS, rows)
+    # a done key outside this grid, or one that matches no cell (a NaN), skips nothing
+    grid = len(cfg.functions) * len(cfg.p_values) * len(cfg.noise_variances)
+    skipped = " (resume: existing cells skipped)" if len(rows) < grid else ""
     _say(f"sweep grid written to {grid_path}: {len(rows)} new rows{skipped}")
     failed = [r for r in rows if r[5] != "ok"]
     if failed:
@@ -177,13 +177,11 @@ def cmd_simulate(args) -> int:
     fileio.check_csv_header(metrics_path, fileio.METRICS_CSV_COLUMNS)
     scenarios = [dataclasses.replace(typed["scenario"], mode=mode, model=model, seed=seed)
                  for mode in modes]
-    # the formatted cells the modes share; a single mode has nothing to share
-    shared = {} if len(modes) > 1 else None
     for mode, scenario in zip(modes, scenarios):
         result = run_scenario(scenario)
         out.mkdir(parents=True, exist_ok=True)
         series_path = out / f"scenario_{mode}.csv"
-        fileio.save_scenario(series_path, result, shared)
+        fileio.save_scenario(series_path, result)
         if result.sigma_hat is not None:
             fileio.save_sigma_series(out / f"scenario_{mode}_sigma.csv", result)
         tracking, estimation = result.tracking_mae(), result.estimation_mae()

@@ -10,10 +10,13 @@ import sys
 import warnings
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupled_do import cli, fileio, learner, oracles
 from coupled_do.basis import BasisConfig
@@ -217,12 +220,14 @@ def _special_values(rng, shape):
 
 
 BLOCK = fileio._BLOCK_ROWS
+# no row, one, whole blocks, and whole blocks and one row more
+ROWS = [0, 1, 4 * BLOCK, 4 * BLOCK + 1]
 
 
 class TestSeriesWriters:
     """The block writers give the bytes of csv.writer with fmt per value."""
 
-    @pytest.mark.parametrize("rows", [0, 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("with_delta", [False, True])
     def test_dataset_bytes(self, tmp_path, rows, with_delta):
         rng = np.random.default_rng(rows)
@@ -247,7 +252,7 @@ class TestSeriesWriters:
         assert path.read_bytes() == ref.read_bytes()
         assert path.read_bytes().count(b"\r\n") == rows + 1
 
-    @pytest.mark.parametrize("rows", [0, 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("mode", ["hodo", "a,b%s"])
     def test_scenario_bytes(self, tmp_path, rows, mode):
         rng = np.random.default_rng(rows)
@@ -262,46 +267,7 @@ class TestSeriesWriters:
         fileio.save_scenario(path, result)
         assert path.read_bytes() == ref.read_bytes()
 
-    def test_shared_cells_reused_only_on_equal_bits(self, tmp_path):
-        # the second write shares block 0's t and eta_d bits with the first;
-        # block 1 flips a 0.0 to -0.0, block 2 changes a NaN's payload, and
-        # the final block is shorter
-        rng = np.random.default_rng(27)
-
-        def result(mode, t, eta_d):
-            eta, *rest = (_special_values(rng, len(t)) for _ in range(5))
-            return ScenarioResult(mode, t, eta, eta_d, *rest)
-        rows = 3 * BLOCK + 10
-        t, eta_d = _special_values(rng, rows), _special_values(rng, rows)
-        t[BLOCK + 5], eta_d[2 * BLOCK + 7] = 0.0, np.nan
-        shared = {}
-        first = result("none", t, eta_d)
-        fileio.save_scenario(tmp_path / "first.csv", first, shared)
-        assert sorted(shared) == [0, BLOCK, 2 * BLOCK, 3 * BLOCK]
-        # a reused block shows as the mark before its rows' tail
-        for lo, (cells, text) in shared.items():
-            shared[lo] = cells, text.replace("%s\r\n", "#%s\r\n")
-
-        t2, eta_d2 = t[:rows - 3].copy(), eta_d[:rows - 3].copy()
-        t2[BLOCK + 5] = -0.0
-        eta_d2[2 * BLOCK + 7] = np.array(0x7FF8000000000001, dtype=np.uint64).view(float)
-        second = result("a,b%s", t2, eta_d2)
-        fileio.save_scenario(tmp_path / "second.csv", second, shared)
-
-        for written, name in ((first, "first.csv"), (second, "second.csv")):
-            table = _fmt_rows_reference([written.t, written.eta, written.eta_d, written.v,
-                                         written.u, written.delta_true, written.delta_hat])
-            if written is second:      # block 0 alone was reused
-                for row in table[:BLOCK]:
-                    row[-1] += "#"
-            ref = tmp_path / "ref.csv"
-            with open(ref, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(fileio.SCENARIO_CSV_COLUMNS)
-                writer.writerows(row + [written.mode] for row in table)
-            assert (tmp_path / name).read_bytes() == ref.read_bytes()
-
-    @pytest.mark.parametrize("rows", [0, 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("rows", ROWS)
     def test_sigma_bytes(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         t = _special_values(rng, rows)
@@ -331,6 +297,83 @@ class TestSeriesWriters:
         loaded = fileio.load_dataset(path)
         for name in ("t", "x", "u", "delta"):
             assert np.array_equal(getattr(loaded, name), getattr(data, name))
+
+
+def _block_cells(values, width=1):
+    """The cells that the series writer's block formatter writes for
+    ``values``, ``width`` to a row (the last row filled up with zeros)."""
+    values = np.asarray(values, dtype=float)
+    rows = np.concatenate([values, np.zeros(-len(values) % width)]).reshape(-1, width)
+    text = fileio._BlockFormatter(len(rows), width, b"\n")([rows]).decode()
+    return text.replace("\n", ",").split(",")[:len(values)]
+
+
+def _ties():
+    """Floats exactly halfway between two 17-digit decimals, both signs.
+    x = K 2**(X-17) with K odd is one when K 5**(16-X) = 2M + 1 for a
+    17-digit M; float64 holds such a K for X <= 14."""
+    ties = []
+    for exponent in range(-4, 15):
+        five = 5 ** (16 - exponent)
+        low, high = -(-2 * 10**16 // five), min(2 * 10**17 // five, 2**53)
+        for k in (low, (low + high) // 2, high - 2):
+            x = math.ldexp(k | 1, exponent - 17)
+            assert (Fraction(x) * Fraction(10) ** (16 - exponent)).denominator == 2
+            assert 10.0**exponent <= x < 10.0 ** (exponent + 1)
+            ties += [x, -x]
+    return ties
+
+
+def _adversarial_values():
+    """Each 10**k for k = -6..18 with both neighbours, the ties, the edges
+    of the fixed-point range (decimal exponents -5/-4 and 16/17), both
+    zeros, the smallest subnormal and a NaN with a payload."""
+    powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    edges = [0.0001, 9.9999999999999991e-05, 0.00010000000000000002, 1e16 - 2, 1e16 + 2,
+             99999999999999984.0, 1e17 + 16, 0.5, 2.5, 1 / 3, 0.1 + 0.2]
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                np.inf, -np.inf, np.nan,
+                np.array(0x7FF8000000000001, dtype=np.uint64).view(float),
+                np.array(0xFFF0000000000002, dtype=np.uint64).view(float)]
+    return np.concatenate([near, -near, edges, np.negative(edges), _ties(), specials])
+
+
+# raw 64-bit patterns: any, and those whose binary exponent puts them in or
+# next to the fixed-point range, which a uniform draw rarely reaches
+_RAW_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+              st.integers(0, 1), st.integers(1023 - 16, 1023 + 57), st.integers(0, 2**52 - 1)))
+
+
+class TestBlockFormatter:
+    """Each cell has the bytes of fileio.fmt, that is of format(x, ".17g")."""
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_adversarial_table(self, width):
+        values = _adversarial_values()
+        assert _block_cells(values, width) == [fileio.fmt(v) for v in values]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_floats(self, values):
+        assert _block_cells(values) == [fileio.fmt(v) for v in values]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_RAW_BITS, min_size=1, max_size=40))
+    def test_raw_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert _block_cells(values) == [fileio.fmt(v) for v in values]
+
+    def test_scenario_write_peak_memory(self, tmp_path, traced_peak):
+        # the row-template writer that the block formatter replaced peaked at
+        # 0.49 MB on this file; a larger block or workspace would show here
+        # before it raised the benchmark's peak RSS
+        result = run_scenario(ScenarioConfig(mode="none", duration=20, seed=1))
+        assert len(result.t) >= 20000
+        _, peak = traced_peak(lambda: fileio.save_scenario(tmp_path / "s.csv", result))
+        assert peak <= 490_000
 
 
 class TestDigest:
@@ -1239,6 +1282,42 @@ class TestCliPipelines:
         assert [r.split(",")[3] for r in rows[1:]] == ["1", "2"]
         assert fileio.existing_sweep_keys(out / "sweep.csv") == {
             ("cubic_drift", 2, 0.01, 1), ("cubic_drift", 2, 0.01, 2)}
+
+    def test_sweep_appends_its_rows_after_one_header_check(self, config_file, tmp_path,
+                                                           capsys, monkeypatch):
+        # one check reads the resume keys, one opens the file for all new rows
+        checks = []
+        check = fileio.check_csv_header
+        monkeypatch.setattr(fileio, "check_csv_header",
+                            lambda *args: checks.append(args) or check(*args))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+        assert len(checks) == 2
+        assert len((out / "sweep.csv").read_text().splitlines()) == 5
+        fileio.append_csv_rows(tmp_path / "none.csv", fileio.SWEEP_CSV_COLUMNS, [])
+        assert not (tmp_path / "none.csv").exists()
+
+    def test_sweep_resume_note_needs_a_done_cell_of_this_grid(self, tmp_path, capsys):
+        # a p_values = 1 sweep leaves rows that a p_values = 2 sweep into the
+        # same file does not hold as done, and a hand-edited noise_variance =
+        # nan row is the key of no cell: both runs compute their whole grid
+        def sweep(p_values, out):
+            ini = tmp_path / "exp.ini"
+            ini.write_text("[learning]\nn_samples = 1000\nseed = 1\n"
+                           f"[sweep]\nfunctions = cubic_drift\np_values = {p_values}\n"
+                           "noise_variances = 0.01\n")
+            assert cli.main(["sweep", "--config", str(ini), "--out", str(out)]) == 0
+            return capsys.readouterr().out
+
+        other = tmp_path / "other"
+        sweep("1", other)
+        assert sweep("2", other).endswith(": 1 new rows\n")
+        nan = tmp_path / "nan"
+        nan.mkdir()
+        (nan / "sweep.csv").write_text(",".join(fileio.SWEEP_CSV_COLUMNS) + "\r\n"
+                                       "cubic_drift,1,nan,1,0.25,ok\r\n")
+        assert sweep("1", nan).endswith(": 1 new rows\n")
+        assert sweep("1, 2", nan).endswith(": 1 new rows (resume: existing cells skipped)\n")
 
     @pytest.mark.parametrize("bad_row, message", [
         ("cubic_drift,abc,0.01,1,0.5,ok", "invalid literal for int()"),
