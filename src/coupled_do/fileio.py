@@ -13,21 +13,36 @@ column sets below are pinned by golden-file tests.
 
 One writer gives every per-step series (dataset, scenario, sigma) the
 bytes of ``csv.writer`` with :func:`fmt` per value, each line ended by
-CRLF on every platform: a ``csv.writer`` header, then blocks of
-``_BLOCK_ROWS`` rows, each formatted whole by :class:`_BlockFormatter`.
-It gives a finite cell with a decimal exponent in -4..16 the exact
-digits of ``%.17g`` from an exact float64 product and integer digit
-planes, and any other cell ``%``, in one workspace per file.
-:func:`load_dataset` parses with :func:`numpy.loadtxt` and falls back to
-a per-line ``csv`` parser when ``loadtxt`` rejects the file or reads a
-width other than the header's.  The fallback also accepts the quoted and
-underscored numbers that ``loadtxt`` rejects, and it names the file line
-of a bad record.
+CRLF on every platform: a ``csv.writer`` header, then blocks of about
+``_BLOCK_CELLS`` cells, each formatted whole by
+:class:`~coupled_do.csvblocks.BlockFormatter`.  It gives a finite cell
+with a decimal exponent in -4..16 the exact digits of ``%.17g`` from an
+exact float64 product and integer digit planes, and any other cell ``%``,
+in one workspace per file.
+
+:func:`load_dataset` reads the records after the header in blocks of
+about 256 KB, each cut after a newline and parsed whole by
+:class:`~coupled_do.csvblocks.BlockParser` into the bits that ``float``
+gives each cell: the separators are checked against the record pattern,
+each cell is read as three little-endian words, its digits are packed by
+multiply-shift steps (Lemire, "Number parsing at a gigabyte per second",
+2021) and the mantissa is divided by the power of ten, exactly when it is
+at most 2**53 (Clinger, "How to read floating point numbers accurately",
+1990) and with a double-double correction above.  A cell of another form
+(an exponent, ``inf``, ``nan``, a ``+``, more than 24 bytes) or one whose
+quotient lies near a rounding midpoint goes through ``float`` alone.  A
+file that the block parser refuses is read by a per-line ``csv`` parser,
+which also accepts quoted and underscored numbers and mixed line ends,
+and names the file line of a bad record.
+
+An input byte that the text encoding cannot decode is an error that names
+its file: a :class:`ConfigError` in the INI, else a :class:`DataError`.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import hashlib
 import io
@@ -39,6 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import BasisConfig
+from .csvblocks import FLOAT_SPEC, BlockFormatter, parse_records
 from .errors import ConfigError, DataError
 from .learner import FitReport, LearningConfig, SeparatedModel, TrajectoryDataset
 from .sim import MODES, ScenarioConfig, ScenarioResult
@@ -52,195 +68,12 @@ REPORT_CSV_COLUMNS = ["function", "p", "noise_variance", "delta", "seed", "n_tra
 SWEEP_CSV_COLUMNS = ["function", "p", "noise_variance", "seed", "test_mae", "status"]
 METRICS_CSV_COLUMNS = ["mode", "seed", "tracking_mae", "estimation_mae",
                        "estimation_tail_mae", "decay_slope", "gain_failures"]
-_BLOCK_ROWS = 256       # rows per block of the series writer
-_FLOAT_SPEC = ".17g"    # the format of every written float
-# bytes of a cell with its separator: the longest %.17g, "-2.2250738585072014e-308,"
-_CELL_BYTES = 25
-_VELTKAMP = 134217729.0     # 2**27 + 1, which splits a float64 into two 26-bit halves
+_BLOCK_CELLS = 1792     # cells per block of the series writer: 256 rows of a scenario file
 
 
 def fmt(value: float) -> str:
     """Decimal form that round-trips float64 exactly."""
-    return format(float(value), _FLOAT_SPEC)
-
-
-def _veltkamp_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split: hi + lo == a exactly, each with at most 26
-    significant bits, so that the product of two halves is exact."""
-    c = a * _VELTKAMP
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-class _BlockFormatter:
-    """Formats blocks of up to ``rows`` rows of ``width`` float cells: each
-    cell has the bytes of :func:`fmt`, the cells of a row are joined by
-    commas and each row ends in ``end``.
-
-    A finite nonzero cell x whose decimal exponent X (10**X <= |x| <
-    10**(X+1)) is in -4..16 is written in fixed point, and every such cell
-    of a block is formatted at once in float64 and small integers:
-
-    - ``|x| 10**(16-X) = p + e`` exactly, by Dekker's two-product (10**q is
-      exact for q <= 22).  X comes from ``floor(log10 |x|)``, which can be
-      one off next to a power of ten; the few cells whose ``p`` is not
-      strictly inside (1e16, 1e17) take the exact comparison of ``(p, e)``
-      with those bounds and move X by one.
-    - ``N = p + rint(e)`` is the 17-digit integer that ``%.17g`` prints:
-      ``p`` is even, being above 2**53, so rounding ``e`` half-even rounds
-      ``p + e`` half-even.  N never rounds up to 10**17: the float64 below
-      10**(X+1) is more than eight units of the 17th digit below it.
-    - N is cut into 17 digits by one uint32 ``//`` of its two halves by the
-      powers of ten.  The digits then pass through uint8 planes of shape
-      (position, cell): a barrel shift by the cell's sign and leading zeros
-      (``-``, ``0.000``), a one-place shift after the integer part for the
-      point, the point itself, and the comma after the last digit that is
-      not a trailing zero of the fraction.  Each step blends two planes
-      with a mask, so a block costs about thirty whole-array operations.
-    - A boolean mask of the bytes each cell keeps compacts the block in
-      (cell, position) order.  The last cell of a row ends in a newline,
-      which no cell contains, and which becomes ``end``.
-
-    Zeros are "0" and "-0" in the same pass (N = 0).  Every other cell, a
-    non-finite one, an exponent outside -4..16, and a cell whose exponent
-    could not be settled, is written by ``%``.  The workspace is allocated
-    once per file; none of its buffers depends on the block's values.
-    """
-
-    def __init__(self, rows: int, width: int, end: bytes):
-        cells = rows * width
-        self.rows, self.width, self.end = rows, width, end
-        self.values = np.empty((rows, width))
-        # the byte after each cell: a comma, and a newline after a row's last
-        self.after = np.tile(np.frombuffer(b"," * (width - 1) + b"\n", np.uint8), rows)
-        pow10 = np.array([float(10**q) for q in range(23)])
-        self.pow10 = (pow10, *_veltkamp_split(pow10))
-        # by q = 16 - X: the zeros after "0." and the length of the integer part
-        exponent = 16 - np.arange(23)
-        self.zeros = np.maximum(-exponent, 0).astype(np.uint8)
-        self.integer = (np.maximum(exponent, 0) + 1).astype(np.uint8)
-        self.place = np.arange(_CELL_BYTES, dtype=np.uint8)[:, None]
-        # 7 rows of "0", then the 17 digits: the shifts read up to 7 rows up
-        self.digits = np.full((_CELL_BYTES + 7, cells), ord("0"), np.uint8)
-        self.high_low = np.empty((1, 2 * cells), np.uint32)
-        self.divisors = 10 ** np.arange(8, -1, -1, dtype=np.uint32)[:, None]
-        # the quotients live only until the digits are cut, then the same
-        # bytes hold the planes that the shifts alternate between (28 and
-        # 26 rows: each shift drops 4, 2 or 1 of the digits' 32) and a mask
-        scratch = np.empty(max(9 * 2 * cells * 4, (3 * _CELL_BYTES + 4) * cells), np.uint8)
-        self.quotients = scratch[:9 * 2 * cells * 4].view(np.uint32).reshape(9, 2 * cells)
-        planes = np.cumsum([0, _CELL_BYTES + 3, _CELL_BYTES + 1, _CELL_BYTES]) * cells
-        self.planes = [scratch[lo:hi].reshape(-1, cells) for lo, hi in zip(planes, planes[1:])]
-
-    def _product(self, mag: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``mag * 10**q`` as ``p + e`` exactly: ``p`` the float64 product."""
-        pow10, pow_hi, pow_lo = self.pow10
-        mag_hi, mag_lo = _veltkamp_split(mag)
-        p = pow10.take(q)
-        p *= mag
-        e = pow_hi.take(q)
-        cross = mag_lo * e
-        e *= mag_hi
-        e -= p
-        e += cross
-        np.multiply(mag_hi, pow_lo.take(q), out=cross)
-        e += cross
-        np.multiply(mag_lo, pow_lo.take(q), out=cross)
-        e += cross
-        return p, e
-
-    def _settle(self, mag: np.ndarray, q: np.ndarray):
-        """``p``, ``e`` and ``q`` of cells whose first product is not strictly
-        inside (1e16, 1e17), and whether each is now inside [1e16, 1e17)."""
-        p, e = self._product(mag, q)
-        q = np.clip(q + _decade_shift(p, e), 0, 22)
-        p, e = self._product(mag, q)
-        return p, e, q, _decade_shift(p, e) == 0
-
-    def __call__(self, blocks: list) -> bytes:
-        """The rows of ``blocks``, arrays of shape (k, ·) side by side."""
-        used = len(blocks[0]) * self.width
-        np.concatenate(blocks, axis=1, out=self.values[:len(blocks[0])])
-        v = self.values.reshape(-1)
-        cells = len(v)
-        mag = np.abs(v)
-        fixed = (mag >= 1e-4) & (mag < 1e17)
-        mag = np.where(fixed, mag, 1.0)
-        q = (17 - np.log10(mag)).astype(np.intp)    # 16 - floor, or one more at 10**X
-        p, e = self._product(mag, q)
-        odd = np.flatnonzero(fixed & ((p <= 1e16) | (p >= 1e17)))
-        if odd.size:
-            p[odd], e[odd], q[odd], fixed[odd] = self._settle(mag[odd], q[odd])
-        n = p.astype(np.int64)
-        n += np.rint(e).astype(np.int64)
-        zero = v == 0
-        n[zero] = 0
-        fixed |= zero
-
-        # the digits: each half of N (8 and 9 digits) by 10**8..10**0, then
-        # each quotient less ten times the one before
-        np.floor_divide(n, 10**9, out=self.high_low[0, :cells], casting="unsafe")
-        np.subtract(n, self.high_low[0, :cells] * np.int64(10**9), out=self.high_low[0, cells:],
-                    casting="unsafe")
-        np.floor_divide(self.high_low, self.divisors, out=self.quotients)
-        digits = self.digits[6:24].reshape(2, 9, cells)
-        np.copyto(digits, self.quotients.reshape(9, 2, cells).transpose(1, 0, 2),
-                  casting="unsafe")
-        a, b, mask = self.planes
-        tens = a[:16].reshape(2, 8, cells)
-        np.multiply(digits[:, :-1], 10, out=tens)
-        np.subtract(digits[:, 1:], tens, out=digits[:, 1:])
-        digits += ord("0")
-
-        # shift right by the sign and the zeros after "0.": bits 4, 2, 1
-        sign = np.signbit(v).view(np.uint8)
-        shift = self.zeros.take(q) + sign
-        point = self.integer.take(q) + sign
-        plane = self.digits
-        for out, bit in ((a, 4), (b, 2), (a, 1)):
-            rows = len(plane) - bit
-            _blend(out[:rows], plane[:rows], plane[bit:],
-                   (shift & bit).astype(bool).view(np.uint8))
-            plane = out[:rows]
-        text = b[:_CELL_BYTES]
-        text[0] = plane[0]
-        # after the integer part each byte moves one place right, for the point
-        _blend(text[1:], plane[:-1], plane[1:],
-               np.greater(self.place[1:], point, out=mask[1:].view(bool)).view(np.uint8))
-        # the cell ends after its last nonzero digit, but not inside the integer part
-        nonzero = np.greater(text, ord("0"), out=mask.view(bool)).view(np.uint8)
-        length = np.maximum(np.multiply(nonzero, self.place + 1, out=mask).max(axis=0), point)
-        _blend(text, np.uint8(ord(".")), text,
-               np.equal(self.place, point, out=mask.view(bool)).view(np.uint8), spare=a)
-        _blend(text, self.after, text,
-               np.equal(self.place, length, out=mask.view(bool)).view(np.uint8), spare=a)
-        text[0] -= sign * (ord("0") - ord("-"))     # a shifted "0" becomes the sign
-        keep = np.less_equal(self.place, length, out=mask.view(bool))
-
-        rest = np.flatnonzero(~fixed[:used])
-        for c, x in zip(rest.tolist(), v[rest].tolist()):
-            data = fmt(x).encode() + self.after[c:c + 1].tobytes()
-            text[:len(data), c] = np.frombuffer(data, np.uint8)
-            keep[:, c] = self.place[:, 0] < len(data)
-        kept = text[:, :used].T[keep[:, :used].T]
-        return kept.tobytes().replace(b"\n", self.end)
-
-
-def _decade_shift(p: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """+1 where ``p + e < 1e16``, -1 where ``p + e >= 1e17``, else 0: exact,
-    as ``p`` is ``p + e`` rounded and rounding is monotonic."""
-    below = (p < 1e16) | ((p == 1e16) & (e < 0))
-    above = (p > 1e17) | ((p == 1e17) & (e >= 0))
-    return below.astype(np.intp) - above
-
-
-def _blend(out, a, b, mask, spare=None):
-    """``out = a`` where ``mask`` is 1, else ``b``, for uint8 planes;
-    ``spare`` holds the difference when ``out`` is ``a`` or ``b``."""
-    diff = out if spare is None else spare[:len(out)]
-    np.bitwise_xor(a, b, out=diff)
-    np.multiply(diff, mask, out=diff)
-    np.bitwise_xor(diff, b, out=out)
+    return format(float(value), FLOAT_SPEC)
 
 
 def _write_float_rows(path, header: list[str], columns, tail: str = "") -> None:
@@ -249,20 +82,32 @@ def _write_float_rows(path, header: list[str], columns, tail: str = "") -> None:
     comma-separated and followed by ``tail`` and CRLF.
 
     ``columns`` holds arrays of shape (N,) or (N, k).  The rows are
-    formatted ``_BLOCK_ROWS`` at a time by one :class:`_BlockFormatter`.
+    formatted by one :class:`~coupled_do.csvblocks.BlockFormatter`,
+    ``_BLOCK_CELLS`` cells rounded up to whole rows at a time: its digit
+    step runs several times slower per cell on fewer.
     """
     cols = [c[:, None] if c.ndim == 1 else c
             for c in (np.asarray(c, dtype=float) for c in columns)]
     rows = len(cols[0])
+    width = sum(c.shape[1] for c in cols)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.flush()      # the rows go to the byte stream beneath, after the header
         if not rows:
             return
-        block = _BlockFormatter(min(rows, _BLOCK_ROWS), sum(c.shape[1] for c in cols),
-                                (tail + "\r\n").encode(fh.encoding))
+        block = BlockFormatter(min(rows, -(-_BLOCK_CELLS // width)), width,
+                               (tail + "\r\n").encode(fh.encoding))
         for lo in range(0, rows, block.rows):
             fh.buffer.write(block([c[lo:lo + block.rows] for c in cols]))
+
+
+@contextlib.contextmanager
+def _decoding(path, error=DataError):
+    """Raises ``error``, naming ``path``, for a UnicodeDecodeError in the block."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not {exc.encoding} text ({exc.reason})") from None
 
 
 def dataset_digest(data: TrajectoryDataset) -> str:
@@ -385,7 +230,7 @@ def load_dataset(path) -> TrajectoryDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="") as fh:
+    with _decoding(path), open(path, newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -396,16 +241,13 @@ def load_dataset(path) -> TrajectoryDataset:
         expected = dataset_columns(n, o, with_delta)
         if header != expected:
             raise DataError(f"dataset columns {header} do not match schema {expected}")
-        # blank lines carry no record; loadtxt would warn on such a file
+        # blank lines carry no record
         if not any(line.rstrip("\r\n") for line in fh):
             raise DataError(f"dataset has a header but no records: {path}")
-    try:
-        # no comment character: a '#' is a bad cell, as in the fallback
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-    except ValueError:
-        arr = None
-    if arr is None or arr.shape[1] != len(header):
-        arr = _parse_dataset_rows(path, len(header))
+    arr = parse_records(path, header)
+    if arr is None:
+        with _decoding(path):
+            arr = _parse_dataset_rows(path, len(header))
     return TrajectoryDataset(
         t=arr[:, 0], x=arr[:, 1:1 + n], u=arr[:, 1 + n:1 + n + o],
         delta=arr[:, 1 + n + o:] if with_delta else None)
@@ -454,7 +296,7 @@ def check_csv_header(path, columns: list[str]) -> None:
     the check of :func:`append_csv_rows`, for a command to make before it
     writes its first output."""
     if Path(path).exists():
-        with open(path, newline="") as fh:
+        with _decoding(path), open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
         if header not in (None, columns):
             raise DataError(f"{path}: columns {header} do not match schema {columns}")
@@ -494,7 +336,7 @@ def existing_sweep_keys(path) -> set[tuple]:
     if not Path(path).exists():
         return set()
     keys = set()
-    with open(path, newline="") as fh:
+    with _decoding(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in filter(None, reader):          # blank lines carry no record
@@ -585,7 +427,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        with _decoding(path, ConfigError):
+            parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"config file malformed: {exc}") from exc
 

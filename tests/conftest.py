@@ -1,4 +1,6 @@
+import contextlib
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -37,3 +39,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Import Hypothesis's patch writer, which its pytest plugin imports to
+    report a falsifying example, with the DeprecationWarning that libcst
+    raises on import ignored: the suite turns that warning into an error,
+    and a failing property test would end in an INTERNALERROR instead."""
+    if call.excinfo is not None and getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings(), contextlib.suppress(ImportError):
+            warnings.simplefilter("ignore", DeprecationWarning)
+            import hypothesis.extra._patching  # noqa: F401
+    yield

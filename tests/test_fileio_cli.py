@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupled_do import cli, fileio, learner, oracles
+from coupled_do import cli, csvblocks, fileio, learner, oracles
 from coupled_do.basis import BasisConfig
 from coupled_do.errors import ConfigError, DataError
 from coupled_do.learner import (LearningConfig, SeparatedModel, TrajectoryDataset, fit_rls,
@@ -219,7 +220,7 @@ def _special_values(rng, shape):
     return vals
 
 
-BLOCK = fileio._BLOCK_ROWS
+BLOCK = fileio._BLOCK_CELLS // 7        # rows per block of a scenario file
 # no row, one, whole blocks, and whole blocks and one row more
 ROWS = [0, 1, 4 * BLOCK, 4 * BLOCK + 1]
 
@@ -283,6 +284,26 @@ class TestSeriesWriters:
         assert path.read_bytes() == ref.read_bytes()
         assert path.read_bytes().count(b"\r\n") == rows + 1
 
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_narrow_dataset_bytes(self, tmp_path, width):
+        # a block holds ceil(_BLOCK_CELLS / width) rows: two blocks and one row more
+        rows = 2 * -(-fileio._BLOCK_CELLS // width) + 1
+        rng = np.random.default_rng(width)
+        with_delta = width == 4
+        data = TrajectoryDataset(t=np.zeros(rows), x=np.zeros((rows, 1)), u=np.zeros((rows, 1)),
+                                 delta=np.zeros((rows, 1)) if with_delta else None)
+        columns = [data.t, data.x, data.u] + ([data.delta] if with_delta else [])
+        for column in columns:
+            column[:] = _special_values(rng, column.shape)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(fileio.dataset_columns(1, 1, with_delta))
+            writer.writerows(_fmt_rows_reference(columns))
+        path = tmp_path / "data.csv"
+        fileio.save_dataset(path, data)
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_written_dataset_loads_bit_exactly(self, tmp_path):
         rng = np.random.default_rng(8)
         n = BLOCK + 1
@@ -304,7 +325,7 @@ def _block_cells(values, width=1):
     ``values``, ``width`` to a row (the last row filled up with zeros)."""
     values = np.asarray(values, dtype=float)
     rows = np.concatenate([values, np.zeros(-len(values) % width)]).reshape(-1, width)
-    text = fileio._BlockFormatter(len(rows), width, b"\n")([rows]).decode()
+    text = csvblocks.BlockFormatter(len(rows), width, b"\n")([rows]).decode()
     return text.replace("\n", ",").split(",")[:len(values)]
 
 
@@ -374,6 +395,211 @@ class TestBlockFormatter:
         assert len(result.t) >= 20000
         _, peak = traced_peak(lambda: fileio.save_scenario(tmp_path / "s.csv", result))
         assert peak <= 490_000
+
+
+def _parsed(cells, width=1, eol=b"\n"):
+    """What the dataset parser gives ``cells`` (bytes), ``width`` to a record
+    (the last filled up with zeros): float64 values, or None for a refusal."""
+    filled = list(cells) + [b"0"] * (-len(cells) % width)
+    body = b"".join(b",".join(filled[i:i + width]) + eol for i in range(0, len(filled), width))
+    area = bytearray(b"0" * csvblocks.WINDOW + body)
+    values = csvblocks.BlockParser(width, eol)(area, len(area))
+    return None if values is None else values.reshape(-1)[:len(cells)]
+
+
+def _assert_float_bits(cells, width=1, eol=b"\n"):
+    """The parser gives each cell the bits of float(), or refuses the block
+    when float() refuses a cell."""
+    try:
+        expected = np.array([float(c) for c in cells])
+    except ValueError:
+        assert _parsed(cells, width, eol) is None
+        return
+    values = _parsed(cells, width, eol)
+    assert values is not None
+    assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), cells
+
+
+# cells that float() reads, each with a reason to be here
+_PARSER_TABLE = [
+    # exact ties, rounded to even, and their neighbours
+    "9007199254740993", "9007199254740995", "18014398509481986", "18014398509481990",
+    "4503599627370496.5", "4503599627370497.5", "1125899906842624.125",
+    "4503599627370496.49", "4503599627370496.51", "9007199254740993.0",
+    "1152921504606847104", "1152921504606847105",
+    # 17 to 19 digits, and 20 (more than a word of the mantissa holds)
+    "12345678901234567", "123456789012345678", "1234567890123456789",
+    "9999999999999999999", "0.9999999999999999999", "-9.999999999999999999",
+    "0.30000000000000004", "99999999999999984", "12345678901234567890",
+    # 0, 22 and 23 fraction digits; 24 and 25 bytes
+    "5", "0.0000000000000000000001", ".00000000000000000000001",
+    "1.0000000000000000000001", "-0.0000000000000000000001", "0.00000000000000000000012",
+    "50000.0000000000000000001", "-50000.000000000000000001",
+    "-123456789.12345678901234",
+    # signs, points and zeros
+    "0", "-0", "-0.0", "0.0", "5.", ".5", "-.5", "-5.", "00012.500", "-000",
+    # what only float() reads
+    "1e+16", "5e-324", "-2.2250738585072014e-308", "1.7976931348623157e308", "1E5",
+    "9.4496312638544e-05", "inf", "-inf", "nan", "-nan", "Infinity", "+5", "+.5", "1_000",
+]
+# cells that float() refuses, and so refuse their block
+_PARSER_REFUSED = ["", ".", "-", "-.", "--1", "1-2", "1.2.3", "0x10", "abc", "1e", "\xff1"]
+
+
+def _decimal_cells():
+    """Random digit strings with a sign and a point."""
+    digits = st.text("0123456789", max_size=24)
+    return st.builds(lambda sign, whole, point, frac: (sign + whole + point + frac).encode(),
+                     st.sampled_from(["", "-"]), digits, st.sampled_from(["", "."]), digits)
+
+
+class TestBlockParser:
+    """Each cell gets the bits that float() gives it."""
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_adversarial_table(self, width, eol):
+        _assert_float_bits([c.encode() for c in _PARSER_TABLE], width, eol)
+
+    def test_cells_at_or_near_a_midpoint_go_through_float(self, monkeypatch):
+        # decimals within 2**-22 units in the last place of a midpoint
+        # between two floats, and midpoints, which the quotient cannot settle
+        near = [b"0.06719898700237941086", b"2.364140654401549968", b"646014.6131449174718",
+                b"-5243.012135950238644", b"9007199254740993", b"4503599627370496.5"]
+        plain = [b"0.30000000000000004", b"-45.36023736234132", b"1234567890123456.7"]
+        seen = []
+
+        def spy(cell):
+            if isinstance(cell, bytearray):
+                seen.append(bytes(cell))
+            return float(cell)
+        monkeypatch.setattr(csvblocks, "float", spy, raising=False)
+        _assert_float_bits(near + plain)
+        assert seen == near
+
+    @pytest.mark.parametrize("body, eol, rows", [
+        (b"1,2,3\n\n4,5,6\n\n", b"\n", [[1, 2, 3], [4, 5, 6]]),
+        (b"\r\n1,2,3\r\n\r\n\r\n4,5,6\r\n", b"\r\n", [[1, 2, 3], [4, 5, 6]]),
+        (b"\n\n", b"\n", []),
+        # an empty first or last cell, a stray CR, a space or a bare LF is no
+        # blank line, and none of them leaves the record's cells to the next
+        (b"1,2,\n3\n", b"\n", None), (b",2,3,4\n", b"\n", None),
+        (b"\r5,6,7,8\r\n", b"\r\n", None), (b"\r,5,6,7\r\n", b"\r\n", None),
+        (b"\r9\n1,2,3\r\n", b"\r\n", None), (b"1,2,3\n5\n4,5,6\n", b"\n", None),
+        (b"1,2,3\n \n", b"\n", None), (b"1,2,3\r\n\n4,5,6\r\n", b"\r\n", None),
+        (b"\r1,2,3\r\r4,5,6\r", b"\r", [[1, 2, 3], [4, 5, 6]]),
+        (b"1,2,3\r\n4,5,6\r", b"\r", None)],
+        ids=["lf", "crlf", "only-blank", "empty-last", "empty-first", "stray-cr",
+             "stray-cr-comma", "stray-cr-cell", "one-cell", "space", "bare-lf", "cr",
+             "lf-in-cr"])
+    def test_blank_lines_carry_no_record(self, body, eol, rows):
+        area = bytearray(b"0" * csvblocks.WINDOW + body)
+        values = csvblocks.BlockParser(3, eol)(area, len(area))
+        assert (None if values is None else values.tolist()) == rows
+
+    @pytest.mark.parametrize("cell", _PARSER_REFUSED)
+    def test_refused_cells(self, cell):
+        _assert_float_bits([b"1.5", cell.encode("latin-1"), b"2"], 3)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_written_floats(self, values):
+        _assert_float_bits([repr(v).encode() for v in values]
+                           + [fileio.fmt(v).encode() for v in values], 2)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_RAW_BITS, min_size=1, max_size=40))
+    def test_raw_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+        _assert_float_bits([repr(v).encode() for v in values]
+                           + [fileio.fmt(v).encode() for v in values], 2, b"\r\n")
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_decimal_cells(), min_size=1, max_size=40))
+    def test_digit_strings(self, cells):
+        _assert_float_bits(cells)
+
+
+def _trajectory_rows(n, seed):
+    """Rows of a (t, x_1, u_1) trajectory as csv.writer writes Python floats,
+    a few cells small enough for an exponent."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * 1e-3
+    v = 7.0 * np.sin(0.37 * t + rng.uniform(0, 6))
+    u = rng.standard_normal(n) * 40.0
+    u[rng.integers(0, n, 5)] *= 1e-6
+    return [[a, b, c] for a, b, c in zip(t.tolist(), v.tolist(), u.tolist())]
+
+
+def _write_csv(path, rows, lineterminator="\r\n", last=True):
+    text = io.StringIO()
+    csv.writer(text, lineterminator=lineterminator).writerows([["t", "x_1", "u_1"], *rows])
+    data = text.getvalue().encode()
+    path.write_bytes(data if last else data[:-len(lineterminator)])
+
+
+def _loaded(path):
+    data = fileio.load_dataset(path)
+    return np.column_stack([data.t, data.x, data.u])
+
+
+class TestDatasetBlocks:
+    """load_dataset reads a file in blocks with float()'s bits per cell."""
+
+    @pytest.fixture
+    def blocks_only(self, monkeypatch):
+        def refused(path, width):
+            raise AssertionError(f"the block parser refused {path}")
+        monkeypatch.setattr(fileio, "_parse_dataset_rows", refused)
+
+    @pytest.mark.parametrize("chunk", [80, 128, 1000, 1 << 18])
+    @pytest.mark.parametrize("eol, last", [("\n", True), ("\r\n", True), ("\n", False),
+                                           ("\r\n", False)])
+    def test_records_across_block_cuts(self, tmp_path, monkeypatch, blocks_only, chunk, eol,
+                                       last):
+        # a block of 80 bytes holds one or two records of up to 65
+        monkeypatch.setattr(csvblocks, "CHUNK_BYTES", chunk)
+        rows = _trajectory_rows(300, 1)
+        path = tmp_path / "traj.csv"
+        _write_csv(path, rows, eol, last)
+        assert _loaded(path).tolist() == rows
+
+    def test_blank_lines(self, tmp_path, blocks_only):
+        rows = _trajectory_rows(40, 6)
+        path = tmp_path / "traj.csv"
+        _write_csv(path, rows)
+        lines = path.read_bytes().split(b"\r\n")
+        path.write_bytes(b"\r\n".join(lines[:1] + [b""] + lines[1:20] + [b"", b""] + lines[20:])
+                         + b"\r\n")
+        assert _loaded(path).tolist() == rows
+
+    def test_record_longer_than_a_block_goes_to_the_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(csvblocks, "CHUNK_BYTES", 16)
+        rows = _trajectory_rows(50, 2)
+        path = tmp_path / "traj.csv"
+        _write_csv(path, rows)
+        assert _loaded(path).tolist() == rows
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, tmp_path, blocks_only, eol):
+        rows = _trajectory_rows(40, 3)
+        path = tmp_path / "traj.csv"
+        _write_csv(path, rows, eol)
+        assert _loaded(path).tolist() == rows
+
+    def test_straddling_record_of_a_long_file(self, tmp_path, blocks_only):
+        rows = _trajectory_rows(20_000, 4)
+        path = tmp_path / "traj.csv"
+        _write_csv(path, rows)
+        assert path.stat().st_size > 2 * csvblocks.CHUNK_BYTES
+        assert _loaded(path).tolist() == rows
+
+    def test_benchmark_style_file_matches_loadtxt(self, tmp_path, blocks_only):
+        # numpy's reader as the oracle, on a file written as the benchmark writes it
+        path = tmp_path / "traj.csv"
+        _write_csv(path, _trajectory_rows(20_000, 5))
+        expected = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert _loaded(path).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestDigest:
@@ -982,6 +1208,35 @@ class TestCliExitCodes:
         ini.write_text(BASE_CONFIG + f"\n[io]\nout_dir = {in_out.parent}\nmodel_file = {in_out}\n")
         assert cli.main(["learn", "--config", str(ini)]) == 0
         assert model.exists() and in_out.exists() and len(fits) == 2
+
+    @pytest.mark.parametrize("command, name, code", [
+        ("learn", "exp.ini", 2), ("learn", "data.csv", 3), ("learn", "long.csv", 3),
+        ("learn", "fit_reports.csv", 3), ("simulate", "metrics.csv", 3),
+        ("sweep", "sweep.csv", 3)])
+    def test_non_utf8_input_is_one_line_naming_the_file(self, tmp_path, capsys, command, name,
+                                                        code):
+        # 0xff starts no UTF-8 sequence; long.csv holds it past the first
+        # block, where the per-line parser meets it
+        out = tmp_path / "o"
+        out.mkdir()
+        rows = b"".join(b"%d,0.5,1.25\n" % i for i in range(20_000 if name == "long.csv" else 3))
+        bad = {"exp.ini": b"# \xff\n", "sweep.csv": b"cubic_drift,1,0,11,0.5,ok\xff\n",
+               "data.csv": b"0,\xff,0\n", "long.csv": b"1e9,\xff,0\n"}.get(name, b"\xff\n")
+        header = {"fit_reports.csv": ",".join(fileio.REPORT_CSV_COLUMNS),
+                  "metrics.csv": ",".join(fileio.METRICS_CSV_COLUMNS),
+                  "sweep.csv": ",".join(fileio.SWEEP_CSV_COLUMNS)}.get(name, "t,x_1,u_1")
+        path = tmp_path / name if name.endswith((".ini", "data.csv", "long.csv")) else out / name
+        ini = tmp_path / "exp.ini"
+        dataset = f"\n[io]\ndataset_file = {path}\n" if "data" in name or "long" in name else ""
+        ini.write_bytes((BASE_CONFIG + dataset).encode() + (bad if name == "exp.ini" else b""))
+        if name != "exp.ini":
+            path.write_bytes(header.encode() + b"\n" + rows + bad)
+        before = sorted(out.iterdir())
+        modes = ["--modes", "none"] if command == "simulate" else []
+        assert cli.main([command, "--config", str(ini), "--out", str(out)] + modes) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and "utf-8" in err, err
+        assert sorted(out.iterdir()) == before
 
     def test_empty_dataset_is_3(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
