@@ -141,9 +141,9 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for cell in sweep(dataclasses.replace(cfg, seed=seed), done):
-        ok = cell.report is not None
+        ok = cell.error is None
         rows.append([cell.function, cell.p, fileio.fmt(cell.noise_variance), seed,
-                     fileio.fmt(cell.report.test_mae) if ok else "",
+                     fileio.fmt(cell.test_mae) if ok else "",
                      "ok" if ok else f"error: {cell.error}"])
     rows.sort(key=lambda r: (r[0], int(r[1]), float(r[2])))
     grid_path.parent.mkdir(parents=True, exist_ok=True)

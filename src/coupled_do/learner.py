@@ -224,9 +224,14 @@ class FitReport:
 
     def __post_init__(self):
         for name in ("train_mae", "test_mae", "gram_condition", "residual_sup"):
-            v = getattr(self, name)
-            if v < 0 or not np.isfinite(v):
-                raise NumericalError(f"{name} must be finite and non-negative, got {v}")
+            _figure(name, getattr(self, name))
+
+
+def _figure(name: str, v: float) -> float:
+    """``v``, or NumericalError naming ``name`` if it is negative or not finite."""
+    if v < 0 or not np.isfinite(v):
+        raise NumericalError(f"{name} must be finite and non-negative, got {v}")
+    return v
 
 
 def _poly_derivative_window(tw: np.ndarray, xw: np.ndarray, center: int, order: int) -> np.ndarray:
@@ -318,9 +323,11 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     is released once Theta and the training residuals are computed, and
     only then are the held-out rows featurized and scored.
 
-    The fit is the factor of :func:`sweep` (design, Gram, equilibration,
-    Cholesky factor and condition) and its solve on the one target block,
-    so ``learn`` and each sweep cell take the same arithmetic path.
+    The fit is the factor of :func:`sweep` (design, Gram, equilibration
+    and Cholesky factor) and its solve on the one target block, so
+    ``learn`` and each sweep cell take the same arithmetic path.  The
+    Gram's condition number and the training residuals are computed
+    here alone: a sweep cell reports only its test MAE.
     """
     check("learning.delta", delta)
     if data.delta is None:
@@ -328,20 +335,21 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     if data.n != config.n:
         raise ConfigError(f"data has n={data.n}, basis expects n={config.n}")
 
-    feats, scale, chol, cond = _factor(data.x, data.t, config, delta)
-    theta, train_mae = _solve(feats, scale, chol, data.delta)
+    feats, scale, chol, gram_eq = _factor(data.x, data.t, config, delta)
+    theta = _solve(feats, scale, chol, data.delta)
+    train_mae = float(_residuals(data.delta, feats @ theta.T).mean())
     model = SeparatedModel(theta=theta, config=config)
     # evaluate builds a second design of the held-out rows: freeing this one
     # first keeps the fit's peak at one design, the size that bounds N
     del feats
     test_mae, residual_sup = evaluate(model, test if test is not None else data)
-    return model, FitReport(train_mae, test_mae, cond, residual_sup)
+    return model, FitReport(train_mae, test_mae, float(np.linalg.cond(gram_eq)), residual_sup)
 
 
 def _factor(x: np.ndarray, t: np.ndarray, config: BasisConfig, delta: float):
     """The part of a ridge fit on the rows (x, t) that no target enters:
     (design, equilibration scale, Cholesky factor of the equilibrated
-    regularized Gram, that Gram's condition number)."""
+    regularized Gram, that Gram)."""
     if len(t) < 1:
         raise DataError("cannot fit on an empty dataset")
     # features that overflow are reported by the finite-Gram check below,
@@ -363,33 +371,32 @@ def _factor(x: np.ndarray, t: np.ndarray, config: BasisConfig, delta: float):
         chol = np.linalg.cholesky(gram_eq)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
-    return feats, scale, chol, float(np.linalg.cond(gram_eq))
+    return feats, scale, chol, gram_eq
 
 
 def _solve(feats: np.ndarray, scale: np.ndarray, chol: np.ndarray,
-           targets: np.ndarray) -> tuple[np.ndarray, float]:
-    """Theta (n, s1) fitted to ``targets`` (N, n) on a factored design, and
-    its train MAE; DataError if Theta is not finite."""
+           targets: np.ndarray) -> np.ndarray:
+    """Theta (n, s1) fitted to ``targets`` (N, n) on a factored design;
+    DataError if it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = feats.T @ targets                             # = (sum delta_n xi_n^T B_n^T)^T
     half = np.linalg.solve(chol, scale[:, None] * rhs)
-    theta = _finite_theta((scale[:, None] * np.linalg.solve(chol.T, half)).T)
-    return theta, _residuals(targets, feats @ theta.T)[0]
+    return _finite_theta((scale[:, None] * np.linalg.solve(chol.T, half)).T)
 
 
-def _residuals(targets: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
-    """(mean, sup) of the row norms of targets - pred."""
+def _residuals(targets: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """The row norms of targets - pred."""
     if len(targets) == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    resid = np.linalg.norm(targets - pred, axis=1)
-    return float(resid.mean()), float(resid.max())
+    return np.linalg.norm(targets - pred, axis=1)
 
 
 def evaluate(model: SeparatedModel, data: TrajectoryDataset) -> tuple[float, float]:
     """(mean, sup) of ||delta_i - Theta B(x_i) xi(t_i)|| over a dataset."""
     if data.delta is None:
         raise DataError("evaluation data carries no disturbance targets")
-    return _residuals(data.delta, model.config.design_rows(data.x, data.t) @ model.theta.T)
+    resid = _residuals(data.delta, model.config.design_rows(data.x, data.t) @ model.theta.T)
+    return float(resid.mean()), float(resid.max())
 
 
 def synthesize_dataset(disturbance: Callable, x_box, t_box, n_samples: int,
@@ -424,8 +431,9 @@ def _targets(disturbance: Callable, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 # --- disturbance registry ---------------------------------------------------
 #
-# Each entry is a vectorized delta(x, t) with its natural sampling box.
-# quad_drag_drift is the closed-loop benchmark: quadratic drag in the
+# Each entry is a vectorized delta(x, t), built from its expression in
+# (x, t), kept as ``fn.expr`` for closed loops, with its natural sampling
+# box.  quad_drag_drift is the closed-loop benchmark: quadratic drag in the
 # velocity plus a quadratic-in-time drift.
 
 def _sin(v):
@@ -440,23 +448,22 @@ def _sin(v):
     return np.sin(v)
 
 
+def _vectorized(expr: str) -> Callable:
+    """fn(x, t) evaluating ``expr``, which it keeps as ``fn.expr``."""
+    fn = eval(f"lambda x, t: {expr}", {"_sin": _sin})
+    fn.expr = expr
+    return fn
+
+
 NEWTON_V_BOX = (-10.0, 10.0)
 NEWTON_T_BOX = (0.0, 100.0)
 
-_REGISTRY: dict[str, dict] = {
-    "sine_product": dict(
-        fn=lambda x, t: _sin(x) * _sin(t),
-        x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
-    "cubic_drift": dict(
-        fn=lambda x, t: x - x**3 / 12.0 - t**2 / 4.0,
-        x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
-    "sine_cubic": dict(
-        fn=lambda x, t: -_sin(x) * t**3 / 9.0,
-        x_box=(-2.0, 2.0), t_box=(0.0, 4.0)),
-    "quad_drag_drift": dict(
-        fn=lambda v, t: -v**2 + 50.0 - 10.0 * t - 0.5 * t**2,
-        x_box=NEWTON_V_BOX, t_box=NEWTON_T_BOX),
-}
+_REGISTRY: dict[str, dict] = {name: dict(fn=_vectorized(expr), x_box=x_box, t_box=t_box)
+                              for name, expr, x_box, t_box in (
+    ("sine_product", "_sin(x) * _sin(t)", (-2.0, 2.0), (0.0, 4.0)),
+    ("cubic_drift", "x - x**3 / 12.0 - t**2 / 4.0", (-2.0, 2.0), (0.0, 4.0)),
+    ("sine_cubic", "-_sin(x) * t**3 / 9.0", (-2.0, 2.0), (0.0, 4.0)),
+    ("quad_drag_drift", "-x**2 + 50.0 - 10.0 * t - 0.5 * t**2", NEWTON_V_BOX, NEWTON_T_BOX))}
 
 
 def disturbance(name: str, field: str = "learning.function") -> Callable:
@@ -525,12 +532,12 @@ class LearningConfig:
 
 @dataclass
 class SweepCell:
-    """One grid cell of a sweep; ``error`` is set when the fit failed."""
+    """One grid cell of a sweep: its test MAE, or the ``error`` that failed it."""
 
     function: str
     p: int
     noise_variance: float
-    report: Optional[FitReport] = None
+    test_mae: Optional[float] = None
     error: Optional[str] = None
 
 
@@ -551,11 +558,11 @@ def sweep(cfg: LearningConfig, done=frozenset()) -> list[SweepCell]:
 
     Functions whose box and target shape agree draw the same points, noise
     and split, so they share them: per (noise variance, p) one factor
-    (design, Gram, Cholesky factor, condition) serves all of them, each
-    function adds only its right-hand side, solves and scores, and one
-    test design, built after the training design is freed, scores them
-    all with each Theta as it is solved: no cell builds a
-    :class:`SeparatedModel`.  A failure fails only the cells it reaches.
+    (design, Gram, Cholesky factor) serves all of them, each function adds
+    only its right-hand side and solves, and one test design, built after
+    the training design is freed, scores them all with each Theta as it is
+    solved: no cell builds a :class:`SeparatedModel`, and each computes
+    only its test MAE.  A failure fails only the cells it reaches.
     """
     if not (cfg.functions and cfg.p_values and cfg.noise_variances):
         raise ConfigError("sweep.functions, sweep.p_values and sweep.noise_variances "
@@ -601,7 +608,7 @@ def _sweep_level(cfg: LearningConfig, boxes: tuple, s2: float,
                 continue
             try:
                 basis = BasisConfig(p, train_x.shape[1], *boxes, cfg.normalize)
-                feats, scale, chol, cond = _factor(train_x, train_t, basis, cfg.delta)
+                feats, scale, chol, _ = _factor(train_x, train_t, basis, cfg.delta)
             except Exception as exc:
                 for f in names:
                     fail(f, [p], exc)
@@ -620,11 +627,10 @@ def _sweep_level(cfg: LearningConfig, boxes: tuple, s2: float,
                 for f in fitted:
                     fail(f, [p], exc)
                 continue
-            for f, (theta, train_mae) in fitted.items():
+            for f, theta in fitted.items():
                 try:
-                    test_mae, residual_sup = _residuals(targets[f][1], design @ theta.T)
-                    cells[f, p, s2] = SweepCell(f, p, s2, report=FitReport(
-                        train_mae, test_mae, cond, residual_sup))
+                    cells[f, p, s2] = SweepCell(f, p, s2, _figure("test_mae", float(
+                        _residuals(targets[f][1], design @ theta.T).mean())))
                 except Exception as exc:
                     fail(f, [p], exc)
             del design

@@ -45,8 +45,12 @@ numbers enter as closure variables, never as source text.  Past
 loops in the same order, which bounds the source (2401 terms for n = 4,
 p = 6).
 
-The generated step is the only observer step, ``Hodo.step``.  As in
-the paper, it takes the plant terms b as an input, summed by the
+The step's lines (:func:`_step_lines`) are the only copy of its
+arithmetic.  ``Hodo.step`` runs them between a load and a store of the
+observer's state.  The closed loop of :mod:`coupled_do.sim` writes them
+into its own generated loop (:func:`loop_step`), with the state kept in
+its locals between steps, and compiles it with :func:`build`.  As in
+the paper, the step takes the plant terms b as an input, summed by the
 caller, so the plant maps and the controls stay outside the observer.
 The module imports only :mod:`coupled_do.errors`: the model, a
 :class:`coupled_do.learner.SeparatedModel`, is named in annotations only.
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from typing import Callable
 
 import numpy as np
@@ -176,98 +181,122 @@ def _row_lines(n: int, s2: int, normalize: bool) -> tuple[list, list | None]:
     return lines, pi
 
 
-def _kernel_source(n: int, s2: int, normalize: bool) -> str:
-    """Source of ``_factory``, which binds one observer and its model's
-    constants and returns its kernels (step, design, row).
-
-    ``step(x0, .., x(n-1), b0, .., b(n-1), dt)`` is the observer step on
-    floats, with the plant terms b summed by the caller; it checks dt
-    and the finiteness of x and b, advances the observer's state and
-    returns the estimate as a tuple of n floats."""
+def _step_lines(n: int, s2: int, normalize: bool) -> tuple[list, ...]:
+    """An observer step on locals, as lines (consts, row, load, update, store,
+    finish): unpack ``self._consts``; set xw = w sum(x) and the row c0 ..
+    from x0 ..; read ``self``'s state into z0 .., ``gain`` (g0 ..), ``cl``
+    (its row), sh0 .., ``failures`` and ``design`` (its ``_design``), with
+    the substeps h1 .. h3; check x and b and advance that state; write it
+    back; check sigma_hat and set the estimate e0 ..."""
     ks, ns, n_pi = range(s2), range(n), s2 ** n
-    cs = [f"c{k}" for k in ks]
-
-    def vec(fmt):
-        return "[" + ", ".join(fmt.format(k=k) for k in ks) + "]"
-
-    def scaled(expr):                           # w * expr; w = 1 when n = 1
-        return f"wn * ({expr})" if n > 1 else expr
+    xs, bs = [f"x{i}" for i in ns], [f"b{i}" for i in ns]
 
     def rows(names, flat):                      # the model rows of a flat list
         return _unpack(names, f"[{flat}[i:i + {n_pi}] for i in range(0, {len(names) * n_pi}, "
                               f"{n_pi})]")
 
+    def wsum(terms):                            # w sum(terms); w = 1 when n = 1
+        return f"wn * (0.0 + {' + '.join(terms)})" if n > 1 else f"0.0 + {' + '.join(terms)}"
+
     row, pi = _row_lines(n, s2, normalize)
-    xs, bs = [f"x{i}" for i in ns], [f"b{i}" for i in ns]
+    row.insert(0, f"xw = {wsum(xs)}")
     K_rows = [f"K{i}_{j}" for i in ns for j in ks] if n > 1 else []
-    src = ["def _factory(self, kw, K, A, q, f, lo, sp, wn):"]
+    consts = ["kw, K, A, q, f, lo, sp, wn = self._consts"]
     if pi is None:
-        consts = rows([f"kw{k}" for k in ks], "kw") + rows(K_rows, "K")
+        consts += rows([f"kw{k}" for k in ks], "kw") + rows(K_rows, "K")
     else:
-        consts = (_unpack([f"kw{k}_{h}" for k in ks for h in range(n_pi)], "kw")
-                  + _unpack([f"{r}_{h}" for r in K_rows for h in range(n_pi)], "K"))
+        consts += (_unpack([f"kw{k}_{h}" for k in ks for h in range(n_pi)], "kw")
+                   + _unpack([f"{r}_{h}" for r in K_rows for h in range(n_pi)], "K"))
     consts += (_unpack([f"A{k}" for k in range(1, s2)], "A")
                + _unpack([f"q{i}_{j}" for i in ks for j in range(i + 1)], "q")
                + _unpack([f"f{k}" for k in ks], "f")
                + _unpack([f"lo{i}" for i in ns] if normalize else [], "lo")
                + _unpack([f"sp{i}" for i in ns] if normalize else [], "sp")
                + ["isfinite = math.isfinite"])
-    src += ["    " + line for line in consts]
 
-    # the observer body: from x0 .. x(n-1) and b0 .. b(n-1) to the new
-    # state on self and the estimate e0 .. e(n-1)
-    body = [f"xw = {scaled('0.0 + ' + ' + '.join(xs))}",
-            f"wd = {scaled('0.0 + ' + ' + '.join(bs))}"]
-    body += row
-    body += [f"c = {vec('c{k}')}                     # frozen over the step",
-             "try:",
-             "    # the gain depends on the row alone: an unchanged row keeps it",
-             "    gain = self.gain if c == self._c else self._design(c)",
-             "    self._c = c",
-             "except UnobservableError:",
-             "    gain = self.gain",
-             "    self.gain_failures += 1",
-             f"{', '.join(f'g{k}' for k in ks)}, = gain",
-             f"{', '.join(f'zo{k}' for k in ks)}, = self.z",
-             f"{', '.join(f'go{k}' for k in ks)}, = self.gain",
-             "# sigma_hat is continuous across the gain switch: the output",
-             "# identity sigma = z + Gamma x holds with the new gain after it"]
-    body += [f"s{k} = zo{k} + go{k} * xw" for k in ks]
-    body += [f"cv = 0.0 + {' + '.join(f'c{k} * s{k}' for k in ks)} + wd",
-             "self.gain = gain",
-             "# v = M sigma - Gamma b with (M v)_k = A_k v_(k-1) - g_k (c . v), then",
-             "# w = v + h M w for h = dt/4, dt/3, dt/2; cw is c . w.  The loop form's",
-             "# first entry A_0 * 0.0 - g_0 (c . v) has A_0 = 0.0, so it reads 0.0 - ..."]
-    body += [f"v{k} = {f'A{k} * s{k - 1}' if k else '0.0'} - g{k} * cv" for k in ks]
-    body += _sum("cw", [f"c{k} * v{k}" for k in ks])
+    update = ["if not (" + " and ".join(f"isfinite({v})" for v in xs + bs) + "):",
+              "    raise NumericalError(\"non-finite observer inputs\")"]
+    update += row + [f"wd = {wsum(bs)}",
+                     "# sigma_hat stays continuous: sigma = z + Gamma x holds with the new gain"]
+    update += [f"s{k} = z{k} + g{k} * xw" for k in ks]
+    update += [f"c = [{', '.join(f'c{k}' for k in ks)}]      # frozen over the step",
+               "try:",
+               "    # the gain depends on the row alone: an unchanged row keeps it",
+               "    gain = gain if c == cl else design(c)",
+               "    cl = c",
+               "except UnobservableError:",
+               "    failures += 1",
+               f"{', '.join(f'g{k}' for k in ks)}, = gain",
+               f"cv = 0.0 + {' + '.join(f'c{k} * s{k}' for k in ks)} + wd",
+               "# v = M sigma - Gamma b with (M v)_k = A_k v_(k-1) - g_k (c . v), then w =",
+               "# v + h M w for h = h1, h2, h3 and cw = c . w; A_0 = 0.0, so v_0 = 0.0 - ..."]
+    update += [f"v{k} = {f'A{k} * s{k - 1}' if k else '0.0'} - g{k} * cv" for k in ks]
+    update += _sum("cw", [f"c{k} * v{k}" for k in ks])
     prev = [f"v{k}" for k in ks]
-    for j, h in enumerate(("0.25 * dt", "dt / 3.0", "0.5 * dt"), start=1):
-        body.append(f"h = {h}")
-        body += [f"w{j}_{k} = v{k} + h * ({f'A{k} * {prev[k - 1]}' if k else '0.0'}"
-                 f" - g{k} * cw)" for k in ks]
+    for j in range(1, 4):
+        update += [f"w{j}_{k} = v{k} + h{j} * ({f'A{k} * {prev[k - 1]}' if k else '0.0'}"
+                   f" - g{k} * cw)" for k in ks]
         prev = [f"w{j}_{k}" for k in ks]
         if j < 3:                               # the last pass's c . w is unused
-            body += _sum("cw", [f"c{k} * {w}" for k, w in enumerate(prev)])
+            update += _sum("cw", [f"c{k} * {w}" for k, w in enumerate(prev)])
     for k in ks:
-        body += [f"gx = g{k} * xw",
-                 f"z{k} = s{k} + dt * w3_{k} - gx",
-                 f"sh{k} = z{k} + gx"]
-    body += [f"self.z, self.sigma_hat = {vec('z{k}')}, {vec('sh{k}')}",
-             "if not (" + " and ".join(f"isfinite(sh{k})" for k in ks) + "):",
-             "    raise NumericalError(\"observer state diverged to non-finite values\")"]
+        update += [f"gx = g{k} * xw",
+                   f"z{k} = s{k} + dt * w3_{k} - gx",
+                   f"sh{k} = z{k} + gx"]
+    finish = ["if not (" + " and ".join(f"isfinite(sh{k})" for k in ks) + "):",
+              "    raise NumericalError(\"observer state diverged to non-finite values\")"]
     if n == 1:                                  # c . sigma_hat is the estimate
-        body += _sum("e0", [f"c{k} * sh{k}" for k in ks])
+        finish += _sum("e0", [f"c{k} * sh{k}" for k in ks])
     else:                                       # row i: sum_j (K_ij . Pi(x)) sigma_hat_j
         for i in ns:
             for j in ks:
-                body += _dot_lines(f"k{i}_{j}", f"K{i}_{j}", pi)
-            body += _sum(f"e{i}", [f"k{i}_{j} * sh{j}" for j in ks])
-    es = ", ".join(f"e{i}" for i in ns)
+                finish += _dot_lines(f"k{i}_{j}", f"K{i}_{j}", pi)
+            finish += _sum(f"e{i}", [f"k{i}_{j} * sh{j}" for j in ks])
+    zs, gs, shs = (", ".join(f"{v}{k}" for k in ks) for v in ("z", "g", "sh"))
+    load = [f"{zs}, = self.z", f"{gs}, = gain = self.gain", f"{shs}, = self.sigma_hat",
+            "cl, failures, design = self._c, self.gain_failures, self._design",
+            "h1, h2, h3 = 0.25 * dt, dt / 3.0, 0.5 * dt"]
+    store = [f"self.z, self.sigma_hat = [{zs}], [{shs}]",
+             "self.gain, self._c, self.gain_failures = gain, cl, failures"]
+    return consts, row, load, update, store, finish
+
+
+def loop_step(s2: int, normalize: bool, loop: str) -> tuple[list, list]:
+    """The step of an n = 1 observer of shape (s2, normalize) as lines for
+    the source ``loop`` to write in: (setup, step).  ``setup`` reads the
+    constants and state of the observer ``self`` into locals; ``step``
+    advances that state from the inputs x0, b0 and ``dt``, adds each failed
+    design to ``failures``, and leaves sigma_hat in sh0 .. and the estimate
+    in e0.  Of the names the lines assign, ``loop`` may use only those
+    outputs and ``isfinite`` (AssertionError; attributes are not names).  Compile it with :func:`build`."""
+    consts, _, load, update, _, finish = _step_lines(1, s2, normalize)
+    setup, step = consts + load, update + finish
+    assigned = {name.strip() for line in setup + step
+                for m in [re.match(r"\s*([\w, ]+?)\s*\+?=(?!=)", line)] if m
+                for name in m[1].split(",")}
+    outputs = {"failures", "isfinite", "e0"} | {f"sh{k}" for k in range(s2)}
+    shadowed = assigned & set(re.findall(r"(?<![.\w])[A-Za-z_]\w*", loop)) - outputs
+    assert not shadowed, f"the observer step assigns the loop's names {sorted(shadowed)}"
+    return setup, step
+
+
+def _kernel_source(n: int, s2: int, normalize: bool) -> str:
+    """Source of ``_factory``, which binds one observer and its model's
+    constants and returns its kernels (step, design, row).
+
+    ``step(x0, .., x(n-1), b0, .., b(n-1), dt)`` is the observer step on
+    floats, with the plant terms b summed by the caller; it checks dt,
+    then runs the lines of :func:`_step_lines`: it checks the finiteness
+    of x and b, advances the observer's state and returns the estimate
+    as a tuple of n floats."""
+    consts, row, load, update, store, finish = _step_lines(n, s2, normalize)
+    ks, xs = range(s2), [f"x{i}" for i in range(n)]
+    cs, gs = [f"c{k}" for k in ks], [f"g{k}" for k in ks]
+    src = ["def _factory(self):"] + ["    " + line for line in consts]
 
     # the state's design row and w sum(x), for the constructor
     src += ["", "    def row(xs):", f"        {', '.join(xs)}, = xs"]
-    src += ["        " + line for line in row]
-    src += [f"        return {vec('c{k}')}, {scaled('0.0 + ' + ' + '.join(xs))}"]
+    src += ["        " + line for line in row] + [f"        return [{', '.join(cs)}], xw"]
 
     # O(c) v = e_s2 with v = diag(j!) y is sum_j h_(j+k) y_j = [k = s2 - 1]:
     # y is the reciprocal power series of r = (c_j j!) reversed
@@ -285,27 +314,30 @@ def _kernel_source(n: int, s2: int, normalize: bool) -> str:
         design.append(f"y{m} = -y{m} / r0")
     for i in ks:                                # q(A) is lower triangular
         design += _sum(f"g{i}", [f"q{i}_{j} * y{j}" for j in range(i + 1)])
-    design.append(f"return {vec('g{k}')}")
-    src += ["", "    def design(c):"] + ["        " + line for line in design]
+    design.append(f"return [{', '.join(gs)}]")
+    src += ["", "    def _design(c):"] + ["        " + line for line in design]
 
     step = ["if not 0 < dt < math.inf:",
-            "    raise ValueError(f\"dt must be > 0 and finite, got {dt}\")",
-            "if not (" + " and ".join(f"isfinite({v})" for v in xs + bs) + "):",
-            "    raise NumericalError(\"non-finite observer inputs\")"]
-    src += ["", f"    def step({', '.join(xs + bs)}, dt):"]
-    src += ["        " + line for line in step + body + [f"return {es},"]]
-    src += ["", "    return step, design, row", ""]
+            "    raise ValueError(f\"dt must be > 0 and finite, got {dt}\")"]
+    step += load + update + store + finish + [f"return {', '.join(f'e{i}' for i in range(n))},"]
+    src += ["", f"    def step({', '.join(xs + [f'b{i}' for i in range(n)])}, dt):"]
+    src += ["        " + line for line in step] + ["", "    return step, _design, row", ""]
     return "\n".join(src)
+
+
+def build(source: str, filename: str, **names) -> dict:
+    """The names that ``source``, generated source holding observer lines,
+    defines when run on this module's globals and ``names``."""
+    namespace = {}
+    exec(compile(source, filename, "exec"), dict(globals(), **names), namespace)
+    return namespace
 
 
 @functools.cache
 def _kernels(n: int, s2: int, normalize: bool) -> Callable:
     """The compiled kernel factory of one model shape."""
-    namespace = {}
-    exec(compile(_kernel_source(n, s2, normalize),
-                 f"<coupled_do.observer kernels n={n} s2={s2} normalize={normalize}>", "exec"),
-         globals(), namespace)
-    return namespace["_factory"]
+    return build(_kernel_source(n, s2, normalize),
+                  f"<coupled_do.observer kernels n={n} s2={s2} normalize={normalize}>")["_factory"]
 
 
 class Hodo:
@@ -339,15 +371,15 @@ class Hodo:
     counts it in ``gain_failures``.  ``sigma_hat``, the auxiliary ``z``
     and the gain column ``gain`` (g) are lists of s2 Python floats.
 
-    The constructor binds this observer and its model's constants (K_w
-    = w sum_i K_i, K when n > 1, the shift of A, the rows of q(A), the
-    factorials and the normalization box) into the straight-line step
-    and design generated for its shape (n, s2, normalize), and ``step``
-    is that generated kernel itself.  They add in the order of the loop
-    form in ``tests/loop_observer.py`` and so return its bits exactly
-    (module docstring).  The kernel calls ``self._design``, so a
-    replacement of ``_design`` on the class or on the instance is
-    honoured.
+    The constructor binds this observer and its model's constants
+    (``_consts``: K_w = w sum_i K_i, K when n > 1, the shift of A, the
+    rows of q(A), the factorials and the normalization box) into the
+    straight-line step and design generated for its shape (n, s2,
+    normalize), and ``step`` is that generated kernel itself.  They add
+    in the order of the loop form in ``tests/loop_observer.py`` and so
+    return its bits exactly (module docstring).  The kernel calls
+    ``self._design``, so a replacement of ``_design`` on the class or on
+    the instance is honoured.
     """
 
     def __init__(self, model: SeparatedModel, poles, x0, sigma0=None):
@@ -379,9 +411,9 @@ class Hodo:
         q = [qij for i, row in enumerate(q_fact) for qij in row[:i + 1]]
         lo, hi = model.config.x_box.T.tolist()
         span = [h - l for l, h in zip(lo, hi)]
+        self._consts = (kw, K, shift, q, fact.tolist(), lo, span, self.w)
         self.step, self._design_kernel, row = _kernels(
-            n, s2, bool(model.config.normalize))(self, kw, K, shift, q, fact.tolist(), lo,
-                                                 span, self.w)
+            n, s2, bool(model.config.normalize))(self)
 
         self.sigma_hat = sigma0.tolist()
         # the row ``gain`` was designed for, summed as ``step`` sums it

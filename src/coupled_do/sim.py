@@ -9,13 +9,19 @@ The observers only see the velocity channel (n = 1, f_x = 0,
 f_u = 1/m), which is where the coupled disturbance enters.  The plant's
 disturbances are the registry in :mod:`coupled_do.learner`; this module
 imports it and :mod:`coupled_do.observer`, and neither imports it back.
+
+The closed loop is straight-line Python on floats compiled once per
+observer shape and disturbance (:func:`_loop`), a partial evaluation for
+its model: the only copy of the reference, the PD law and the RK4 step,
+with the disturbance and ``Hodo.step``'s lines written in at each step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 import sys
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,9 +29,9 @@ import numpy as np
 
 from .basis import BasisConfig
 from .errors import ConfigError, NumericalError
-from .learner import (SeparatedModel, TrajectoryDataset, check, disturbance, disturbance_box,
-                      rng_stream, synthesize_dataset)
-from .observer import Hodo, check_poles
+from .learner import (SeparatedModel, TrajectoryDataset, _sin, check, disturbance,
+                      disturbance_box, rng_stream, synthesize_dataset)
+from .observer import Hodo, build, check_poles, loop_step
 
 
 # --- plant and training data ------------------------------------------------
@@ -176,6 +182,78 @@ class ScenarioResult:
         return float(self.delta_true.max() - self.delta_true.min())
 
 
+_LOOP = """\
+def run(cfg, fn, self, fx, fu, n_steps, t_grid, noise, logs, sig_log):
+    mass, dt, k_eta, k_v = cfg.mass, cfg.dt, cfg.k_eta, cfg.k_v
+    eta, v = float(cfg.eta0), float(cfg.v0)
+    sin, cos, isfinite, nan = math.sin, math.cos, math.isfinite, math.nan
+    half, sixth = 0.5 * dt, dt / 6.0
+    eta_log, eta_d_log, v_log, u_log, delta_log, delta_hat_log = logs
+    delta_hat, n_done, failures, completed = 0.0, n_steps, 0, True
+    {setup}
+    for k, t, noise_k in zip(range(n_steps), memoryview(t_grid), memoryview(noise)):
+        v_meas, ht = v + noise_k, 0.5 * t
+        eta_d, eta_d_dot = sin(ht), 0.5 * cos(ht)
+        u = k_eta * (eta_d - eta) + k_v * (eta_d_dot - v_meas){minus_hat}
+        try:
+            delta = {delta_1}
+        except OverflowError:
+            delta = nan             # the plant step below fails on it
+        eta_log[k] = eta
+        eta_d_log[k] = eta_d
+        v_log[k] = v
+        u_log[k] = u
+        delta_log[k] = delta
+        {log}
+        try:
+            t_h, t_d = t + half, t + dt
+            a_1 = (u + delta) / mass
+            v_2 = v + half * a_1
+            a_2 = (u + {delta_2}) / mass
+            v_3 = v + half * a_2
+            a_3 = (u + {delta_3}) / mass
+            v_4 = v + dt * a_3
+            a_4 = (u + {delta_4}) / mass
+            eta = eta + sixth * (v + 2.0 * v_2 + 2.0 * v_3 + v_4)
+            v = v + sixth * (a_1 + 2.0 * a_2 + 2.0 * a_3 + a_4)
+        except OverflowError:       # a later stage's disturbance
+            eta = nan
+        if not (isfinite(eta) and isfinite(v)):
+            n_done, completed = k + 1, False    # the partial series
+            break
+        {observe}
+    return n_done, failures, completed
+"""
+
+
+@functools.cache
+def _loop(shape: Optional[tuple], expr: Optional[str]) -> Callable:
+    """The loop of :func:`run_scenario` for a key: the observer shape, (s2,
+    normalize) or None, and the disturbance's ``fn.expr`` in (x, t), or None
+    to call fn(v, t).  The RK4 step is that of ``oracles.rk4_step`` on (eta,
+    v) without the unread position stages; the observer step is
+    :func:`coupled_do.observer.loop_step`'s, and each new gain is designed
+    by the observer's ``_design``, looked up once per run.  Logs go through
+    memoryviews, whose stores are cheaper than ``array``'s."""
+    def delta(x, t):
+        return (f"fn({x}, {t})" if expr is None else
+                "(" + re.sub(r"\b[xt]\b", lambda m: x if m[0] == "x" else t, expr) + ")")
+
+    stages = (("v", "t"), ("v_2", "t_h"), ("v_3", "t_h"), ("v_4", "t_d"))
+    deltas = {f"delta_{i}": delta(*args) for i, args in enumerate(stages, 1)}
+    setup, log, observe = [], [], []
+    if shape is not None:       # the observer's state lives in locals between steps
+        log = ["delta_hat_log[k] = delta_hat", "if sig_log is not None: sig_log[k] = "
+               f"[{', '.join(f'sh{k}' for k in range(shape[0]))}]"]
+        observe = ["x0, b0 = v_meas, fx + fu * u", "delta_hat = mass * e0"]
+        setup, step = loop_step(*shape, "\n".join([_LOOP, *log, *observe, *deltas.values()]))
+        observe[1:1] = step
+    source = _LOOP.format(setup="\n    ".join(setup), log="\n        ".join(log),
+                          observe="\n        ".join(observe),
+                          minus_hat="" if shape is None else " - delta_hat", **deltas)
+    return build(source, f"<coupled_do.sim loop {shape} {expr}>", _sin=_sin)["run"]
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Simulate the point-mass tracking loop under one compensation mode.
 
@@ -185,20 +263,20 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     RK4 step with u held, then advance the observer with the held
     measurement and control.
 
-    One straight loop on Python floats serves all three modes, and it
-    holds the only copy of the reference, the control law and the plant
-    step.  The plant step runs the operations of
+    One straight loop on Python floats, generated for the mode's
+    observer shape and the disturbance (:func:`_loop`), serves all three
+    modes, and it holds the only copy of the reference, the control law
+    and the plant step.  The plant step runs the operations of
     :func:`coupled_do.oracles.rk4_step` on the state (eta, v), reusing
     the logged disturbance as its first stage; no stage reads the
     position stages, so they are skipped.  The loop walks the time grid
-    and the noise through memoryviews and logs into preallocated
-    ``array('d')`` buffers.  ``ndo`` and ``hodo`` advance their observer
-    by one call per step of ``Hodo.step``, the generated kernel bound
-    on the observer, on v_meas and b = f_x + f_u u, with the velocity
-    channel's f_x = 0 and f_u = 1/m read once as floats; the kernel
-    designs each gain through ``Hodo._design``.
-    ``tests/loop_scenario.py`` keeps the loop with one call per part,
-    which this one equals bit for bit.
+    and the noise through memoryviews and logs into preallocated NumPy
+    buffers.  ``ndo`` and ``hodo`` advance their observer with the lines
+    of ``Hodo.step`` written into the loop, its state kept in locals, on
+    v_meas and b = f_x + f_u u, with the velocity channel's f_x = 0 and
+    f_u = 1/m read once as floats; the step designs each gain through
+    ``Hodo._design``.  ``tests/loop_scenario.py`` keeps the loop with one
+    call per part, which this one equals bit for bit.
 
     A non-finite plant state, or a disturbance beyond the float range
     (logged as nan), ends the run and returns the series up to that
@@ -210,17 +288,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """
     n_steps = int(round(cfg.duration / cfg.dt))
     fn = disturbance(cfg.disturbance_name)
-    observer = step = None
+    observer = shape = None
     if cfg.mode == "hodo":
         observer = Hodo(cfg.model, cfg.poles, x0=[cfg.v0])
     elif cfg.mode == "ndo":
         unit = SeparatedModel(theta=[[1.0]], config=BasisConfig(p=0, n=1))
         observer = Hodo(unit, (-cfg.ndo_gain,), x0=[cfg.v0])
     if observer is not None:
-        # the channel's maps do not depend on the state, so b = fx + fu u on floats
-        step = observer.step
-        f_x, f_u = newton_velocity_channel(cfg.mass)
-        fx, fu = float(f_x(None)[0]), float(f_u(None)[0, 0])
+        shape = observer.model.config.s2, bool(observer.model.config.normalize)
+    # the channel's maps do not depend on the state, so b = fx + fu u on floats
+    f_x, f_u = newton_velocity_channel(cfg.mass)
+    fx, fu = float(f_x(None)[0]), float(f_u(None)[0, 0])
 
     unallocatable = NumericalError(f"the series of {n_steps} steps (scenario.duration / "
                                    f"scenario.dt) do not fit in memory")
@@ -235,61 +313,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         noise *= math.sqrt(cfg.sigma_v2)
         t_grid = np.arange(n_steps, dtype=float)
         t_grid *= cfg.dt
-        logs = [array("d", [0.0]) * n_steps for _ in range(6)]
+        logs = [np.zeros(n_steps) for _ in range(6)]
         sig_log = (np.empty((n_steps, cfg.model.config.s2))
                    if cfg.log_sigma and cfg.mode == "hodo" else None)
     except MemoryError:
         raise unallocatable from None
-    eta_log, eta_d_log, v_log, u_log, delta_log, delta_hat_log = logs
 
-    eta, v = float(cfg.eta0), float(cfg.v0)
-    delta_hat = 0.0
-    mass, dt, k_eta, k_v = cfg.mass, cfg.dt, cfg.k_eta, cfg.k_v
-    h, w = 0.5 * dt, dt / 6.0
-    sin, cos, isfinite, nan = math.sin, math.cos, math.isfinite, math.nan
-    n_done, completed = n_steps, True
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t, noise_k in zip(range(n_steps), memoryview(t_grid), memoryview(noise)):
-            v_meas = v + noise_k
-            eta_d, eta_d_dot = sin(0.5 * t), 0.5 * cos(0.5 * t)
-            u = k_eta * (eta_d - eta) + k_v * (eta_d_dot - v_meas) - delta_hat
-            try:
-                delta = fn(v, t)
-            except OverflowError:
-                delta = nan             # the plant step below fails on it
-
-            eta_log[k] = eta
-            eta_d_log[k] = eta_d
-            v_log[k] = v
-            u_log[k] = u
-            delta_log[k] = delta
-            delta_hat_log[k] = delta_hat
-            if sig_log is not None:
-                sig_log[k] = observer.sigma_hat
-
-            try:
-                th = t + h
-                a1 = (u + delta) / mass
-                v2 = v + h * a1
-                a2 = (u + fn(v2, th)) / mass
-                v3 = v + h * a2
-                a3 = (u + fn(v3, th)) / mass
-                v4 = v + dt * a3
-                a4 = (u + fn(v4, t + dt)) / mass
-                eta = eta + w * (v + 2.0 * v2 + 2.0 * v3 + v4)
-                v = v + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            except OverflowError:       # a later stage's disturbance
-                eta = nan
-            if not (isfinite(eta) and isfinite(v)):
-                # hard integration failure: return the partial series
-                n_done, completed = k + 1, False
-                break
-
-            if step is not None:
-                delta_hat = mass * step(v_meas, fx + fu * u, dt)[0]
-
+        n_done, failures, completed = _loop(shape, getattr(fn, "expr", None))(
+            cfg, fn, observer, fx, fu, n_steps, t_grid, noise, list(map(memoryview, logs)),
+            sig_log)
     return ScenarioResult(
-        cfg.mode, t_grid[:n_done], *(np.frombuffer(log)[:n_done] for log in logs),
+        cfg.mode, t_grid[:n_done], *(log[:n_done] for log in logs),
         sigma_hat=None if sig_log is None else sig_log[:n_done],
-        gain_failures=getattr(observer, "gain_failures", 0),
-        completed=completed)
+        gain_failures=failures, completed=completed)

@@ -5,7 +5,7 @@ written as separate calls: the reference signal, the PD law
 :func:`pd_control`, the RK4 plant step :func:`point_mass_step`, NumPy
 log stores and, for both observer modes, ``Hodo.step`` on the plant
 terms b that ``loop_observer.plant_terms`` sums from the arrays of
-:func:`newton_velocity_channel`.  The straight loop of ``run_scenario``
+:func:`newton_velocity_channel`.  The generated loop of ``run_scenario``
 keeps the order of every operation of this form, so the two agree bit
 for bit; the tests compare them with ``==``.
 """

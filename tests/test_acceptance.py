@@ -131,19 +131,19 @@ def test_criterion_7_sweep_shape(acceptance):
                               delta=0.01, normalize=True, seed=7)
         cells = sweep(replace(base, p_values=p_values, noise_variances=noise))
         for sigma2 in noise:
-            maes = [c.report.test_mae for c in cells if c.noise_variance == sigma2]
+            maes = [c.test_mae for c in cells if c.noise_variance == sigma2]
             arg = p_values[int(np.argmin(maes))]
             interior &= p_values[0] < arg < p_values[-1]
             details.append(f"{name}@{sigma2}:p{arg}")
 
     base = LearningConfig(functions=("cubic_drift",), n_samples=10000,
                           delta=1e-9, normalize=True, seed=7)
-    inspan = [c.report.test_mae
+    inspan = [c.test_mae
               for c in sweep(replace(base, p_values=[3, 4, 5, 6], noise_variances=[0.0]))]
     base_ridge = LearningConfig(functions=("cubic_drift",), n_samples=10000,
                                 delta=0.01, normalize=True, seed=7)
     ridge_floor = sweep(replace(base_ridge, p_values=[3],
-                                noise_variances=[0.0]))[0].report.test_mae
+                                noise_variances=[0.0]))[0].test_mae
     inspan_ok = max(inspan) < 1e-6
 
     elapsed = time.perf_counter() - start

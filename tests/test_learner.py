@@ -12,7 +12,7 @@ from coupled_do.learner import (LearningConfig, SeparatedModel, TrajectoryDatase
                                 _poly_derivative_window, evaluate, fit_rls, rng_stream,
                                 split_dataset, sweep, synthesize_dataset, targets_from_trajectory)
 from coupled_do.oracles import gradient_descent_fit, projection_oracle, rk4_step
-from coupled_do.sim import disturbance
+from coupled_do.sim import disturbance, generate_training_run
 
 
 def make_inspan_data(rng, cfg, theta, n=500, t_lo=-1.0, t_hi=1.0):
@@ -363,7 +363,7 @@ class TestSweep:
         base = LearningConfig(functions=("cubic_drift",),
                               n_samples=4000, delta=1e-9, normalize=True, seed=1)
         cells = sweep(replace(base, p_values=[3], noise_variances=[0.0]))
-        assert cells[0].report.test_mae < 1e-6
+        assert cells[0].test_mae < 1e-6
 
     def test_noise_trend(self):
         # mean test error over seeds grows with the noise level
@@ -374,7 +374,7 @@ class TestSweep:
                 base = LearningConfig(functions=("cubic_drift",), n_samples=2000,
                                       normalize=True, seed=seed)
                 cell = sweep(replace(base, p_values=[3], noise_variances=[sigma2]))[0]
-                maes.append(cell.report.test_mae)
+                maes.append(cell.test_mae)
             means.append(np.mean(maes))
         assert means[0] < means[1]
 
@@ -390,7 +390,7 @@ class TestSweep:
                                   normalize=True, seed=seed)
             cells = sweep(replace(base, p_values=p_values, noise_variances=noise))
             for sigma2 in noise:
-                maes = [c.report.test_mae for c in cells if c.noise_variance == sigma2]
+                maes = [c.test_mae for c in cells if c.noise_variance == sigma2]
                 arg = p_values[int(np.argmin(maes))]
                 if not p_values[0] < arg < p_values[-1]:
                     edges.append((seed, sigma2, arg))
@@ -402,7 +402,7 @@ class TestSweep:
         grid = sweep(replace(base, p_values=[1, 2, 3, 4], noise_variances=[0.01, 0.05]))
         alone = sweep(replace(base, p_values=[3], noise_variances=[0.05]))[0]
         cell = next(c for c in grid if c.p == 3 and c.noise_variance == 0.05)
-        assert cell.report.test_mae == alone.report.test_mae
+        assert cell.test_mae == alone.test_mae
 
     def test_failed_cell_reported_not_raised(self, monkeypatch):
         entry = dict(learner._REGISTRY["cubic_drift"],
@@ -410,7 +410,7 @@ class TestSweep:
         monkeypatch.setitem(learner._REGISTRY, "all_nan", entry)
         base = LearningConfig(functions=("all_nan",), n_samples=100, seed=0)
         cells = sweep(replace(base, p_values=[1], noise_variances=[0.0]))
-        assert cells[0].report is None
+        assert cells[0].test_mae is None
         assert "DataError" in cells[0].error
 
     @staticmethod
@@ -440,8 +440,8 @@ class TestSweep:
             for s2 in cfg.noise_variances]
         for cell in cells:
             assert cell.error is None
-            assert cell.report == self.per_function_cell(cfg, cell.function, cell.p,
-                                                         cell.noise_variance)
+            assert cell.test_mae == self.per_function_cell(cfg, cell.function, cell.p,
+                                                           cell.noise_variance).test_mae
 
     def test_one_shared_level_keeps_one_design_alive(self, traced_peak):
         # three functions at p = 6: the draw is freed before the training
@@ -480,6 +480,25 @@ class TestSweep:
                              p_values=(1, 2, 3), noise_variances=(0.0, 0.05))
         assert all(c.error is None for c in sweep(cfg))
         assert sorted(calls) == [("cubic_drift", 500)] * 2 + [("sine_cubic", 500)] * 2
+
+    def test_a_cell_computes_only_its_test_mae(self, monkeypatch):
+        # sweep.csv records the test MAE alone: no cell takes a condition
+        # number (an SVD) or a training residual, while fit_rls still reports both
+        cfg = LearningConfig(n_samples=500, seed=3, functions=("cubic_drift", "sine_cubic"),
+                             p_values=(1, 2, 3), noise_variances=(0.0, 0.05))
+        scored = []
+        residuals = learner._residuals
+        monkeypatch.setattr(learner, "_residuals", lambda targets, pred: scored.append(
+            len(targets)) or residuals(targets, pred))
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a: pytest.fail("cond in a sweep"))
+        cells = sweep(cfg)
+        assert [type(c.test_mae) for c in cells] == [float] * 12
+        assert scored == [250] * 12         # the held-out half, once per cell
+        monkeypatch.setattr(np.linalg, "cond", cond)
+        data = generate_training_run("cubic_drift", n_samples=500, seed=3)
+        report = fit_rls(data, BasisConfig(p=3, n=1, x_box=(-2, 2), t_box=(0, 4)), 0.01)[1]
+        assert report.gram_condition > 1.0 and report.train_mae > 0.0
 
     def test_done_cells_are_left_out(self):
         base = LearningConfig(n_samples=500, seed=3, functions=("cubic_drift", "sine_cubic"),

@@ -1,6 +1,7 @@
 """Gain synthesis and online estimation dynamics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from coupled_do.errors import ConfigError, NumericalError
 from coupled_do.learner import SeparatedModel
 from coupled_do.observer import (_MARGIN, _UNROLL, Hodo, UnobservableError, _kernel_source,
                                  _kernels)
-from coupled_do.oracles import ackermann_gain, placement_residual, rk4_step
+from coupled_do.oracles import (ackermann_gain, gain_placement_checks, placement_residual,
+                                rk4_step)
 from coupled_do.sim import ScenarioConfig, disturbance, run_scenario
 from loop_observer import LoopHodo, plant_terms
 
@@ -78,6 +80,47 @@ class TestAckermannGain:
         _, A = structure_matrices(3)
         with pytest.raises(ValueError, match="poles: must be finite"):
             ackermann_gain(A, np.ones(3), [pole, -1.0, -1.0])
+
+
+class TestExactPlacementResidual:
+    @staticmethod
+    def horner_residual(A, c, gamma, poles):
+        # the same exact number by another route: the monic polynomial's
+        # coefficients from its roots, then Horner's rule, all in Fraction
+        M = [[Fraction(a) - Fraction(g) * Fraction(v) for a, v in zip(row, c)]
+             for row, g in zip(A.tolist(), gamma)]
+        coef = [Fraction(1)]                # highest power first
+        for lam in poles:
+            re, im = Fraction(lam.real), Fraction(lam.imag)
+            if im < 0:
+                continue
+            factor = [Fraction(1), -re] if im == 0 else [Fraction(1), -2 * re, re * re + im * im]
+            coef = [sum(coef[i] * factor[k - i] for i in range(len(coef))
+                        if 0 <= k - i < len(factor)) for k in range(len(coef) + len(factor) - 1)]
+        s = len(M)
+        q = [[Fraction(0)] * s for _ in range(s)]
+        for a in coef:
+            q = [[sum(q[i][k] * M[k][j] for k in range(s)) + (a if i == j else 0)
+                  for j in range(s)] for i in range(s)]
+        return math.sqrt(sum(v * v for row in q for v in row))
+
+    @pytest.mark.parametrize("poles", [(-0.4,) * 3, (-0.4, -0.7, -1.3),
+                                       (-1 + 1j, -2.0, -1 - 1j)])
+    def test_equals_an_exact_horner_evaluation(self, poles):
+        _, A = structure_matrices(3)
+        rng = np.random.default_rng(11)
+        for scale in (1.0, 1e2, 1e4):       # rows near the pivot bound reach ||M|| ~ 1e4
+            c = rng.standard_normal(3)
+            gamma = rng.standard_normal(3) * scale
+            args = (A, c, gamma, np.array(poles, dtype=complex))
+            assert placement_residual(*args) == self.horner_residual(A, c.tolist(),
+                                                                     gamma.tolist(), args[3])
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_full_level_certifies_the_placed_gains(self, seed):
+        # the float64 evaluation read 2.4e-7 and 4.2e-8 here, its own rounding
+        results = gain_placement_checks(seed=seed, draws=1000)
+        assert all(r.passed for r in results), [r.line() for r in results]
 
 
 class TestUnpairedComplexPoles:
@@ -500,7 +543,8 @@ class TestGeneratedKernels:
         assert a.step is not b.step and "step" not in vars(Hodo)
 
     def test_one_shape_compiles_once(self):
-        # the constructor, Hodo.step and the closed loop share one factory
+        # the constructor and Hodo.step share one factory, and the closed
+        # loop, which compiles the step's lines into its own, builds no other
         _kernels.cache_clear()
         obs = Hodo(exact_model(), (-0.4,) * 3, x0=[0.1])
         obs.step(0.2, 0.5, 1e-3)

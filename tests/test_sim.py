@@ -12,7 +12,7 @@ from coupled_do.errors import ConfigError, DataError, NumericalError
 from coupled_do.learner import SeparatedModel, fit_rls, rng_stream
 from coupled_do.observer import Hodo
 from coupled_do.oracles import rk4_step
-from coupled_do import learner, sim
+from coupled_do import learner, observer, sim
 from coupled_do.sim import (ScenarioConfig, disturbance, disturbance_box, generate_training_run,
                             run_scenario)
 from loop_scenario import pd_control, point_mass_step, run_scenario_reference
@@ -321,17 +321,22 @@ class TestScenario:
         # np.float64 subclasses float, so only ``type(...) is float`` tells
         # a Python float from a NumPy scalar
         base = disturbance(name)
-        seen = set()
+        seen, calls = set(), []
 
         def recording(v, t):
             seen.update((type(v), type(t)))
+            calls.append(t)
             return base(v, t)
 
+        # a replaced disturbance has no ``expr``: the loop calls it at each stage
         monkeypatch.setitem(learner._REGISTRY[name], "fn", recording)
-        res = run_scenario(ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
-                                          disturbance_name=name, duration=0.01, seed=1))
+        cfg = ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
+                             disturbance_name=name, duration=0.01, seed=1)
+        res = run_scenario(cfg)
         assert len(res.t) == 10 and res.completed
-        assert seen == {float}
+        assert seen == {float} and len(calls) == 4 * 10
+        for mass in (1.0, 2.5):
+            assert_loop_equals_reference(dataclasses.replace(cfg, mass=mass))
 
     @pytest.mark.parametrize("mode", ["none", "ndo"])
     def test_overflowing_disturbance_ends_the_run(self, mode):
@@ -375,7 +380,7 @@ def assert_loop_equals_reference(cfg):
 
 
 class TestStraightLoop:
-    # run_scenario's straight loop against the loop with one call per part
+    # run_scenario's generated loop against the loop with one call per part
 
     @pytest.mark.parametrize("mode", ["none", "ndo", "hodo"])
     @pytest.mark.parametrize("name", sorted(learner._REGISTRY))
@@ -390,9 +395,13 @@ class TestStraightLoop:
 
     @pytest.mark.parametrize("mode", ["none", "ndo"])
     def test_overflowing_disturbance(self, mode):
-        # -v**2 raises OverflowError: a one-step partial series
-        cfg = ScenarioConfig(mode=mode, v0=1e200, duration=1.0)
-        assert assert_loop_equals_reference(cfg)[-3:] == (1, 0, False)
+        # -v**2 raises OverflowError: a one-step partial series.  At v0 =
+        # 1.3e154 it is finite, and the second stage's velocity overflows it
+        # (hodo refuses these v0 at construction: its row is not finite)
+        for v0 in (1e200, 1.3e154):
+            for mass in (1.0, 2.5):
+                cfg = ScenarioConfig(mode=mode, v0=v0, mass=mass, duration=1.0)
+                assert assert_loop_equals_reference(cfg)[-3:] == (1, 0, False)
 
     @pytest.mark.parametrize("mode", ["none", "ndo", "hodo"])
     def test_nonfinite_plant_state(self, newton_model, monkeypatch, mode):
@@ -400,9 +409,12 @@ class TestStraightLoop:
         entry = dict(learner._REGISTRY["quad_drag_drift"],
                      fn=lambda v, t: base(v, t) + (np.inf if t > 0.0105 else 0.0))
         monkeypatch.setitem(learner._REGISTRY, "blows_up", entry)
-        cfg = ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
-                             disturbance_name="blows_up", seed=4, duration=1.0, log_sigma=True)
-        assert assert_loop_equals_reference(cfg)[-3:] == (11, 0, False)
+        # at duration 0.011 the failed step is the run's last: still not completed
+        for mass, duration in ((1.0, 1.0), (2.5, 1.0), (1.0, 0.011)):
+            cfg = ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
+                                 disturbance_name="blows_up", seed=4, duration=duration,
+                                 log_sigma=True, mass=mass)
+            assert assert_loop_equals_reference(cfg)[-3:] == (11, 0, False)
 
     def test_diverging_plant(self):
         # G dt = 5 is outside RK4's stability interval; -v**2 overflows first.
@@ -416,12 +428,13 @@ class TestStraightLoop:
         # a bounded disturbance keeps the plant finite while the observer,
         # unstable at these poles for dt = 1e-3, diverges.  ScenarioConfig
         # refuses the poles, so they are forced in after the checks.
-        cfg = ScenarioConfig(mode=mode, model=newton_model, disturbance_name="sine_product",
-                             duration=1.0, log_sigma=True)
-        object.__setattr__(cfg, "ndo_gain", gain)
-        object.__setattr__(cfg, "poles", (-gain,) * 3)
-        assert assert_loop_equals_reference(cfg) == (
-            NumericalError, "observer state diverged to non-finite values")
+        for mass in (1.0, 2.5):
+            cfg = ScenarioConfig(mode=mode, model=newton_model, disturbance_name="sine_product",
+                                 duration=1.0, log_sigma=True, mass=mass)
+            object.__setattr__(cfg, "ndo_gain", gain)
+            object.__setattr__(cfg, "poles", (-gain,) * 3)
+            assert assert_loop_equals_reference(cfg) == (
+                NumericalError, "observer state diverged to non-finite values")
 
     def test_held_gains_counted(self):
         # C(x) = [1e3, 0, x] fails the pivot margin wherever |x| <= 0.1
@@ -433,8 +446,8 @@ class TestStraightLoop:
 
 
 class TestObserverHotPath:
-    # the closed loop makes one call into the observer per step, its
-    # generated step kernel, with no NumPy round trip
+    # the closed loop holds the observer step's lines and calls into the
+    # observer only to design a new row's gain, with no NumPy round trip
 
     def test_one_gain_design_per_step(self, newton_model, monkeypatch):
         # on the class, where the benchmark's trace wraps it
@@ -445,9 +458,10 @@ class TestObserverHotPath:
         assert len(res.t) == 50 and res.completed
         assert len(rows) == 50 + 1      # the constructor's row, then one per step
 
-    def test_modes_call_the_observer_step_once_per_step(self, newton_model, monkeypatch):
-        # each observer built by the loop gets a counting wrapper around the
-        # kernel bound on it; the bytes stay the reference loop's
+    def test_modes_write_the_observer_step_into_the_loop(self, newton_model, monkeypatch):
+        # each observer built by the loop gets a counting wrapper around its
+        # bound step: the generated loop holds the step's lines and never
+        # calls it, and the bytes stay the reference loop's
         cfgs = [ScenarioConfig(mode=mode, model=newton_model if mode == "hodo" else None,
                                duration=0.2, seed=3, log_sigma=True)
                 for mode in ("none", "ndo", "hodo")]
@@ -461,12 +475,9 @@ class TestObserverHotPath:
                 self.step = lambda *a: calls.append(len(a)) or kernel(*a)
 
         monkeypatch.setattr(sim, "Hodo", Counted)
-        counts = []
         for cfg, outcome in zip(cfgs, expected):
-            calls.clear()
             assert scenario_outcome(run_scenario, cfg) == outcome
-            counts.append(len(calls))
-        assert counts == [0, 200, 200] and set(calls) == {3}    # v_meas, b and dt
+        assert calls == []
 
     @pytest.mark.parametrize("mode", ["ndo", "hodo"])
     def test_plant_maps_read_once_per_run(self, newton_model, monkeypatch, mode):
@@ -483,6 +494,64 @@ class TestObserverHotPath:
             run_scenario(ScenarioConfig(mode=mode, model=newton_model, duration=duration))
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+@pytest.fixture(scope="module")
+def normalized_model():
+    data = generate_training_run("quad_drag_drift", n_samples=10000, seed=43)
+    cfg = BasisConfig(p=2, n=1, x_box=(-10, 10), t_box=(0, 100), normalize=True)
+    return fit_rls(data, cfg, 0.01)[0]
+
+
+class TestGeneratedLoop:
+    # the loop generated per (observer shape, disturbance) key against the
+    # loop with one call per part
+
+    @pytest.mark.parametrize("mode", ["none", "ndo", "hodo"])
+    @pytest.mark.parametrize("name", sorted(learner._REGISTRY))
+    def test_every_key_equals_the_reference(self, newton_model, normalized_model, mode, name):
+        for normalize in (False, True):
+            model = (normalized_model if normalize else newton_model) if mode == "hodo" else None
+            for log_sigma in (False, True):
+                for mass in (1.0, 2.5):
+                    cfg = ScenarioConfig(mode=mode, model=model, disturbance_name=name,
+                                         mass=mass, seed=5, v0=0.3, duration=0.25,
+                                         log_sigma=log_sigma)
+                    assert assert_loop_equals_reference(cfg)[-3:] == (250, 0, True)
+
+    def test_one_compile_per_key(self, newton_model, normalized_model, monkeypatch):
+        compiled = []
+        build = sim.build
+        monkeypatch.setattr(sim, "build", lambda src, name, **kw: compiled.append(name)
+                            or build(src, name, **kw))
+        sim._loop.cache_clear()
+        cfgs = [ScenarioConfig(mode=mode, model=model, mass=mass, disturbance_name=name,
+                               duration=0.01)
+                for mode, model in (("none", None), ("ndo", None), ("hodo", newton_model),
+                                    ("hodo", normalized_model))
+                for mass in (1.0, 2.5) for name in ("quad_drag_drift", "sine_product")]
+        for cfg in cfgs + cfgs:
+            run_scenario(cfg)
+        # ndo is the s2 = 1 raw shape; the two hodo models differ in normalize,
+        # and the mass is no part of a key
+        assert len(compiled) == len(set(compiled)) == 4 * 2
+        assert sim._loop.cache_info().misses == 8 and sim._loop.cache_info().hits == 24
+        # a replaced disturbance is one more key, the call path, compiled once
+        monkeypatch.setitem(learner._REGISTRY["sine_product"], "fn", lambda v, t: 0.0)
+        for _ in range(2):
+            run_scenario(ScenarioConfig(disturbance_name="sine_product", duration=0.01))
+        assert len(compiled) == 9
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("s2", range(1, 9))
+    def test_the_step_assigns_no_name_of_the_loop(self, s2, normalize):
+        # the step's lines share only their outputs with the loop's own lines
+        setup, step = observer.loop_step(s2, normalize, sim._LOOP)
+        assert "e0" in "".join(step) and f"sh{s2 - 1}" in "".join(step)
+        # a loop line that reads or writes a name the step assigns is refused
+        for own in ("v2 = v + half * a_1", "ht = gx * t", "cl = self._c"):
+            with pytest.raises(AssertionError, match="assigns the loop's names"):
+                observer.loop_step(max(s2, 3), normalize, sim._LOOP + own)
 
 
 class TestDivergingRuns:
