@@ -8,9 +8,9 @@ error dynamics carry prescribed eigenvalues.
 
 Each module imports only modules listed before it: ``errors``, ``basis``,
 ``learner`` (with the disturbance registry), ``observer`` (on ``errors``
-alone), ``sim``, ``fileio``, ``cli``.  ``oracles``, the reference checks
-that ``verify`` loads, is imported by no other module: take
-``ackermann_gain`` and ``rk4_step`` from :mod:`coupled_do.oracles`.
+alone), ``sim``, ``csvblocks``, ``fileio``, ``cli``.  ``oracles``, the
+reference checks that ``verify`` loads, is imported by no other module:
+take ``ackermann_gain`` and ``rk4_step`` from :mod:`coupled_do.oracles`.
 """
 
 from .basis import BasisConfig, cheb_series, flat_to_multi, structure_matrices

@@ -2,18 +2,21 @@
 
 It reconstructs the monomial time-feature vector varsigma(t) of an
 identified separable model, d/dt varsigma = A varsigma with
-delta = Theta B(x) D varsigma = C(x) varsigma, on the plant
+delta = Theta B(x) D varsigma = C(x) varsigma, on the one-channel plant
 dx/dt = b + delta, where b holds the known plant terms (the drift plus
 the input map times u), through
 
     dz/dt = A sigma_hat - Gamma (b + C(x) sigma_hat),
     sigma_hat = z + Gamma x,      delta_hat = C(x) sigma_hat,
 
-with Gamma redesigned at each step's state so that the error dynamics
-d/dt e = (A - Gamma C(x)) e have prescribed stable eigenvalues.  The
-classical first-order disturbance observer is its case s2 = 1: on the
-unit model Theta = [[1]] of order p = 0, C(x) = 1, A = 0 and the pole -G
-places Gamma = G, so dz/dt = -G (z + G x + b); it recovers constant
+with the gain column Gamma redesigned at each step's state so that the
+error dynamics d/dt e = (A - Gamma C(x)) e have prescribed stable
+eigenvalues.  The state x is a scalar: the observer serves the velocity
+channel that :mod:`coupled_do.sim` drives, and a model with n != 1 is
+refused (``learn`` still fits n-dimensional models).  The classical
+first-order disturbance observer is its case s2 = 1: on the unit model
+Theta = [[1]] of order p = 0, C(x) = 1, A = 0 and the pole -G places
+Gamma = G, so dz/dt = -G (z + G x + b); it recovers constant
 disturbances and lags a ramp of slope r by r / G.
 
 A is a weighted shift (d/dt t^k = k t^(k-1)), so the observability
@@ -27,23 +30,20 @@ With x, b, the gain and C(x) held over a step, sigma obeys the linear
 dy/dt = M y - Gamma b, and one classical RK4 step is exactly y+ = y +
 dt phi(dt M) (M y - Gamma b), phi(X) = I + X/2 + X^2/6 + X^3/24,
 evaluated by Horner's rule.
-Since Gamma = g w^T for the design row c = w C(x), M = A - g c^T is a
-rank-one update of the weighted shift: (M v)_k = A_(k,k-1) v_(k-1) -
-g_k (c . v) costs O(s2), and M is never formed.
+With the row c = C(x), M = A - Gamma c^T is a rank-one update of the
+weighted shift: (M v)_k = A_(k,k-1) v_(k-1) - Gamma_k (c . v) costs
+O(s2), and M is never formed.
 
 The step and the gain design are generated as straight-line Python for
-each model shape (n, s2, normalize) and compiled once per shape
-(:func:`_kernels`): every loop over the s2 time-feature entries, the n
-state entries and the (p+1)^n terms of Pi(x) is written out as named
-locals, and each sum is an explicit left-to-right chain that starts at
-0.0, the order of the loop form kept in ``tests/loop_observer.py``.
-IEEE addition and multiplication are deterministic, so the kernels give
-the loop form's bits, which the tests check with ``==``; and the bits
-do not depend on the Python version's built-in ``sum``.  The model's
-numbers enter as closure variables, never as source text.  Past
-``_UNROLL`` terms of Pi(x), Pi(x) is a list and its dot products are
-loops in the same order, which bounds the source (2401 terms for n = 4,
-p = 6).
+each model shape (s2, normalize) and compiled once per shape
+(:func:`_kernels`): every loop over the s2 time-feature entries and the
+s2 Chebyshev terms of Pi(x) is written out as named locals, and each
+sum is an explicit left-to-right chain that starts at 0.0, the order of
+the loop form kept in ``tests/loop_observer.py``.  IEEE addition and
+multiplication are deterministic, so the kernels give the loop form's
+bits, which the tests check with ``==``; and the bits do not depend on
+the Python version's built-in ``sum``.  The model's numbers enter as
+closure variables, never as source text.
 
 The step's lines (:func:`_step_lines`) are the only copy of its
 arithmetic.  ``Hodo.step`` runs them between a load and a store of the
@@ -70,7 +70,6 @@ from .errors import ConfigError, NumericalError
 
 _MARGIN = 1e-4     # |c_(s2-1)| / max|c_i| at or below which a row is unobservable
 _CHUNK = 32        # terms per statement of a generated sum
-_UNROLL = 64       # Pi(x) terms up to which its dot products are written out
 
 
 class UnobservableError(NumericalError):
@@ -113,110 +112,51 @@ def _sum(name: str, terms: list) -> list:
             for i in range(0, len(terms), _CHUNK)]
 
 
-def _times(a: str, b: str) -> str:
-    """a * b, or the other factor where one is the literal 1.0 of T_0:
-    v * 1.0 is v exactly in IEEE arithmetic, so the bits are kept."""
-    return b if a == "1.0" else a if b == "1.0" else f"{a} * {b}"
-
-
 def _unpack(names: list, value: str) -> list:
     return [f"{', '.join(names)}, = {value}"] if names else []
 
 
-def _dot(a, b) -> float:
-    """a . b added left to right from 0.0, the order of a generated sum:
-    the Pi(x) dot products of a shape past ``_UNROLL`` terms."""
-    acc = 0.0
-    for ai, bi in zip(a, b):
-        acc += ai * bi
-    return acc
-
-
-def _dot_lines(name: str, row: str, pi) -> list:
-    """Lines setting ``name`` to the model row ``row`` times Pi(x): written
-    out over the terms ``pi``, or a :func:`_dot` of the lists when pi is None."""
-    if pi is None:
-        return [f"{name} = _dot({row}, pi)"]
-    return _sum(name, [_times(f"{row}_{h}", t) for h, t in enumerate(pi)])
-
-
-def _row_lines(n: int, s2: int, normalize: bool) -> tuple[list, list | None]:
-    """Lines computing Pi(x) and c = K_w Pi(x) from the locals x0 .. x(n-1)
-    with the operations of ``BasisConfig.pi_rows`` on one row, and the
-    Pi(x) terms (a local's name, or the literal 1.0).  Past ``_UNROLL``
-    terms the terms are None: Pi(x) is the list ``pi``, built by
-    comprehensions in the same order, and its dot products are
-    :func:`_dot` calls, so the source stays O(n s2 + s2^2) long."""
-    unrolled = s2 ** n <= _UNROLL
-    lines, pi = [], None
-    for i in range(n):
-        a = f"x{i}"
-        if normalize:
-            lines.append(f"a{i} = 2.0 * (x{i} - lo{i}) / sp{i} - 1.0")
-            a = f"a{i}"
-        cheb = ["1.0", a][:s2]                  # T_k = 2 a T_(k-1) - T_(k-2)
-        for k in range(2, s2):
-            lines.append(f"t{i}_{k} = 2.0 * {a} * {cheb[k - 1]} - {cheb[k - 2]}")
-            cheb.append(f"t{i}_{k}")
-        if not unrolled:                        # the order below, on lists
-            lines.append(f"pi = [{', '.join(cheb)}]" if pi is None else
-                         f"pi = [t * ph for t in [{', '.join(cheb)}] for ph in pi]")
-            pi = []
-            continue
-        if pi is None:
-            pi = cheb
-            continue
-        terms = []                              # little-endian: dimension 1 fastest
-        for k, t in enumerate(cheb):
-            for h, a_h in enumerate(pi):
-                term = _times(t, a_h)
-                if term not in ("1.0", t, a_h):
-                    lines.append(f"e{i}_{k * len(pi) + h} = {term}")
-                    term = f"e{i}_{k * len(pi) + h}"
-                terms.append(term)
-        pi = terms
-    pi = pi if unrolled else None
+def _row_lines(s2: int, normalize: bool) -> list:
+    """Lines computing Pi(x) = [T_0(a), .., T_(s2-1)(a)] and the row c = K
+    Pi(x) from the local x0 with the operations of ``BasisConfig.pi_rows``
+    on one row; a = x0, or x0 mapped from its box to [-1, 1]."""
+    lines, a = [], "x0"
+    if normalize:
+        lines.append("a0 = 2.0 * (x0 - lo0) / sp0 - 1.0")
+        a = "a0"
+    pi = ["1.0", a][:s2]                        # T_k = 2 a T_(k-1) - T_(k-2)
+    for k in range(2, s2):
+        lines.append(f"t0_{k} = 2.0 * {a} * {pi[k - 1]} - {pi[k - 2]}")
+        pi.append(f"t0_{k}")
+    # v * 1.0 is v exactly in IEEE arithmetic, so T_0's factor is left out
     for k in range(s2):
-        lines += _dot_lines(f"c{k}", f"kw{k}", pi)
-    return lines, pi
+        lines += _sum(f"c{k}", [f"kw{k}_{h}" + ("" if t == "1.0" else f" * {t}")
+                                for h, t in enumerate(pi)])
+    return lines
 
 
-def _step_lines(n: int, s2: int, normalize: bool) -> tuple[list, ...]:
+def _step_lines(s2: int, normalize: bool) -> tuple[list, ...]:
     """An observer step on locals, as lines (consts, row, load, update, store,
-    finish): unpack ``self._consts``; set xw = w sum(x) and the row c0 ..
-    from x0 ..; read ``self``'s state into z0 .., ``gain`` (g0 ..), ``cl``
-    (its row), sh0 .., ``failures`` and ``design`` (its ``_design``), with
-    the substeps h1 .. h3; check x and b and advance that state; write it
-    back; check sigma_hat and set the estimate e0 ..."""
-    ks, ns, n_pi = range(s2), range(n), s2 ** n
-    xs, bs = [f"x{i}" for i in ns], [f"b{i}" for i in ns]
-
-    def rows(names, flat):                      # the model rows of a flat list
-        return _unpack(names, f"[{flat}[i:i + {n_pi}] for i in range(0, {len(names) * n_pi}, "
-                              f"{n_pi})]")
-
-    def wsum(terms):                            # w sum(terms); w = 1 when n = 1
-        return f"wn * (0.0 + {' + '.join(terms)})" if n > 1 else f"0.0 + {' + '.join(terms)}"
-
-    row, pi = _row_lines(n, s2, normalize)
-    row.insert(0, f"xw = {wsum(xs)}")
-    K_rows = [f"K{i}_{j}" for i in ns for j in ks] if n > 1 else []
-    consts = ["kw, K, A, q, f, lo, sp, wn = self._consts"]
-    if pi is None:
-        consts += rows([f"kw{k}" for k in ks], "kw") + rows(K_rows, "K")
-    else:
-        consts += (_unpack([f"kw{k}_{h}" for k in ks for h in range(n_pi)], "kw")
-                   + _unpack([f"{r}_{h}" for r in K_rows for h in range(n_pi)], "K"))
-    consts += (_unpack([f"A{k}" for k in range(1, s2)], "A")
+    finish): unpack ``self._consts``; set xw = x0 and the row c0 .. from
+    x0; read ``self``'s state into z0 .., ``gain`` (g0 ..), ``cl`` (its
+    row), sh0 .., ``failures`` and ``design`` (its ``_design``), with the
+    substeps h1 .. h3; check x0 and b0 and advance that state; write it
+    back; check sigma_hat and set the estimate e0 = c . sigma_hat.  The
+    sums xw = 0.0 + x0 and wd = 0.0 + b0 turn -0.0 into 0.0, as the loop
+    form's sums from 0.0 do."""
+    ks = range(s2)
+    row = ["xw = 0.0 + x0"] + _row_lines(s2, normalize)
+    consts = ["kw, A, q, f, lo, sp = self._consts"]
+    consts += (_unpack([f"kw{k}_{h}" for k in ks for h in ks], "kw")
+               + _unpack([f"A{k}" for k in range(1, s2)], "A")
                + _unpack([f"q{i}_{j}" for i in ks for j in range(i + 1)], "q")
                + _unpack([f"f{k}" for k in ks], "f")
-               + _unpack([f"lo{i}" for i in ns] if normalize else [], "lo")
-               + _unpack([f"sp{i}" for i in ns] if normalize else [], "sp")
+               + (["lo0, = lo", "sp0, = sp"] if normalize else [])
                + ["isfinite = math.isfinite"])
 
-    update = ["if not (" + " and ".join(f"isfinite({v})" for v in xs + bs) + "):",
+    update = ["if not (isfinite(x0) and isfinite(b0)):",
               "    raise NumericalError(\"non-finite observer inputs\")"]
-    update += row + [f"wd = {wsum(bs)}",
+    update += row + ["wd = 0.0 + b0",
                      "# sigma_hat stays continuous: sigma = z + Gamma x holds with the new gain"]
     update += [f"s{k} = z{k} + g{k} * xw" for k in ks]
     update += [f"c = [{', '.join(f'c{k}' for k in ks)}]      # frozen over the step",
@@ -245,13 +185,7 @@ def _step_lines(n: int, s2: int, normalize: bool) -> tuple[list, ...]:
                    f"sh{k} = z{k} + gx"]
     finish = ["if not (" + " and ".join(f"isfinite(sh{k})" for k in ks) + "):",
               "    raise NumericalError(\"observer state diverged to non-finite values\")"]
-    if n == 1:                                  # c . sigma_hat is the estimate
-        finish += _sum("e0", [f"c{k} * sh{k}" for k in ks])
-    else:                                       # row i: sum_j (K_ij . Pi(x)) sigma_hat_j
-        for i in ns:
-            for j in ks:
-                finish += _dot_lines(f"k{i}_{j}", f"K{i}_{j}", pi)
-            finish += _sum(f"e{i}", [f"k{i}_{j} * sh{j}" for j in ks])
+    finish += _sum("e0", [f"c{k} * sh{k}" for k in ks])
     zs, gs, shs = (", ".join(f"{v}{k}" for k in ks) for v in ("z", "g", "sh"))
     load = [f"{zs}, = self.z", f"{gs}, = gain = self.gain", f"{shs}, = self.sigma_hat",
             "cl, failures, design = self._c, self.gain_failures, self._design",
@@ -262,14 +196,14 @@ def _step_lines(n: int, s2: int, normalize: bool) -> tuple[list, ...]:
 
 
 def loop_step(s2: int, normalize: bool, loop: str) -> tuple[list, list]:
-    """The step of an n = 1 observer of shape (s2, normalize) as lines for
-    the source ``loop`` to write in: (setup, step).  ``setup`` reads the
+    """The step of an observer of shape (s2, normalize) as lines for the
+    source ``loop`` to write in: (setup, step).  ``setup`` reads the
     constants and state of the observer ``self`` into locals; ``step``
     advances that state from the inputs x0, b0 and ``dt``, adds each failed
     design to ``failures``, and leaves sigma_hat in sh0 .. and the estimate
     in e0.  Of the names the lines assign, ``loop`` may use only those
     outputs and ``isfinite`` (AssertionError; attributes are not names).  Compile it with :func:`build`."""
-    consts, _, load, update, _, finish = _step_lines(1, s2, normalize)
+    consts, _, load, update, _, finish = _step_lines(s2, normalize)
     setup, step = consts + load, update + finish
     assigned = {name.strip() for line in setup + step
                 for m in [re.match(r"\s*([\w, ]+?)\s*\+?=(?!=)", line)] if m
@@ -280,22 +214,22 @@ def loop_step(s2: int, normalize: bool, loop: str) -> tuple[list, list]:
     return setup, step
 
 
-def _kernel_source(n: int, s2: int, normalize: bool) -> str:
+def _kernel_source(s2: int, normalize: bool) -> str:
     """Source of ``_factory``, which binds one observer and its model's
     constants and returns its kernels (step, design, row).
 
-    ``step(x0, .., x(n-1), b0, .., b(n-1), dt)`` is the observer step on
-    floats, with the plant terms b summed by the caller; it checks dt,
-    then runs the lines of :func:`_step_lines`: it checks the finiteness
-    of x and b, advances the observer's state and returns the estimate
-    as a tuple of n floats."""
-    consts, row, load, update, store, finish = _step_lines(n, s2, normalize)
-    ks, xs = range(s2), [f"x{i}" for i in range(n)]
+    ``step(x0, b0, dt)`` is the observer step on floats, with the plant
+    terms b0 summed by the caller; it checks dt, then runs the lines of
+    :func:`_step_lines`: it checks the finiteness of x0 and b0, advances
+    the observer's state and returns the estimate as a tuple of one
+    float."""
+    consts, row, load, update, store, finish = _step_lines(s2, normalize)
+    ks = range(s2)
     cs, gs = [f"c{k}" for k in ks], [f"g{k}" for k in ks]
     src = ["def _factory(self):"] + ["    " + line for line in consts]
 
-    # the state's design row and w sum(x), for the constructor
-    src += ["", "    def row(xs):", f"        {', '.join(xs)}, = xs"]
+    # the state's design row and xw, for the constructor
+    src += ["", "    def row(x0):"]
     src += ["        " + line for line in row] + [f"        return [{', '.join(cs)}], xw"]
 
     # O(c) v = e_s2 with v = diag(j!) y is sum_j h_(j+k) y_j = [k = s2 - 1]:
@@ -319,8 +253,8 @@ def _kernel_source(n: int, s2: int, normalize: bool) -> str:
 
     step = ["if not 0 < dt < math.inf:",
             "    raise ValueError(f\"dt must be > 0 and finite, got {dt}\")"]
-    step += load + update + store + finish + [f"return {', '.join(f'e{i}' for i in range(n))},"]
-    src += ["", f"    def step({', '.join(xs + [f'b{i}' for i in range(n)])}, dt):"]
+    step += load + update + store + finish + ["return e0,"]
+    src += ["", "    def step(x0, b0, dt):"]
     src += ["        " + line for line in step] + ["", "    return step, _design, row", ""]
     return "\n".join(src)
 
@@ -334,72 +268,74 @@ def build(source: str, filename: str, **names) -> dict:
 
 
 @functools.cache
-def _kernels(n: int, s2: int, normalize: bool) -> Callable:
+def _kernels(s2: int, normalize: bool) -> Callable:
     """The compiled kernel factory of one model shape."""
-    return build(_kernel_source(n, s2, normalize),
-                  f"<coupled_do.observer kernels n={n} s2={s2} normalize={normalize}>")["_factory"]
+    return build(_kernel_source(s2, normalize),
+                  f"<coupled_do.observer kernels s2={s2} normalize={normalize}>")["_factory"]
 
 
 class Hodo:
-    """Higher-order disturbance observer for a separated model.
+    """Higher-order disturbance observer for a separated model of one
+    state dimension.
 
     Parameters
     ----------
     model : SeparatedModel
-        Identified coefficients and basis; supplies C(x) = Theta B(x) D
-        and the exosystem matrix A.
+        Identified coefficients and basis, with n = 1; supplies the row
+        C(x) = Theta B(x) D and the exosystem matrix A.  A model with
+        n != 1 raises ConfigError: the observer estimates the disturbance
+        of one channel.
     poles : sequence of s2 values
         Desired eigenvalues of the error dynamics: finite, with negative
         real parts (:func:`check_poles`).
-    x0 : array_like, shape (n,)
+    x0 : array_like, shape (1,)
         State at initialization (the first gain is designed here).
     sigma0 : array_like, shape (s2,), optional
         Initial feature estimate; zeros by default (offline and online
         time domains are unrelated, so no warm start is attempted).
 
-    ``step(x_1, ..., x_n, b_1, ..., b_n, dt)`` advances the observer by
-    dt, with x, the plant terms b, the gain and C(x) held (module
-    docstring), and returns the estimate C(x) sigma_hat as a tuple of n
-    floats.  A dt that is not finite and > 0 raises ValueError, and a
-    non-finite x or b NumericalError, before the state changes.
+    ``step(x0, b0, dt)`` advances the observer by dt, with x0, the plant
+    term b0, the gain and C(x) held (module docstring), and returns the
+    estimate C(x) sigma_hat as a tuple of one float.  A dt that is not
+    finite and > 0 raises ValueError, and a non-finite x0 or b0
+    NumericalError, before the state changes.
 
-    The design row is c = w C(x) with the uniform weights w = n^-1/2,
-    and Gamma = g w^T.  On a normalized model A is scaled by
-    ``model.time_scale`` = alpha, which the gain undoes by the factor
-    alpha^-(s2-1).  On an unobservable row the constructor raises
-    :class:`UnobservableError`, and ``step`` keeps the previous gain and
-    counts it in ``gain_failures``.  ``sigma_hat``, the auxiliary ``z``
-    and the gain column ``gain`` (g) are lists of s2 Python floats.
+    On a normalized model A is scaled by ``model.time_scale`` = alpha,
+    which the gain undoes by the factor alpha^-(s2-1).  On an
+    unobservable row the constructor raises :class:`UnobservableError`,
+    and ``step`` keeps the previous gain and counts it in
+    ``gain_failures``.  ``sigma_hat``, the auxiliary ``z`` and the gain
+    column ``gain`` (Gamma) are lists of s2 Python floats.
 
     The constructor binds this observer and its model's constants
-    (``_consts``: K_w = w sum_i K_i, K when n > 1, the shift of A, the
-    rows of q(A), the factorials and the normalization box) into the
-    straight-line step and design generated for its shape (n, s2,
-    normalize), and ``step`` is that generated kernel itself.  They add
-    in the order of the loop form in ``tests/loop_observer.py`` and so
-    return its bits exactly (module docstring).  The kernel calls
-    ``self._design``, so a replacement of ``_design`` on the class or on
-    the instance is honoured.
+    (``_consts``: the rows of K, the shift of A, the rows of q(A), the
+    factorials and the normalization box) into the straight-line step
+    and design generated for its shape (s2, normalize), and ``step`` is
+    that generated kernel itself.  They add in the order of the loop
+    form in ``tests/loop_observer.py`` and so return its bits exactly
+    (module docstring).  The kernel calls ``self._design``, so a
+    replacement of ``_design`` on the class or on the instance is
+    honoured.
     """
 
     def __init__(self, model: SeparatedModel, poles, x0, sigma0=None):
+        if model.n != 1:
+            raise ConfigError(f"Hodo: the model has n = {model.n} state dimensions; "
+                              f"the observer estimates one channel, n = 1")
         self.model = model
-        n, s2 = model.n, model.config.s2
+        s2 = model.config.s2
         self.poles = check_poles(poles, count=s2)
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.shape != (n,):
-            raise ValueError(f"x0 must have the model's n = {n} entries, got shape {x0.shape}")
+        if x0.shape != (1,):
+            raise ValueError(f"x0 must have the model's n = 1 entries, got shape {x0.shape}")
         sigma0 = np.zeros(s2) if sigma0 is None else np.asarray(sigma0, dtype=float)
         if sigma0.shape != (s2,):
             raise ValueError(f"sigma0 must have the model's s2 = {s2} entries, "
                              f"got shape {sigma0.shape}")
         self.gain_failures = 0
 
-        self.w = 1.0 / math.sqrt(n)
-        # w folded into K: the design row is c = K_w Pi(x).  With one
-        # output row w = 1, K_w = K, and c is C(x) itself.
-        kw = (self.w * model.K.sum(axis=0)).ravel().tolist()
-        K = model.K.ravel().tolist() if n > 1 else []
+        # c = K Pi(x): row k of K holds the coefficients of c_k
+        kw = model.K[0].ravel().tolist()
         # (A v)_k = A_k v_(k-1) with A_k the first subdiagonal
         shift = np.diag(model.A, -1).tolist()
         # (c A^k)_j = alpha^k h_(j+k) / j! with h_i = c_i i!; q(A) absorbs
@@ -411,13 +347,12 @@ class Hodo:
         q = [qij for i, row in enumerate(q_fact) for qij in row[:i + 1]]
         lo, hi = model.config.x_box.T.tolist()
         span = [h - l for l, h in zip(lo, hi)]
-        self._consts = (kw, K, shift, q, fact.tolist(), lo, span, self.w)
-        self.step, self._design_kernel, row = _kernels(
-            n, s2, bool(model.config.normalize))(self)
+        self._consts = (kw, shift, q, fact.tolist(), lo, span)
+        self.step, self._design_kernel, row = _kernels(s2, bool(model.config.normalize))(self)
 
         self.sigma_hat = sigma0.tolist()
         # the row ``gain`` was designed for, summed as ``step`` sums it
-        self._c, xw = row(x0.tolist())
+        self._c, xw = row(float(x0[0]))
         self.gain = self._design(self._c)
         self.z = [s - g * xw for s, g in zip(self.sigma_hat, self.gain)]
 

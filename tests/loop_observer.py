@@ -1,8 +1,8 @@
 """The observer step in loop form: the reference for the generated kernels.
 
 :class:`LoopHodo` is :class:`coupled_do.observer.Hodo` written with
-explicit loops over the s2 time-feature entries, the n state entries and
-the (p+1)^n terms of Pi(x), every sum added left to right from 0.0.
+explicit loops over the s2 time-feature entries and the s2 terms of
+Pi(x), every sum added left to right from 0.0.
 The generated straight-line step of ``Hodo`` keeps the order of every
 operation of this form, so the two agree bit for bit; the tests compare
 them with ``==``.
@@ -41,9 +41,7 @@ class LoopHodo:
         self.poles = np.atleast_1d(np.asarray(poles, dtype=complex))
         self.gain_failures = 0
 
-        self.w = 1.0 / math.sqrt(model.n)
-        self._Kw = (self.w * model.K.sum(axis=0)).tolist()
-        self._K = model.K.tolist() if model.n > 1 else None
+        self._K = model.K[0].tolist()
         self._shift = [0.0] + np.diag(model.A, -1).tolist()
         fact = np.cumprod(np.r_[1.0, np.arange(1.0, s2)])
         self._fact = fact.tolist()
@@ -51,21 +49,23 @@ class LoopHodo:
                   * model.time_scale ** -(s2 - 1))
         self._q_rows = [row[:i + 1] for i, row in enumerate(q_fact.tolist())]
 
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
+        x0, = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
         self.sigma_hat = [0.0] * s2 if sigma0 is None else np.asarray(sigma0, float).tolist()
-        pi = model.config.pi_rows(np.array([x0]))[0].tolist()
-        self._c = []
-        for krow in self._Kw:
+        self._c = self._row(x0)
+        self.gain = self._design(self._c)
+        xw = 0.0 + x0
+        self.z = [s - g * xw for s, g in zip(self.sigma_hat, self.gain)]
+
+    def _row(self, x: float) -> list:
+        """c = K Pi(x), each entry added left to right from 0.0."""
+        pi = self.model.config.pi_rows(np.array([[x]]))[0].tolist()
+        c = []
+        for krow in self._K:
             acc = 0.0
             for kj, pj in zip(krow, pi):
                 acc += kj * pj
-            self._c.append(acc)
-        self.gain = self._design(self._c)
-        xw = 0.0
-        for xi in x0:
-            xw += xi
-        xw *= self.w
-        self.z = [s - g * xw for s, g in zip(self.sigma_hat, self.gain)]
+            c.append(acc)
+        return c
 
     def _design(self, c: list) -> list:
         pivot, r = abs(c[-1]), []
@@ -89,29 +89,15 @@ class LoopHodo:
             gain.append(acc)
         return gain
 
-    def step(self, *args) -> tuple:
-        """``step(x_1, ..., x_n, b_1, ..., b_n, dt)``, as ``Hodo.step``."""
-        n = self.model.n
-        if len(args) != 2 * n + 1:
-            raise TypeError(f"step() takes {2 * n + 1} positional arguments, got {len(args)}")
-        xs, b, dt = list(args[:n]), list(args[n:-1]), args[-1]
+    def step(self, x: float, b: float, dt: float) -> tuple:
+        """As ``Hodo.step``: the estimate c . sigma_hat as a tuple of one float."""
         if not 0 < dt < math.inf:
             raise ValueError(f"dt must be > 0 and finite, got {dt}")
-        if not all(map(math.isfinite, xs + b)):
+        if not (math.isfinite(x) and math.isfinite(b)):
             raise NumericalError("non-finite observer inputs")
-        xw = wd = 0.0
-        for xi, bi in zip(xs, b):
-            xw += xi
-            wd += bi
-        xw, wd = self.w * xw, self.w * wd
+        xw, wd = 0.0 + x, 0.0 + b
 
-        pi = self.model.config.pi_rows(np.array([xs]))[0].tolist()
-        c = []
-        for krow in self._Kw:
-            acc = 0.0
-            for kj, pj in zip(krow, pi):
-                acc += kj * pj
-            c.append(acc)
+        c = self._row(x)
         try:
             gain = self.gain if c == self._c else self._design(c)
             self._c = c
@@ -149,15 +135,4 @@ class LoopHodo:
         self.z, self.sigma_hat = z, sigma_hat
         if not all(map(math.isfinite, sigma_hat)):
             raise NumericalError("observer state diverged to non-finite values")
-        if self._K is None:
-            return cs,
-        estimate = []
-        for rows in self._K:
-            acc = 0.0
-            for krow, sj in zip(rows, sigma_hat):
-                cij = 0.0
-                for kj, pj in zip(krow, pi):
-                    cij += kj * pj
-                acc += cij * sj
-            estimate.append(acc)
-        return tuple(estimate)
+        return cs,
