@@ -1,10 +1,10 @@
 """Learning and online estimation of coupled disturbances.
 
-The package separates a disturbance delta(x, t) into constant
-coefficients and known Chebyshev tensor structures, identifies the
-coefficients by regularized least squares on trajectory data, and
-estimates the disturbance online with a higher-order observer whose
-error dynamics carry prescribed eigenvalues.
+The package separates a disturbance delta(x, t) of one state channel
+into constant coefficients and known Chebyshev structures in the state
+and in time, identifies the coefficients by regularized least squares on
+trajectory data, and estimates the disturbance online with a
+higher-order observer whose error dynamics carry prescribed eigenvalues.
 
 Each module imports only modules listed before it: ``errors``, ``basis``,
 ``learner`` (with the disturbance registry), ``observer`` (on ``errors``
@@ -13,7 +13,7 @@ reference checks that ``verify`` loads, is imported by no other module:
 take ``ackermann_gain`` and ``rk4_step`` from :mod:`coupled_do.oracles`.
 """
 
-from .basis import BasisConfig, cheb_series, flat_to_multi, structure_matrices
+from .basis import BasisConfig, cheb_series, structure_matrices
 from .errors import ConfigError, CoupledDoError, DataError, NumericalError
 from .learner import (FitReport, LearningConfig, SeparatedModel, SweepCell,
                       TrajectoryDataset, disturbance, disturbance_box, evaluate, fit_rls,
@@ -26,7 +26,7 @@ from .sim import (ScenarioConfig, ScenarioResult, generate_training_run,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisConfig", "cheb_series", "flat_to_multi", "structure_matrices",
+    "BasisConfig", "cheb_series", "structure_matrices",
     "ConfigError", "CoupledDoError", "DataError", "NumericalError",
     "FitReport", "LearningConfig", "SeparatedModel", "SweepCell",
     "TrajectoryDataset", "disturbance", "disturbance_box", "evaluate", "fit_rls",

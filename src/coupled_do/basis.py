@@ -1,15 +1,14 @@
-"""Chebyshev tensor-product bases for separable disturbance models.
+"""Chebyshev bases for separable disturbance models of one state channel.
 
-A disturbance that couples the system state x with time t is represented
+A disturbance that couples the scalar state x with time t is represented
 as
 
     delta(x, t)  ~=  Theta @ B(x) @ xi(t)
 
-where Theta is a constant coefficient matrix, B(x) is a block matrix
-built from the state basis vector Pi(x), and xi(t) = [T_0(t), ..., T_p(t)]
-is the basis of the scalar time feature.  Each entry of Pi(x) is a
-product of Chebyshev polynomials of the first kind, one per state
-dimension, indexed by a flat base-(p+1) multi-index.
+where Theta is a constant coefficient row, B(x) = kron(I, Pi(x)) is a
+block matrix built from the state basis vector Pi(x) = [T_0(x), ...,
+T_p(x)], and xi(t) = [T_0(t), ..., T_p(t)] is the basis of the scalar
+time feature, both Chebyshev polynomials of the first kind.
 
 :meth:`BasisConfig.pi_rows` (Pi(x)) and :meth:`BasisConfig.design_rows`
 (B(x) xi(t)) are the one route from states and times to these features,
@@ -37,15 +36,13 @@ def check_order(p, name: str = "basis.p") -> int:
     return int(p)
 
 
-def check_box(box, name: str, dims: int = 0) -> np.ndarray:
-    """``box`` as a float array of (lo, hi) rows, ``dims`` of them if nonzero (a
-    single pair is repeated); ConfigError naming ``name`` unless every lo < hi."""
-    arr = np.atleast_2d(np.asarray(box, dtype=float))
-    if dims and arr.shape == (1, 2):
-        arr = np.repeat(arr, dims, axis=0)
-    if arr.shape != (dims or len(arr), 2) or not (arr[:, 0] < arr[:, 1]).all():
-        raise ConfigError(f"{name}: expected (lo, hi) pairs with lo < hi, got {box}")
-    return arr
+def check_box(box, name: str) -> np.ndarray:
+    """``box``, one (lo, hi) pair or a list holding one, as a float array of
+    shape (2,); ConfigError naming ``name`` unless it is one pair with lo < hi."""
+    arr = np.asarray(box, dtype=float)
+    if arr.shape not in ((2,), (1, 2)) or not arr.flat[0] < arr.flat[1]:
+        raise ConfigError(f"{name}: expected one (lo, hi) pair with lo < hi, got {box}")
+    return arr.reshape(2)
 
 
 def cheb_series(p: int, tau) -> np.ndarray:
@@ -63,23 +60,6 @@ def cheb_series(p: int, tau) -> np.ndarray:
     for k in range(2, p + 1):
         out[k] = 2.0 * tau * out[k - 1] - out[k - 2]
     return out
-
-
-def flat_to_multi(h: int, p: int, dims: int) -> tuple[int, ...]:
-    """Decode a flat index into per-dimension orders (k_1, ..., k_dims).
-
-    The encoding is positional base-(p+1) with the least significant
-    digit first: h = sum_i k_i * (p+1)**(i-1).  This ordering is the
-    serialization contract for coefficient matrices and is frozen.
-    """
-    size = (p + 1) ** dims
-    if not 0 <= h < size:
-        raise ValueError(f"flat index {h} out of range [0, {size}) for p={p}, dims={dims}")
-    digits = []
-    for _ in range(dims):
-        h, r = divmod(h, p + 1)
-        digits.append(r)
-    return tuple(digits)
 
 
 def structure_matrices(s2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,20 +86,18 @@ def structure_matrices(s2: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """Shape and normalization of the tensor-product basis.
+    """Shape and normalization of the basis of one state channel.
 
     Parameters
     ----------
     p : int
-        Polynomial order, shared by every state dimension and by time.
+        Polynomial order, shared by the state and by time.
     n : int
-        State dimension.
-    x_box : array_like, shape (n, 2) or (2,)
-        Per-dimension state ranges mapped onto [-1, 1] when
-        ``normalize`` is set.  A single (lo, hi) pair is broadcast.
-    t_box : array_like, shape (2,)
-        The (lo, hi) time range mapped onto [-1, 1] when ``normalize``
-        is set.
+        State dimension: 1, the one value accepted, kept as the field
+        that model files record.
+    x_box, t_box : array_like, shape (2,)
+        The (lo, hi) state and time ranges mapped onto [-1, 1] when
+        ``normalize`` is set; [-1, 1] by default.
     normalize : bool
         Apply the affine map 2*(v - lo)/(hi - lo) - 1 before basis
         evaluation.  Off by default: identified coefficients then refer
@@ -127,54 +105,45 @@ class BasisConfig:
     """
 
     p: int
-    n: int
+    n: int = 1
     x_box: np.ndarray = field(default=None)
     t_box: np.ndarray = field(default=None)
     normalize: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "p", check_order(self.p))
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        x_box = self.x_box if self.x_box is not None else [[-1.0, 1.0]]
-        t_box = self.t_box if self.t_box is not None else [-1.0, 1.0]
-        object.__setattr__(self, "x_box", check_box(x_box, "basis.x_box", self.n))
-        object.__setattr__(self, "t_box", check_box(t_box, "basis.t_box", 1)[0])
+        if self.n != 1:
+            raise ConfigError(f"basis.n: the basis spans one state channel, n = 1, got {self.n}")
+        for name in ("x_box", "t_box"):
+            box = getattr(self, name)
+            object.__setattr__(self, name, check_box(
+                [-1.0, 1.0] if box is None else box, f"basis.{name}"))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BasisConfig):
             return NotImplemented
-        return (self.p == other.p and self.n == other.n
-                and self.normalize == other.normalize
+        return (self.p == other.p and self.normalize == other.normalize
                 and np.array_equal(self.x_box, other.x_box)
                 and np.array_equal(self.t_box, other.t_box))
 
     @property
     def s1(self) -> int:
-        return (self.p + 1) ** (self.n + 1)
+        return self.s2 ** 2
 
     @property
     def s2(self) -> int:
         return self.p + 1
 
-    @property
-    def state_block(self) -> int:
-        """Length of Pi(x), the per-column block of B(x)."""
-        return (self.p + 1) ** self.n
-
     def pi_rows(self, x: np.ndarray) -> np.ndarray:
-        """Pi(x) over a batch of states, shape (N, (p+1)^n): entry h_k of a
-        row is prod_i T_{k_i}(x_i), h_k encoded as by :func:`flat_to_multi`."""
+        """Pi(x) = [T_0(x), ..., T_p(x)] over a batch of states of shape
+        (N, 1), shape (N, p+1)."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n:
-            raise ValueError(f"state batch must have shape (N, {self.n}), got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != 1:
+            raise ValueError(f"state batch must have shape (N, 1), got {x.shape}")
         if self.normalize:
-            lo, hi = self.x_box.T
+            lo, hi = self.x_box
             x = 2.0 * (x - lo) / (hi - lo) - 1.0
-        acc = cheb_series(self.p, x[:, 0])
-        for i in range(1, self.n):
-            acc = [t * a for t in cheb_series(self.p, x[:, i]) for a in acc]
-        return np.asarray(acc).T
+        return cheb_series(self.p, x[:, 0]).T
 
     def design_rows(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Rows B(x_i) @ xi(t_i) = kron(xi_i, Pi_i), shape (N, s1): the

@@ -168,9 +168,6 @@ def cmd_simulate(args) -> int:
     model = None
     if "hodo" in modes:
         model = fileio.load_model(model_path)
-        if model.config.n != 1:
-            raise ConfigError(f"io.model_file: model has n = {model.config.n}, "
-                              "the point-mass velocity channel has n = 1")
 
     metrics_path = out / "metrics.csv"
     # every scenario and the metrics file are checked before the first one runs

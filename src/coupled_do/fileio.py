@@ -9,7 +9,10 @@ error names its ``section.field``.
 All numeric fields are serialized with 17 significant digits so that a
 load of a save reproduces every value bit-exactly.  Model files carry a
 format version; CSV files are plain RFC-4180 with a header row, whose
-column sets below are pinned by golden-file tests.
+column sets below are pinned by golden-file tests.  Models and datasets
+describe one state channel: a model file's ``n`` is 1, and a dataset's
+columns are t, x_1, u_1 and, with targets, delta_1; any other header is
+refused before a record is read.
 
 One writer gives every per-step series (dataset, scenario, sigma) the
 bytes of ``csv.writer`` with :func:`fmt` per value, each line ended by
@@ -61,6 +64,8 @@ from .sim import MODES, ScenarioConfig, ScenarioResult
 
 MODEL_FORMAT_VERSION = 1
 
+# a dataset file holds the one channel: "delta_1" follows when it carries targets
+DATASET_CSV_COLUMNS = ["t", "x_1", "u_1"]
 SCENARIO_CSV_COLUMNS = ["t", "eta", "eta_d", "v", "u", "delta_true", "delta_hat", "mode"]
 REPORT_CSV_COLUMNS = ["function", "p", "noise_variance", "delta", "seed", "n_train",
                       "n_test", "train_mae", "test_mae", "gram_condition",
@@ -125,17 +130,18 @@ def save_model(path, model: SeparatedModel, seed: Optional[int] = None,
                delta: Optional[float] = None, digest: str = "") -> None:
     """Write a model file: versioned header, basis fields, theta block.
 
-    The ``feature_dim`` line is the constant 1, the scalar time feature,
-    which :func:`load_model` requires of every model file.
+    The ``n`` and ``feature_dim`` lines are the constant 1, the one state
+    channel and the scalar time feature, which :func:`load_model` requires
+    of every model file.
     """
     cfg = model.config
     lines = [
         f"format_version = {MODEL_FORMAT_VERSION}",
         f"p = {cfg.p}",
-        f"n = {cfg.n}",
+        "n = 1",
         "feature_dim = 1",
         f"normalize = {'true' if cfg.normalize else 'false'}",
-        "x_box = " + "; ".join(f"{fmt(lo)},{fmt(hi)}" for lo, hi in cfg.x_box),
+        "x_box = {},{}".format(*map(fmt, cfg.x_box)),
         "t_box = {},{}".format(*map(fmt, cfg.t_box)),
         f"seed = {'' if seed is None else seed}",
         f"ridge_delta = {'' if delta is None else fmt(delta)}",
@@ -162,10 +168,10 @@ def load_model(path) -> SeparatedModel:
         return _parse_model(path.read_text())
     except KeyError as exc:
         raise DataError(f"model file {path}: missing field {exc}") from exc
+    except (ConfigError, DataError) as exc:     # a refusal of the basis or theta
+        raise DataError(f"model file {path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"model file {path}: malformed: {exc}") from exc
-    except (ConfigError, DataError) as exc:
-        raise DataError(f"model file {path}: {exc}") from exc
 
 
 def _parse_model(text: str) -> SeparatedModel:
@@ -213,16 +219,9 @@ def _parse_box(text: str) -> list[list[float]]:
 
 # --- dataset CSV --------------------------------------------------------------
 
-def dataset_columns(n: int, o: int, with_delta: bool) -> list[str]:
-    cols = ["t"] + [f"x_{i+1}" for i in range(n)] + [f"u_{i+1}" for i in range(o)]
-    if with_delta:
-        cols += [f"delta_{i+1}" for i in range(n)]
-    return cols
-
-
 def save_dataset(path, data: TrajectoryDataset) -> None:
     with_delta = data.delta is not None
-    _write_float_rows(path, dataset_columns(data.n, data.o, with_delta),
+    _write_float_rows(path, DATASET_CSV_COLUMNS + ["delta_1"] * with_delta,
                       [data.t, data.x, data.u] + ([data.delta] if with_delta else []))
 
 
@@ -235,12 +234,10 @@ def load_dataset(path) -> TrajectoryDataset:
             header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"dataset file is empty: {path}")
-        n = sum(1 for c in header if c.startswith("x_"))
-        o = sum(1 for c in header if c.startswith("u_"))
-        with_delta = any(c.startswith("delta_") for c in header)
-        expected = dataset_columns(n, o, with_delta)
-        if header != expected:
-            raise DataError(f"dataset columns {header} do not match schema {expected}")
+        with_delta = header[3:] == ["delta_1"]
+        if header != DATASET_CSV_COLUMNS + ["delta_1"] * with_delta:
+            raise DataError(f"dataset columns {header} do not match schema "
+                            f"{DATASET_CSV_COLUMNS}, optionally followed by delta_1")
         # blank lines carry no record
         if not any(line.rstrip("\r\n") for line in fh):
             raise DataError(f"dataset has a header but no records: {path}")
@@ -248,9 +245,8 @@ def load_dataset(path) -> TrajectoryDataset:
     if arr is None:
         with _decoding(path):
             arr = _parse_dataset_rows(path, len(header))
-    return TrajectoryDataset(
-        t=arr[:, 0], x=arr[:, 1:1 + n], u=arr[:, 1 + n:1 + n + o],
-        delta=arr[:, 1 + n + o:] if with_delta else None)
+    return TrajectoryDataset(t=arr[:, 0], x=arr[:, 1:2], u=arr[:, 2:3],
+                             delta=arr[:, 3:] if with_delta else None)
 
 
 def _parse_dataset_rows(path: Path, width: int) -> np.ndarray:

@@ -13,6 +13,9 @@ is computed here through a Cholesky solve of the diagonally equilibrated
 regularized Gram matrix, never an explicit inverse.  At most a few dozen
 unknowns enter one solve, so NumPy's ``cholesky`` and ``solve`` on the
 two triangular factors serve; the package needs no other library.
+Every dataset and model describes one state channel: x, u and the
+targets delta are single columns, and Theta is one row of s1 = (p+1)^2
+coefficients.
 
 Reruns are byte-identical only within one NumPy/LAPACK build: on raw
 bases of high order the equilibrated Gram is ill-conditioned (condition
@@ -88,7 +91,8 @@ def rng_stream(seed: int, *key) -> np.random.Generator:
 
 @dataclass
 class TrajectoryDataset:
-    """Time-stamped samples of (t, x, u) with optional disturbance targets.
+    """Time-stamped samples of (t, x, u) of one channel, with optional
+    disturbance targets.
 
     Attributes
     ----------
@@ -96,10 +100,11 @@ class TrajectoryDataset:
         Sample times.  Strictly increasing when the records form a
         trajectory (required by :func:`targets_from_trajectory`);
         scrambled training sets carry arbitrary order.
-    x : ndarray, shape (N, n)
-    u : ndarray, shape (N, o)
-    delta : ndarray, shape (N, n), optional
-        Disturbance targets for learning and evaluation.
+    x, u : ndarray, shape (N, 1)
+        The state and the input; a column given as shape (N,) is stored
+        as (N, 1), and any other shape raises DataError.
+    delta : ndarray, shape (N, 1), optional
+        Disturbance targets for learning and evaluation, shaped as x.
     """
 
     t: np.ndarray
@@ -113,7 +118,11 @@ class TrajectoryDataset:
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.asarray(arr, dtype=float)
-                setattr(self, name, arr[:, None] if arr.ndim == 1 else arr)
+                arr = arr[:, None] if arr.ndim == 1 else arr
+                if arr.shape[1:] != (1,):
+                    raise DataError(f"{name} has shape {arr.shape}: one channel is (N,) "
+                                    "or (N, 1)")
+                setattr(self, name, arr)
         n = len(self.t)
         if self.x.shape[0] != n or self.u.shape[0] != n:
             raise DataError(f"record counts differ: t={n}, x={self.x.shape[0]}, u={self.u.shape[0]}")
@@ -125,14 +134,6 @@ class TrajectoryDataset:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def o(self) -> int:
-        return self.u.shape[1]
 
     def subset(self, idx) -> "TrajectoryDataset":
         return TrajectoryDataset(
@@ -169,8 +170,9 @@ class SeparatedModel:
     Caches the structure matrices D (Chebyshev coefficients over
     monomials) and A (exosystem companion), which downstream observers
     need at every step, and the coefficients with D folded in,
-    K[i, j, b] = sum_k Theta[i, k, b] D[k, j] with Theta viewed as
-    (n, s2, (p+1)^n), so that C(x) = K Pi(x).
+    K[0, j, b] = sum_k Theta[0, k, b] D[k, j] with Theta viewed as
+    (1, s2, s2), so that C(x) = K Pi(x).  Theta is one row of s1 = s2^2
+    coefficients: the model estimates one channel.
 
     The monomials are those of the basis's time variable tau, which is
     t itself on a raw basis and 2 (t - lo) / (hi - lo) - 1 on a
@@ -190,26 +192,22 @@ class SeparatedModel:
         if self.theta.shape[1] != self.config.s1:
             raise ConfigError(
                 f"theta has {self.theta.shape[1]} columns, basis requires s1={self.config.s1}")
-        if self.theta.shape[0] != self.config.n:
-            raise ConfigError(
-                f"theta has {self.theta.shape[0]} rows, basis requires n={self.config.n}")
+        if self.theta.shape[0] != 1:
+            raise ConfigError(f"theta has {self.theta.shape[0]} rows; the model estimates "
+                              "one channel, one row")
         _finite_theta(self.theta)
         lo, hi = self.config.t_box
         self.time_scale = 2.0 / (hi - lo) if self.config.normalize else 1.0
         self.D, A = structure_matrices(self.config.s2)
         self.A = self.time_scale * A
-        theta = self.theta.reshape(self.n, self.config.s2, self.config.state_block)
-        self.K = np.einsum("ikb,kj->ijb", theta, self.D)
-
-    @property
-    def n(self) -> int:
-        return self.theta.shape[0]
+        s2 = self.config.s2
+        self.K = np.einsum("ikb,kj->ijb", self.theta.reshape(1, s2, s2), self.D)
 
     def output_map(self, x) -> np.ndarray:
-        """C(x) = Theta B(x) D, the observer output matrix, shape (n, s2)."""
+        """C(x) = Theta B(x) D, the observer output row, shape (1, s2)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.n,):
-            raise ValueError(f"state must have shape ({self.n},), got {x.shape}")
+        if x.shape != (1,):
+            raise ValueError(f"state must have shape (1,), got {x.shape}")
         return self.K @ self.config.pi_rows(x[None])[0]
 
 
@@ -267,10 +265,10 @@ def targets_from_trajectory(traj: TrajectoryDataset, f_x: Callable, f_u: Callabl
         Strictly time-ordered records.
     f_x, f_u : callable
         Batched plant mappings of dx/dt = f_x(x) + f_u(x) u + delta,
-        called once on the kept states of shape (N, n); a result that
-        does not broadcast to (N, n), resp. (N, n, o), raises ConfigError,
-        so a state-independent map may return the unbatched (n,), resp.
-        (n, o).
+        called once on the kept states of shape (N, 1); a result that
+        does not broadcast to (N, 1), resp. (N, 1, 1), raises ConfigError,
+        so a state-independent map may return the unbatched (1,), resp.
+        (1, 1).
     window : int
         Sliding window length, odd and larger than ``fit_order``.
     fit_order : int
@@ -294,7 +292,7 @@ def targets_from_trajectory(traj: TrajectoryDataset, f_x: Callable, f_u: Callabl
         deriv = np.array([_poly_derivative_window(traj.t[w], traj.x[w], half, fit_order) for w in wins])
 
     x, u = traj.x[keep], traj.u[keep]
-    fu = _plant_map(f_u, x, x.shape + (traj.o,), "f_u")
+    fu = _plant_map(f_u, x, x.shape + (1,), "f_u")
     delta = deriv - _plant_map(f_x, x, x.shape, "f_x") - (fu @ u[..., None])[..., 0]
     return TrajectoryDataset(t=traj.t[keep], x=x, u=u, delta=delta)
 
@@ -308,7 +306,7 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     data : TrajectoryDataset
         Training records with disturbance targets.
     config : BasisConfig
-        Basis shape; data dimensions must match.
+        Basis shape.
     delta : float
         Ridge weight, > 0.
     test : TrajectoryDataset, optional
@@ -332,8 +330,6 @@ def fit_rls(data: TrajectoryDataset, config: BasisConfig, delta: float,
     check("learning.delta", delta)
     if data.delta is None:
         raise DataError("training data carries no disturbance targets")
-    if data.n != config.n:
-        raise ConfigError(f"data has n={data.n}, basis expects n={config.n}")
 
     feats, scale, chol, gram_eq = _factor(data.x, data.t, config, delta)
     theta = _solve(feats, scale, chol, data.delta)
@@ -376,7 +372,7 @@ def _factor(x: np.ndarray, t: np.ndarray, config: BasisConfig, delta: float):
 
 def _solve(feats: np.ndarray, scale: np.ndarray, chol: np.ndarray,
            targets: np.ndarray) -> np.ndarray:
-    """Theta (n, s1) fitted to ``targets`` (N, n) on a factored design;
+    """Theta (1, s1) fitted to ``targets`` (N, 1) on a factored design;
     DataError if it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = feats.T @ targets                             # = (sum delta_n xi_n^T B_n^T)^T
@@ -403,8 +399,8 @@ def synthesize_dataset(disturbance: Callable, x_box, t_box, n_samples: int,
                        rng: np.random.Generator, noise_std: float = 0.0) -> TrajectoryDataset:
     """Sample (x, t) uniformly over a box and record disturbance targets.
 
-    ``disturbance`` is vectorized: fn(x, t) with x of shape (N,) or
-    (N, n) returning (N,) or (N, n).  Measurement corruption during
+    ``disturbance`` is vectorized: fn(x, t) with x and t of shape (N,)
+    returning (N,).  Measurement corruption during
     collection surfaces in the recorded targets: zero-mean Gaussian
     noise of standard deviation ``noise_std`` is added to delta.
     """
@@ -418,15 +414,14 @@ def synthesize_dataset(disturbance: Callable, x_box, t_box, n_samples: int,
 
 def _draw(x_box, t_box, n_samples: int, rng: np.random.Generator):
     """(x, t) of :func:`synthesize_dataset`: n_samples points uniform over the box."""
-    x_box, t_box = check_box(x_box, "basis.x_box"), check_box(t_box, "basis.t_box")[0]
-    x = rng.uniform(x_box[:, 0], x_box[:, 1], size=(n_samples, x_box.shape[0]))
-    t = rng.uniform(t_box[0], t_box[1], size=n_samples)
+    x = rng.uniform(*check_box(x_box, "basis.x_box"), size=(n_samples, 1))
+    t = rng.uniform(*check_box(t_box, "basis.t_box"), size=n_samples)
     return x, t
 
 
 def _targets(disturbance: Callable, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The disturbance on the rows (x, t), a 1-D state passed as a column."""
-    return np.asarray(disturbance(x[:, 0] if x.shape[1] == 1 else x, t), dtype=float)
+    """The disturbance on the rows (x, t), the state column passed as a vector."""
+    return np.asarray(disturbance(x[:, 0], t), dtype=float)
 
 
 # --- disturbance registry ---------------------------------------------------
@@ -607,7 +602,7 @@ def _sweep_level(cfg: LearningConfig, boxes: tuple, s2: float,
             if not names:
                 continue
             try:
-                basis = BasisConfig(p, train_x.shape[1], *boxes, cfg.normalize)
+                basis = BasisConfig(p, 1, *boxes, cfg.normalize)
                 feats, scale, chol, _ = _factor(train_x, train_t, basis, cfg.delta)
             except Exception as exc:
                 for f in names:

@@ -12,8 +12,8 @@ the input map times u), through
 with the gain column Gamma redesigned at each step's state so that the
 error dynamics d/dt e = (A - Gamma C(x)) e have prescribed stable
 eigenvalues.  The state x is a scalar: the observer serves the velocity
-channel that :mod:`coupled_do.sim` drives, and a model with n != 1 is
-refused (``learn`` still fits n-dimensional models).  The classical
+channel that :mod:`coupled_do.sim` drives, the one channel that the
+package's models describe.  The classical
 first-order disturbance observer is its case s2 = 1: on the unit model
 Theta = [[1]] of order p = 0, C(x) = 1, A = 0 and the pole -G places
 Gamma = G, so dz/dt = -G (z + G x + b); it recovers constant
@@ -146,12 +146,11 @@ def _step_lines(s2: int, normalize: bool) -> tuple[list, ...]:
     form's sums from 0.0 do."""
     ks = range(s2)
     row = ["xw = 0.0 + x0"] + _row_lines(s2, normalize)
-    consts = ["kw, A, q, f, lo, sp = self._consts"]
+    consts = ["kw, A, q, f, lo0, sp0 = self._consts"]
     consts += (_unpack([f"kw{k}_{h}" for k in ks for h in ks], "kw")
                + _unpack([f"A{k}" for k in range(1, s2)], "A")
                + _unpack([f"q{i}_{j}" for i in ks for j in range(i + 1)], "q")
                + _unpack([f"f{k}" for k in ks], "f")
-               + (["lo0, = lo", "sp0, = sp"] if normalize else [])
                + ["isfinite = math.isfinite"])
 
     update = ["if not (isfinite(x0) and isfinite(b0)):",
@@ -276,15 +275,13 @@ def _kernels(s2: int, normalize: bool) -> Callable:
 
 class Hodo:
     """Higher-order disturbance observer for a separated model of one
-    state dimension.
+    state channel.
 
     Parameters
     ----------
     model : SeparatedModel
-        Identified coefficients and basis, with n = 1; supplies the row
-        C(x) = Theta B(x) D and the exosystem matrix A.  A model with
-        n != 1 raises ConfigError: the observer estimates the disturbance
-        of one channel.
+        Identified coefficients and basis; supplies the row
+        C(x) = Theta B(x) D and the exosystem matrix A.
     poles : sequence of s2 values
         Desired eigenvalues of the error dynamics: finite, with negative
         real parts (:func:`check_poles`).
@@ -319,9 +316,6 @@ class Hodo:
     """
 
     def __init__(self, model: SeparatedModel, poles, x0, sigma0=None):
-        if model.n != 1:
-            raise ConfigError(f"Hodo: the model has n = {model.n} state dimensions; "
-                              f"the observer estimates one channel, n = 1")
         self.model = model
         s2 = model.config.s2
         self.poles = check_poles(poles, count=s2)
@@ -345,9 +339,8 @@ class Hodo:
         q_fact = (_pole_polynomial_of_a(model.A, self.poles) * fact
                   * model.time_scale ** -(s2 - 1)).tolist()
         q = [qij for i, row in enumerate(q_fact) for qij in row[:i + 1]]
-        lo, hi = model.config.x_box.T.tolist()
-        span = [h - l for l, h in zip(lo, hi)]
-        self._consts = (kw, shift, q, fact.tolist(), lo, span)
+        lo, hi = model.config.x_box.tolist()
+        self._consts = (kw, shift, q, fact.tolist(), lo, hi - lo)
         self.step, self._design_kernel, row = _kernels(s2, bool(model.config.normalize))(self)
 
         self.sigma_hat = sigma0.tolist()

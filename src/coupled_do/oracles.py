@@ -7,12 +7,13 @@ that every returned check passes, so ``verify`` checks the same draws.
 
 Everything here deliberately avoids the construction path it checks,
 :meth:`coupled_do.basis.BasisConfig.design_rows`, and the solver in
-:mod:`coupled_do.learner`: values are rebuilt from explicit multi-index
-loops with their own affine maps onto [-1, 1], Chebyshev values by
-Clenshaw's backward recurrence (:func:`numpy.polynomial.chebyshev.chebval`)
-instead of the forward recurrence of :func:`coupled_do.basis.cheb_series`,
-and plain unregularized least squares, so the two routes stay independent
-of each other; the pole polynomial is a product of its linear factors.
+:mod:`coupled_do.learner`: values are rebuilt from explicit loops over
+the time and state orders with their own affine maps onto [-1, 1],
+Chebyshev values by Clenshaw's backward recurrence
+(:func:`numpy.polynomial.chebyshev.chebval`) instead of the forward
+recurrence of :func:`coupled_do.basis.cheb_series`, and plain
+unregularized least squares, so the two routes stay independent of each
+other; the pole polynomial is a product of its linear factors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisConfig, flat_to_multi, structure_matrices
+from .basis import BasisConfig, structure_matrices
 from .errors import NumericalError
 from .learner import NEWTON_T_BOX, NEWTON_V_BOX, TrajectoryDataset, disturbance, fit_rls
 from .observer import UnobservableError, check_poles
@@ -144,25 +145,17 @@ def rk4_step(f: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarray:
 def separated_eval_brute(theta: np.ndarray, cfg: BasisConfig, x, t: float) -> np.ndarray:
     """Evaluate Theta B(x) xi(t) as the raw double Chebyshev sum.
 
-    Loops over every pair of a time order l and a flat state index h_k,
-    evaluating coefficient * T_{k_1}(x_1)...T_{k_n}(x_n) * T_l(t) term
-    by term.  Exponential in the state dimension; for small p, n only.
+    Loops over every pair of a time order l and a state order k,
+    evaluating coefficient * T_k(x) * T_l(t) term by term.
     """
-    x, tau = np.atleast_1d(np.asarray(x, dtype=float)), float(t)
+    x, tau = float(np.asarray(x, dtype=float).reshape(())), float(t)
     if cfg.normalize:                   # onto [-1, 1], in another form than the basis's
-        (xl, xh), (tl, th) = cfg.x_box.T, cfg.t_box
+        (xl, xh), (tl, th) = cfg.x_box, cfg.t_box
         x, tau = (2.0 * x - (xl + xh)) / (xh - xl), (2.0 * tau - (tl + th)) / (th - tl)
-    p, n = cfg.p, cfg.n
-    q = (p + 1) ** n
     out = np.zeros(theta.shape[0])
     for h_l in range(cfg.s2):
-        t_d = _cheb(h_l, tau)
-        for h_k in range(q):
-            ks = flat_to_multi(h_k, p, n)
-            t_x = 1.0
-            for i, k in enumerate(ks):
-                t_x *= _cheb(k, x[i])
-            out += theta[:, h_l * q + h_k] * t_x * t_d
+        for h_k in range(cfg.s2):
+            out += theta[:, h_l * cfg.s2 + h_k] * _cheb(h_k, x) * _cheb(h_l, tau)
     return out
 
 
@@ -264,15 +257,14 @@ def basis_identity_checks(seed: int = 0) -> list[CheckResult]:
     for normalize in (False, True):
         for _ in range(100):
             p = int(rng.integers(0, 3))
-            n = int(rng.integers(1, 3))
-            box = np.array([[-1.0, 1.0]] * (n + 1))     # rows x_1 .. x_n, t
+            box = np.array([[-1.0, 1.0]] * 2)           # rows x, t
             if normalize:
-                box[:, 0] = rng.uniform(-5.0, 5.0, n + 1)
-                box[:, 1] = box[:, 0] + rng.uniform(0.5, 10.0, n + 1)
-            cfg = BasisConfig(p=p, n=n, x_box=box[:n], t_box=box[n], normalize=normalize)
-            theta = rng.standard_normal((n, cfg.s1))
-            x = rng.uniform(box[:n, 0], box[:n, 1])
-            t = rng.uniform(*box[n])
+                box[:, 0] = rng.uniform(-5.0, 5.0, 2)
+                box[:, 1] = box[:, 0] + rng.uniform(0.5, 10.0, 2)
+            cfg = BasisConfig(p=p, x_box=box[0], t_box=box[1], normalize=normalize)
+            theta = rng.standard_normal((1, cfg.s1))
+            x = rng.uniform(*box[0], 1)
+            t = rng.uniform(*box[1])
             fast = theta @ cfg.design_rows(x[None], [t])[0]
             slow = separated_eval_brute(theta, cfg, x, t)
             worst = max(worst, np.abs(fast - slow).max())
@@ -285,7 +277,7 @@ def rls_checks(seed: int = 1) -> list[CheckResult]:
     """Closed-form optimality and recovery checks for the ridge fit, on
     in-span data and on the same data with noise of deviation 0.3."""
     rng = np.random.default_rng(seed)
-    cfg = BasisConfig(p=2, n=1)
+    cfg = BasisConfig(p=2)
     theta_true = rng.standard_normal((1, cfg.s1))
     x = rng.uniform(-1, 1, (500, 1))
     t = rng.uniform(-1, 1, 500)

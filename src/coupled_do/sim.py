@@ -5,8 +5,9 @@ The benchmark plant is a second-order point mass
     d(eta)/dt = v,      m dv/dt = u + delta(v, t),
 
 tracked with a PD controller plus feedforward disturbance compensation.
-The observers only see the velocity channel (n = 1, f_x = 0,
-f_u = 1/m), which is where the coupled disturbance enters.  The plant's
+The observers only see the velocity channel (f_x = 0, f_u = 1/m), which
+is where the coupled disturbance enters: the one state channel that the
+package's models and datasets describe.  The plant's
 disturbances are the registry in :mod:`coupled_do.learner`; this module
 imports it and :mod:`coupled_do.observer`, and neither imports it back.
 
@@ -292,7 +293,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.mode == "hodo":
         observer = Hodo(cfg.model, cfg.poles, x0=[cfg.v0])
     elif cfg.mode == "ndo":
-        unit = SeparatedModel(theta=[[1.0]], config=BasisConfig(p=0, n=1))
+        unit = SeparatedModel(theta=[[1.0]], config=BasisConfig(p=0))
         observer = Hodo(unit, (-cfg.ndo_gain,), x0=[cfg.v0])
     if observer is not None:
         shape = observer.model.config.s2, bool(observer.model.config.normalize)

@@ -1,11 +1,12 @@
-"""Basis construction: Chebyshev recurrences, index maps, tensor blocks."""
+"""Basis construction: Chebyshev recurrences, the state basis, design rows."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupled_do.basis import BasisConfig, cheb_series, flat_to_multi, structure_matrices
+from coupled_do.basis import BasisConfig, cheb_series, structure_matrices
+from coupled_do.errors import ConfigError
 from coupled_do.oracles import projection_oracle, separated_eval_brute
 
 
@@ -37,101 +38,50 @@ class TestChebEval:
         assert np.allclose(cheb_series(2, taus)[2], 2 * taus**2 - 1)
 
 
-class TestIndexMaps:
-    @pytest.mark.parametrize("h, p, dims, expected", [
-        (0, 2, 2, (0, 0)),
-        (5, 2, 2, (2, 1)),
-        (8, 2, 2, (2, 2)),
-    ])
-    def test_examples(self, h, p, dims, expected):
-        assert flat_to_multi(h, p, dims) == expected
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            flat_to_multi(9, 2, 2)
-        with pytest.raises(ValueError):
-            flat_to_multi(-1, 2, 2)
-
-    def test_round_trip_exhaustive(self):
-        for p in range(4):
-            for dims in range(1, 4):
-                for h in range((p + 1) ** dims):
-                    digits = flat_to_multi(h, p, dims)
-                    assert sum(k * (p + 1) ** i for i, k in enumerate(digits)) == h
-
-    @given(p=st.integers(0, 6), dims=st.integers(1, 4), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_property(self, p, dims, data):
-        h = data.draw(st.integers(0, (p + 1) ** dims - 1))
-        digits = flat_to_multi(h, p, dims)
-        assert len(digits) == dims
-        assert all(0 <= k <= p for k in digits)
-        assert sum(k * (p + 1) ** i for i, k in enumerate(digits)) == h
-
-
 def xi_of(cfg, t):
     """xi(t) read off one design row: entry 0 of every Pi block is T_0 = 1."""
-    return cfg.design_rows(np.zeros((1, cfg.n)), [t])[0, ::cfg.state_block]
+    return cfg.design_rows(np.zeros((1, 1)), [t])[0, ::cfg.s2]
 
 
 class TestPiVector:
     def test_order_zero(self):
-        cfg = BasisConfig(p=0, n=3)
-        assert np.array_equal(cfg.pi_rows([[0.3, -4.0, 7.0]]), [[1.0]])
+        cfg = BasisConfig(p=0)
+        assert np.array_equal(cfg.pi_rows([[0.3], [-4.0], [7.0]]), [[1.0], [1.0], [1.0]])
 
     def test_scalar_state(self):
         cfg = BasisConfig(p=2, n=1)
         assert np.allclose(cfg.pi_rows([[0.5]]), [[1.0, 0.5, -0.5]])
 
-    def test_two_dims_ordering(self):
-        a, b = 0.4, -0.8
-        cfg = BasisConfig(p=1, n=2)
-        assert np.allclose(cfg.pi_rows([[a, b]]), [[1.0, a, b, a * b]])
-
     def test_against_index_enumeration(self):
+        # entry h of Pi(x) is T_h(x)
         rng = np.random.default_rng(4)
-        cfg = BasisConfig(p=2, n=2)
-        x = rng.uniform(-1, 1, 2)
+        cfg = BasisConfig(p=4)
+        x = rng.uniform(-1, 1, 1)
         pi = cfg.pi_rows(x[None])[0]
+        assert len(pi) == cfg.s2
         for h in range(len(pi)):
-            ks = flat_to_multi(h, 2, 2)
-            assert pi[h] == pytest.approx(
-                cheb_series(ks[0], x[0])[ks[0]] * cheb_series(ks[1], x[1])[ks[1]], rel=1e-14)
+            assert pi[h] == pytest.approx(cheb_series(h, x[0])[h], rel=1e-14)
 
     def test_dimension_mismatch(self):
-        cfg = BasisConfig(p=1, n=2)
-        for x in ([[1.0]], [1.0, 2.0], [[[1.0, 2.0]]]):
+        cfg = BasisConfig(p=1)
+        for x in ([[1.0, 2.0]], [1.0, 2.0], [[[1.0]]]):   # one state column, as a batch
             with pytest.raises(ValueError):
                 cfg.pi_rows(x)
 
-    @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_bit_identical_to_reference_chains(self, n):
-        # reference loops for the two shapes: an outer-product chain on one
-        # state, and a row-wise chain from a column of ones on a batch
-        def chain(tables):                       # tables (p+1, n)
-            acc = tables[:, 0]
-            for i in range(1, tables.shape[1]):
-                acc = (tables[:, i, None] * acc).ravel()
-            return acc
-
-        def rows(v):                             # v (N, n)
-            tables = cheb_series(p, v)
-            acc = np.ones((len(v), 1))
-            for i in range(v.shape[1]):
-                ti = tables[:, :, i].T
-                acc = (ti[:, :, None] * acc[:, None, :]).reshape(len(v), -1)
-            return acc
-
-        rng = np.random.default_rng(n)
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_bit_identical_to_reference_chains(self, seed):
+        # the recurrence's table on a batch and on a batch of one row (the
+        # observer's case), on the raw and the mapped states alike
+        rng = np.random.default_rng(seed)
         lo, hi = -2.0, 3.0
         for p in range(5):
             for normalize in (False, True):
-                cfg = BasisConfig(p=p, n=n, x_box=(lo, hi), normalize=normalize)
-                x = rng.uniform(-3.0, 4.0, (20, n))
+                cfg = BasisConfig(p=p, x_box=(lo, hi), normalize=normalize)
+                x = rng.uniform(-3.0, 4.0, (20, 1))
                 v = 2.0 * (x - lo) / (hi - lo) - 1.0 if normalize else x
-                assert np.array_equal(cfg.pi_rows(x), rows(v))
-                for xi, vi in zip(x, v):          # a batch of one row: the observer's case
-                    assert np.array_equal(cfg.pi_rows(xi[None])[0], chain(cheb_series(p, vi)))
+                assert np.array_equal(cfg.pi_rows(x), cheb_series(p, v)[:, :, 0].T)
+                for xi, vi in zip(x, v):
+                    assert np.array_equal(cfg.pi_rows(xi[None])[0], cheb_series(p, vi[0]))
 
 
 class TestBMatrix:
@@ -149,11 +99,10 @@ class TestBMatrix:
     def test_separation_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            p = int(rng.integers(0, 3))
-            n = int(rng.integers(1, 3))
-            cfg = BasisConfig(p=p, n=n)
-            theta = rng.standard_normal((n, cfg.s1))
-            x = rng.uniform(-1, 1, n)
+            p = int(rng.integers(0, 4))
+            cfg = BasisConfig(p=p)
+            theta = rng.standard_normal((1, cfg.s1))
+            x = rng.uniform(-1, 1, 1)
             t = rng.uniform(-1, 1)
             fast = theta @ cfg.design_rows(x[None], [t])[0]
             assert np.allclose(fast, separated_eval_brute(theta, cfg, x, t), atol=1e-12)
@@ -162,9 +111,9 @@ class TestBMatrix:
 class TestOracleIndependence:
     def test_brute_force_routes_avoid_cheb_series(self, monkeypatch):
         rng = np.random.default_rng(9)
-        cfg = BasisConfig(p=3, n=2, x_box=(-2.0, 2.0), t_box=(0.0, 4.0), normalize=True)
-        theta = rng.standard_normal((2, cfg.s1))
-        x, t = rng.uniform(-2.0, 2.0, 2), 1.3
+        cfg = BasisConfig(p=3, x_box=(-2.0, 2.0), t_box=(0.0, 4.0), normalize=True)
+        theta = rng.standard_normal((1, cfg.s1))
+        x, t = rng.uniform(-2.0, 2.0, 1), 1.3
         fast = theta @ cfg.design_rows(x[None], [t])[0]
 
         def forbidden(*args, **kwargs):
@@ -281,18 +230,24 @@ class TestSizes:
     def test_s1_s2(self):
         cfg = BasisConfig(p=2, n=1)
         assert (cfg.s1, cfg.s2) == (9, 3)
-        cfg = BasisConfig(p=2, n=2)
-        assert (cfg.s1, cfg.s2) == (27, 3)
+        cfg = BasisConfig(p=3)
+        assert (cfg.s1, cfg.s2) == (16, 4)
 
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
             BasisConfig(p=-1, n=1)
         with pytest.raises(ValueError):
             BasisConfig(p=1, n=0)
+        # the basis spans one state channel
+        with pytest.raises(ConfigError, match="basis.n: .* n = 1, got 2"):
+            BasisConfig(p=1, n=2)
+        with pytest.raises(ConfigError, match="basis.x_box: expected one"):
+            BasisConfig(p=1, x_box=[(-1.0, 1.0)] * 2)
+        assert BasisConfig(p=1, x_box=[(-2.0, 3.0)]) == BasisConfig(p=1, x_box=(-2.0, 3.0))
 
     def test_design_rows_match_b_xi(self):
-        # against kron(xi(t), Pi(x)) from Clenshaw values and the index
-        # map, on the raw basis and on normalized ones with their own boxes
+        # against kron(xi(t), Pi(x)) from Clenshaw values, on the raw basis
+        # and on a normalized one with its own boxes
         def cheb(k, v):
             return np.polynomial.chebyshev.chebval(v, np.eye(k + 1)[k])
 
@@ -301,18 +256,17 @@ class TestSizes:
 
         rng = np.random.default_rng(3)
         for normalize, x_box, t_box in ((False, None, None),
-                                        (True, [(-3.0, 1.0), (0.5, 7.0)], (2.0, 12.0))):
-            cfg = BasisConfig(p=2, n=2, x_box=x_box, t_box=t_box, normalize=normalize)
-            x = rng.uniform(cfg.x_box[:, 0], cfg.x_box[:, 1], (5, 2))
+                                        (True, (-3.0, 1.0), (2.0, 12.0))):
+            cfg = BasisConfig(p=2, x_box=x_box, t_box=t_box, normalize=normalize)
+            x = rng.uniform(*cfg.x_box, (5, 1))
             t = rng.uniform(*cfg.t_box, 5)
             rows = cfg.design_rows(x, t)
             for i in range(5):
-                v, tau = x[i], t[i]
+                v, tau = x[i, 0], t[i]
                 if normalize:
-                    v, tau = unit(v, *cfg.x_box.T), unit(tau, *cfg.t_box)
+                    v, tau = unit(v, *cfg.x_box), unit(tau, *cfg.t_box)
                 xi = [cheb(l, tau) for l in range(cfg.s2)]
-                pi = [np.prod([cheb(k, vk) for k, vk in zip(flat_to_multi(h, 2, 2), v)])
-                      for h in range(cfg.state_block)]
+                pi = [cheb(k, v) for k in range(cfg.s2)]
                 assert np.allclose(rows[i], np.kron(xi, pi), rtol=0.0, atol=1e-13)
             for bad in (t[:1], t[:, None]):      # one time per state row, as a flat vector
                 with pytest.raises(ValueError):

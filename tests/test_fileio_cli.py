@@ -104,9 +104,9 @@ class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         data = TrajectoryDataset(t=np.sort(rng.uniform(0, 1, 20)),
-                                 x=rng.standard_normal((20, 2)),
+                                 x=rng.standard_normal((20, 1)),
                                  u=rng.standard_normal((20, 1)),
-                                 delta=rng.standard_normal((20, 2)))
+                                 delta=rng.standard_normal((20, 1)))
         path = tmp_path / "data.csv"
         fileio.save_dataset(path, data)
         loaded = fileio.load_dataset(path)
@@ -232,21 +232,21 @@ class TestSeriesWriters:
     @pytest.mark.parametrize("with_delta", [False, True])
     def test_dataset_bytes(self, tmp_path, rows, with_delta):
         rng = np.random.default_rng(rows)
-        data = TrajectoryDataset(t=np.zeros(rows), x=np.zeros((rows, 2)),
+        data = TrajectoryDataset(t=np.zeros(rows), x=np.zeros((rows, 1)),
                                  u=np.zeros((rows, 1)),
-                                 delta=np.zeros((rows, 2)) if with_delta else None)
+                                 delta=np.zeros((rows, 1)) if with_delta else None)
         # the container rejects non-finite values; the writer must not care
         data.t[:] = _special_values(rng, rows)
-        data.x[:] = _special_values(rng, (rows, 2))
+        data.x[:] = _special_values(rng, (rows, 1))
         data.u[:] = _special_values(rng, (rows, 1))
         columns = [data.t, data.x, data.u]
         if with_delta:
-            data.delta[:] = _special_values(rng, (rows, 2))
+            data.delta[:] = _special_values(rng, (rows, 1))
             columns.append(data.delta)
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(fileio.dataset_columns(2, 1, with_delta))
+            writer.writerow(["t", "x_1", "u_1"] + ["delta_1"] * with_delta)
             writer.writerows(_fmt_rows_reference(columns))
         path = tmp_path / "data.csv"
         fileio.save_dataset(path, data)
@@ -298,7 +298,7 @@ class TestSeriesWriters:
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(fileio.dataset_columns(1, 1, with_delta))
+            writer.writerow(["t", "x_1", "u_1"] + ["delta_1"] * with_delta)
             writer.writerows(_fmt_rows_reference(columns))
         path = tmp_path / "data.csv"
         fileio.save_dataset(path, data)
@@ -311,8 +311,8 @@ class TestSeriesWriters:
         def finite(shape):
             vals = _special_values(rng, shape)
             return np.where(np.isfinite(vals), vals, 1.0)
-        data = TrajectoryDataset(t=finite(n), x=finite((n, 2)), u=finite((n, 1)),
-                                 delta=finite((n, 2)))
+        data = TrajectoryDataset(t=finite(n), x=finite((n, 1)), u=finite((n, 1)),
+                                 delta=finite((n, 1)))
         path = tmp_path / "data.csv"
         fileio.save_dataset(path, data)
         loaded = fileio.load_dataset(path)
@@ -1046,8 +1046,9 @@ class TestCliExitCodes:
         ("theta_cols = 9\n", "theta_cols = 8\n", "theta block is (1, 9), header says (1, 8)"),
         ("normalize = false\n", "normalize = True\n", "normalize = True, expected true or false"),
         ("\nn = 1\n", "\nn 1\n", "line not key = value: 'n 1'"),
+        ("\nn = 1\n", "\nn = 2\n", "basis.n: the basis spans one state channel, n = 1, got 2"),
     ], ids=["version", "missing_field", "malformed_number", "theta_size", "normalize",
-            "not_key_value"])
+            "not_key_value", "two_states"])
     def test_bad_model_file_is_3_and_named(self, tmp_path, capsys, old, new, message):
         model = tmp_path / "model.txt"
         fileio.save_model(model, random_model(np.random.default_rng(5)))
@@ -1144,15 +1145,39 @@ class TestCliExitCodes:
         assert "N = 500, s1 = 1000000000002000000000001" in status[1]
 
     def test_simulate_rejects_multi_state_model(self, tmp_path, capsys):
-        cfg = BasisConfig(p=2, n=2, x_box=[(-10.0, 10.0)] * 2, t_box=(0.0, 100.0))
+        # a two-state file in the model format: two box pairs, 2 x 27 theta
+        theta = np.random.default_rng(6).standard_normal((2, 27))
         model = tmp_path / "model.txt"
-        fileio.save_model(model, SeparatedModel(
-            theta=np.random.default_rng(6).standard_normal((2, cfg.s1)), config=cfg))
+        model.write_text(
+            "format_version = 1\np = 2\nn = 2\nfeature_dim = 1\nnormalize = false\n"
+            "x_box = -10,10; -10,10\nt_box = 0,100\nseed = \nridge_delta = \n"
+            "dataset_digest = \ntheta_rows = 2\ntheta_cols = 27\ntheta =\n"
+            + "".join("  " + " ".join(map(fileio.fmt, row)) + "\n" for row in theta))
         ini = tmp_path / "sim.ini"
         ini.write_text(BASE_CONFIG + f"\n[io]\nmodel_file = {model}\n")
         assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
-                         "--modes", "hodo"]) == 2
-        assert "io.model_file" in capsys.readouterr().err
+                         "--modes", "none,hodo"]) == 3
+        assert capsys.readouterr().err == (f"data error: model file {model}: basis.n: the "
+                                           "basis spans one state channel, n = 1, got 2\n")
+        assert sorted(tmp_path.iterdir()) == [model, ini]
+
+    @pytest.mark.parametrize("header", ["t,x_1,u_1,u_2", "t,x_1,x_2,u_1",
+                                        "t,x_1,x_2,u_1,delta_1,delta_2"],
+                             ids=["two_inputs", "two_states", "two_states_with_targets"])
+    def test_learn_refuses_other_channel_counts_at_the_header(self, tmp_path, capsys, header):
+        # a second input would be added into the force, a second state has no basis
+        columns = header.split(",")
+        t = np.arange(200) * 1e-2
+        with open(tmp_path / "traj.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([columns] + [[ti] + [np.sin(ti + j) for j in range(
+                1, len(columns))] for ti in t])
+        out = tmp_path / "o"
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[io]\nout_dir = {out}\ndataset_file = {tmp_path / 'traj.csv'}\n")
+        assert cli.main(["learn", "--config", str(ini)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: dataset columns {columns} do not match schema")
+        assert not out.exists()
 
     def test_refused_simulate_leaves_no_out_dir(self, tmp_path, capsys):
         # the output directory is made just before the first write: a hodo

@@ -16,7 +16,7 @@ from coupled_do.sim import disturbance, generate_training_run
 
 
 def make_inspan_data(rng, cfg, theta, n=500, t_lo=-1.0, t_hi=1.0):
-    x = rng.uniform(-1, 1, (n, cfg.n))
+    x = rng.uniform(-1, 1, (n, 1))
     t = rng.uniform(t_lo, t_hi, n)
     delta = cfg.design_rows(x, t) @ theta.T
     return TrajectoryDataset(t=t, x=x, u=np.zeros((n, 1)), delta=delta)
@@ -29,6 +29,17 @@ class TestDataset:
         with pytest.raises(DataError):
             TrajectoryDataset(t=[0, 1], x=[[1.0], [2.0]], u=[[0.0], [0.0]],
                               delta=[[1.0]])
+
+    @pytest.mark.parametrize("name", ["x", "u", "delta"])
+    def test_one_channel_only(self, name):
+        # state, input and targets are one column each: (N,) or (N, 1)
+        cols = dict(t=np.arange(3.0), x=np.zeros(3), u=np.zeros((3, 1)), delta=np.zeros(3))
+        cols[name] = np.zeros((3, 2))
+        with pytest.raises(DataError, match=rf"^{name} has shape \(3, 2\): one channel"):
+            TrajectoryDataset(**cols)
+        cols[name] = np.zeros((3, 1, 1))
+        with pytest.raises(DataError, match=rf"^{name} has shape \(3, 1, 1\)"):
+            TrajectoryDataset(**cols)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
@@ -102,13 +113,13 @@ class TestTargetsFromTrajectory:
             targets_from_trajectory(traj, self.f_x, self.f_u)
 
     @pytest.mark.parametrize("window, fit_order", [(5, 2), (9, 3), (11, 4)])
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_uniform_filter_matches_window_fits(self, window, fit_order, n):
-        rng = np.random.default_rng(window + n)
+    @pytest.mark.parametrize("draw", [1, 2])
+    def test_uniform_filter_matches_window_fits(self, window, fit_order, draw):
+        rng = np.random.default_rng(window + draw)
         t = 0.3 + 0.01 * np.arange(200)
-        x = np.sin(t[:, None] * rng.uniform(1, 5, n)) + rng.normal(0, 0.1, (200, n))
+        x = np.sin(t[:, None] * rng.uniform(1, 5)) + rng.normal(0, 0.1, (200, 1))
         traj = TrajectoryDataset(t=t, x=x, u=np.zeros((200, 1)))
-        out = targets_from_trajectory(traj, lambda x: np.zeros(n), lambda x: np.zeros((n, 1)),
+        out = targets_from_trajectory(traj, lambda x: np.zeros(1), lambda x: np.zeros((1, 1)),
                                       window=window, fit_order=fit_order)
         half = window // 2
         ref = np.array([_poly_derivative_window(t[i - half:i + half + 1],
@@ -120,17 +131,17 @@ class TestTargetsFromTrajectory:
     def test_batched_plant_maps_match_per_row_formula(self):
         rng = np.random.default_rng(8)
         t = np.linspace(0, 1, 60)
-        traj = TrajectoryDataset(t=t, x=rng.standard_normal((60, 2)),
-                                 u=rng.standard_normal((60, 2)))
+        traj = TrajectoryDataset(t=t, x=rng.standard_normal((60, 1)),
+                                 u=rng.standard_normal((60, 1)))
 
         def f_x(x):
             return np.sin(x)
 
-        def f_u(x):      # state-dependent (..., 2) -> (..., 2, 2)
-            return (1 + x[..., :, None] ** 2) * np.array([1.0, -0.5])
+        def f_u(x):      # state-dependent (..., 1) -> (..., 1, 1)
+            return (1 + x[..., :, None] ** 2) * np.array([-0.5])
 
-        deriv = targets_from_trajectory(traj, lambda x: np.zeros(2),
-                                        lambda x: np.zeros((2, 2))).delta
+        deriv = targets_from_trajectory(traj, lambda x: np.zeros(1),
+                                        lambda x: np.zeros((1, 1))).delta
         out = targets_from_trajectory(traj, f_x, f_u)
         ref = np.array([d - f_x(x) - f_u(x) @ u for d, x, u in zip(deriv, out.x, out.u)])
         assert np.abs(out.delta - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -183,8 +194,8 @@ class TestFitRls:
 
     def test_optimality_gradient(self):
         rng = np.random.default_rng(4)
-        cfg = BasisConfig(p=2, n=2)
-        theta = rng.standard_normal((2, cfg.s1))
+        cfg = BasisConfig(p=3)
+        theta = rng.standard_normal((1, cfg.s1))
         data = make_inspan_data(rng, cfg, theta, n=400)
         noisy = TrajectoryDataset(t=data.t, x=data.x, u=data.u,
                                   delta=data.delta + rng.normal(0, 0.1, data.delta.shape))
@@ -281,20 +292,21 @@ class TestOutputMap:
 
     @pytest.mark.parametrize("normalize", (False, True))
     @pytest.mark.parametrize("p", range(5))
-    @pytest.mark.parametrize("n", (1, 2))
-    def test_equals_theta_b_d(self, n, p, normalize):
-        rng = np.random.default_rng(10 * n + p)
-        cfg = BasisConfig(p=p, n=n, x_box=[(-2.0, 3.0), (-1.0, 0.5)][:n],
+    @pytest.mark.parametrize("draw", (1, 2))
+    def test_equals_theta_b_d(self, draw, p, normalize):
+        # each draw on its own state box
+        rng = np.random.default_rng(10 * draw + p)
+        cfg = BasisConfig(p=p, x_box=[(-2.0, 3.0), (-1.0, 0.5)][draw - 1],
                           t_box=(0.0, 10.0), normalize=normalize)
-        model = SeparatedModel(theta=rng.standard_normal((n, cfg.s1)), config=cfg)
-        for x in rng.uniform(-2.5, 3.5, (10, n)):
+        model = SeparatedModel(theta=rng.standard_normal((1, cfg.s1)), config=cfg)
+        for x in rng.uniform(-2.5, 3.5, (10, 1)):
             b = np.kron(np.eye(cfg.s2), cfg.pi_rows(x[None]).T)
             ref = model.theta @ b @ model.D
             got = model.output_map(x)
-            assert got.shape == (n, cfg.s2)
+            assert got.shape == (1, cfg.s2)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-        with pytest.raises(ValueError, match=rf"shape \({n},\)"):
-            model.output_map(np.zeros(n + 1))
+        with pytest.raises(ValueError, match=r"shape \(1,\)"):
+            model.output_map(np.zeros(2))
 
 
 class TestSeparatedModel:
@@ -341,12 +353,11 @@ class TestEvaluate:
         assert evaluate(model, data)[0] < 1e-8
 
     def test_zero_model_constant_targets(self):
-        cfg = BasisConfig(p=1, n=2)
+        cfg = BasisConfig(p=1)
         from coupled_do.learner import SeparatedModel
-        model = SeparatedModel(theta=np.zeros((2, cfg.s1)), config=cfg)
-        c = np.array([3.0, 4.0])
-        data = TrajectoryDataset(t=np.zeros(10), x=np.zeros((10, 2)),
-                                 u=np.zeros((10, 1)), delta=np.tile(c, (10, 1)))
+        model = SeparatedModel(theta=np.zeros((1, cfg.s1)), config=cfg)
+        data = TrajectoryDataset(t=np.zeros(10), x=np.zeros((10, 1)),
+                                 u=np.zeros((10, 1)), delta=np.full((10, 1), -5.0))
         assert evaluate(model, data) == (pytest.approx(5.0), pytest.approx(5.0))
 
     def test_empty_rejected(self):

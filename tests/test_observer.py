@@ -282,13 +282,13 @@ class TestHodoInit:
             Hodo(exact_model(), poles=(-0.4,) * 3, x0=[0.0], sigma0=[1.0, 2.0])
 
     def test_multi_state_model_refused(self):
-        # the observer estimates one channel; learn still fits n = 2 models
-        cfg = BasisConfig(p=2, n=2)
-        model = SeparatedModel(theta=np.ones((2, cfg.s1)), config=cfg)
-        with pytest.raises(ConfigError, match="n = 2"):
-            Hodo(model, poles=(-0.4,) * 3, x0=[0.1, 0.2])
-        with pytest.raises(ConfigError, match="n = 2"):
-            run_scenario(ScenarioConfig(mode="hodo", model=model, duration=0.01))
+        # a model spans one channel: neither a two-state basis nor a two-row
+        # theta can be built, so none reaches the observer
+        with pytest.raises(ConfigError, match="n = 1, got 2"):
+            BasisConfig(p=2, n=2)
+        cfg = BasisConfig(p=2)
+        with pytest.raises(ConfigError, match="theta has 2 rows"):
+            SeparatedModel(theta=np.ones((2, cfg.s1)), config=cfg)
 
 
 def constant_output_model() -> SeparatedModel:
