@@ -10,8 +10,9 @@ learn     identify a separated model from a dataset file or a synthesis
 sweep     grid of fits over function, polynomial order and noise
           variance, one row per cell in sweep.csv, resumable: one
           ``learner.sweep`` call computes the cells that sweep.csv lacks
-          for the seed, and functions that share a sampling box share
-          each noise level's draw and each order's factored design
+          for the seed, and the functions and noise levels on one
+          sampling box share its one draw and split and each order's
+          factored design
 simulate  closed-loop tracking runs for the requested compensation
           modes, per-step CSVs plus a row per mode in metrics.csv; one
           mode's results are alive at a time

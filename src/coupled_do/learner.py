@@ -29,7 +29,8 @@ of functions, orders and noise levels, the sampling boxes and the fit
 settings are its fields.  Its range checks are the ones that the functions
 here apply to their arguments.  :func:`fit_rls` and :func:`sweep` share one
 factor (design, Gram, Cholesky) and one solve, so a sweep cell has the bits
-of the ``fit_rls`` call on its data.
+of the ``fit_rls`` call on its data.  The sweep draws and splits each
+sampling box once, for all of its functions, orders and noise levels.
 
 The registry of named disturbances (:func:`disturbance`,
 :func:`disturbance_box`) lives here, the lowest module that needs it; the
@@ -541,133 +542,105 @@ def sweep(cfg: LearningConfig, done=frozenset()) -> list[SweepCell]:
     x ``cfg.noise_variances``, without the (function, p, noise variance)
     keys in ``done``; cells are returned function-, then p-major.
 
-    Each noise level draws ``cfg.n_samples`` points from a function's
-    ``cfg.boxes`` and splits them by ``cfg.train_fraction``, from a
-    generator stream keyed by (``cfg.seed``, noise variance); the targets
-    get noise of their own shape, as in :func:`synthesize_dataset`.  Every
-    order is fitted with ``cfg.delta`` and ``cfg.normalize`` and scored
-    against the clean targets of that one draw, the disturbance's values
-    before the noise, so a cell depends only on its function, p and noise
-    variance and the fields of ``cfg`` outside the grid.  Each function's
-    disturbance is evaluated once per noise level.
+    Each sampling box (``cfg.boxes``) draws ``cfg.n_samples`` points once and
+    splits them by ``cfg.train_fraction``, from the generator stream keyed
+    by (``cfg.seed``, "sweep"), so every function, order and noise level on
+    it shares the points and the split.  A noise level s2 > 0 adds Gaussian
+    noise of variance s2 to the training targets alone, from its own stream
+    (``cfg.seed``, "sweep", the bits of s2).  Every cell is fitted with
+    ``cfg.delta`` and ``cfg.normalize`` and scored against the clean targets
+    of the held-out rows, the disturbance's values, so a cell depends only
+    on its function, p and noise variance and the fields of ``cfg`` outside
+    the grid.  Each disturbance is evaluated once.
 
-    Functions whose box and target shape agree draw the same points, noise
-    and split, so they share them: per (noise variance, p) one factor
-    (design, Gram, Cholesky factor) serves all of them, each function adds
+    Per order, one factor (design, Gram, Cholesky factor) of the training
+    rows serves every function and noise level of the box: each cell adds
     only its right-hand side and solves, and one test design, built after
-    the training design is freed, scores them all with each Theta as it is
-    solved: no cell builds a :class:`SeparatedModel`, and each computes
-    only its test MAE.  A failure fails only the cells it reaches.
+    the training design is freed, scores every Theta: no cell builds a
+    :class:`SeparatedModel`, and each computes only its test MAE.  A
+    failure fails only the cells it reaches.
     """
     if not (cfg.functions and cfg.p_values and cfg.noise_variances):
         raise ConfigError("sweep.functions, sweep.p_values and sweep.noise_variances "
                           "must be non-empty")
     todo = [(f, p, s2) for f in cfg.functions for p in cfg.p_values
             for s2 in cfg.noise_variances if (f, p, s2) not in done]
-    by_box: dict[tuple, list[str]] = {}
-    for f in cfg.functions:
-        by_box.setdefault(cfg.boxes(f), []).append(f)
+    by_box: dict[tuple, list[tuple]] = {}
+    for key in todo:
+        by_box.setdefault(cfg.boxes(key[0]), []).append(key)
     cells = {}
-    for boxes, functions in by_box.items():
-        for s2 in cfg.noise_variances:
-            orders = {f: [p for p in cfg.p_values if (f, p, s2) not in done]
-                      for f in functions}
-            orders = {f: ps for f, ps in orders.items() if ps}
-            if orders:
-                cells.update(_sweep_level(cfg, boxes, s2, orders))
+    for boxes, keys in by_box.items():
+        cells.update(_sweep_box(cfg, boxes, keys))
     return [cells[key] for key in todo]
 
 
-def _sweep_level(cfg: LearningConfig, boxes: tuple, s2: float,
-                 orders: dict[str, list[int]]) -> dict[tuple, SweepCell]:
-    """The cells at noise level ``s2`` of the functions in ``orders`` (name:
-    the orders to fit), which share the sampling box ``boxes``."""
+def _sweep_box(cfg: LearningConfig, boxes: tuple, keys: list) -> dict[tuple, SweepCell]:
+    """The cells ``keys``, (function, p, noise variance) in the order of
+    :func:`sweep`, of functions that all sample the box ``boxes``."""
     cells = {}
 
-    def fail(f, ps, exc):       # a failed cell must not abort the grid
+    def fail(failed, exc):      # a failed cell must not abort the grid
         error = f"{type(exc).__name__}: {exc}"
-        cells.update({(f, p, s2): SweepCell(f, p, s2, error=error) for p in ps})
+        cells.update({key: SweepCell(*key, error=error) for key in failed})
 
-    try:
-        failed, groups = _level_splits(cfg, boxes, s2, list(orders))
-    except Exception as exc:    # a failed draw fails the cells of its own level only
-        for f, ps in orders.items():
-            fail(f, ps, exc)
-        return cells
-    for f, exc in failed.items():
-        fail(f, orders[f], exc)
-    for train_x, train_t, test_x, test_t, targets in groups:
-        for p in cfg.p_values:
-            names = [f for f in targets if p in orders[f]]
-            if not names:
-                continue
-            try:
-                basis = BasisConfig(p, 1, *boxes, cfg.normalize)
-                feats, scale, chol, _ = _factor(train_x, train_t, basis, cfg.delta)
-            except Exception as exc:
-                for f in names:
-                    fail(f, [p], exc)
-                continue
-            fitted = {}
-            for f in names:
-                try:
-                    fitted[f] = _solve(feats, scale, chol, targets[f][0])
-                except Exception as exc:
-                    fail(f, [p], exc)
-            # one N x s1 design at a time: the test design follows the freed training one
-            del feats
-            try:
-                design = basis.design_rows(test_x, test_t)
-            except Exception as exc:
-                for f in fitted:
-                    fail(f, [p], exc)
-                continue
-            for f, theta in fitted.items():
-                try:
-                    cells[f, p, s2] = SweepCell(f, p, s2, _figure("test_mae", float(
-                        _residuals(targets[f][1], design @ theta.T).mean())))
-                except Exception as exc:
-                    fail(f, [p], exc)
-            del design
-    return cells
-
-
-def _level_splits(cfg: LearningConfig, boxes: tuple, s2: float, names: list[str]):
-    """The draw of :func:`sweep` at noise level ``s2`` over ``boxes``, split for
-    each function in ``names`` as :func:`synthesize_dataset` and
-    :func:`split_dataset` would: ({name: the exception that fails it},
-    [(train x, train t, test x, test t, {name: (train targets, clean test
-    targets)})], one entry per target shape).  The full draw is freed on
-    return, before any design is built."""
-    # keyed by the exact bits of s2, so all cells at one noise level share
-    # one dataset and split, whatever grid they sit in
-    rng = rng_stream(cfg.seed, "sweep", int(np.float64(s2).view(np.uint64)))
-    x, t = _draw(*boxes, cfg.n_samples, rng)
-    drawn = rng.bit_generator.state
-    u = np.zeros((cfg.n_samples, 1))
-    noise_std = float(np.sqrt(s2))
-    failed, by_shape = {}, {}
-    for f in names:
-        try:
-            delta = _targets(disturbance(f), x, t)
-            by_shape.setdefault(delta.shape, {})[f] = delta
-        except Exception as exc:
-            failed[f] = exc
-    groups = []
-    for shape, deltas in by_shape.items():
-        rng.bit_generator.state = drawn     # the noise and split of this target shape
-        noise = rng.normal(0.0, noise_std, size=shape) if noise_std > 0 else None
+    try:        # the key (seed, "sweep") is the noise-free level's (seed, "sweep", 0)
+        rng = rng_stream(cfg.seed, "sweep")
+        x, t = _draw(*boxes, cfg.n_samples, rng)
         train, test = _split_index(cfg.n_samples, cfg.train_fraction, rng)
-        targets = {}
-        for f, delta in deltas.items():
-            try:       # the checks of synthesize_dataset, with their messages
-                noisy = TrajectoryDataset(
-                    t=t, x=x, u=u, delta=delta if noise is None else delta + noise).delta
+    except Exception as exc:    # a failed draw fails its box
+        fail(keys, exc)
+        return cells
+    u, clean = np.zeros((cfg.n_samples, 1)), {}
+    for f in dict.fromkeys(f for f, _, _ in keys):
+        try:        # the checks of synthesize_dataset, with their messages
+            delta = TrajectoryDataset(t=t, x=x, u=u, delta=_targets(disturbance(f), x, t)).delta
+            clean[f] = delta[train], delta[test]
+        except Exception as exc:
+            fail([key for key in keys if key[0] == f], exc)
+    train_x, train_t, test_x, test_t = x[train], t[train], x[test], t[test]
+    # the full draw is freed before any design is built
+    x = t = u = delta = train = test = None
+    orders: dict[int, dict[float, list[str]]] = {}      # p: {s2: functions}
+    for f, p, s2 in keys:
+        if f in clean:
+            orders.setdefault(p, {}).setdefault(s2, []).append(f)
+    for p, levels in orders.items():
+        try:
+            basis = BasisConfig(p, 1, *boxes, cfg.normalize)
+            feats, scale, chol, _ = _factor(train_x, train_t, basis, cfg.delta)
+        except Exception as exc:
+            fail([(f, p, s2) for s2, names in levels.items() for f in names], exc)
+            continue
+        fitted = {}
+        for s2, names in levels.items():
+            try:    # keyed by the exact bits of s2, whatever grid the level sits in
+                noise = None if s2 == 0 else rng_stream(
+                    cfg.seed, "sweep", int(np.float64(s2).view(np.uint64))).normal(
+                    0.0, float(np.sqrt(s2)), size=(len(train_t), 1))
             except Exception as exc:
-                failed[f] = exc
+                fail([(f, p, s2) for f in names], exc)
                 continue
-            # test errors are measured against the clean draw: finite noisy
-            # targets have finite clean ones of the same shape
-            targets[f] = noisy[train], delta.reshape(noisy.shape)[test]
-        groups.append((x[train], t[train], x[test], t[test], targets))
-    return failed, groups
+            for f in names:
+                try:    # finite clean targets may still overflow with their noise
+                    targets = clean[f][0] if noise is None else clean[f][0] + noise
+                    if not np.isfinite(targets).all():
+                        raise DataError("non-finite values in delta")
+                    fitted[f, p, s2] = _solve(feats, scale, chol, targets)
+                except Exception as exc:
+                    fail([(f, p, s2)], exc)
+            noise = targets = None          # freed before the next order's design
+        # one N x s1 design at a time: the test design follows the freed training one
+        del feats
+        try:
+            design = basis.design_rows(test_x, test_t)
+        except Exception as exc:
+            fail(fitted, exc)
+            continue
+        for (f, _, s2), theta in fitted.items():
+            try:
+                cells[f, p, s2] = SweepCell(f, p, s2, _figure("test_mae", float(
+                    _residuals(clean[f][1], design @ theta.T).mean())))
+            except Exception as exc:
+                fail([(f, p, s2)], exc)
+        del design
+    return cells

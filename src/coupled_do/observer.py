@@ -70,6 +70,10 @@ from .errors import ConfigError, NumericalError
 
 _MARGIN = 1e-4     # |c_(s2-1)| / max|c_i| at or below which a row is unobservable
 _CHUNK = 32        # terms per statement of a generated sum
+# the largest s2 compiled: a kernel's source grows as s2^2, and compiling it
+# took 0.21 s at s2 = 65, 0.82 s at s2 = 100 and 19.6 s with 206 MB resident
+# at s2 = 200 (one 2-vCPU x86_64 machine)
+_MAX_S2 = 65
 
 
 class UnobservableError(NumericalError):
@@ -121,7 +125,7 @@ def _row_lines(s2: int, normalize: bool) -> list:
     Pi(x) from the local x0 with the operations of ``BasisConfig.pi_rows``
     on one row; a = x0, or x0 mapped from its box to [-1, 1]."""
     lines, a = [], "x0"
-    if normalize:
+    if normalize and s2 > 1:                    # Pi(x) = [1.0] reads no a
         lines.append("a0 = 2.0 * (x0 - lo0) / sp0 - 1.0")
         a = "a0"
     pi = ["1.0", a][:s2]                        # T_k = 2 a T_(k-1) - T_(k-2)
@@ -143,7 +147,12 @@ def _step_lines(s2: int, normalize: bool) -> tuple[list, ...]:
     substeps h1 .. h3; check x0 and b0 and advance that state; write it
     back; check sigma_hat and set the estimate e0 = c . sigma_hat.  The
     sums xw = 0.0 + x0 and wd = 0.0 + b0 turn -0.0 into 0.0, as the loop
-    form's sums from 0.0 do."""
+    form's sums from 0.0 do.
+
+    At s2 = 1, Pi(x) = [1.0], so the row c0 = 0.0 + kw0_0 is a constant
+    read with the model's, and the constructor's gain g0 holds for good:
+    the step neither builds nor compares a row, and reads no ``gain``,
+    ``cl``, ``failures`` or ``design``."""
     ks = range(s2)
     row = ["xw = 0.0 + x0"] + _row_lines(s2, normalize)
     consts = ["kw, A, q, f, lo0, sp0 = self._consts"]
@@ -152,21 +161,26 @@ def _step_lines(s2: int, normalize: bool) -> tuple[list, ...]:
                + _unpack([f"q{i}_{j}" for i in ks for j in range(i + 1)], "q")
                + _unpack([f"f{k}" for k in ks], "f")
                + ["isfinite = math.isfinite"])
+    constant = s2 == 1
+    if constant:
+        consts += row[1:]
 
     update = ["if not (isfinite(x0) and isfinite(b0)):",
               "    raise NumericalError(\"non-finite observer inputs\")"]
-    update += row + ["wd = 0.0 + b0",
-                     "# sigma_hat stays continuous: sigma = z + Gamma x holds with the new gain"]
+    update += row[:1] if constant else row
+    update += ["wd = 0.0 + b0",
+               "# sigma_hat stays continuous: sigma = z + Gamma x holds with the new gain"]
     update += [f"s{k} = z{k} + g{k} * xw" for k in ks]
-    update += [f"c = [{', '.join(f'c{k}' for k in ks)}]      # frozen over the step",
-               "try:",
-               "    # the gain depends on the row alone: an unchanged row keeps it",
-               "    gain = gain if c == cl else design(c)",
-               "    cl = c",
-               "except UnobservableError:",
-               "    failures += 1",
-               f"{', '.join(f'g{k}' for k in ks)}, = gain",
-               f"cv = 0.0 + {' + '.join(f'c{k} * s{k}' for k in ks)} + wd",
+    if not constant:
+        update += [f"c = [{', '.join(f'c{k}' for k in ks)}]      # frozen over the step",
+                   "try:",
+                   "    # the gain depends on the row alone: an unchanged row keeps it",
+                   "    gain = gain if c == cl else design(c)",
+                   "    cl = c",
+                   "except UnobservableError:",
+                   "    failures += 1",
+                   f"{', '.join(f'g{k}' for k in ks)}, = gain"]
+    update += [f"cv = 0.0 + {' + '.join(f'c{k} * s{k}' for k in ks)} + wd",
                "# v = M sigma - Gamma b with (M v)_k = A_k v_(k-1) - g_k (c . v), then w =",
                "# v + h M w for h = h1, h2, h3 and cw = c . w; A_0 = 0.0, so v_0 = 0.0 - ..."]
     update += [f"v{k} = {f'A{k} * s{k - 1}' if k else '0.0'} - g{k} * cv" for k in ks]
@@ -186,11 +200,12 @@ def _step_lines(s2: int, normalize: bool) -> tuple[list, ...]:
               "    raise NumericalError(\"observer state diverged to non-finite values\")"]
     finish += _sum("e0", [f"c{k} * sh{k}" for k in ks])
     zs, gs, shs = (", ".join(f"{v}{k}" for k in ks) for v in ("z", "g", "sh"))
-    load = [f"{zs}, = self.z", f"{gs}, = gain = self.gain", f"{shs}, = self.sigma_hat",
-            "cl, failures, design = self._c, self.gain_failures, self._design",
-            "h1, h2, h3 = 0.25 * dt, dt / 3.0, 0.5 * dt"]
-    store = [f"self.z, self.sigma_hat = [{zs}], [{shs}]",
-             "self.gain, self._c, self.gain_failures = gain, cl, failures"]
+    load = [f"{zs}, = self.z", f"{gs}, = {'' if constant else 'gain = '}self.gain",
+            f"{shs}, = self.sigma_hat", "h1, h2, h3 = 0.25 * dt, dt / 3.0, 0.5 * dt"]
+    store = [f"self.z, self.sigma_hat = [{zs}], [{shs}]"]
+    if not constant:
+        load.append("cl, failures, design = self._c, self.gain_failures, self._design")
+        store.append("self.gain, self._c, self.gain_failures = gain, cl, failures")
     return consts, row, load, update, store, finish
 
 
@@ -297,8 +312,9 @@ class Hodo:
     finite and > 0 raises ValueError, and a non-finite x0 or b0
     NumericalError, before the state changes.
 
-    On a normalized model A is scaled by ``model.time_scale`` = alpha,
-    which the gain undoes by the factor alpha^-(s2-1).  On an
+    A model of order p > 64 raises ConfigError before any kernel is
+    generated.  On a normalized model A is scaled by ``model.time_scale``
+    = alpha, which the gain undoes by the factor alpha^-(s2-1).  On an
     unobservable row the constructor raises :class:`UnobservableError`,
     and ``step`` keeps the previous gain and counts it in
     ``gain_failures``.  ``sigma_hat``, the auxiliary ``z`` and the gain
@@ -318,6 +334,9 @@ class Hodo:
     def __init__(self, model: SeparatedModel, poles, x0, sigma0=None):
         self.model = model
         s2 = model.config.s2
+        if s2 > _MAX_S2:
+            raise ConfigError(f"basis.p: the observer takes orders up to {_MAX_S2 - 1}, "
+                              f"got {model.config.p}")
         self.poles = check_poles(poles, count=s2)
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if x0.shape != (1,):

@@ -414,6 +414,13 @@ class TestSweep:
         alone = sweep(replace(base, p_values=[3], noise_variances=[0.05]))[0]
         cell = next(c for c in grid if c.p == 3 and c.noise_variance == 0.05)
         assert cell.test_mae == alone.test_mae
+        # the levels share the draw: a cell keeps its bits when other noise
+        # levels, the noise-free one among them, join or leave its grid
+        clean = sweep(replace(base, p_values=[3], noise_variances=[0.0]))[0]
+        for levels in ([0.0, 0.01, 0.05, 0.1], [0.05, 0.0]):
+            maes = {c.noise_variance: c.test_mae
+                    for c in sweep(replace(base, p_values=[3], noise_variances=levels))}
+            assert (maes[0.0], maes[0.05]) == (clean.test_mae, alone.test_mae)
 
     def test_failed_cell_reported_not_raised(self, monkeypatch):
         entry = dict(learner._REGISTRY["cubic_drift"],
@@ -427,21 +434,25 @@ class TestSweep:
     @staticmethod
     def per_function_cell(cfg, name, p, sigma2):
         # one (function, p, noise variance) cell by the route that fits it
-        # alone: draw, split, clean test targets, fit_rls
+        # alone: the box's noise-free draw and split, the level's noise on
+        # the training targets, the clean test targets, fit_rls
         fn, (x_box, t_box) = disturbance(name), cfg.boxes(name)
-        rng = rng_stream(cfg.seed, "sweep", int(np.float64(sigma2).view(np.uint64)))
-        data = synthesize_dataset(fn, x_box, t_box, cfg.n_samples, rng,
-                                  noise_std=float(np.sqrt(sigma2)))
-        train, test = split_dataset(data, cfg.train_fraction, rng)
-        test = TrajectoryDataset(t=test.t, x=test.x, u=test.u, delta=fn(test.x[:, 0], test.t))
+        rng = rng_stream(cfg.seed, "sweep")
+        train, test = split_dataset(synthesize_dataset(fn, x_box, t_box, cfg.n_samples, rng),
+                                    cfg.train_fraction, rng)
+        if sigma2 > 0:
+            noise = rng_stream(cfg.seed, "sweep", int(np.float64(sigma2).view(np.uint64))).normal(
+                0.0, float(np.sqrt(sigma2)), size=train.delta.shape)
+            train = TrajectoryDataset(t=train.t, x=train.x, u=train.u, delta=train.delta + noise)
         basis = BasisConfig(p, 1, x_box, t_box, cfg.normalize)
         return fit_rls(train, basis, cfg.delta, test=test)[1]
 
     @pytest.mark.parametrize("normalize", (False, True))
     @pytest.mark.parametrize("seed", (1, 2))
     def test_shared_sweep_equals_the_per_function_route(self, normalize, seed):
-        # the three functions share one box, so one draw and one factor per
-        # (noise, p) serve them all; every figure keeps its bits
+        # the three functions share one box, so one draw, one split and one
+        # factor per order serve every function and noise level; every
+        # figure keeps the bits of the route that fits its cell alone
         cfg = LearningConfig(n_samples=2000, normalize=normalize, seed=seed,
                              functions=("sine_product", "cubic_drift", "sine_cubic"),
                              p_values=(1, 2, 3, 4, 5, 6), noise_variances=(0.0, 0.05))
@@ -454,6 +465,21 @@ class TestSweep:
             assert cell.test_mae == self.per_function_cell(cfg, cell.function, cell.p,
                                                            cell.noise_variance).test_mae
 
+    @pytest.mark.parametrize("normalize", (False, True))
+    def test_noise_free_cells_are_the_fit_of_the_shared_draw(self, normalize):
+        # the box's stream (seed, "sweep") is (seed, "sweep", 0), the key of
+        # sigma^2 = 0, since SeedSequence pads a key with zeros
+        cfg = LearningConfig(n_samples=2000, normalize=normalize, seed=5,
+                             p_values=(1, 2, 4, 6), noise_variances=(0.05, 0.0, 0.1))
+        cells = [c for c in sweep(cfg) if c.noise_variance == 0.0]
+        assert len(cells) == 3 * 4
+        for cell in cells:
+            (x_box, t_box), rng = cfg.boxes(cell.function), rng_stream(cfg.seed, "sweep", 0)
+            data = synthesize_dataset(disturbance(cell.function), x_box, t_box, cfg.n_samples, rng)
+            train, test = split_dataset(data, cfg.train_fraction, rng)
+            basis = BasisConfig(cell.p, 1, x_box, t_box, normalize)
+            assert cell.test_mae == fit_rls(train, basis, cfg.delta, test=test)[1].test_mae
+
     def test_one_shared_level_keeps_one_design_alive(self, traced_peak):
         # three functions at p = 6: the draw is freed before the training
         # design, and the test design is built after the training one is freed
@@ -463,6 +489,18 @@ class TestSweep:
         assert [c.error for c in cells] == [None] * 3
         n_train, s1 = 10_000, BasisConfig(p=6, n=1).s1
         assert peak < 2 * n_train * s1 * 8
+
+    def test_noise_levels_keep_the_peak_of_one_level(self, traced_peak):
+        # each level's noise is drawn when its right-hand sides are built and
+        # goes with them: four levels hold no more than one
+        base = LearningConfig(n_samples=20_000, p_values=(6,), noise_variances=(0.05,),
+                              functions=("sine_product", "cubic_drift", "sine_cubic"))
+        one = traced_peak(lambda: sweep(base))[1]
+        cells, four = traced_peak(lambda: sweep(replace(
+            base, noise_variances=(0.0, 0.01, 0.05, 0.1))))
+        assert [c.error for c in cells] == [None] * 12
+        n_train = 10_000
+        assert four < one + n_train * 8
 
     def test_failing_function_fails_only_its_own_cells(self, monkeypatch):
         entry = dict(learner._REGISTRY["cubic_drift"],
@@ -477,8 +515,9 @@ class TestSweep:
         assert [c for c in mixed if c.function == "cubic_drift"] == alone
         assert all(c.error is None for c in alone)
 
-    def test_disturbance_evaluated_once_per_noise_level(self, monkeypatch):
-        # the clean test targets come from the draw, not from a second call
+    def test_disturbance_evaluated_once_per_sweep(self, monkeypatch):
+        # the noise levels share the draw, and the clean test targets come
+        # from it, not from a second call
         calls = []
         for name in ("cubic_drift", "sine_cubic"):
             entry = learner._REGISTRY[name]
@@ -490,7 +529,7 @@ class TestSweep:
         cfg = LearningConfig(n_samples=500, seed=3, functions=("cubic_drift", "sine_cubic"),
                              p_values=(1, 2, 3), noise_variances=(0.0, 0.05))
         assert all(c.error is None for c in sweep(cfg))
-        assert sorted(calls) == [("cubic_drift", 500)] * 2 + [("sine_cubic", 500)] * 2
+        assert calls == [("cubic_drift", 500), ("sine_cubic", 500)]
 
     def test_a_cell_computes_only_its_test_mae(self, monkeypatch):
         # sweep.csv records the test MAE alone: no cell takes a condition

@@ -10,6 +10,7 @@ import scipy.signal
 
 from coupled_do.basis import BasisConfig, structure_matrices
 from coupled_do.errors import ConfigError, NumericalError
+from coupled_do import observer
 from coupled_do.learner import SeparatedModel
 from coupled_do.observer import _MARGIN, Hodo, UnobservableError, _kernels
 from coupled_do.oracles import (ackermann_gain, gain_placement_checks, placement_residual,
@@ -290,6 +291,15 @@ class TestHodoInit:
         with pytest.raises(ConfigError, match="theta has 2 rows"):
             SeparatedModel(theta=np.ones((2, cfg.s1)), config=cfg)
 
+    def test_order_above_64_refused_before_any_source(self, monkeypatch):
+        # the kernel source grows as s2^2: p = 64 is the largest order compiled
+        cfg = BasisConfig(p=65, n=1)
+        model = SeparatedModel(theta=np.ones((1, cfg.s1)), config=cfg)
+        monkeypatch.setattr(observer, "_kernel_source",
+                            lambda *a: pytest.fail("kernel source generated"))
+        with pytest.raises(ConfigError, match=r"^basis\.p: .* up to 64, got 65$"):
+            Hodo(model, poles=-np.linspace(0.5, 2.0, 66), x0=[0.0])
+
 
 def constant_output_model() -> SeparatedModel:
     # only T_0(x) entries are weighted, so C(x) is state independent
@@ -512,6 +522,21 @@ class TestGeneratedKernels:
             assert kernel.step(x, 0.1, 1e-3) == loop.step(x, 0.1, 1e-3)
             assert_same_bits(kernel, loop)
         assert len(designs) == 2        # x = 0.5 is the constructor's row
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    def test_order_zero_step_designs_no_gain(self, monkeypatch, normalize):
+        # Pi(x) = [1.0]: the row and the constructor's gain are constants,
+        # so an ndo run designs its gain in the constructor alone
+        rows = []
+        design = Hodo._design
+        monkeypatch.setattr(Hodo, "_design", lambda self, c: rows.append(c) or design(self, c))
+        result = run_scenario(ScenarioConfig(mode="ndo", duration=1.0, seed=2))
+        assert result.completed and result.gain_failures == 0 and rows == [[1.0]]
+        (kernel, _), x, _ = random_observers(1, 0, normalize, 3)
+        del rows[:]
+        for k in range(50):
+            kernel.step(float(x[0]) + 0.1 * k, 0.2, 1e-3)
+        assert rows == [] and kernel.gain_failures == 0
 
     def test_one_compiled_step_per_shape(self):
         # the step is the generated kernel, bound on each observer
